@@ -10,6 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ps_core::alloc::greedy::greedy_select;
+use ps_core::exec::Threads;
 use ps_core::model::SensorSnapshot;
 use ps_core::query::{AggregateKind, AggregateQuery};
 use ps_core::valuation::aggregate::AggregateValuation;
@@ -144,7 +145,7 @@ fn bench_algorithm_1(c: &mut Criterion) {
                 .iter_mut()
                 .map(|v| v as &mut dyn SetValuation)
                 .collect();
-            black_box(greedy_select(&mut vals, &sensors).welfare)
+            black_box(greedy_select(&mut vals, &sensors, None, Threads::single()).welfare)
         })
     });
     group.finish();

@@ -74,8 +74,8 @@
 //! assert!(report.welfare > 0.0);
 //! ```
 
-use crate::alloc::baseline::{baseline_select_for_query_indexed, BaselinePointScheduler};
-use crate::alloc::greedy::greedy_select_sharded;
+use crate::alloc::baseline::{baseline_select_for_query, BaselinePointScheduler};
+use crate::alloc::greedy::greedy_select;
 use crate::alloc::{PointAllocation, PointScheduler};
 use crate::exec::Threads;
 use crate::model::{QueryId, SensorSnapshot, Slot};
@@ -635,27 +635,6 @@ impl<'s> Aggregator<'s> {
         id
     }
 
-    /// Inserts a pre-built point query, keeping its id (state restoration
-    /// and the deprecated free-function shims).
-    pub fn adopt_point_query(&mut self, q: PointQuery) {
-        self.pending_points.push(q);
-    }
-
-    /// Inserts a pre-built aggregate query, keeping its id.
-    pub fn adopt_aggregate_query(&mut self, q: AggregateQuery) {
-        self.pending_aggregates.push(q);
-    }
-
-    /// Inserts a pre-built location monitor, keeping its id and state.
-    pub fn adopt_location_monitor(&mut self, m: LocationMonitor) {
-        self.location_monitors.push(m);
-    }
-
-    /// Inserts a pre-built region monitor, keeping its id and state.
-    pub fn adopt_region_monitor(&mut self, m: RegionMonitor) {
-        self.region_monitors.push(m);
-    }
-
     // ── Introspection ─────────────────────────────────────────────────
 
     /// Live location monitors, in submission order.
@@ -1115,7 +1094,7 @@ impl<'s> Aggregator<'s> {
         for v in &mut point_vals {
             vals.push(v);
         }
-        let selection = greedy_select_sharded(&mut vals, sensors, index, self.threads);
+        let selection = greedy_select(&mut vals, sensors, index, self.threads);
         drop(vals);
 
         // Stable-id → snapshot-index map, built once per slot. Sorted
@@ -1609,7 +1588,7 @@ impl<'s> Aggregator<'s> {
         let mut aggregate_results = Vec::with_capacity(aggregates.len());
         for q in &aggregates {
             let mut v = AggregateValuation::new(q, self.sensing_range);
-            let out = baseline_select_for_query_indexed(&mut v, sensors, &mut already, index);
+            let out = baseline_select_for_query(&mut v, sensors, &mut already, index);
             welfare += out.value - out.cost;
             if out.value > 0.0 {
                 breakdown.aggregate_answered += 1;
@@ -1628,7 +1607,7 @@ impl<'s> Aggregator<'s> {
         }
         let mut custom_results = Vec::with_capacity(customs.len());
         for (id, v) in &mut customs {
-            let out = baseline_select_for_query_indexed(v.as_mut(), sensors, &mut already, index);
+            let out = baseline_select_for_query(v.as_mut(), sensors, &mut already, index);
             welfare += out.value - out.cost;
             for &si in &out.newly_selected {
                 ledger.record(*id, sensors[si].id, sensors[si].cost);
@@ -1670,7 +1649,7 @@ impl<'s> Aggregator<'s> {
         }
         self.next_query_id = next_id;
 
-        let alloc = BaselinePointScheduler::new().schedule_with_preselected_sharded(
+        let alloc = BaselinePointScheduler::new().schedule_with_preselected(
             &queries,
             sensors,
             &self.quality,
@@ -1793,7 +1772,7 @@ impl<'s> Aggregator<'s> {
             for (_, v) in &mut customs {
                 vals.push(v.as_mut());
             }
-            let selection = greedy_select_sharded(&mut vals, sensors, index, self.threads);
+            let selection = greedy_select(&mut vals, sensors, index, self.threads);
             drop(vals);
             welfare += selection.welfare;
             sensors_used.extend(selection.selected.iter().copied());
@@ -2353,87 +2332,6 @@ mod tests {
         );
         assert!(alg5.breakdown.point_satisfied >= baseline.breakdown.point_satisfied);
         assert!(alg5.breakdown.point_satisfied > 0);
-    }
-
-    /// Spec-based intake produces the same slot as adopted pre-built
-    /// queries (ids aside) — the state-restoration path `adopt_*` exists
-    /// for. (Ported from the deleted `ps_core::mix` shim tests.)
-    #[test]
-    fn spec_intake_matches_adopted_queries() {
-        use crate::monitor::location::LocationMonitor;
-        use crate::monitor::region::RegionMonitor;
-        use crate::query::AggregateKind;
-        use ps_gp::kernel::SquaredExponential;
-
-        let sensors: Vec<SensorSnapshot> = (0..3)
-            .map(|i| sensor(i, 3.0 + 3.0 * i as f64, 4.0))
-            .collect();
-        let mut by_spec = AggregatorBuilder::new(quality()).build();
-        by_spec.submit_point(point_spec(3.0, 4.0, 15.0));
-        by_spec.submit_aggregate(AggregateSpec {
-            region: Rect::new(0.0, 0.0, 12.0, 8.0),
-            budget: 40.0,
-            kind: AggregateKind::Average,
-        });
-        by_spec.submit_location_monitor(LocationMonitorSpec {
-            loc: Point::new(6.0, 4.0),
-            t1: 0,
-            t2: 10,
-            alpha: 0.5,
-            theta_min: 0.2,
-            valuation: MonitoringValuation::new(monitoring_ctx(), 80.0, vec![0.0, 4.0]),
-        });
-        by_spec.submit_region_monitor(RegionMonitorSpec {
-            t1: 0,
-            t2: 10,
-            alpha: 0.5,
-            theta_min: 0.2,
-            valuation: RegionValuation::new(
-                60.0,
-                Rect::new(0.0, 0.0, 9.0, 8.0),
-                &SquaredExponential::new(2.0, 2.0),
-                0.1,
-            ),
-        });
-        let spec_report = by_spec.step(0, &sensors);
-
-        let mut adopted = AggregatorBuilder::new(quality()).build();
-        adopted.adopt_point_query(PointQuery::new(QueryId(1), Point::new(3.0, 4.0), 15.0, 0.2));
-        adopted.adopt_aggregate_query(AggregateQuery {
-            id: QueryId(2),
-            region: Rect::new(0.0, 0.0, 12.0, 8.0),
-            budget: 40.0,
-            kind: AggregateKind::Average,
-        });
-        adopted.adopt_location_monitor(LocationMonitor::new(
-            QueryId(3),
-            Point::new(6.0, 4.0),
-            0,
-            10,
-            0.5,
-            0.2,
-            MonitoringValuation::new(monitoring_ctx(), 80.0, vec![0.0, 4.0]),
-        ));
-        adopted.adopt_region_monitor(RegionMonitor::new(
-            QueryId(4),
-            0,
-            10,
-            0.5,
-            0.2,
-            RegionValuation::new(
-                60.0,
-                Rect::new(0.0, 0.0, 9.0, 8.0),
-                &SquaredExponential::new(2.0, 2.0),
-                0.1,
-            ),
-        ));
-        let adopted_report = adopted.step(0, &sensors);
-        assert!((spec_report.welfare - adopted_report.welfare).abs() < 1e-9);
-        assert_eq!(
-            spec_report.breakdown.point_satisfied,
-            adopted_report.breakdown.point_satisfied
-        );
-        assert_eq!(spec_report.sensors_used, adopted_report.sensors_used);
     }
 
     #[test]

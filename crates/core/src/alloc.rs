@@ -91,6 +91,10 @@ impl PointAllocation {
 
 /// A scheduler of single-sensor point queries for one slot.
 ///
+/// Implementations define [`PointScheduler::schedule_sharded`]; the
+/// other two methods are conveniences that call it without an index
+/// and on one thread.
+///
 /// `Send + Sync` is a supertrait because engines owning a scheduler cross
 /// thread boundaries in the federation layer (`ps_cluster` steps whole
 /// `Aggregator`s on scoped worker threads). Every in-tree scheduler is a
@@ -99,36 +103,15 @@ impl PointAllocation {
 pub trait PointScheduler: Send + Sync {
     /// Chooses sensors for `queries` among `sensors`, computing values,
     /// payments, and welfare.
-    fn schedule(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-    ) -> PointAllocation;
-
-    /// Like [`PointScheduler::schedule`], with an optional [`SensorIndex`]
-    /// built over the same snapshot slice. Implementations that override
-    /// this use the index to prune candidate sensors (per queried
-    /// location: the disk of radius `d_max`) **without changing the
-    /// schedule** — the result must be identical to `schedule`. The
-    /// default ignores the index.
-    fn schedule_indexed(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        index: Option<&SensorIndex>,
-    ) -> PointAllocation {
-        let _ = index;
-        self.schedule(queries, sensors, quality)
-    }
-
-    /// Like [`PointScheduler::schedule_indexed`], with a [`Threads`]
-    /// budget for sharding the embarrassingly-parallel per-query work
-    /// (candidate collection, value evaluation). Implementations that
-    /// override this must keep the schedule **bit-identical** for every
-    /// thread count — sharding is a wall-clock optimization, never a
-    /// semantic one. The default ignores the budget and runs serially.
+    ///
+    /// `index`, when given, is a [`SensorIndex`] built over the same
+    /// snapshot slice; implementations use it to prune candidate sensors
+    /// (per queried location: the disk of radius `d_max`) **without
+    /// changing the schedule**. `threads` is a budget for sharding the
+    /// embarrassingly-parallel per-query work (candidate collection,
+    /// value evaluation); the schedule must be **bit-identical** for
+    /// every thread count — sharding is a wall-clock optimization, never
+    /// a semantic one.
     fn schedule_sharded(
         &self,
         queries: &[PointQuery],
@@ -136,22 +119,20 @@ pub trait PointScheduler: Send + Sync {
         quality: &QualityModel,
         index: Option<&SensorIndex>,
         threads: Threads,
-    ) -> PointAllocation {
-        let _ = threads;
-        self.schedule_indexed(queries, sensors, quality, index)
-    }
-}
+    ) -> PointAllocation;
 
-impl<T: PointScheduler + ?Sized> PointScheduler for &T {
+    /// [`PointScheduler::schedule_sharded`] without an index, on one
+    /// thread.
     fn schedule(
         &self,
         queries: &[PointQuery],
         sensors: &[SensorSnapshot],
         quality: &QualityModel,
     ) -> PointAllocation {
-        (**self).schedule(queries, sensors, quality)
+        self.schedule_sharded(queries, sensors, quality, None, Threads::single())
     }
 
+    /// [`PointScheduler::schedule_sharded`] on one thread.
     fn schedule_indexed(
         &self,
         queries: &[PointQuery],
@@ -159,9 +140,11 @@ impl<T: PointScheduler + ?Sized> PointScheduler for &T {
         quality: &QualityModel,
         index: Option<&SensorIndex>,
     ) -> PointAllocation {
-        (**self).schedule_indexed(queries, sensors, quality, index)
+        self.schedule_sharded(queries, sensors, quality, index, Threads::single())
     }
+}
 
+impl<T: PointScheduler + ?Sized> PointScheduler for &T {
     fn schedule_sharded(
         &self,
         queries: &[PointQuery],
@@ -175,25 +158,6 @@ impl<T: PointScheduler + ?Sized> PointScheduler for &T {
 }
 
 impl<T: PointScheduler + ?Sized> PointScheduler for Box<T> {
-    fn schedule(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-    ) -> PointAllocation {
-        (**self).schedule(queries, sensors, quality)
-    }
-
-    fn schedule_indexed(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        index: Option<&SensorIndex>,
-    ) -> PointAllocation {
-        (**self).schedule_indexed(queries, sensors, quality, index)
-    }
-
     fn schedule_sharded(
         &self,
         queries: &[PointQuery],
@@ -283,6 +247,28 @@ pub(crate) fn build_welfare_problem(
     WelfareProblem::new(costs, client_values)
 }
 
+/// The Eq. 9 pipeline the facility-location schedulers share: group the
+/// queries by location, build the welfare problem (see
+/// [`build_welfare_problem`] for how `index` and `threads` are used),
+/// pick the open sensors with `solve`, and derive assignments and Eq. 11
+/// payments.
+pub(crate) fn schedule_eq9(
+    queries: &[PointQuery],
+    sensors: &[SensorSnapshot],
+    quality: &QualityModel,
+    index: Option<&SensorIndex>,
+    threads: Threads,
+    solve: impl FnOnce(&WelfareProblem, &LocationGroups) -> WelfareSolution,
+) -> PointAllocation {
+    if queries.is_empty() || sensors.is_empty() {
+        return PointAllocation::empty(queries.len());
+    }
+    let groups = group_by_location(queries);
+    let problem = build_welfare_problem(queries, &groups, sensors, quality, index, threads);
+    let solution = solve(&problem, &groups);
+    allocation_from_solution(queries, &groups, sensors, quality, &problem, &solution)
+}
+
 /// Converts a facility-location solution into a [`PointAllocation`],
 /// computing Eq. 11 payments and enforcing cost recovery.
 ///
@@ -291,7 +277,7 @@ pub(crate) fn build_welfare_problem(
 /// solver never produces such a sensor, but Local Search can (via the
 /// complement set); those sensors are dropped and their locations
 /// reassigned until stable, which only increases welfare.
-pub(crate) fn allocation_from_solution(
+fn allocation_from_solution(
     queries: &[PointQuery],
     groups: &LocationGroups,
     sensors: &[SensorSnapshot],
@@ -397,7 +383,10 @@ mod tests {
     use super::*;
     use crate::model::QueryId;
     use crate::query::QueryOrigin;
+    use proptest::prelude::*;
     use ps_geo::Point;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn pq(id: u64, x: f64, y: f64, budget: f64) -> PointQuery {
         PointQuery {
@@ -407,6 +396,16 @@ mod tests {
             offset: 0.0,
             theta_min: 0.2,
             origin: QueryOrigin::EndUser,
+        }
+    }
+
+    fn sensor(id: usize, x: f64, y: f64) -> SensorSnapshot {
+        SensorSnapshot {
+            id,
+            loc: Point::new(x, y),
+            cost: 10.0,
+            trust: 1.0,
+            inaccuracy: 0.0,
         }
     }
 
@@ -426,13 +425,7 @@ mod tests {
     #[test]
     fn welfare_problem_sums_query_values_per_location() {
         let queries = vec![pq(0, 0.0, 0.0, 10.0), pq(1, 0.0, 0.0, 30.0)];
-        let sensors = vec![SensorSnapshot {
-            id: 0,
-            loc: Point::new(2.5, 0.0),
-            cost: 10.0,
-            trust: 1.0,
-            inaccuracy: 0.0,
-        }];
+        let sensors = vec![sensor(0, 2.5, 0.0)];
         let quality = QualityModel::new(5.0);
         let groups = group_by_location(&queries);
         let p = build_welfare_problem(
@@ -451,13 +444,7 @@ mod tests {
     #[test]
     fn out_of_range_sensors_are_excluded() {
         let queries = vec![pq(0, 0.0, 0.0, 10.0)];
-        let sensors = vec![SensorSnapshot {
-            id: 0,
-            loc: Point::new(9.0, 0.0),
-            cost: 10.0,
-            trust: 1.0,
-            inaccuracy: 0.0,
-        }];
+        let sensors = vec![sensor(0, 9.0, 0.0)];
         let quality = QualityModel::new(5.0);
         let groups = group_by_location(&queries);
         let p = build_welfare_problem(
@@ -477,5 +464,76 @@ mod tests {
         assert_eq!(a.assignments.len(), 3);
         assert_eq!(a.satisfied_count(), 0);
         assert_eq!(a.welfare, 0.0);
+    }
+
+    /// Records, per call, whether an index came in and the thread count.
+    #[derive(Default)]
+    struct Recorder(std::sync::Mutex<Vec<(bool, usize)>>);
+
+    impl PointScheduler for Recorder {
+        fn schedule_sharded(
+            &self,
+            queries: &[PointQuery],
+            _: &[SensorSnapshot],
+            _: &QualityModel,
+            index: Option<&SensorIndex>,
+            threads: Threads,
+        ) -> PointAllocation {
+            let mut calls = self.0.lock().unwrap();
+            calls.push((index.is_some(), threads.get()));
+            PointAllocation::empty(queries.len())
+        }
+    }
+
+    #[test]
+    fn provided_methods_call_schedule_sharded_on_one_thread() {
+        let (rec, quality) = (Recorder::default(), QualityModel::new(5.0));
+        let index = SensorIndex::build(&[Point::new(0.0, 0.0)]);
+        rec.schedule(&[], &[], &quality);
+        rec.schedule_indexed(&[], &[], &quality, Some(&index));
+        assert_eq!(*rec.0.lock().unwrap(), vec![(false, 1), (true, 1)]);
+    }
+
+    #[test]
+    fn reference_and_box_forward_index_and_threads() {
+        fn call(s: impl PointScheduler, index: Option<&SensorIndex>, n: usize) {
+            s.schedule_sharded(&[], &[], &QualityModel::new(5.0), index, Threads::new(n));
+        }
+        let rec = Recorder::default();
+        let index = SensorIndex::build(&[Point::new(0.0, 0.0)]);
+        call(&rec, Some(&index), 3);
+        call(Box::new(&rec) as Box<dyn PointScheduler + '_>, None, 4);
+        assert_eq!(*rec.0.lock().unwrap(), vec![(true, 3), (false, 4)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        /// The index-pruned Eq. 9 build split across three workers is
+        /// bit-identical to the brute-force serial build. 400 queries on a
+        /// 20 × 20 grid land on more than 3 × 64 locations, so all three
+        /// shards run.
+        #[test]
+        fn indexed_sharded_build_matches_brute_force(seed in 0u64..1000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let queries: Vec<PointQuery> = (0..400)
+                .map(|i| {
+                    let (x, y) = (rng.gen_range(0..20), rng.gen_range(0..20));
+                    pq(i, x as f64, y as f64, rng.gen_range(5.0..40.0))
+                })
+                .collect();
+            let sensors: Vec<SensorSnapshot> = (0..150)
+                .map(|id| sensor(id, rng.gen_range(0.0..20.0), rng.gen_range(0.0..20.0)))
+                .collect();
+            let quality = QualityModel::new(3.0);
+            let groups = group_by_location(&queries);
+            prop_assert!(groups.groups.len() > 3 * 64);
+            let index = SensorIndex::build(&sensors.iter().map(|s| s.loc).collect::<Vec<_>>());
+            let build = |index, threads| {
+                build_welfare_problem(&queries, &groups, &sensors, &quality, index, threads)
+            };
+            let brute = build(None, Threads::single());
+            let fast = build(Some(&index), Threads::new(3));
+            prop_assert_eq!(format!("{brute:?}"), format!("{fast:?}"));
+        }
     }
 }

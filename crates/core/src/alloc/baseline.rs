@@ -31,49 +31,19 @@ impl BaselinePointScheduler {
     pub fn new() -> Self {
         Self
     }
-}
 
-impl BaselinePointScheduler {
-    /// Like [`PointScheduler::schedule`], but sensors already marked in
-    /// `selected` are free (bought earlier this slot, e.g. by the baseline
-    /// aggregate stage of the mix, §4.7). Newly bought sensors are marked
-    /// in `selected` on return.
-    pub fn schedule_with_preselected(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        selected: &mut [bool],
-    ) -> PointAllocation {
-        self.schedule_with_preselected_indexed(queries, sensors, quality, selected, None)
-    }
-
-    /// [`BaselinePointScheduler::schedule_with_preselected`] with an
-    /// optional [`SensorIndex`] over the snapshot slice: per query only
-    /// the sensors in the `d_max` disk around its location are examined
-    /// (the exact `in_range` set, ascending), so the schedule is
-    /// identical with and without the index.
-    pub fn schedule_with_preselected_indexed(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        selected: &mut [bool],
-        index: Option<&SensorIndex>,
-    ) -> PointAllocation {
-        self.schedule_with_preselected_sharded(
-            queries,
-            sensors,
-            quality,
-            selected,
-            index,
-            Threads::single(),
-        )
-    }
-
-    /// [`BaselinePointScheduler::schedule_with_preselected_indexed`] with
-    /// the candidate evaluation — disk query, Eq. 4 in-range filter and
-    /// quality θ — sharded across `threads`, per **distinct queried
+    /// Like [`PointScheduler::schedule_sharded`], but sensors already
+    /// marked in `selected` are free (bought earlier this slot, e.g. by
+    /// the baseline aggregate stage of the mix, §4.7). Newly bought
+    /// sensors are marked in `selected` on return.
+    ///
+    /// With a [`SensorIndex`] over the snapshot slice, per query only the
+    /// sensors in the `d_max` disk around its location are examined (the
+    /// exact `in_range` set, ascending), so the schedule is identical
+    /// with and without the index.
+    ///
+    /// The candidate evaluation — disk query, Eq. 4 in-range filter and
+    /// quality θ — shards across `threads`, per **distinct queried
     /// location** (θ depends only on the (sensor, location) pair, so
     /// same-location queries share one candidate list; the §4.3 grid
     /// workloads collide heavily, making this strictly less work than a
@@ -85,7 +55,7 @@ impl BaselinePointScheduler {
     /// Candidates are kept in ascending sensor order, exactly like the
     /// serial scan, so the schedule is bit-identical for every thread
     /// count.
-    pub fn schedule_with_preselected_sharded(
+    pub fn schedule_with_preselected(
         &self,
         queries: &[PointQuery],
         sensors: &[SensorSnapshot],
@@ -213,27 +183,6 @@ impl BaselinePointScheduler {
 }
 
 impl PointScheduler for BaselinePointScheduler {
-    fn schedule(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-    ) -> PointAllocation {
-        let mut selected = vec![false; sensors.len()];
-        self.schedule_with_preselected(queries, sensors, quality, &mut selected)
-    }
-
-    fn schedule_indexed(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        index: Option<&SensorIndex>,
-    ) -> PointAllocation {
-        let mut selected = vec![false; sensors.len()];
-        self.schedule_with_preselected_indexed(queries, sensors, quality, &mut selected, index)
-    }
-
     fn schedule_sharded(
         &self,
         queries: &[PointQuery],
@@ -243,14 +192,7 @@ impl PointScheduler for BaselinePointScheduler {
         threads: Threads,
     ) -> PointAllocation {
         let mut selected = vec![false; sensors.len()];
-        self.schedule_with_preselected_sharded(
-            queries,
-            sensors,
-            quality,
-            &mut selected,
-            index,
-            threads,
-        )
+        self.schedule_with_preselected(queries, sensors, quality, &mut selected, index, threads)
     }
 }
 
@@ -268,19 +210,12 @@ pub struct BaselineSetOutcome {
 /// Baseline multi-sensor execution (§4.4): greedily grow this query's own
 /// sensor set while utility improves, treating sensors in
 /// `already_selected` as free, then mark the new picks as selected.
+///
+/// With a [`SensorIndex`] over the snapshot slice, candidates come from
+/// the valuation's [`SetValuation::support`] region (then the exact
+/// `is_relevant` filter), so the outcome is identical with and without
+/// the index.
 pub fn baseline_select_for_query(
-    valuation: &mut dyn SetValuation,
-    sensors: &[SensorSnapshot],
-    already_selected: &mut [bool],
-) -> BaselineSetOutcome {
-    baseline_select_for_query_indexed(valuation, sensors, already_selected, None)
-}
-
-/// [`baseline_select_for_query`] with an optional [`SensorIndex`] over
-/// the snapshot slice: candidates come from the valuation's
-/// [`SetValuation::support`] region (then the exact `is_relevant` filter),
-/// so the outcome is identical with and without the index.
-pub fn baseline_select_for_query_indexed(
     valuation: &mut dyn SetValuation,
     sensors: &[SensorSnapshot],
     already_selected: &mut [bool],
@@ -445,7 +380,7 @@ mod tests {
             },
         ];
         let mut already = vec![false; 2];
-        let out = baseline_select_for_query(&mut v, &sensors, &mut already);
+        let out = baseline_select_for_query(&mut v, &sensors, &mut already, None);
         assert_eq!(out.newly_selected.len(), 2);
         assert!((out.cost - 20.0).abs() < 1e-12);
         assert!(out.value > out.cost);
@@ -469,7 +404,7 @@ mod tests {
             inaccuracy: 0.0,
         }];
         let mut already = vec![true; 1]; // …but already bought by another query
-        let out = baseline_select_for_query(&mut v, &sensors, &mut already);
+        let out = baseline_select_for_query(&mut v, &sensors, &mut already, None);
         assert_eq!(out.newly_selected, vec![0]);
         assert_eq!(out.cost, 0.0);
         assert!(out.value > 0.0);

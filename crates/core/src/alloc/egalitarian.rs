@@ -10,14 +10,13 @@
 //! sensor must be able to pay for it within their values), then prunes
 //! sensors that became redundant.
 
-use crate::alloc::{
-    allocation_from_solution, build_welfare_problem, group_by_location, PointAllocation,
-    PointScheduler,
-};
+use crate::alloc::{schedule_eq9, LocationGroups, PointAllocation, PointScheduler};
 use crate::exec::Threads;
 use crate::model::SensorSnapshot;
 use crate::query::PointQuery;
 use crate::valuation::quality::QualityModel;
+use ps_geo::SensorIndex;
+use ps_solver::ufl::{WelfareProblem, WelfareSolution};
 
 /// Point scheduler maximizing the *count* of positively served queries
 /// instead of total welfare.
@@ -32,64 +31,60 @@ impl EgalitarianScheduler {
 }
 
 impl PointScheduler for EgalitarianScheduler {
-    fn schedule(
+    fn schedule_sharded(
         &self,
         queries: &[PointQuery],
         sensors: &[SensorSnapshot],
         quality: &QualityModel,
+        index: Option<&SensorIndex>,
+        threads: Threads,
     ) -> PointAllocation {
-        if queries.is_empty() || sensors.is_empty() {
-            return PointAllocation::empty(queries.len());
-        }
-        let groups = group_by_location(queries);
-        let problem =
-            build_welfare_problem(queries, &groups, sensors, quality, None, Threads::single());
+        schedule_eq9(queries, sensors, quality, index, threads, solve_by_count)
+    }
+}
 
-        // Greedy set-cover-flavoured selection: per step, open the sensor
-        // maximizing (#newly served queries) / cost among sensors whose
-        // served value covers their cost (individual rationality must
-        // survive Eq. 11 payments).
-        let nf = sensors.len();
-        let mut open = vec![false; nf];
-        let mut served = vec![false; problem.num_clients()];
-        loop {
-            let mut best: Option<(usize, f64)> = None;
-            for f in 0..nf {
-                if open[f] {
+/// Greedy set-cover-flavoured selection: per step, open the sensor
+/// maximizing (#newly served queries) / cost among sensors whose served
+/// value covers their cost (individual rationality must survive Eq. 11
+/// payments).
+fn solve_by_count(problem: &WelfareProblem, groups: &LocationGroups) -> WelfareSolution {
+    let mut open = vec![false; problem.num_facilities()];
+    let mut served = vec![false; problem.num_clients()];
+    loop {
+        let mut best: Option<(usize, f64)> = None;
+        for (f, &cost) in problem.facility_cost.iter().enumerate() {
+            if open[f] {
+                continue;
+            }
+            let mut new_queries = 0usize;
+            let mut value = 0.0;
+            for (client, cands) in problem.client_values.iter().enumerate() {
+                if served[client] {
                     continue;
                 }
-                let mut new_queries = 0usize;
-                let mut value = 0.0;
-                for (client, cands) in problem.client_values.iter().enumerate() {
-                    if served[client] {
-                        continue;
-                    }
-                    if let Some(&(_, v)) = cands.iter().find(|&&(cf, _)| cf == f) {
-                        new_queries += groups.groups[client].len();
-                        value += v;
-                    }
-                }
-                if new_queries == 0 || value <= sensors[f].cost {
-                    continue; // cost recovery impossible or nothing new
-                }
-                let score = new_queries as f64 / sensors[f].cost.max(1e-9);
-                match best {
-                    Some((_, s)) if s >= score => {}
-                    _ => best = Some((f, score)),
+                if let Some(&(_, v)) = cands.iter().find(|&&(cf, _)| cf == f) {
+                    new_queries += groups.groups[client].len();
+                    value += v;
                 }
             }
-            let Some((f, _)) = best else { break };
-            open[f] = true;
-            for (client, cands) in problem.client_values.iter().enumerate() {
-                if !served[client] && cands.iter().any(|&(cf, _)| cf == f) {
-                    served[client] = true;
-                }
+            if new_queries == 0 || value <= cost {
+                continue; // cost recovery impossible or nothing new
+            }
+            let score = new_queries as f64 / cost.max(1e-9);
+            match best {
+                Some((_, s)) if s >= score => {}
+                _ => best = Some((f, score)),
             }
         }
-
-        let solution = problem.solution_from_open(&open);
-        allocation_from_solution(queries, &groups, sensors, quality, &problem, &solution)
+        let Some((f, _)) = best else { break };
+        open[f] = true;
+        for (client, cands) in problem.client_values.iter().enumerate() {
+            if !served[client] && cands.iter().any(|&(cf, _)| cf == f) {
+                served[client] = true;
+            }
+        }
     }
+    problem.solution_from_open(&open)
 }
 
 #[cfg(test)]

@@ -17,9 +17,9 @@
 //! choices:
 //!
 //! * **Index-pruned relevance lists.** With a [`SensorIndex`] over the
-//!   slot's sensor locations ([`greedy_select_with`]), each valuation's
-//!   candidate sensors come from its [`SetValuation::support`] region
-//!   instead of a full `O(|Q||S|)` scan; the exact
+//!   slot's sensor locations, each valuation's candidate sensors come
+//!   from its [`SetValuation::support`] region instead of a full
+//!   `O(|Q||S|)` scan; the exact
 //!   [`SetValuation::is_relevant`] filter still runs on the candidates,
 //!   so the lists are identical to the brute-force ones.
 //! * **Eager gain maintenance.** A sensor's gain only changes when one of
@@ -30,9 +30,9 @@
 //!   argmax, with the same smallest-index tie-break, as a full rescan.
 //! * **Sharded evaluation.** The two read-only phases — per-query
 //!   relevance lists and per-sensor initial gains — shard across a
-//!   [`Threads`] scoped worker pool ([`greedy_select_sharded`]); each
-//!   shard covers a contiguous range and partials merge in range order,
-//!   so lists, gain sums, and heap contents are bit-identical to the
+//!   [`Threads`] scoped worker pool; each shard covers a contiguous
+//!   range and partials merge in range order, so lists, gain sums, and
+//!   heap contents are bit-identical to the
 //!   serial build. The adaptive selection loop itself stays serial: each
 //!   pick conditions the next, and its per-pick refresh set is small.
 
@@ -57,19 +57,6 @@ pub struct GreedySelection {
     pub total_cost: f64,
     /// Number of valuation-oracle calls made (Theorem 1 property 4).
     pub oracle_calls: usize,
-}
-
-/// Runs Algorithm 1 over mutable black-box valuations.
-///
-/// `valuations[q]` accumulates the committed set `S_q`; sensor costs are
-/// taken from the snapshots (callers wanting the Eq. 18 cost weighting
-/// pass pre-weighted snapshots). Equivalent to
-/// [`greedy_select_with`]`(valuations, sensors, None)`.
-pub fn greedy_select(
-    valuations: &mut [&mut dyn SetValuation],
-    sensors: &[SensorSnapshot],
-) -> GreedySelection {
-    greedy_select_with(valuations, sensors, None)
 }
 
 /// A max-heap entry: `(gain, sensor)` stamped with the sensor's cache
@@ -100,27 +87,20 @@ impl Ord for Candidate {
     }
 }
 
-/// [`greedy_select`] with an optional [`SensorIndex`] built over the same
-/// snapshot slice (`index.len() == sensors.len()`), used to prune each
-/// valuation's candidate sensors through its [`SetValuation::support`].
-/// Selections, payments, and welfare are identical with and without the
-/// index. Equivalent to
-/// [`greedy_select_sharded`]`(valuations, sensors, index,
-/// Threads::single())`.
-pub fn greedy_select_with(
-    valuations: &mut [&mut dyn SetValuation],
-    sensors: &[SensorSnapshot],
-    index: Option<&SensorIndex>,
-) -> GreedySelection {
-    greedy_select_sharded(valuations, sensors, index, Threads::single())
-}
-
-/// [`greedy_select_with`] with the evaluate phases — per-query relevance
-/// lists and per-sensor initial gains — sharded across `threads` scoped
-/// workers. Partial results are merged in ascending range order, so the
-/// selection is **bit-identical** for every thread count (see the
-/// [module docs](self)); the adaptive greedy loop stays serial.
-pub fn greedy_select_sharded(
+/// Runs Algorithm 1 over mutable black-box valuations.
+///
+/// `valuations[q]` accumulates the committed set `S_q`; sensor costs are
+/// taken from the snapshots (callers wanting the Eq. 18 cost weighting
+/// pass pre-weighted snapshots). `index`, when given, is a
+/// [`SensorIndex`] built over the same snapshot slice
+/// (`index.len() == sensors.len()`), used to prune each valuation's
+/// candidate sensors through its [`SetValuation::support`]. The evaluate
+/// phases — per-query relevance lists and per-sensor initial gains —
+/// shard across `threads` scoped workers, merged in ascending range
+/// order; the adaptive greedy loop stays serial. Selections, payments,
+/// and welfare are **bit-identical** with and without the index and for
+/// every thread count (see the [module docs](self)).
+pub fn greedy_select(
     valuations: &mut [&mut dyn SetValuation],
     sensors: &[SensorSnapshot],
     index: Option<&SensorIndex>,
@@ -374,7 +354,7 @@ mod tests {
         let mut v = AggregateValuation::new(&q, 10.0);
         let sensors = vec![sensor(0, 2.0, 2.0, 10.0, 1.0)];
         let mut vals: Vec<&mut dyn SetValuation> = vec![&mut v];
-        let out = greedy_select(&mut vals, &sensors);
+        let out = greedy_select(&mut vals, &sensors, None, Threads::single());
         assert!(out.selected.is_empty());
         assert_eq!(out.welfare, 0.0);
     }
@@ -389,7 +369,7 @@ mod tests {
         let mut vb = AggregateValuation::new(&qb, 10.0);
         let sensors = vec![sensor(0, 6.0, 6.0, 10.0, 1.0)];
         let mut vals: Vec<&mut dyn SetValuation> = vec![&mut va, &mut vb];
-        let out = greedy_select(&mut vals, &sensors);
+        let out = greedy_select(&mut vals, &sensors, None, Threads::single());
         assert_eq!(out.selected, vec![0]);
         assert!(out.welfare > 0.0);
         // Payments split in proportion to marginal value and cover cost.
@@ -445,7 +425,7 @@ mod tests {
                 .iter_mut()
                 .map(|v| v as &mut dyn SetValuation)
                 .collect();
-            let out = greedy_select(&mut vals, &sensors);
+            let out = greedy_select(&mut vals, &sensors, None, Threads::single());
 
             // Property 1 (via payments → they were derived from the δs,
             // and values must telescope): recomputed value equals the
@@ -519,7 +499,7 @@ mod tests {
             .iter_mut()
             .map(|v| v as &mut dyn SetValuation)
             .collect();
-        let out = greedy_select(&mut vals, &sensors);
+        let out = greedy_select(&mut vals, &sensors, None, Threads::single());
         assert!(
             out.oracle_calls <= nq * ns * ns,
             "oracle calls {} exceed |Q||S|² = {}",
@@ -549,7 +529,7 @@ mod tests {
         let mut v1 = PointValuation::new(q1, quality);
         let sensors = vec![sensor(0, 0.5, 0.0, 10.0, 1.0)];
         let mut vals: Vec<&mut dyn SetValuation> = vec![&mut v0, &mut v1];
-        let out = greedy_select(&mut vals, &sensors);
+        let out = greedy_select(&mut vals, &sensors, None, Threads::single());
         assert_eq!(out.selected, vec![0]);
         assert!(out.welfare > 0.0);
         assert!(v0.best_sensor().is_some());
@@ -617,7 +597,7 @@ mod tests {
                 for v in &mut pts {
                     vals.push(v);
                 }
-                greedy_select_with(&mut vals, &sensors, index)
+                greedy_select(&mut vals, &sensors, index, Threads::single())
             };
 
             let positions: Vec<Point> = sensors.iter().map(|s| s.loc).collect();
@@ -659,7 +639,7 @@ mod tests {
         let mut va = AggregateValuation::new(&qa, 4.0);
         let mut vb = AggregateValuation::new(&qb, 4.0);
         let mut vals: Vec<&mut dyn SetValuation> = vec![&mut va, &mut vb];
-        let out = greedy_select(&mut vals, &sensors);
+        let out = greedy_select(&mut vals, &sensors, None, Threads::single());
         assert_eq!(out.selected[0], expected_first);
     }
 }

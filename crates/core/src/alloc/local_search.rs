@@ -6,10 +6,7 @@
 //! scheduler. "It can be shown that u(·) is a (non-monotone) submodular
 //! function", which our property tests confirm.
 
-use crate::alloc::{
-    allocation_from_solution, build_welfare_problem, group_by_location, PointAllocation,
-    PointScheduler,
-};
+use crate::alloc::{schedule_eq9, PointAllocation, PointScheduler};
 use crate::exec::Threads;
 use crate::model::SensorSnapshot;
 use crate::query::PointQuery;
@@ -38,25 +35,6 @@ impl LocalSearchScheduler {
 }
 
 impl PointScheduler for LocalSearchScheduler {
-    fn schedule(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-    ) -> PointAllocation {
-        self.schedule_indexed(queries, sensors, quality, None)
-    }
-
-    fn schedule_indexed(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        index: Option<&SensorIndex>,
-    ) -> PointAllocation {
-        self.schedule_sharded(queries, sensors, quality, index, Threads::single())
-    }
-
     /// Shards the Eq. 9 problem build like the optimal scheduler; the
     /// deterministic local-search walk then runs serially on the
     /// identical problem, so the schedule is bit-identical for every
@@ -69,13 +47,9 @@ impl PointScheduler for LocalSearchScheduler {
         index: Option<&SensorIndex>,
         threads: Threads,
     ) -> PointAllocation {
-        if queries.is_empty() || sensors.is_empty() {
-            return PointAllocation::empty(queries.len());
-        }
-        let groups = group_by_location(queries);
-        let problem = build_welfare_problem(queries, &groups, sensors, quality, index, threads);
-        let solution = ufl::solve_local_search(&problem, self.epsilon);
-        allocation_from_solution(queries, &groups, sensors, quality, &problem, &solution)
+        schedule_eq9(queries, sensors, quality, index, threads, |problem, _| {
+            ufl::solve_local_search(problem, self.epsilon)
+        })
     }
 }
 

@@ -15,8 +15,7 @@
 //! optimality gap).
 
 use crate::alloc::{
-    allocation_from_solution, build_welfare_problem, group_by_location, PointAllocation,
-    PointScheduler,
+    build_welfare_problem, group_by_location, schedule_eq9, PointAllocation, PointScheduler,
 };
 use crate::exec::Threads;
 use crate::model::SensorSnapshot;
@@ -24,8 +23,7 @@ use crate::query::PointQuery;
 use crate::valuation::quality::QualityModel;
 use ps_geo::SensorIndex;
 use ps_solver::ufl;
-use ps_solver::{SolveOptions, WarmStart};
-use std::sync::Mutex;
+use ps_solver::SolveOptions;
 use std::time::Duration;
 
 /// The Optimal scheduler of §3.1.1, backed by the `ps_solver` simplex +
@@ -38,27 +36,10 @@ use std::time::Duration;
 /// [`PointAllocation::solve_status`] recording whether optimality was
 /// proven. At default options the schedule is deterministic and
 /// bit-identical for every thread count.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct OptimalScheduler {
     /// Solver budgets and tolerances for each slot's solve.
     pub options: SolveOptions,
-    /// When enabled, the open sensor set of the previous slot seeds the
-    /// next slot's incumbent (sensors are matched by stable id, so pool
-    /// churn between slots is tolerated).
-    warm_across_slots: bool,
-    /// Open sensor *ids* from the previous slot (id-keyed because
-    /// snapshot indices are not stable across slots).
-    warm_open_ids: Mutex<Vec<usize>>,
-}
-
-impl Clone for OptimalScheduler {
-    fn clone(&self) -> Self {
-        Self {
-            options: self.options.clone(),
-            warm_across_slots: self.warm_across_slots,
-            warm_open_ids: Mutex::new(self.warm_open_ids.lock().unwrap().clone()),
-        }
-    }
 }
 
 impl OptimalScheduler {
@@ -87,37 +68,9 @@ impl OptimalScheduler {
         self.options.deadline = Some(deadline);
         self
     }
-
-    /// Enables warm-starting each slot's solve from the previous slot's
-    /// open sensors. Off by default: the memory is shared mutable state,
-    /// so schedules become dependent on slot visit order when one
-    /// scheduler instance serves multiple engines (e.g. cluster shards).
-    pub fn warm_start_across_slots(mut self, enabled: bool) -> Self {
-        self.warm_across_slots = enabled;
-        self
-    }
 }
 
 impl PointScheduler for OptimalScheduler {
-    fn schedule(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-    ) -> PointAllocation {
-        self.schedule_indexed(queries, sensors, quality, None)
-    }
-
-    fn schedule_indexed(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        index: Option<&SensorIndex>,
-    ) -> PointAllocation {
-        self.schedule_sharded(queries, sensors, quality, index, Threads::single())
-    }
-
     /// The Eq. 9 problem build (per-location candidate collection and
     /// value sums) shards across `threads`; the branch-and-bound solve
     /// and Eq. 11 payments stay serial on the identical problem, so the
@@ -130,38 +83,9 @@ impl PointScheduler for OptimalScheduler {
         index: Option<&SensorIndex>,
         threads: Threads,
     ) -> PointAllocation {
-        if queries.is_empty() || sensors.is_empty() {
-            return PointAllocation::empty(queries.len());
-        }
-        let groups = group_by_location(queries);
-        let problem = build_welfare_problem(queries, &groups, sensors, quality, index, threads);
-
-        let mut options = self.options.clone();
-        if self.warm_across_slots {
-            let ids = self.warm_open_ids.lock().unwrap();
-            if !ids.is_empty() {
-                let hint: Vec<bool> = sensors.iter().map(|s| ids.contains(&s.id)).collect();
-                options.warm_start = WarmStart {
-                    incumbent: Some(hint),
-                    basis: None,
-                };
-            }
-        }
-
-        let solution = ufl::solve_exact(&problem, &options);
-
-        if self.warm_across_slots {
-            let open_ids: Vec<usize> = solution
-                .open
-                .iter()
-                .enumerate()
-                .filter(|&(_, &o)| o)
-                .map(|(f, _)| sensors[f].id)
-                .collect();
-            *self.warm_open_ids.lock().unwrap() = open_ids;
-        }
-
-        allocation_from_solution(queries, &groups, sensors, quality, &problem, &solution)
+        schedule_eq9(queries, sensors, quality, index, threads, |problem, _| {
+            ufl::solve_exact(problem, &self.options)
+        })
     }
 }
 
@@ -180,25 +104,6 @@ impl GreedyPointScheduler {
 }
 
 impl PointScheduler for GreedyPointScheduler {
-    fn schedule(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-    ) -> PointAllocation {
-        self.schedule_indexed(queries, sensors, quality, None)
-    }
-
-    fn schedule_indexed(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        index: Option<&SensorIndex>,
-    ) -> PointAllocation {
-        self.schedule_sharded(queries, sensors, quality, index, Threads::single())
-    }
-
     fn schedule_sharded(
         &self,
         queries: &[PointQuery],
@@ -207,13 +112,9 @@ impl PointScheduler for GreedyPointScheduler {
         index: Option<&SensorIndex>,
         threads: Threads,
     ) -> PointAllocation {
-        if queries.is_empty() || sensors.is_empty() {
-            return PointAllocation::empty(queries.len());
-        }
-        let groups = group_by_location(queries);
-        let problem = build_welfare_problem(queries, &groups, sensors, quality, index, threads);
-        let solution = ufl::solve_greedy(&problem);
-        allocation_from_solution(queries, &groups, sensors, quality, &problem, &solution)
+        schedule_eq9(queries, sensors, quality, index, threads, |problem, _| {
+            ufl::solve_greedy(problem)
+        })
     }
 }
 
@@ -245,25 +146,6 @@ impl<S> WithLpBound<S> {
 }
 
 impl<S: PointScheduler> PointScheduler for WithLpBound<S> {
-    fn schedule(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-    ) -> PointAllocation {
-        self.schedule_indexed(queries, sensors, quality, None)
-    }
-
-    fn schedule_indexed(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        index: Option<&SensorIndex>,
-    ) -> PointAllocation {
-        self.schedule_sharded(queries, sensors, quality, index, Threads::single())
-    }
-
     fn schedule_sharded(
         &self,
         queries: &[PointQuery],
@@ -439,20 +321,23 @@ mod tests {
         assert!(alloc.welfare <= alloc.lp_bound.unwrap() + 1e-9);
     }
 
+    /// Nothing carries over between slots: a slot scheduled again after
+    /// another one, or by a clone, gets the schedule it got first.
     #[test]
-    fn warm_start_across_slots_keeps_schedules_identical() {
-        let queries = vec![pq(0, 0.0, 30.0), pq(1, 2.0, 30.0)];
-        let sensors = vec![sensor(0, 1.0, 10.0), sensor(1, 1.5, 10.0)];
+    fn schedules_carry_no_state_across_slots() {
+        let slot_a = (
+            [pq(0, 0.0, 30.0), pq(1, 2.0, 30.0)],
+            [sensor(0, 1.0, 10.0), sensor(1, 1.5, 10.0)],
+        );
+        let slot_b = ([pq(2, 7.0, 25.0)], [sensor(0, 6.0, 10.0)]);
         let quality = QualityModel::new(5.0);
-        let cold = OptimalScheduler::new();
-        let warm = OptimalScheduler::new().warm_start_across_slots(true);
-        for _ in 0..3 {
-            let a = cold.schedule(&queries, &sensors, &quality);
-            let b = warm.schedule(&queries, &sensors, &quality);
-            // Warm-starting only accelerates; the schedule is unchanged.
-            assert_eq!(a.welfare, b.welfare);
-            assert_eq!(a.sensors_used, b.sensors_used);
-        }
+        let scheduler = OptimalScheduler::new();
+        let run =
+            |s: &OptimalScheduler| format!("{:?}", s.schedule(&slot_a.0, &slot_a.1, &quality));
+        let first = run(&scheduler);
+        scheduler.schedule(&slot_b.0, &slot_b.1, &quality);
+        assert_eq!(first, run(&scheduler));
+        assert_eq!(first, run(&scheduler.clone()));
     }
 
     #[test]

@@ -147,23 +147,11 @@ impl RegionMonitor {
     /// `sensors` is the full snapshot slice; `weighted_cost[i]` is each
     /// sensor's cost after Eq. 18 weighting (callers pass plain costs when
     /// no sharing applies). `make_id` mints identifiers for the generated
-    /// point queries; `monitor_index` routes results back.
-    pub fn plan(
-        &self,
-        t: Slot,
-        sensors: &[SensorSnapshot],
-        weighted_cost: &[f64],
-        monitor_index: usize,
-        make_id: &mut dyn FnMut() -> QueryId,
-    ) -> RegionPlan {
-        self.plan_indexed(t, sensors, weighted_cost, monitor_index, make_id, None)
-    }
-
-    /// [`RegionMonitor::plan`] with an optional [`SensorIndex`] over the
-    /// snapshot slice: the `S_{r,t}` candidate set comes from a rectangle
-    /// query instead of a full scan. The index returns exactly the
-    /// in-region sensors in ascending order, so the plan is identical
-    /// with and without it.
+    /// point queries; `monitor_index` routes results back. With a
+    /// [`SensorIndex`] over the snapshot slice, the `S_{r,t}` candidate
+    /// set comes from a rectangle query instead of a full scan; the index
+    /// returns exactly the in-region sensors in ascending order, so the
+    /// plan is identical with and without it.
     pub fn plan_indexed(
         &self,
         t: Slot,
@@ -375,6 +363,8 @@ mod tests {
     use super::*;
     use ps_geo::Point;
     use ps_gp::kernel::SquaredExponential;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sensor(id: usize, x: f64, y: f64) -> SensorSnapshot {
         SensorSnapshot {
@@ -394,6 +384,22 @@ mod tests {
             0.1,
         );
         RegionMonitor::new(QueryId(3), t1, t2, 0.5, 0.2, valuation)
+    }
+
+    /// Plans slot `t` at the sensors' plain costs.
+    fn plan_at_cost(
+        m: &RegionMonitor,
+        t: Slot,
+        sensors: &[SensorSnapshot],
+        index: Option<&SensorIndex>,
+    ) -> RegionPlan {
+        let costs: Vec<f64> = sensors.iter().map(|s| s.cost).collect();
+        let mut next_id = 0u64;
+        let mut make_id = || {
+            next_id += 1;
+            QueryId(next_id)
+        };
+        m.plan_indexed(t, sensors, &costs, 0, &mut make_id, index)
     }
 
     #[test]
@@ -418,12 +424,7 @@ mod tests {
             sensor(1, 6.0, 4.0),
             sensor(2, 20.0, 20.0), // outside
         ];
-        let costs: Vec<f64> = sensors.iter().map(|s| s.cost).collect();
-        let mut next_id = 100u64;
-        let plan = m.plan(0, &sensors, &costs, 0, &mut || {
-            next_id += 1;
-            QueryId(next_id)
-        });
+        let plan = plan_at_cost(&m, 0, &sensors, None);
         assert!(!plan.queries.is_empty());
         for pq in &plan.queries {
             assert_ne!(pq.sensor, 2, "outside sensor must not be planned");
@@ -433,17 +434,28 @@ mod tests {
     }
 
     #[test]
+    fn indexed_plan_matches_unindexed_plan() {
+        let m = monitor(60.0, 0, 10);
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..8 {
+            let sensors: Vec<SensorSnapshot> = (0..30)
+                .map(|i| sensor(i, rng.gen_range(-2.0..10.0), rng.gen_range(-2.0..8.0)))
+                .collect();
+            let index = SensorIndex::build(&sensors.iter().map(|s| s.loc).collect::<Vec<_>>());
+            let indexed = plan_at_cost(&m, 0, &sensors, Some(&index));
+            assert!(!indexed.queries.is_empty());
+            let plain = plan_at_cost(&m, 0, &sensors, None);
+            assert_eq!(format!("{plain:?}"), format!("{indexed:?}"));
+        }
+    }
+
+    #[test]
     fn plan_respects_budget() {
         // Budget 15 with cost-10 sensors: at most ~1–2 sensors planned
         // across all horizon slots, so the current slot gets ≤ 2.
         let m = monitor(15.0, 0, 10);
         let sensors: Vec<SensorSnapshot> = (0..6).map(|i| sensor(i, 1.0 + i as f64, 3.0)).collect();
-        let costs: Vec<f64> = sensors.iter().map(|s| s.cost).collect();
-        let mut next_id = 0u64;
-        let plan = m.plan(0, &sensors, &costs, 0, &mut || {
-            next_id += 1;
-            QueryId(next_id)
-        });
+        let plan = plan_at_cost(&m, 0, &sensors, None);
         assert!(plan.queries.len() <= 2);
     }
 
@@ -451,12 +463,7 @@ mod tests {
     fn inactive_monitor_plans_nothing() {
         let m = monitor(60.0, 5, 10);
         let sensors = vec![sensor(0, 2.0, 2.0)];
-        let costs = vec![10.0];
-        let mut next_id = 0u64;
-        let plan = m.plan(2, &sensors, &costs, 0, &mut || {
-            next_id += 1;
-            QueryId(next_id)
-        });
+        let plan = plan_at_cost(&m, 2, &sensors, None);
         assert!(plan.queries.is_empty());
     }
 
@@ -516,12 +523,7 @@ mod tests {
         m.apply_results(&[(s, 12.0)], &plan, &[]);
         assert!(m.remaining_budget() < 1e-9);
         let sensors = vec![sensor(1, 2.0, 2.0)];
-        let costs = vec![10.0];
-        let mut next_id = 0u64;
-        let p2 = m.plan(1, &sensors, &costs, 0, &mut || {
-            next_id += 1;
-            QueryId(next_id)
-        });
+        let p2 = plan_at_cost(&m, 1, &sensors, None);
         assert!(p2.queries.is_empty());
     }
 }

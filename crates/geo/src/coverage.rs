@@ -7,7 +7,7 @@
 //! times per time slot, so [`CoverageMap`] supports O(covered-cells)
 //! incremental marginals instead of full recomputation.
 
-use crate::{Cell, Point, Rect, SensorIndex};
+use crate::{Cell, Point, Rect};
 
 /// Fraction of `region`'s unit cells whose centres are within `radius` of
 /// at least one of `sensors`. Returns 0 for regions with no cells.
@@ -23,27 +23,6 @@ pub fn covered_fraction(region: &Rect, sensors: &[Point], radius: f64) -> f64 {
             let c = cell.center();
             sensors.iter().any(|s| s.distance_squared(c) <= r2)
         })
-        .count();
-    covered as f64 / total as f64
-}
-
-/// Index-backed [`covered_fraction`]: identical result, but each cell
-/// probes a [`SensorIndex`] built over the sensor locations instead of
-/// scanning the full slice, turning the O(cells × sensors) batch check
-/// into O(cells × local candidates).
-///
-/// Like [`covered_fraction`], this is a standalone batch utility (the
-/// engine's aggregate valuations track coverage incrementally through
-/// [`CoverageMap`] instead); reach for it when evaluating many regions
-/// against one large, already-indexed sensor announcement.
-pub fn covered_fraction_indexed(region: &Rect, index: &SensorIndex, radius: f64) -> f64 {
-    let total = region.cell_count();
-    if total == 0 {
-        return 0.0;
-    }
-    let covered = region
-        .cells()
-        .filter(|cell| index.any_within(cell.center(), radius))
         .count();
     covered as f64 / total as f64
 }
@@ -252,22 +231,6 @@ mod tests {
             }
         }
 
-        /// The index-backed batch check computes exactly the brute-force
-        /// covered fraction on random sensor sets and regions.
-        #[test]
-        fn indexed_fraction_matches_brute_force(
-            pts in proptest::collection::vec((0.0..30.0f64, 0.0..30.0f64), 0..15),
-            region in (0.0..20.0f64, 0.0..20.0f64, 1.0..15.0f64, 1.0..15.0f64),
-            radius in 0.0..8.0f64,
-        ) {
-            let sensors: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
-            let rect = Rect::new(region.0, region.1, region.0 + region.2, region.1 + region.3);
-            let index = SensorIndex::build(&sensors);
-            let brute = covered_fraction(&rect, &sensors, radius);
-            let indexed = covered_fraction_indexed(&rect, &index, radius);
-            prop_assert_eq!(brute, indexed);
-        }
-
         #[test]
         fn fraction_never_exceeds_one(
             pts in proptest::collection::vec((0.0..10.0f64, 0.0..10.0f64), 0..12),
@@ -279,6 +242,23 @@ mod tests {
             }
             prop_assert!(map.fraction() <= 1.0);
             prop_assert!(map.fraction() >= 0.0);
+        }
+
+        /// Committing sensors one by one covers exactly the fraction the
+        /// batch function computes, on random layouts and regions.
+        #[test]
+        fn coverage_map_matches_batch_function_on_random_layouts(
+            pts in proptest::collection::vec((0.0..30.0f64, 0.0..30.0f64), 0..15),
+            region in (0.0..20.0f64, 0.0..20.0f64, 1.0..15.0f64, 1.0..15.0f64),
+            radius in 0.0..8.0f64,
+        ) {
+            let sensors: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
+            let rect = Rect::new(region.0, region.1, region.0 + region.2, region.1 + region.3);
+            let mut map = CoverageMap::new(rect, radius);
+            for s in &sensors {
+                map.commit(*s);
+            }
+            prop_assert_eq!(map.fraction(), covered_fraction(&rect, &sensors, radius));
         }
     }
 }

@@ -51,7 +51,6 @@ use crate::{Point, Rect};
 ///
 /// // Eq. 4 serving disk: which sensors can serve a query at (2, 1)?
 /// assert_eq!(index.query_disk(Point::new(2.0, 1.0), 2.0), vec![0, 1]);
-/// assert!(index.any_within(Point::new(2.0, 1.0), 2.0));
 ///
 /// // Algorithm 3's S_{r,t}: which sensors lie in a monitored region?
 /// let region = Rect::new(0.0, 0.0, 5.0, 5.0);
@@ -259,34 +258,6 @@ impl SensorIndex {
         out
     }
 
-    /// True when at least one indexed point lies within `radius` of
-    /// `center` (early exit; no allocation).
-    pub fn any_within(&self, center: Point, radius: f64) -> bool {
-        if radius < 0.0 {
-            return false;
-        }
-        let r2 = radius * radius;
-        let Some((cx0, cy0, cx1, cy1)) = self.bucket_range(
-            center.x - radius,
-            center.y - radius,
-            center.x + radius,
-            center.y + radius,
-        ) else {
-            return false;
-        };
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let b = cy * self.cols + cx;
-                for &e in &self.entries[self.starts[b] as usize..self.starts[b + 1] as usize] {
-                    if self.points[e as usize].distance_squared(center) <= r2 {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
     /// Appends to `out` the indices of all points `rect` contains
     /// (inclusive bounds, matching [`Rect::contains`]), in ascending
     /// order. `out` is cleared first.
@@ -375,7 +346,6 @@ mod tests {
         assert_eq!(idx.len(), 0);
         assert!(idx.query_disk(Point::new(1.0, 1.0), 5.0).is_empty());
         assert!(idx.query_rect(&Rect::new(0.0, 0.0, 10.0, 10.0)).is_empty());
-        assert!(!idx.any_within(Point::ORIGIN, 100.0));
     }
 
     #[test]
@@ -384,7 +354,6 @@ mod tests {
         assert_eq!(idx.query_disk(Point::ORIGIN, 5.0), vec![0]); // boundary inclusive
         assert!(idx.query_disk(Point::ORIGIN, 4.99).is_empty());
         assert_eq!(idx.query_rect(&Rect::new(3.0, 4.0, 5.0, 5.0)), vec![0]);
-        assert!(idx.any_within(Point::new(3.0, 4.0), 0.0));
     }
 
     #[test]
@@ -412,7 +381,6 @@ mod tests {
         ] {
             let c = Point::new(cx, cy);
             assert_eq!(idx.query_disk(c, r), brute_disk(&points, c, r));
-            assert_eq!(idx.any_within(c, r), !brute_disk(&points, c, r).is_empty());
         }
     }
 
@@ -521,7 +489,6 @@ mod tests {
             let idx = SensorIndex::build(&points);
             let c = Point::new(q.0, q.1);
             prop_assert_eq!(idx.query_disk(c, r), brute_disk(&points, c, r));
-            prop_assert_eq!(idx.any_within(c, r), !brute_disk(&points, c, r).is_empty());
         }
 
         /// Rect queries return exactly the brute-force candidate set.

@@ -20,7 +20,7 @@ pub mod rect;
 pub mod tiles;
 pub mod trajectory;
 
-pub use coverage::{covered_fraction, covered_fraction_indexed, CoverageMap};
+pub use coverage::{covered_fraction, CoverageMap};
 pub use grid::{Cell, Grid};
 pub use index::SensorIndex;
 pub use point::Point;

@@ -16,10 +16,13 @@
 //! 2. **The Local Search approximation of Feige, Mirrokni & Vondrák
 //!    (FOCS'07)** for non-monotone submodular maximization, which the paper
 //!    uses as its scalable heuristic for point-query scheduling
-//!    ([`submodular::local_search`] for black-box set functions and
-//!    [`ufl::solve_local_search`] for the specialized incremental variant).
-//! 3. **Greedy marginal-gain selection** (Algorithm 1's engine), provided
-//!    generically in [`submodular::greedy`].
+//!    ([`ufl::solve_local_search`], an incremental variant specialized to
+//!    Eq. 9).
+//! 3. **Greedy marginal-gain selection** (Algorithm 1's engine), as the
+//!    facility-opening heuristic [`ufl::solve_greedy`].
+//!
+//! [`submodular`] holds the black-box [`submodular::SetFunction`]
+//! interface and the brute-force property checks the valuation tests use.
 //!
 //! Every solve surfaces a [`SolveStatus`] — `Optimal`, `Feasible`
 //! (incumbent under a deadline), `Infeasible`, `Unbounded`, or

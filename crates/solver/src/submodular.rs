@@ -1,19 +1,12 @@
-//! Set-function maximization: greedy and non-monotone local search.
+//! Black-box set functions and brute-force property checks.
 //!
-//! The paper's heuristics are built on two engines:
-//!
-//! * [`greedy`] — iteratively add the element with the best marginal gain
-//!   while it is positive (the engine inside Algorithm 1).
-//! * [`local_search`] — the deterministic Local Search algorithm of
-//!   Feige, Mirrokni & Vondrák (FOCS 2007) achieving a 1/3-approximation
-//!   for non-negative non-monotone submodular functions, which the paper
-//!   uses for point-query scheduling (§3.1.2).
-//!
-//! Both operate on black-box [`SetFunction`]s, mirroring the paper's
-//! stance that valuation functions arrive from applications as opaque
-//! callables. [`verify_submodular`] and [`verify_monotone`] are brute-force
-//! checkers used in tests (the paper remarks that Eq. 5 is *not*
-//! submodular once sensor quality enters — our tests confirm exactly that).
+//! The paper treats valuation functions as opaque callables that arrive
+//! from applications; [`SetFunction`] is that interface over subsets of
+//! `0..n`, and [`FnSet`] adapts a closure to it. [`verify_submodular`]
+//! and [`verify_monotone`] are exhaustive checkers used in tests (the
+//! paper remarks that Eq. 5 is *not* submodular once sensor quality
+//! enters — the valuation tests confirm exactly that). The schedulers'
+//! optimization engines live in [`crate::ufl`].
 
 use crate::bitset::BitSet;
 
@@ -45,248 +38,6 @@ impl<F: Fn(&BitSet) -> f64> SetFunction for FnSet<F> {
 
     fn eval(&self, set: &BitSet) -> f64 {
         (self.f)(set)
-    }
-}
-
-/// Result of a set-function maximization.
-#[derive(Debug, Clone)]
-pub struct SetSolution {
-    /// Chosen subset.
-    pub set: BitSet,
-    /// Function value on [`SetSolution::set`].
-    pub value: f64,
-    /// Number of oracle evaluations performed.
-    pub evaluations: usize,
-}
-
-/// Greedy marginal-gain maximization: repeatedly adds the element with the
-/// largest marginal gain while that gain is strictly positive.
-///
-/// Requires `O(n²)` oracle calls. For monotone submodular functions this
-/// is the classic (1−1/e) algorithm under cardinality constraints; here it
-/// runs unconstrained, stopping when no element improves the value — the
-/// behaviour Algorithm 1 of the paper builds on.
-pub fn greedy<F: SetFunction>(f: &F) -> SetSolution {
-    let n = f.ground_size();
-    let mut set = BitSet::new(n);
-    let mut evals = 0;
-    let mut current = f.eval(&set);
-    evals += 1;
-
-    loop {
-        let mut best: Option<(usize, f64)> = None;
-        for v in 0..n {
-            if set.contains(v) {
-                continue;
-            }
-            set.insert(v);
-            let val = f.eval(&set);
-            evals += 1;
-            set.remove(v);
-            let gain = val - current;
-            if gain > 1e-12 {
-                match best {
-                    Some((_, g)) if g >= gain => {}
-                    _ => best = Some((v, gain)),
-                }
-            }
-        }
-        match best {
-            Some((v, gain)) => {
-                set.insert(v);
-                current += gain;
-            }
-            None => break,
-        }
-    }
-    SetSolution {
-        value: current,
-        set,
-        evaluations: evals,
-    }
-}
-
-/// Deterministic Local Search of Feige et al. (FOCS'07, §3 of the paper).
-///
-/// Starts from the best singleton, then alternates add-passes and
-/// delete-passes: a move is taken only when it improves the incumbent
-/// value by a factor `(1 + epsilon/n²)`, which bounds the number of moves
-/// polynomially. Returns the better of the local optimum `W` and its
-/// complement `S \ W` (and the empty set, relevant when costs make every
-/// non-empty set negative — the paper's Eq. 12 utility is not guaranteed
-/// non-negative, so this extra candidate only strengthens the result).
-pub fn local_search<F: SetFunction>(f: &F, epsilon: f64) -> SetSolution {
-    let n = f.ground_size();
-    let mut evals = 0;
-    if n == 0 {
-        let set = BitSet::new(0);
-        let value = f.eval(&set);
-        return SetSolution {
-            set,
-            value,
-            evaluations: 1,
-        };
-    }
-
-    // Best singleton start.
-    let mut w = BitSet::new(n);
-    let mut best_single: Option<(usize, f64)> = None;
-    for v in 0..n {
-        w.insert(v);
-        let val = f.eval(&w);
-        evals += 1;
-        w.remove(v);
-        match best_single {
-            Some((_, b)) if b >= val => {}
-            _ => best_single = Some((v, val)),
-        }
-    }
-    let (start, mut current) = best_single.expect("n > 0");
-    w.insert(start);
-
-    // Improvement threshold: multiplicative on positive incumbents (the
-    // Feige et al. rule), small absolute slack otherwise — Eq. 12
-    // utilities can be negative, where a multiplicative rule would invert.
-    let factor = 1.0 + epsilon / ((n * n) as f64);
-    let threshold = |cur: f64| -> f64 {
-        if cur > 0.0 {
-            cur * factor
-        } else {
-            cur + 1e-9
-        }
-    };
-
-    let max_moves = 200 * n * n + 1000;
-    let mut moves = 0;
-    'outer: while moves < max_moves {
-        // Add pass: take the best strictly-improving insertion.
-        let mut improved = true;
-        while improved && moves < max_moves {
-            improved = false;
-            let mut best: Option<(usize, f64)> = None;
-            for v in 0..n {
-                if w.contains(v) {
-                    continue;
-                }
-                w.insert(v);
-                let val = f.eval(&w);
-                evals += 1;
-                w.remove(v);
-                if val > threshold(current) {
-                    match best {
-                        Some((_, b)) if b >= val => {}
-                        _ => best = Some((v, val)),
-                    }
-                }
-            }
-            if let Some((v, val)) = best {
-                w.insert(v);
-                current = val;
-                improved = true;
-                moves += 1;
-            }
-        }
-        // Delete pass: one improving deletion sends us back to adding.
-        for v in 0..n {
-            if !w.contains(v) {
-                continue;
-            }
-            w.remove(v);
-            let val = f.eval(&w);
-            evals += 1;
-            if val > threshold(current) {
-                current = val;
-                moves += 1;
-                continue 'outer;
-            }
-            w.insert(v);
-        }
-        break;
-    }
-
-    // Compare W, its complement, and the empty set.
-    let complement = w.complement();
-    let comp_val = f.eval(&complement);
-    evals += 1;
-    let empty = BitSet::new(n);
-    let empty_val = f.eval(&empty);
-    evals += 1;
-
-    let (set, value) = if current >= comp_val && current >= empty_val {
-        (w, current)
-    } else if comp_val >= empty_val {
-        (complement, comp_val)
-    } else {
-        (empty, empty_val)
-    };
-    SetSolution {
-        set,
-        value,
-        evaluations: evals,
-    }
-}
-
-/// Randomized Local Search of Feige et al., achieving a 2/5-approximation
-/// for non-negative non-monotone submodular maximization (the paper
-/// mentions it in §3.1.2 but evaluates only the deterministic variant).
-///
-/// Identical move structure to [`local_search`], but instead of returning
-/// the better of `W` and its complement, it returns the best of `W`, a
-/// *random* subset of the complement (each element kept with probability
-/// 1/2, drawn `trials` times with the caller's RNG), and ∅.
-pub fn random_local_search<F: SetFunction, R: rand::Rng>(
-    f: &F,
-    epsilon: f64,
-    trials: usize,
-    rng: &mut R,
-) -> SetSolution {
-    let base = local_search(f, epsilon);
-    let n = f.ground_size();
-    if n == 0 {
-        return base;
-    }
-    let complement = base.set.complement();
-    let mut best = base;
-    for _ in 0..trials {
-        let mut candidate = BitSet::new(n);
-        for v in complement.iter() {
-            if rng.gen_bool(0.5) {
-                candidate.insert(v);
-            }
-        }
-        let val = f.eval(&candidate);
-        best.evaluations += 1;
-        if val > best.value {
-            best.value = val;
-            best.set = candidate;
-        }
-    }
-    best
-}
-
-/// Exhaustive maximization — the test oracle for small ground sets.
-///
-/// # Panics
-/// Panics when the ground set exceeds 20 elements.
-pub fn exhaustive_max<F: SetFunction>(f: &F) -> SetSolution {
-    let n = f.ground_size();
-    assert!(n <= 20, "exhaustive search limited to 20 elements");
-    let mut best_set = BitSet::new(n);
-    let mut best_val = f.eval(&best_set);
-    let mut evals = 1;
-    for mask in 1u64..(1 << n) {
-        let set = BitSet::from_iter(n, (0..n).filter(|&v| mask & (1 << v) != 0));
-        let val = f.eval(&set);
-        evals += 1;
-        if val > best_val {
-            best_val = val;
-            best_set = set;
-        }
-    }
-    SetSolution {
-        set: best_set,
-        value: best_val,
-        evaluations: evals,
     }
 }
 
@@ -347,13 +98,6 @@ pub fn verify_monotone<F: SetFunction>(f: &F, tol: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// Modular (additive) function with weights.
-    fn modular(weights: Vec<f64>) -> FnSet<impl Fn(&BitSet) -> f64> {
-        let n = weights.len();
-        FnSet::new(n, move |s: &BitSet| s.iter().map(|i| weights[i]).sum())
-    }
 
     /// Weighted cut function of a small undirected graph — the canonical
     /// non-monotone submodular function.
@@ -365,29 +109,6 @@ mod tests {
                 .map(|&(_, _, w)| w)
                 .sum()
         })
-    }
-
-    #[test]
-    fn greedy_solves_modular_exactly() {
-        let f = modular(vec![3.0, -1.0, 2.0, 0.0, -5.0]);
-        let sol = greedy(&f);
-        assert_eq!(sol.set.iter().collect::<Vec<_>>(), vec![0, 2]);
-        assert!((sol.value - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn local_search_solves_modular_exactly() {
-        let f = modular(vec![3.0, -1.0, 2.0, 0.5, -5.0]);
-        let sol = local_search(&f, 0.01);
-        assert!((sol.value - 5.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn local_search_on_all_negative_returns_empty() {
-        let f = modular(vec![-1.0, -2.0, -3.0]);
-        let sol = local_search(&f, 0.01);
-        assert!(sol.set.is_empty());
-        assert_eq!(sol.value, 0.0);
     }
 
     #[test]
@@ -407,111 +128,18 @@ mod tests {
     }
 
     #[test]
-    fn local_search_on_cut_beats_one_third() {
-        let f = cut_function(
-            6,
-            vec![
-                (0, 1, 3.0),
-                (0, 2, 1.0),
-                (1, 2, 2.0),
-                (2, 3, 4.0),
-                (3, 4, 1.0),
-                (4, 5, 2.5),
-                (1, 5, 1.5),
-            ],
-        );
-        let opt = exhaustive_max(&f);
-        let ls = local_search(&f, 0.05);
-        assert!(ls.value >= opt.value / 3.0 - 1e-9);
-        assert!(ls.value <= opt.value + 1e-9);
+    fn modular_function_is_submodular_and_monotone_iff_nonnegative() {
+        let modular = |w: [f64; 3]| FnSet::new(3, move |s: &BitSet| s.iter().map(|i| w[i]).sum());
+        assert!(verify_submodular(&modular([3.0, 0.0, 2.5]), 1e-9));
+        assert!(verify_monotone(&modular([3.0, 0.0, 2.5]), 1e-9));
+        assert!(verify_submodular(&modular([3.0, -1.0, 2.5]), 1e-9));
+        assert!(!verify_monotone(&modular([3.0, -1.0, 2.5]), 1e-9));
     }
 
     #[test]
-    fn greedy_respects_diminishing_budget_tradeoff() {
-        // Coverage-with-cost shape: two overlapping "sensors" and one
-        // independent one. f(S) = union value − |S| cost.
-        let universe_value = [4.0, 4.0, 3.0]; // element 0,1 overlap fully
-        let f = FnSet::new(3, move |s: &BitSet| {
-            let mut gain = 0.0;
-            if s.contains(0) || s.contains(1) {
-                gain += universe_value[0];
-            }
-            if s.contains(2) {
-                gain += universe_value[2];
-            }
-            gain - 2.0 * s.len() as f64
-        });
-        let sol = greedy(&f);
-        // Optimal: pick one of {0,1} plus 2 → 4 + 3 − 4 = 3.
-        assert!((sol.value - 3.0).abs() < 1e-9);
-        assert_eq!(sol.set.len(), 2);
-        assert!(sol.set.contains(2));
-    }
-
-    #[test]
-    fn exhaustive_matches_manual_enumeration() {
-        let f = modular(vec![1.0, 2.0, -4.0]);
-        let sol = exhaustive_max(&f);
-        assert!((sol.value - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn randomized_local_search_never_worse_than_deterministic() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let f = cut_function(
-            7,
-            vec![
-                (0, 1, 2.0),
-                (1, 2, 1.0),
-                (2, 3, 3.0),
-                (3, 4, 1.5),
-                (4, 5, 2.5),
-                (5, 6, 1.0),
-                (0, 6, 2.0),
-            ],
-        );
-        let det = local_search(&f, 0.05);
-        let mut rng = StdRng::seed_from_u64(11);
-        let rnd = random_local_search(&f, 0.05, 16, &mut rng);
-        assert!(rnd.value >= det.value - 1e-9);
-        let opt = exhaustive_max(&f);
-        assert!(rnd.value <= opt.value + 1e-9);
-        assert!(rnd.value >= 2.0 * opt.value / 5.0 - 1e-9);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(40))]
-
-        /// On random weighted-cut instances the 1/3 guarantee must hold
-        /// (cuts are non-negative submodular, the theorem's setting).
-        #[test]
-        fn feige_guarantee_on_random_cuts(
-            weights in proptest::collection::vec(0.0..5.0f64, 10),
-        ) {
-            let edges: Vec<(usize, usize, f64)> = weights
-                .iter()
-                .enumerate()
-                .map(|(i, &w)| ((i * 7 + 1) % 8, (i * 3 + 5) % 8, w))
-                .filter(|&(u, v, _)| u != v)
-                .collect();
-            let f = cut_function(8, edges);
-            let opt = exhaustive_max(&f);
-            let ls = local_search(&f, 0.05);
-            prop_assert!(ls.value >= opt.value / 3.0 - 1e-9);
-            prop_assert!(ls.value <= opt.value + 1e-9);
-        }
-
-        /// Greedy never returns a value above the optimum and never
-        /// below f(∅).
-        #[test]
-        fn greedy_is_sane_on_random_modular(
-            weights in proptest::collection::vec(-5.0..5.0f64, 1..10),
-        ) {
-            let positive_sum: f64 = weights.iter().filter(|w| **w > 0.0).sum();
-            let f = modular(weights);
-            let sol = greedy(&f);
-            prop_assert!((sol.value - positive_sum).abs() < 1e-9);
-        }
+    fn squared_cardinality_is_monotone_not_submodular() {
+        let f = FnSet::new(4, |s: &BitSet| (s.len() * s.len()) as f64);
+        assert!(!verify_submodular(&f, 1e-9));
+        assert!(verify_monotone(&f, 1e-9));
     }
 }

@@ -903,6 +903,18 @@ mod tests {
     }
 
     #[test]
+    fn heuristics_open_one_of_two_redundant_sensors() {
+        // Facilities 0 and 1 serve the same client, facility 2 another:
+        // the optimum opens one of {0, 1} plus 2 → 4 + 3 − 2·2 = 3.
+        let p = WelfareProblem::new(vec![2.0; 3], vec![vec![(0, 4.0), (1, 4.0)], vec![(2, 3.0)]]);
+        for sol in [solve_greedy(&p), solve_local_search(&p, 0.01)] {
+            assert!((sol.welfare - 3.0).abs() < 1e-9);
+            assert_eq!(sol.open.iter().filter(|&&o| o).count(), 2);
+            assert!(sol.open[2]);
+        }
+    }
+
+    #[test]
     fn sharing_makes_unaffordable_sensors_affordable() {
         // Two clients, each worth 6 < cost 10, but together 12 > 10.
         let p = WelfareProblem::new(vec![10.0], vec![vec![(0, 6.0)], vec![(0, 6.0)]]);
@@ -1172,6 +1184,26 @@ mod tests {
             prop_assert!(ex.welfare + 1e-7 >= ls.welfare);
             let brute = solve_exhaustive(&p);
             prop_assert!((ex.welfare - brute.welfare).abs() < 1e-6);
+        }
+
+        #[test]
+        fn greedy_is_nonnegative_and_never_beats_exhaustive(seed in 0u64..1000) {
+            let p = random_instance(&mut StdRng::seed_from_u64(seed), 9, 11);
+            let greedy = solve_greedy(&p);
+            prop_assert!(greedy.welfare >= 0.0);
+            prop_assert!(greedy.welfare <= solve_exhaustive(&p).welfare + 1e-7);
+        }
+
+        /// With one private facility per client the welfare is modular,
+        /// and greedy opens exactly the facilities worth their cost.
+        #[test]
+        fn greedy_is_exact_on_modular_instances(
+            values in proptest::collection::vec(0.5..20.0f64, 1..10),
+        ) {
+            let clients = values.iter().enumerate().map(|(f, &v)| vec![(f, v)]).collect();
+            let p = WelfareProblem::new(vec![10.0; values.len()], clients);
+            let best: f64 = values.iter().map(|v| (v - 10.0).max(0.0)).sum();
+            prop_assert!((solve_greedy(&p).welfare - best).abs() < 1e-6);
         }
     }
 }

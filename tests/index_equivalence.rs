@@ -4,9 +4,9 @@
 //! payments — on the same seeded mixed standing stream. The scheduled
 //! (§4.5/§4.6) path gets the same treatment.
 
-use ps_core::aggregator::{Aggregator, AggregatorBuilder, SlotReport};
-use ps_core::alloc::local_search::LocalSearchScheduler;
-use ps_core::alloc::optimal::OptimalScheduler;
+mod common;
+
+use ps_core::aggregator::{Aggregator, AggregatorBuilder, SlotReport, SPATIAL_INDEX_MIN_SENSORS};
 use ps_core::valuation::monitoring::MonitoringContext;
 use ps_core::valuation::quality::QualityModel;
 use ps_gp::kernel::SquaredExponential;
@@ -36,8 +36,11 @@ fn monitoring_ctx() -> Arc<MonitoringContext> {
 
 fn profile() -> StandingMixProfile {
     let mut p = StandingMixProfile::from_scale(&Scale::test());
-    // Small but genuinely mixed: every query type participates.
-    p.sensors = 120;
+    // Small but genuinely mixed: every query type participates. The
+    // announcement must reach the engine's index cutover, or both
+    // engines would run the brute-force scans.
+    p.sensors = 400;
+    assert!(p.sensors >= SPATIAL_INDEX_MIN_SENSORS);
     p.points_per_slot = 40;
     p.aggregates_mean = 3;
     p.location_monitors = 6;
@@ -61,45 +64,54 @@ fn run(engine: &mut Aggregator<'_>, slots: usize) -> Vec<SlotReport> {
 }
 
 /// Exact comparison — the index must not perturb a single bit.
-fn assert_reports_identical(a: &[SlotReport], b: &[SlotReport]) {
+fn assert_reports_identical(a: &[SlotReport], b: &[SlotReport], label: &str) {
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(b) {
         let t = x.slot;
-        assert_eq!(x.welfare, y.welfare, "welfare diverged at slot {t}");
-        assert_eq!(x.sensors_used, y.sensors_used, "selections at slot {t}");
+        assert_eq!(
+            x.welfare, y.welfare,
+            "{label}: welfare diverged at slot {t}"
+        );
+        assert_eq!(
+            x.sensors_used, y.sensors_used,
+            "{label}: selections at slot {t}"
+        );
         assert_eq!(
             x.breakdown.point_satisfied, y.breakdown.point_satisfied,
-            "point satisfaction at slot {t}"
+            "{label}: point satisfaction at slot {t}"
         );
         assert_eq!(
             x.breakdown.aggregate_answered, y.breakdown.aggregate_answered,
-            "aggregates at slot {t}"
+            "{label}: aggregates at slot {t}"
         );
         assert_eq!(
             x.breakdown.monitor_samples, y.breakdown.monitor_samples,
-            "monitor samples at slot {t}"
+            "{label}: monitor samples at slot {t}"
         );
         assert_eq!(
             x.ledger.total_payments(),
             y.ledger.total_payments(),
-            "payments at slot {t}"
+            "{label}: payments at slot {t}"
         );
         assert_eq!(
             x.ledger.total_receipts(),
             y.ledger.total_receipts(),
-            "receipts at slot {t}"
+            "{label}: receipts at slot {t}"
         );
-        assert_eq!(x.point_results.len(), y.point_results.len());
+        assert_eq!(x.point_results.len(), y.point_results.len(), "{label}");
         for (pa, pb) in x.point_results.iter().zip(&y.point_results) {
-            assert_eq!(pa.id, pb.id);
-            assert_eq!(pa.value, pb.value, "point value at slot {t}");
-            assert_eq!(pa.paid, pb.paid, "point payment at slot {t}");
-            assert_eq!(pa.sensor, pb.sensor, "serving sensor at slot {t}");
+            assert_eq!(pa.id, pb.id, "{label}: point ids at slot {t}");
+            assert_eq!(pa.value, pb.value, "{label}: point value at slot {t}");
+            assert_eq!(pa.paid, pb.paid, "{label}: point payment at slot {t}");
+            assert_eq!(pa.sensor, pb.sensor, "{label}: serving sensor at slot {t}");
         }
         for (aa, ab) in x.aggregate_results.iter().zip(&y.aggregate_results) {
-            assert_eq!(aa.id, ab.id);
-            assert_eq!(aa.value, ab.value, "aggregate value at slot {t}");
-            assert_eq!(aa.sensors, ab.sensors, "aggregate sensors at slot {t}");
+            assert_eq!(aa.id, ab.id, "{label}: aggregate ids at slot {t}");
+            assert_eq!(aa.value, ab.value, "{label}: aggregate value at slot {t}");
+            assert_eq!(
+                aa.sensors, ab.sensors,
+                "{label}: aggregate sensors at slot {t}"
+            );
         }
     }
 }
@@ -112,7 +124,7 @@ fn indexed_and_brute_force_steps_are_identical_on_a_mixed_stream() {
         .build();
     let a = run(&mut indexed, 6);
     let b = run(&mut brute, 6);
-    assert_reports_identical(&a, &b);
+    assert_reports_identical(&a, &b, "alg5");
     // The stream actually exercised the engine.
     assert!(a.iter().any(|r| r.breakdown.point_satisfied > 0));
     assert!(a.iter().any(|r| r.breakdown.monitor_samples > 0));
@@ -120,19 +132,17 @@ fn indexed_and_brute_force_steps_are_identical_on_a_mixed_stream() {
 
 #[test]
 fn indexed_and_brute_force_scheduled_paths_are_identical() {
-    for exact in [true, false] {
+    for (label, scheduler) in common::all_schedulers() {
         let build = |spatial: bool| {
-            let b = AggregatorBuilder::new(QualityModel::new(5.0)).spatial_index(spatial);
-            if exact {
-                b.scheduler(OptimalScheduler::new()).build()
-            } else {
-                b.scheduler(LocalSearchScheduler::new()).build()
-            }
+            AggregatorBuilder::new(QualityModel::new(5.0))
+                .spatial_index(spatial)
+                .scheduler(&*scheduler)
+                .build()
         };
         let mut indexed = build(true);
         let mut brute = build(false);
         let a = run(&mut indexed, 4);
         let b = run(&mut brute, 4);
-        assert_reports_identical(&a, &b);
+        assert_reports_identical(&a, &b, label);
     }
 }

@@ -6,10 +6,10 @@
 //! This mirrors the `spatial_index` equivalence contract of
 //! `tests/index_equivalence.rs`, one abstraction layer up.
 
+mod common;
+
 use proptest::prelude::*;
 use ps_core::aggregator::{Aggregator, AggregatorBuilder, SlotReport};
-use ps_core::alloc::local_search::LocalSearchScheduler;
-use ps_core::alloc::optimal::OptimalScheduler;
 use ps_core::valuation::quality::QualityModel;
 use ps_gp::kernel::SquaredExponential;
 use ps_sim::config::Scale;
@@ -27,6 +27,24 @@ fn small_profile() -> StandingMixProfile {
     p.region_monitors = 4;
     p.burst_period = 2;
     p.burst_factor = 1.5;
+    p
+}
+
+/// Distinct queried locations a shard must get before the Eq. 9 build
+/// and the baseline's candidate phase split across workers; with fewer
+/// than twice this many, every thread count runs the serial code.
+const LOCATIONS_PER_SHARD: usize = 64;
+
+/// [`small_profile`] grown until the per-location phases of the
+/// scheduled paths actually shard: point locations are unit-cell centres
+/// of the arena, at least ten cells per point, so nearly every point is
+/// a distinct location and a slot clears `3 × LOCATIONS_PER_SHARD`.
+fn sharding_profile() -> StandingMixProfile {
+    let mut p = small_profile();
+    p.sensors = 400;
+    p.points_per_slot = 200;
+    assert!(p.points_per_slot >= 3 * LOCATIONS_PER_SHARD);
+    assert!(p.arena.area() >= 10.0 * p.points_per_slot as f64);
     p
 }
 
@@ -174,28 +192,26 @@ proptest! {
 fn scheduled_paths_are_thread_count_invariant() {
     // The §4.5/§4.6 dedicated-scheduler paths shard the Eq. 9 problem
     // build and the baseline candidate evaluation; both must stay exact.
-    for exact in [true, false] {
+    let profile = sharding_profile();
+    for (label, scheduler) in common::all_schedulers() {
         let build = |threads: usize| {
-            let b = AggregatorBuilder::new(QualityModel::new(5.0)).threads(threads);
-            if exact {
-                b.scheduler(OptimalScheduler::new()).build()
-            } else {
-                b.scheduler(LocalSearchScheduler::new()).build()
-            }
+            AggregatorBuilder::new(QualityModel::new(5.0))
+                .threads(threads)
+                .scheduler(&*scheduler)
+                .build()
         };
-        let profile = small_profile();
         let mut serial = build(1);
         let mut sharded = build(5);
         let a = run(&mut serial, &profile, 42, 3);
         let b = run(&mut sharded, &profile, 42, 3);
-        assert_outcomes_identical(&a, &b, if exact { "optimal" } else { "local-search" });
+        assert_outcomes_identical(&a, &b, label);
     }
 }
 
 #[test]
 fn sequential_baseline_is_thread_count_invariant() {
     use ps_core::aggregator::MixStrategy;
-    let profile = small_profile();
+    let profile = sharding_profile();
     let build = |threads: usize| {
         AggregatorBuilder::new(QualityModel::new(5.0))
             .strategy(MixStrategy::SequentialBaseline)
