@@ -367,24 +367,8 @@ impl<'s> ShardedAggregator<'s> {
             }
         }
 
-        let reports = self.step_shards(slot, &local);
-        for (k, shard) in self.shards.iter().enumerate() {
-            assert!(
-                shard.next_query_id() < (k as u64 + 1) * SHARD_ID_BLOCK,
-                "shard {k} overran its query-id block"
-            );
-        }
-
-        let mut report = self.settle(slot, sensors, reports, &to_global);
-        self.ledger.absorb(&report.ledger);
-        self.totals.absorb_report(&report);
-        self.totals.monitors_retired = self
-            .shards
-            .iter()
-            .map(|s| s.totals().monitors_retired)
-            .sum();
-        report.totals = self.totals.clone();
-        report
+        let reports = self.step_shards_with(&local, |shard, sensors| shard.step(slot, sensors));
+        self.settle(slot, sensors, reports, &to_global)
     }
 
     /// Runs one time slot against a stream of intra-slot
@@ -430,50 +414,18 @@ impl<'s> ShardedAggregator<'s> {
             }
         }
 
-        let mut reports =
+        let reports =
             self.step_shards_with(&local, |shard, events| shard.step_streaming(slot, events));
-        for (k, shard) in self.shards.iter().enumerate() {
-            assert!(
-                shard.next_query_id() < (k as u64 + 1) * SHARD_ID_BLOCK,
-                "shard {k} overran its query-id block"
-            );
-        }
-
-        // Pull the per-shard latency statistics out before settlement
-        // merges the reports (settlement is latency-agnostic).
-        let mut stats = StreamStats::new(0);
-        for rep in &mut reports {
-            if let Some(s) = rep.streaming.take() {
-                stats.absorb(&s);
-            }
-        }
-
-        let mut report = self.settle(slot, &sensors, reports, &to_global);
-        report.streaming = Some(stats);
-        self.ledger.absorb(&report.ledger);
-        self.totals.absorb_report(&report);
-        self.totals.monitors_retired = self
-            .shards
-            .iter()
-            .map(|s| s.totals().monitors_retired)
-            .sum();
-        report.totals = self.totals.clone();
-        report
-    }
-
-    /// Steps every shard against its routed announcement, in parallel on
-    /// a scoped fork-join pool. Reports come back in ascending shard
-    /// order regardless of the worker count, which is the whole
-    /// determinism argument: the merge below never observes scheduling.
-    fn step_shards(&mut self, slot: Slot, local: &[Vec<SensorSnapshot>]) -> Vec<SlotReport> {
-        self.step_shards_with(local, |shard, sensors| shard.step(slot, sensors))
+        self.settle(slot, &sensors, reports, &to_global)
     }
 
     /// The shared fork-join skeleton behind [`ShardedAggregator::step`]
     /// and [`ShardedAggregator::step_streaming`]: applies `f` to every
     /// (shard, routed input) pair — serially below two worker ranges,
     /// otherwise on scoped threads over contiguous shard chunks — and
-    /// returns the reports in ascending shard order either way.
+    /// returns the reports in ascending shard order either way, which is
+    /// the whole determinism argument: settlement never observes
+    /// scheduling.
     fn step_shards_with<I: Sync>(
         &mut self,
         local: &[Vec<I>],
@@ -514,13 +466,14 @@ impl<'s> ShardedAggregator<'s> {
         })
     }
 
-    /// The global settlement pass: remaps every per-shard result to
-    /// global snapshot indices, merges reports in shard order, and
-    /// resolves halo sensors selected by multiple shards — the lowest
-    /// shard id keeps the purchase, each losing shard's ledger refunds
-    /// its payers ([`Ledger::strip_sensor`]) and the duplicate's cost
-    /// returns to welfare, so the merged ledger pays every measurement
-    /// exactly once.
+    /// The tail of every cluster slot: the global settlement pass, then
+    /// the cluster's books. Settlement remaps every per-shard result to
+    /// global snapshot indices, merges reports (and any decision-latency
+    /// statistics) in shard order, and resolves halo sensors selected by
+    /// multiple shards — the lowest shard id keeps the purchase, each
+    /// losing shard's ledger refunds its payers ([`Ledger::strip_sensor`])
+    /// and the duplicate's cost returns to welfare, so the merged ledger
+    /// pays every measurement exactly once.
     fn settle(
         &mut self,
         slot: Slot,
@@ -528,6 +481,12 @@ impl<'s> ShardedAggregator<'s> {
         reports: Vec<SlotReport>,
         to_global: &[Vec<usize>],
     ) -> SlotReport {
+        for (k, shard) in self.shards.iter().enumerate() {
+            assert!(
+                shard.next_query_id() < (k as u64 + 1) * SHARD_ID_BLOCK,
+                "shard {k} overran its query-id block"
+            );
+        }
         let mut settlement = Settlement::default();
         let mut claimed: HashSet<usize> = HashSet::new();
         let mut welfare = 0.0;
@@ -537,8 +496,14 @@ impl<'s> ShardedAggregator<'s> {
         let mut point_results = Vec::new();
         let mut aggregate_results = Vec::new();
         let mut custom_results = Vec::new();
+        let mut streaming: Option<StreamStats> = None;
 
         for (k, mut rep) in reports.into_iter().enumerate() {
+            if let Some(stats) = &rep.streaming {
+                streaming
+                    .get_or_insert_with(|| StreamStats::new(0))
+                    .absorb(stats);
+            }
             let map = &to_global[k];
             for r in &mut rep.point_results {
                 r.sensor = r.sensor.map(|si| map[si]);
@@ -589,7 +554,7 @@ impl<'s> ShardedAggregator<'s> {
         self.last_settlement = settlement;
         self.total_settlement.absorb(&settlement);
 
-        SlotReport {
+        let mut report = SlotReport {
             slot,
             welfare,
             breakdown,
@@ -599,8 +564,17 @@ impl<'s> ShardedAggregator<'s> {
             aggregate_results,
             custom_results,
             totals: Totals::default(),
-            streaming: None,
-        }
+            streaming,
+        };
+        self.ledger.absorb(&report.ledger);
+        self.totals.absorb_report(&report);
+        self.totals.monitors_retired = self
+            .shards
+            .iter()
+            .map(|s| s.totals().monitors_retired)
+            .sum();
+        report.totals = self.totals.clone();
+        report
     }
 }
 

@@ -75,8 +75,8 @@
 //! ```
 
 use crate::alloc::baseline::{baseline_select_for_query, BaselinePointScheduler};
-use crate::alloc::greedy::greedy_select;
-use crate::alloc::{PointAllocation, PointScheduler};
+use crate::alloc::greedy::{greedy_select, GreedySelection};
+use crate::alloc::PointScheduler;
 use crate::exec::Threads;
 use crate::model::{QueryId, SensorSnapshot, Slot};
 use crate::monitor::location::LocationMonitor;
@@ -384,8 +384,12 @@ pub struct SlotReport {
     pub custom_results: Vec<SetQueryResult>,
     /// Cumulative statistics after this slot.
     pub totals: Totals,
-    /// Decision-latency statistics when the slot was driven through
-    /// [`Aggregator::step_streaming`]; `None` for batch slots.
+    /// Decision-latency statistics, present exactly when the slot was
+    /// driven through a `step_streaming` entry point (this engine's
+    /// [`Aggregator::step_streaming`], or a federation's, which merges
+    /// its shards' statistics). `None` from every batch `step`, whatever
+    /// the strategy — [`MixStrategy::OnlineAuction`]'s `step` runs the
+    /// tick-0 stream internally but reports no latencies.
     pub streaming: Option<StreamStats>,
 }
 
@@ -716,7 +720,11 @@ impl<'s> Aggregator<'s> {
                 .iter()
                 .map(|&s| ArrivalEvent::sensor(0, s))
                 .collect();
-            return self.step_streaming(slot, &events);
+            let mut report = self.step_streaming(slot, &events);
+            // Latency statistics are reported to `step_streaming` callers
+            // only (see `SlotReport::streaming`).
+            report.streaming = None;
+            return report;
         }
 
         let points = std::mem::take(&mut self.pending_points);
@@ -727,15 +735,11 @@ impl<'s> Aggregator<'s> {
         let index = self.build_index(sensors);
         let index = index.as_ref();
 
-        let report = match (&self.scheduler, self.strategy) {
-            (Some(_), _) => self.step_scheduled(slot, sensors, points, aggregates, customs, index),
-            (None, MixStrategy::Alg5) | (None, MixStrategy::OnlineAuction) => {
-                let none = HashSet::new();
-                self.step_alg5(slot, sensors, points, aggregates, customs, index, &none)
-            }
-            (None, MixStrategy::SequentialBaseline) => {
-                self.step_baseline(slot, sensors, points, aggregates, customs, index)
-            }
+        let report = if self.scheduler.is_none() && self.strategy == MixStrategy::Alg5 {
+            let none = HashSet::new();
+            self.step_alg5(slot, sensors, points, aggregates, customs, index, &none)
+        } else {
+            self.step_staged(slot, sensors, points, aggregates, customs, index)
         };
         self.finalize(slot, report)
     }
@@ -902,26 +906,47 @@ impl<'s> Aggregator<'s> {
         }
     }
 
-    /// Region-monitor planning (Algorithms 3–4) for one slot, sharded by
-    /// contiguous monitor range — each monitor's plan is a pure function
-    /// of its own state and the slot inputs. Workers mint *placeholder*
-    /// ids from a per-monitor counter; the serial renumbering pass below
-    /// then assigns real ids in monitor-then-query order, which is
-    /// exactly the order the serial loop minted them in, so plans are
-    /// bit-identical for every thread count.
+    /// Stage 1 of every batch slot: the slot's whole point workload, in
+    /// the order the selection paths consume it — the end-user `points`,
+    /// then one Algorithm 2 query per location monitor that asks for a
+    /// sample (each monitor mints an id whether or not it asks), then
+    /// the queries of the Algorithm 3 plans, which are returned too.
     ///
-    /// Returns the plans; `next_query_id` advances by the total number of
-    /// planned queries.
-    fn plan_regions(
-        monitors: &[RegionMonitor],
-        threads: Threads,
+    /// `desired_times_only` lets location monitors sample only at their
+    /// desired times (the §4.7 baseline); `weighted` plans regions at
+    /// Eq. 18 weighted costs rather than raw ones.
+    ///
+    /// Region planning shards by contiguous monitor range — each
+    /// monitor's plan is a pure function of its own state and the slot
+    /// inputs. Workers mint *placeholder* ids from a per-monitor counter;
+    /// the serial pass below then assigns real ids in monitor-then-query
+    /// order, which is exactly the order a serial loop mints them in, so
+    /// plans are bit-identical for every thread count.
+    fn point_workload(
+        &mut self,
         t: Slot,
         sensors: &[SensorSnapshot],
-        weighted_cost: &[f64],
+        mut queries: Vec<PointQuery>,
         index: Option<&SensorIndex>,
-        next_query_id: &mut u64,
-    ) -> Vec<RegionPlan> {
-        let shards = threads.map_ranges(monitors.len(), |range| {
+        desired_times_only: bool,
+        weighted: bool,
+    ) -> (Vec<PointQuery>, Vec<RegionPlan>) {
+        for (mi, m) in self.location_monitors.iter().enumerate() {
+            self.next_query_id += 1;
+            let id = QueryId(self.next_query_id);
+            queries.extend(if desired_times_only {
+                m.create_point_query_baseline(t, id, mi)
+            } else {
+                m.create_point_query(t, id, mi)
+            });
+        }
+        let costs = if weighted {
+            self.weighted_costs(t, sensors, index)
+        } else {
+            sensors.iter().map(|s| s.cost).collect()
+        };
+        let monitors = &self.region_monitors;
+        let shards = self.threads.map_ranges(monitors.len(), |range| {
             range
                 .map(|mi| {
                     let mut local = 0u64;
@@ -929,25 +954,120 @@ impl<'s> Aggregator<'s> {
                         local += 1;
                         QueryId(local)
                     };
-                    monitors[mi].plan_indexed(
-                        t,
-                        sensors,
-                        weighted_cost,
-                        mi,
-                        &mut placeholder,
-                        index,
-                    )
+                    monitors[mi].plan_indexed(t, sensors, &costs, mi, &mut placeholder, index)
                 })
                 .collect::<Vec<RegionPlan>>()
         });
         let mut plans: Vec<RegionPlan> = shards.into_iter().flatten().collect();
-        for plan in &mut plans {
-            for planned in &mut plan.queries {
-                *next_query_id += 1;
-                planned.query.id = QueryId(*next_query_id);
+        for planned in plans.iter_mut().flat_map(|plan| &mut plan.queries) {
+            self.next_query_id += 1;
+            planned.query.id = QueryId(self.next_query_id);
+            queries.push(planned.query);
+        }
+        (queries, plans)
+    }
+
+    /// Algorithm 1 over `aggregates`, then `customs`, then `points` —
+    /// the valuation order that indexes the returned payments.
+    fn select(
+        &self,
+        aggregates: &mut [AggregateValuation],
+        customs: &mut [(QueryId, Box<dyn SetValuation + 's>)],
+        points: &mut [PointValuation],
+        sensors: &[SensorSnapshot],
+        index: Option<&SensorIndex>,
+    ) -> GreedySelection {
+        let mut vals: Vec<&mut dyn SetValuation> =
+            Vec::with_capacity(aggregates.len() + customs.len() + points.len());
+        for v in aggregates {
+            vals.push(v);
+        }
+        for (_, v) in customs {
+            vals.push(v.as_mut());
+        }
+        for v in points {
+            vals.push(v);
+        }
+        greedy_select(&mut vals, sensors, index, self.threads)
+    }
+
+    /// Records the set-valued results of an Algorithm 1 run whose
+    /// valuations were ordered aggregates, then customs (`ids` in the
+    /// same order): each query's Eq. 11 payments go into the ledger and
+    /// its [`SetQueryResult`] into the report. Welfare is left to the
+    /// caller, which owns its summation order.
+    fn record_set_results(
+        selection: &GreedySelection,
+        sensors: &[SensorSnapshot],
+        ids: &[QueryId],
+        aggregates: &[AggregateValuation],
+        customs: &[(QueryId, Box<dyn SetValuation + 's>)],
+        report: &mut SlotReport,
+    ) {
+        let vals = aggregates
+            .iter()
+            .map(|v| v as &dyn SetValuation)
+            .chain(customs.iter().map(|(_, v)| v.as_ref() as &dyn SetValuation));
+        for (idx, v) in vals.enumerate() {
+            let payments = &selection.per_query_payments[idx];
+            let mut paid = 0.0;
+            for &(si, pay) in payments {
+                report.ledger.record(ids[idx], sensors[si].id, pay);
+                paid += pay;
+            }
+            let result = SetQueryResult {
+                id: ids[idx],
+                value: v.current_value(),
+                paid,
+                sensors: payments.iter().map(|&(si, _)| si).collect(),
+            };
+            report.push_set_result(result, (idx < aggregates.len()).then(|| v.max_value()));
+        }
+    }
+
+    /// Routes every point query's answer by the query's origin:
+    /// end-user answers become the report's point results, with their
+    /// values added to welfare; location monitors apply their samples,
+    /// with the monitor's value change added to welfare — both in query
+    /// order; region-monitor readings are returned per monitor, for
+    /// [`Aggregator::apply_region_sharing`].
+    fn route_points(
+        &mut self,
+        t: Slot,
+        sensors: &[SensorSnapshot],
+        queries: &[PointQuery],
+        answers: impl Iterator<Item = PointResult>,
+        report: &mut SlotReport,
+    ) -> Vec<Vec<(SensorSnapshot, f64)>> {
+        let mut rm_satisfied = vec![Vec::new(); self.region_monitors.len()];
+        for (q, a) in queries.iter().zip(answers) {
+            match q.origin {
+                QueryOrigin::EndUser => {
+                    report.welfare += a.value;
+                    if a.value > 0.0 {
+                        report.breakdown.point_satisfied += 1;
+                        report.breakdown.point_quality_sum += a.value / q.max_value();
+                    }
+                    report.point_results.push(a);
+                }
+                QueryOrigin::LocationMonitor { monitor } => {
+                    let m = &mut self.location_monitors[monitor];
+                    let before = m.value();
+                    if a.value > 0.0 {
+                        m.apply_result(t, Some((a.quality, a.paid)));
+                        report.breakdown.monitor_samples += 1;
+                    }
+                    report.welfare += m.value() - before;
+                }
+                QueryOrigin::RegionMonitor { monitor, .. } => {
+                    if a.value > 0.0 {
+                        let si = a.sensor.expect("an answered query has a serving sensor");
+                        rm_satisfied[monitor].push((sensors[si], a.paid));
+                    }
+                }
             }
         }
-        plans
+        rm_satisfied
     }
 
     /// Applies each active region monitor's slot results and, when
@@ -1027,75 +1147,43 @@ impl<'s> Aggregator<'s> {
         index: Option<&SensorIndex>,
         prebought: &HashSet<usize>,
     ) -> SlotReport {
-        // ── Stage 1: point-query creation for continuous queries ──────
-        let mut lm_queries: Vec<(usize, PointQuery)> = Vec::new();
-        for (mi, m) in self.location_monitors.iter().enumerate() {
-            self.next_query_id += 1;
-            if let Some(pq) = m.create_point_query(t, QueryId(self.next_query_id), mi) {
-                lm_queries.push((mi, pq));
-            }
-        }
-        let weighted = self.weighted_costs(t, sensors, index);
-        let mut next_id = self.next_query_id;
-        let rm_plans = Self::plan_regions(
-            &self.region_monitors,
-            self.threads,
-            t,
-            sensors,
-            &weighted,
-            index,
-            &mut next_id,
-        );
-        self.next_query_id = next_id;
+        let mut report = SlotReport::blank(t, points.len(), aggregates.len());
+        let (queries, rm_plans) = self.point_workload(t, sensors, points, index, false, true);
 
-        // ── Stage 2: joint sensor selection (Algorithm 1) ─────────────
+        // Joint sensor selection (Algorithm 1). Valuation order (and
+        // payment indices): aggregates, customs, then point queries of
+        // all origins.
         let mut agg_vals: Vec<AggregateValuation> = aggregates
             .iter()
             .map(|q| AggregateValuation::new(q, self.sensing_range))
             .collect();
-        #[derive(Clone, Copy)]
-        enum PointKind {
-            EndUser,
-            Location(usize),
-            Region { monitor: usize },
+        let mut point_vals: Vec<PointValuation> = queries
+            .iter()
+            .map(|&q| PointValuation::new(q, self.quality))
+            .collect();
+        let ids: Vec<QueryId> = aggregates
+            .iter()
+            .map(|q| q.id)
+            .chain(customs.iter().map(|(id, _)| *id))
+            .chain(queries.iter().map(|q| q.id))
+            .collect();
+        let selection = self.select(&mut agg_vals, &mut customs, &mut point_vals, sensors, index);
+
+        report.welfare = -selection.total_cost;
+        Self::record_set_results(&selection, sensors, &ids, &agg_vals, &customs, &mut report);
+        let set_results = report
+            .aggregate_results
+            .iter()
+            .chain(&report.custom_results);
+        for r in set_results {
+            report.welfare += r.value;
         }
-        let mut point_vals: Vec<PointValuation> = Vec::new();
-        let mut point_meta: Vec<PointKind> = Vec::new();
-        for q in &points {
-            point_vals.push(PointValuation::new(*q, self.quality));
-            point_meta.push(PointKind::EndUser);
-        }
-        for (mi, q) in &lm_queries {
-            point_vals.push(PointValuation::new(*q, self.quality));
-            point_meta.push(PointKind::Location(*mi));
-        }
-        for (mi, plan) in rm_plans.iter().enumerate() {
-            for planned in &plan.queries {
-                point_vals.push(PointValuation::new(planned.query, self.quality));
-                point_meta.push(PointKind::Region { monitor: mi });
+        let point_payments = &selection.per_query_payments[agg_vals.len() + customs.len()..];
+        for (q, payments) in queries.iter().zip(point_payments) {
+            for &(si, pay) in payments {
+                report.ledger.record(q.id, sensors[si].id, pay);
             }
         }
-
-        let na = agg_vals.len();
-        let nc = customs.len();
-        // Valuation order (and payment indices): aggregates, customs,
-        // then point queries of all origins.
-        let mut ids: Vec<QueryId> = Vec::with_capacity(na + nc + point_vals.len());
-        ids.extend(aggregates.iter().map(|q| q.id));
-        ids.extend(customs.iter().map(|(id, _)| *id));
-        ids.extend(point_vals.iter().map(|v| v.query().id));
-        let mut vals: Vec<&mut dyn SetValuation> = Vec::with_capacity(ids.len());
-        for v in &mut agg_vals {
-            vals.push(v);
-        }
-        for (_, v) in &mut customs {
-            vals.push(v.as_mut());
-        }
-        for v in &mut point_vals {
-            vals.push(v);
-        }
-        let selection = greedy_select(&mut vals, sensors, index, self.threads);
-        drop(vals);
 
         // Stable-id → snapshot-index map, built once per slot. Sorted
         // pairs + binary search: at city scale, hashing every announced
@@ -1112,119 +1200,17 @@ impl<'s> Aggregator<'s> {
                 .expect("serving sensor was announced this slot");
             id_to_index[k].1
         };
-
-        let mut ledger = Ledger::new();
-        let mut breakdown = MixBreakdown {
-            point_total: points.len(),
-            aggregate_total: aggregates.len(),
-            ..MixBreakdown::default()
-        };
-        let mut welfare = -selection.total_cost;
-        let paid_of = |idx: usize| -> f64 {
-            selection.per_query_payments[idx]
-                .iter()
-                .map(|&(_, p)| p)
-                .sum()
-        };
-
-        // Aggregates.
-        let mut aggregate_results = Vec::with_capacity(na);
-        for (ai, v) in agg_vals.iter().enumerate() {
-            let value = v.current_value();
-            welfare += value;
-            if value > 0.0 {
-                breakdown.aggregate_answered += 1;
-                breakdown.aggregate_quality_sum += value / v.max_value();
-            }
-            for &(si, pay) in &selection.per_query_payments[ai] {
-                ledger.record(aggregates[ai].id, sensors[si].id, pay);
-            }
-            aggregate_results.push(SetQueryResult {
-                id: aggregates[ai].id,
-                value,
-                paid: paid_of(ai),
-                sensors: selection.per_query_payments[ai]
-                    .iter()
-                    .map(|&(si, _)| si)
-                    .collect(),
+        let answers = point_vals
+            .iter()
+            .zip(point_payments)
+            .map(|(v, payments)| PointResult {
+                id: v.query().id,
+                value: v.current_value(),
+                paid: payments.iter().map(|&(_, p)| p).sum(),
+                quality: v.best_quality(),
+                sensor: v.best_sensor().map(index_of),
             });
-        }
-
-        // Custom valuations.
-        let mut custom_results = Vec::with_capacity(nc);
-        for (ci, (id, v)) in customs.iter().enumerate() {
-            let idx = na + ci;
-            let value = v.current_value();
-            welfare += value;
-            for &(si, pay) in &selection.per_query_payments[idx] {
-                ledger.record(*id, sensors[si].id, pay);
-            }
-            custom_results.push(SetQueryResult {
-                id: *id,
-                value,
-                paid: paid_of(idx),
-                sensors: selection.per_query_payments[idx]
-                    .iter()
-                    .map(|&(si, _)| si)
-                    .collect(),
-            });
-        }
-
-        // Point queries of all three origins.
-        let mut point_results = Vec::with_capacity(points.len());
-        let mut lm_results: Vec<Option<(f64, f64)>> = vec![None; self.location_monitors.len()];
-        let mut rm_satisfied: Vec<Vec<(SensorSnapshot, f64)>> =
-            vec![Vec::new(); self.region_monitors.len()];
-        for (pi, v) in point_vals.iter().enumerate() {
-            let idx = na + nc + pi;
-            let value = v.current_value();
-            let paid = paid_of(idx);
-            for &(si, pay) in &selection.per_query_payments[idx] {
-                ledger.record(v.query().id, sensors[si].id, pay);
-            }
-            match point_meta[pi] {
-                PointKind::EndUser => {
-                    welfare += value;
-                    if value > 0.0 {
-                        breakdown.point_satisfied += 1;
-                        breakdown.point_quality_sum += value / v.max_value();
-                    }
-                    point_results.push(PointResult {
-                        id: v.query().id,
-                        value,
-                        paid,
-                        quality: v.best_quality(),
-                        sensor: v.best_sensor().map(index_of),
-                    });
-                }
-                PointKind::Location(mi) => {
-                    // Welfare counted through the monitor's own valuation.
-                    if value > 0.0 {
-                        lm_results[mi] = Some((v.best_quality(), paid));
-                    }
-                }
-                PointKind::Region { monitor } => {
-                    if value > 0.0 {
-                        let stable = v.best_sensor().expect("positive value");
-                        let serving = index_of(stable);
-                        rm_satisfied[monitor].push((sensors[serving], paid));
-                    }
-                }
-            }
-        }
-
-        // ── Stage 3: apply monitor results + payment adjustment ───────
-        for (mi, m) in self.location_monitors.iter_mut().enumerate() {
-            if !m.is_active(t) {
-                continue;
-            }
-            let before = m.value();
-            m.apply_result(t, lm_results[mi]);
-            if lm_results[mi].is_some() {
-                breakdown.monitor_samples += 1;
-            }
-            welfare += m.value() - before;
-        }
+        let rm_satisfied = self.route_points(t, sensors, &queries, answers, &mut report);
 
         let selected_snapshots: Vec<SensorSnapshot> = selection
             .selected
@@ -1232,32 +1218,20 @@ impl<'s> Aggregator<'s> {
             .filter(|si| !prebought.contains(si))
             .map(|&si| sensors[si])
             .collect();
-        welfare += self.apply_region_sharing(
+        report.welfare += self.apply_region_sharing(
             t,
             sensors,
             &selected_snapshots,
             (&rm_satisfied, &rm_plans),
             (&selection.per_query_payments, &ids),
-            &mut ledger,
+            &mut report.ledger,
         );
-
-        let sensors_used: Vec<usize> = selection
+        report.sensors_used = selection
             .selected
             .into_iter()
             .filter(|si| !prebought.contains(si))
             .collect();
-        SlotReport {
-            slot: t,
-            welfare,
-            breakdown,
-            ledger,
-            sensors_used,
-            point_results,
-            aggregate_results,
-            custom_results,
-            totals: Totals::default(),
-            streaming: None,
-        }
+        report
     }
 
     /// The quality-adaptive online double auction over one slot's event
@@ -1273,7 +1247,7 @@ impl<'s> Aggregator<'s> {
     /// wait for the slot boundary, where everything still open — plus
     /// the unmatched points — clears through the ordinary Algorithm 5
     /// batch with the online-bought sensors cost-discounted to 0 (their
-    /// data is buffered, exactly as in the scheduled path).
+    /// data is buffered, exactly as in the staged path).
     ///
     /// Money stays conserved: the online ledger holds exactly one
     /// full-cost receipt per bought sensor, the boundary stage sees
@@ -1288,64 +1262,15 @@ impl<'s> Aggregator<'s> {
         let cell_of =
             |p: Point| -> (i64, i64) { ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64) };
 
+        // The announced sensors and their bought flags stay plain locals:
+        // the arrival loops below are sensitive to how they are laid out.
         let mut sensors: Vec<SensorSnapshot> = Vec::new();
         let mut bought: Vec<bool> = Vec::new();
         let mut grid: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
-
-        // One-shot arrival bookkeeping (points + aggregates, in arrival
-        // order) for the decision-latency statistics.
-        let mut oneshot_ticks: Vec<u64> = Vec::new();
-        let mut decisions: Vec<Option<u64>> = Vec::new();
-
-        // Point-query state: every arrival owns a result slot; matched
-        // ones fill it online, the rest go to the boundary.
-        let mut point_slots: Vec<Option<PointResult>> = Vec::new();
-        // Waiting book entries: (query, result slot, one-shot index).
-        let mut waiting: Vec<(PointQuery, usize, usize)> = Vec::new();
+        let mut online = OnlineOutcome::default();
+        let mut waiting: Vec<Waiter> = Vec::new();
         let mut aggregates: Vec<AggregateQuery> = Vec::new();
-
-        let mut online_ledger = Ledger::new();
-        let mut online_welfare = 0.0;
-        let mut online_satisfied = 0usize;
-        let mut online_quality_sum = 0.0;
-        let mut matched_at_arrival = 0usize;
-        let mut query_arrivals = 0usize;
-        let mut sensor_arrivals = 0usize;
-
-        // Commits `q` to sensor `si`: first buyer pays the full cost.
-        let mut commit = |q: &PointQuery,
-                          si: usize,
-                          theta: f64,
-                          value: f64,
-                          tick: u64,
-                          slot_idx: usize,
-                          oneshot: usize,
-                          sensors: &[SensorSnapshot],
-                          bought: &mut [bool],
-                          point_slots: &mut [Option<PointResult>],
-                          decisions: &mut [Option<u64>],
-                          oneshot_ticks: &[u64]| {
-            let price = if bought[si] { 0.0 } else { sensors[si].cost };
-            if !bought[si] {
-                bought[si] = true;
-                online_welfare -= sensors[si].cost;
-            }
-            if price > 0.0 {
-                online_ledger.record(q.id, sensors[si].id, price);
-            }
-            online_welfare += value;
-            online_satisfied += 1;
-            online_quality_sum += value / q.max_value();
-            matched_at_arrival += 1;
-            point_slots[slot_idx] = Some(PointResult {
-                id: q.id,
-                value,
-                paid: price,
-                quality: theta,
-                sensor: Some(si),
-            });
-            decisions[oneshot] = Some(tick.saturating_sub(oneshot_ticks[oneshot]));
-        };
+        let mut stats = StreamStats::new(tps);
 
         // Pending one-shot queries submitted before the slot started are
         // tick-0 arrivals preceding the event stream — this is what makes
@@ -1404,12 +1329,15 @@ impl<'s> Aggregator<'s> {
         for (tick, arrival) in process {
             match arrival {
                 Arrival::Point(q) => {
-                    query_arrivals += 1;
-                    let oneshot = oneshot_ticks.len();
-                    oneshot_ticks.push(tick);
-                    decisions.push(None);
-                    let slot_idx = point_slots.len();
-                    point_slots.push(None);
+                    stats.query_arrivals += 1;
+                    let w = Waiter {
+                        query: q,
+                        slot: online.results.len(),
+                        oneshot: online.arrival_ticks.len(),
+                    };
+                    online.results.push(None);
+                    online.arrival_ticks.push(tick);
+                    online.decisions.push(None);
                     // Best-surplus match among the arrived sensors.
                     let (cx, cy) = cell_of(q.loc);
                     let mut cand: Vec<usize> = Vec::new();
@@ -1423,7 +1351,7 @@ impl<'s> Aggregator<'s> {
                     // Ascending snapshot order + strict `>` ⇒ ties go to
                     // the earliest-arrived sensor, deterministically.
                     cand.sort_unstable();
-                    let mut best: Option<(f64, usize, f64, f64)> = None;
+                    let mut best: Option<(f64, usize, f64)> = None;
                     for &si in &cand {
                         let theta = self.quality.quality(&sensors[si], q.loc);
                         let value = q.value_of_quality(theta);
@@ -1432,38 +1360,26 @@ impl<'s> Aggregator<'s> {
                         }
                         let price = if bought[si] { 0.0 } else { sensors[si].cost };
                         let surplus = value - price;
-                        if surplus > 1e-9 && best.is_none_or(|(b, _, _, _)| surplus > b) {
-                            best = Some((surplus, si, theta, value));
+                        if surplus > 1e-9 && best.is_none_or(|(b, _, _)| surplus > b) {
+                            best = Some((surplus, si, theta));
                         }
                     }
-                    if let Some((_, si, theta, value)) = best {
-                        commit(
-                            &q,
-                            si,
-                            theta,
-                            value,
-                            tick,
-                            slot_idx,
-                            oneshot,
-                            &sensors,
-                            &mut bought,
-                            &mut point_slots,
-                            &mut decisions,
-                            &oneshot_ticks,
-                        );
-                    } else {
-                        waiting.push((q, slot_idx, oneshot));
+                    match best {
+                        Some((_, si, theta)) => {
+                            online.commit(&w, tick, si, &sensors[si], &mut bought[si], theta)
+                        }
+                        None => waiting.push(w),
                     }
                 }
                 Arrival::Aggregate(q) => {
-                    query_arrivals += 1;
-                    oneshot_ticks.push(tick);
-                    decisions.push(None);
+                    stats.query_arrivals += 1;
+                    online.arrival_ticks.push(tick);
+                    online.decisions.push(None);
                     aggregates.push(q);
                 }
-                Arrival::Monitor => query_arrivals += 1,
+                Arrival::Monitor => stats.query_arrivals += 1,
                 Arrival::Sensor(s) => {
-                    sensor_arrivals += 1;
+                    stats.sensor_arrivals += 1;
                     let si = sensors.len();
                     sensors.push(s);
                     bought.push(false);
@@ -1471,28 +1387,14 @@ impl<'s> Aggregator<'s> {
                     // Offer the new sensor to the waiting book in
                     // arrival order; earlier waiters buy first (and
                     // later ones then see the reading free).
-                    let book = std::mem::take(&mut waiting);
-                    for (q, slot_idx, oneshot) in book {
-                        let theta = self.quality.quality(&s, q.loc);
-                        let value = q.value_of_quality(theta);
+                    for w in std::mem::take(&mut waiting) {
+                        let theta = self.quality.quality(&s, w.query.loc);
+                        let value = w.query.value_of_quality(theta);
                         let price = if bought[si] { 0.0 } else { s.cost };
                         if value > 0.0 && value - price > 1e-9 {
-                            commit(
-                                &q,
-                                si,
-                                theta,
-                                value,
-                                tick,
-                                slot_idx,
-                                oneshot,
-                                &sensors,
-                                &mut bought,
-                                &mut point_slots,
-                                &mut decisions,
-                                &oneshot_ticks,
-                            );
+                            online.commit(&w, tick, si, &s, &mut bought[si], theta);
                         } else {
-                            waiting.push((q, slot_idx, oneshot));
+                            waiting.push(w);
                         }
                     }
                 }
@@ -1502,22 +1404,11 @@ impl<'s> Aggregator<'s> {
         // ── Boundary: everything still open clears through Algorithm 5
         // with the online-bought sensors cost-discounted. ──────────────
         let customs = std::mem::take(&mut self.pending_customs);
-        let prebought: HashSet<usize> = (0..sensors.len()).filter(|&si| bought[si]).collect();
-        let boundary_sensors: Vec<SensorSnapshot> = sensors
-            .iter()
-            .enumerate()
-            .map(|(si, s)| {
-                let mut s = *s;
-                if bought[si] {
-                    s.cost = 0.0;
-                }
-                s
-            })
-            .collect();
+        let mut sensors_used: Vec<usize> = (0..sensors.len()).filter(|&si| bought[si]).collect();
+        let prebought: HashSet<usize> = sensors_used.iter().copied().collect();
+        let boundary_sensors = priced_at_zero(&sensors, |si| bought[si]);
         let index = self.build_index(&boundary_sensors);
-        let leftover_points: Vec<PointQuery> = waiting.iter().map(|(q, _, _)| *q).collect();
-        let leftover_slots: Vec<usize> = waiting.iter().map(|&(_, s, _)| s).collect();
-        let total_points = point_slots.len();
+        let leftover_points: Vec<PointQuery> = waiting.iter().map(|w| w.query).collect();
         let total_aggregates = aggregates.len();
         let mut report = self.step_alg5(
             t,
@@ -1530,42 +1421,47 @@ impl<'s> Aggregator<'s> {
         );
 
         // Merge the online phase into the boundary report.
-        report.welfare += online_welfare;
-        report.ledger.absorb(&online_ledger);
+        report.welfare += online.welfare;
+        report.ledger.absorb(&online.ledger);
         let boundary_results = std::mem::take(&mut report.point_results);
-        for (res, &slot_idx) in boundary_results.into_iter().zip(&leftover_slots) {
-            point_slots[slot_idx] = Some(res);
+        for (res, w) in boundary_results.into_iter().zip(&waiting) {
+            online.results[w.slot] = Some(res);
         }
-        report.point_results = point_slots
+        report.breakdown.point_total = online.results.len();
+        report.point_results = online
+            .results
             .into_iter()
             .map(|r| r.expect("every point arrival has a result"))
             .collect();
-        report.breakdown.point_total = total_points;
-        report.breakdown.point_satisfied += online_satisfied;
-        report.breakdown.point_quality_sum += online_quality_sum;
+        report.breakdown.point_satisfied += online.matched;
+        report.breakdown.point_quality_sum += online.quality_sum;
         report.breakdown.aggregate_total = total_aggregates;
-        let mut used: Vec<usize> = prebought.iter().copied().collect();
-        used.sort_unstable();
-        used.extend(std::mem::take(&mut report.sensors_used));
-        report.sensors_used = used;
+        sensors_used.append(&mut report.sensors_used);
+        report.sensors_used = sensors_used;
 
-        let mut stats = StreamStats::new(tps);
-        stats.query_arrivals = query_arrivals;
-        stats.sensor_arrivals = sensor_arrivals;
-        stats.matched_at_arrival = matched_at_arrival;
-        stats.decision_ticks = decisions
+        stats.matched_at_arrival = online.matched;
+        stats.decision_ticks = online
+            .decisions
             .into_iter()
-            .zip(&oneshot_ticks)
+            .zip(&online.arrival_ticks)
             .map(|(d, &arrived)| d.unwrap_or(tps - arrived))
             .collect();
         report.streaming = Some(stats);
         report
     }
 
-    /// The §4.7 sequential baseline: aggregates (and custom valuations)
-    /// one by one with data buffering, then all point queries through the
-    /// baseline point scheduler with the bought sensors free.
-    fn step_baseline(
+    /// The staged path (§4.5–§4.7): the set-valued queries run first,
+    /// then the whole point workload — end-user and monitor-generated —
+    /// through one [`PointScheduler`], with the sensors the set stage
+    /// bought priced at 0 (their data is buffered), so no sensor is
+    /// charged twice in one slot.
+    ///
+    /// With a configured scheduler the set stage is one Algorithm 1 run
+    /// over the aggregates and custom valuations. Without one this is
+    /// the §4.7 baseline: the set stage takes those queries one at a
+    /// time, the point scheduler is [`BaselinePointScheduler`], regions
+    /// plan at raw cost, and no region monitor free-rides.
+    fn step_staged(
         &mut self,
         t: Slot,
         sensors: &[SensorSnapshot],
@@ -1574,415 +1470,262 @@ impl<'s> Aggregator<'s> {
         mut customs: Vec<(QueryId, Box<dyn SetValuation + 's>)>,
         index: Option<&SensorIndex>,
     ) -> SlotReport {
-        let mut ledger = Ledger::new();
-        let mut breakdown = MixBreakdown {
-            point_total: points.len(),
-            aggregate_total: aggregates.len(),
-            ..MixBreakdown::default()
-        };
-        let mut already = vec![false; sensors.len()];
-        let mut welfare = 0.0;
-        let mut sensors_used: Vec<usize> = Vec::new();
+        let baseline = self.scheduler.is_none();
+        let mut report = SlotReport::blank(t, points.len(), aggregates.len());
 
-        // Stage A: set-valued queries one by one.
-        let mut aggregate_results = Vec::with_capacity(aggregates.len());
-        for q in &aggregates {
-            let mut v = AggregateValuation::new(q, self.sensing_range);
-            let out = baseline_select_for_query(&mut v, sensors, &mut already, index);
-            welfare += out.value - out.cost;
-            if out.value > 0.0 {
-                breakdown.aggregate_answered += 1;
-                breakdown.aggregate_quality_sum += out.value / q.budget;
-            }
-            for &si in &out.newly_selected {
-                ledger.record(q.id, sensors[si].id, sensors[si].cost);
-                sensors_used.push(si);
-            }
-            aggregate_results.push(SetQueryResult {
-                id: q.id,
-                value: out.value,
-                paid: out.cost,
-                sensors: out.newly_selected,
-            });
-        }
-        let mut custom_results = Vec::with_capacity(customs.len());
-        for (id, v) in &mut customs {
-            let out = baseline_select_for_query(v.as_mut(), sensors, &mut already, index);
-            welfare += out.value - out.cost;
-            for &si in &out.newly_selected {
-                ledger.record(*id, sensors[si].id, sensors[si].cost);
-                sensors_used.push(si);
-            }
-            custom_results.push(SetQueryResult {
-                id: *id,
-                value: out.value,
-                paid: out.cost,
-                sensors: out.newly_selected,
-            });
-        }
-
-        // Stage B: point queries — end-user, monitors at desired times,
-        // and region plans (unweighted, no sharing).
-        let n_points = points.len();
-        let mut queries: Vec<PointQuery> = points;
-        for (mi, m) in self.location_monitors.iter().enumerate() {
-            self.next_query_id += 1;
-            if let Some(pq) = m.create_point_query_baseline(t, QueryId(self.next_query_id), mi) {
-                queries.push(pq);
-            }
-        }
-        let raw_costs: Vec<f64> = sensors.iter().map(|s| s.cost).collect();
-        let mut next_id = self.next_query_id;
-        let rm_plans = Self::plan_regions(
-            &self.region_monitors,
-            self.threads,
-            t,
-            sensors,
-            &raw_costs,
-            index,
-            &mut next_id,
-        );
-        for plan in &rm_plans {
-            for pq in &plan.queries {
-                queries.push(pq.query);
-            }
-        }
-        self.next_query_id = next_id;
-
-        let alloc = BaselinePointScheduler::new().schedule_with_preselected(
-            &queries,
-            sensors,
-            &self.quality,
-            &mut already,
-            index,
-            self.threads,
-        );
-
-        let mut point_results = Vec::with_capacity(n_points);
-        let mut rm_satisfied: Vec<Vec<(SensorSnapshot, f64)>> =
-            vec![Vec::new(); self.region_monitors.len()];
-        for (qi, q) in queries.iter().enumerate() {
-            let a = alloc.assignments[qi];
-            if let Some(a) = a {
-                if a.payment > 0.0 {
-                    ledger.record(q.id, sensors[a.sensor].id, a.payment);
-                }
-            }
-            match q.origin {
-                QueryOrigin::EndUser => {
-                    let (value, paid, quality, sensor) = match a {
-                        Some(a) => (a.value, a.payment, a.quality, Some(a.sensor)),
-                        None => (0.0, 0.0, 0.0, None),
-                    };
-                    welfare += value;
-                    if value > 0.0 {
-                        breakdown.point_satisfied += 1;
-                        breakdown.point_quality_sum += value / q.budget;
-                    }
-                    point_results.push(PointResult {
-                        id: q.id,
-                        value,
-                        paid,
-                        quality,
-                        sensor,
-                    });
-                }
-                QueryOrigin::LocationMonitor { monitor } => {
-                    let Some(a) = a else { continue };
-                    let m = &mut self.location_monitors[monitor];
-                    let before = m.value();
-                    m.apply_result(t, Some((a.quality, a.payment)));
-                    breakdown.monitor_samples += 1;
-                    welfare += m.value() - before;
-                }
-                QueryOrigin::RegionMonitor { monitor, .. } => {
-                    if let Some(a) = a {
-                        if a.value > 0.0 {
-                            rm_satisfied[monitor].push((sensors[a.sensor], a.payment));
-                        }
-                    }
-                }
-            }
-        }
-        welfare -= alloc.total_sensor_cost;
-        sensors_used.extend(alloc.sensors_used.iter().copied());
-
-        // The baseline never free-rides: no shared candidates.
-        welfare += self.apply_region_sharing(
-            t,
-            sensors,
-            &[],
-            (&rm_satisfied, &rm_plans),
-            (&[], &[]),
-            &mut ledger,
-        );
-
-        SlotReport {
-            slot: t,
-            welfare,
-            breakdown,
-            ledger,
-            sensors_used,
-            point_results,
-            aggregate_results,
-            custom_results,
-            totals: Totals::default(),
-            streaming: None,
-        }
-    }
-
-    /// The dedicated-scheduler path (§4.5/§4.6): monitors are translated
-    /// into point queries exactly as in Algorithms 2–4, but the combined
-    /// point workload runs through the configured [`PointScheduler`].
-    /// Set-valued queries run in a separate Algorithm 1 stage.
-    fn step_scheduled(
-        &mut self,
-        t: Slot,
-        sensors: &[SensorSnapshot],
-        points: Vec<PointQuery>,
-        aggregates: Vec<AggregateQuery>,
-        mut customs: Vec<(QueryId, Box<dyn SetValuation + 's>)>,
-        index: Option<&SensorIndex>,
-    ) -> SlotReport {
-        let baseline_mode = self.strategy == MixStrategy::SequentialBaseline;
-        let mut ledger = Ledger::new();
-        let mut breakdown = MixBreakdown {
-            point_total: points.len(),
-            aggregate_total: aggregates.len(),
-            ..MixBreakdown::default()
-        };
-        let mut welfare = 0.0;
-        let mut sensors_used: Vec<usize> = Vec::new();
-
-        // Set-valued queries: their own Algorithm 1 stage.
-        let mut aggregate_results = Vec::with_capacity(aggregates.len());
-        let mut custom_results = Vec::with_capacity(customs.len());
-        if !aggregates.is_empty() || !customs.is_empty() {
-            let mut agg_vals: Vec<AggregateValuation> = aggregates
-                .iter()
-                .map(|q| AggregateValuation::new(q, self.sensing_range))
-                .collect();
+        // Stage A: the set-valued queries.
+        let mut agg_vals: Vec<AggregateValuation> = aggregates
+            .iter()
+            .map(|q| AggregateValuation::new(q, self.sensing_range))
+            .collect();
+        let ids: Vec<QueryId> = aggregates
+            .iter()
+            .map(|q| q.id)
+            .chain(customs.iter().map(|(id, _)| *id))
+            .collect();
+        if baseline {
             let na = agg_vals.len();
-            let mut ids: Vec<QueryId> = aggregates.iter().map(|q| q.id).collect();
-            ids.extend(customs.iter().map(|(id, _)| *id));
-            let mut vals: Vec<&mut dyn SetValuation> = Vec::with_capacity(ids.len());
-            for v in &mut agg_vals {
-                vals.push(v);
-            }
-            for (_, v) in &mut customs {
-                vals.push(v.as_mut());
-            }
-            let selection = greedy_select(&mut vals, sensors, index, self.threads);
-            drop(vals);
-            welfare += selection.welfare;
-            sensors_used.extend(selection.selected.iter().copied());
-            for (idx, &id) in ids.iter().enumerate() {
-                let value = if idx < na {
-                    agg_vals[idx].current_value()
-                } else {
-                    customs[idx - na].1.current_value()
-                };
-                let mut paid = 0.0;
-                for &(si, pay) in &selection.per_query_payments[idx] {
-                    ledger.record(id, sensors[si].id, pay);
-                    paid += pay;
+            let mut bought = vec![false; sensors.len()];
+            let vals = agg_vals
+                .iter_mut()
+                .map(|v| v as &mut dyn SetValuation)
+                .chain(
+                    customs
+                        .iter_mut()
+                        .map(|(_, v)| v.as_mut() as &mut dyn SetValuation),
+                );
+            for (idx, v) in vals.enumerate() {
+                let out = baseline_select_for_query(&mut *v, sensors, &mut bought, index);
+                report.welfare += out.value - out.cost;
+                for &si in &out.newly_selected {
+                    report
+                        .ledger
+                        .record(ids[idx], sensors[si].id, sensors[si].cost);
+                    report.sensors_used.push(si);
                 }
                 let result = SetQueryResult {
-                    id,
-                    value,
-                    paid,
-                    sensors: selection.per_query_payments[idx]
-                        .iter()
-                        .map(|&(si, _)| si)
-                        .collect(),
+                    id: ids[idx],
+                    value: out.value,
+                    paid: out.cost,
+                    sensors: out.newly_selected,
                 };
-                if idx < na {
-                    if value > 0.0 {
-                        breakdown.aggregate_answered += 1;
-                        breakdown.aggregate_quality_sum += value / agg_vals[idx].max_value();
-                    }
-                    aggregate_results.push(result);
-                } else {
-                    custom_results.push(result);
-                }
+                report.push_set_result(result, (idx < na).then(|| v.max_value()));
             }
+        } else if !ids.is_empty() {
+            let selection = self.select(&mut agg_vals, &mut customs, &mut [], sensors, index);
+            report.welfare += selection.welfare;
+            Self::record_set_results(&selection, sensors, &ids, &agg_vals, &customs, &mut report);
+            report.sensors_used = selection.selected;
         }
 
-        // Stage 1: monitor point-query creation.
-        let n_points = points.len();
-        let mut queries: Vec<PointQuery> = points;
-        for (mi, m) in self.location_monitors.iter().enumerate() {
-            self.next_query_id += 1;
-            let id = QueryId(self.next_query_id);
-            let pq = if baseline_mode {
-                m.create_point_query_baseline(t, id, mi)
-            } else {
-                m.create_point_query(t, id, mi)
-            };
-            if let Some(pq) = pq {
-                queries.push(pq);
-            }
-        }
-        let weighted = self.weighted_costs(t, sensors, index);
-        let mut next_id = self.next_query_id;
-        let rm_plans = Self::plan_regions(
-            &self.region_monitors,
-            self.threads,
-            t,
-            sensors,
-            &weighted,
-            index,
-            &mut next_id,
-        );
-        for plan in &rm_plans {
-            for pq in &plan.queries {
-                queries.push(pq.query);
-            }
-        }
-        self.next_query_id = next_id;
-
-        // Stage 2: the configured point scheduler. Sensors the set-valued
-        // stage already bought are free here (their data is buffered, as
-        // in the §4.7 baseline) — the scheduler sees them at cost 0, so
-        // they are neither re-charged nor double-counted in welfare.
-        let scheduler = self.scheduler.as_deref().expect("scheduled path");
-        let prebought: HashSet<usize> = sensors_used.iter().copied().collect();
-        // Sensor locations are unchanged by cost discounting, so the
-        // slot's index stays valid for both branches.
-        let alloc: PointAllocation = if prebought.is_empty() {
+        // Stage B: the point workload through the point scheduler.
+        let desired_times_only = self.strategy == MixStrategy::SequentialBaseline;
+        let (queries, rm_plans) =
+            self.point_workload(t, sensors, points, index, desired_times_only, !baseline);
+        let prebought: HashSet<usize> = report.sensors_used.iter().copied().collect();
+        let scheduler = self.scheduler.as_deref().unwrap_or(&BaselinePointScheduler);
+        // Sensor locations are unchanged by the discount, so the slot's
+        // index stays valid for both branches.
+        let alloc = if prebought.is_empty() {
             scheduler.schedule_sharded(&queries, sensors, &self.quality, index, self.threads)
         } else {
-            let discounted: Vec<SensorSnapshot> = sensors
-                .iter()
-                .enumerate()
-                .map(|(si, s)| {
-                    let mut s = *s;
-                    if prebought.contains(&si) {
-                        s.cost = 0.0;
-                    }
-                    s
-                })
-                .collect();
+            let discounted = priced_at_zero(sensors, |si| prebought.contains(&si));
             scheduler.schedule_sharded(&queries, &discounted, &self.quality, index, self.threads)
         };
-        welfare -= alloc.total_sensor_cost;
+        report.welfare -= alloc.total_sensor_cost;
 
         // Solver metrics: welfare and bound are paired per slot so the
         // accumulated optimality gap compares like with like.
         if let Some(bound) = alloc.lp_bound {
-            breakdown.point_sched_welfare += alloc.welfare;
-            breakdown.point_lp_bound += bound;
-            breakdown.bound_known_slots += 1;
+            report.breakdown.point_sched_welfare += alloc.welfare;
+            report.breakdown.point_lp_bound += bound;
+            report.breakdown.bound_known_slots += 1;
         }
         if alloc.solve_status == Some(ps_solver::SolveStatus::LimitReached) {
-            breakdown.limited_slots += 1;
+            report.breakdown.limited_slots += 1;
         }
 
-        // Stage 3: route results.
-        let mut point_results = Vec::with_capacity(n_points);
-        let mut rm_satisfied: Vec<Vec<(SensorSnapshot, f64)>> =
-            vec![Vec::new(); self.region_monitors.len()];
-        for (qi, q) in queries.iter().enumerate() {
-            let a = alloc.assignments[qi];
-            if let Some(a) = a {
-                if a.payment > 0.0 {
-                    ledger.record(q.id, sensors[a.sensor].id, a.payment);
+        let mut per_query_payments: Vec<Vec<(usize, f64)>> = Vec::with_capacity(queries.len());
+        for (q, a) in queries.iter().zip(&alloc.assignments) {
+            per_query_payments.push(match a {
+                Some(a) if a.payment > 0.0 => {
+                    report.ledger.record(q.id, sensors[a.sensor].id, a.payment);
+                    vec![(a.sensor, a.payment)]
                 }
-            }
-            match q.origin {
-                QueryOrigin::EndUser => {
-                    let (value, paid, quality, sensor) = match a {
-                        Some(a) => (a.value, a.payment, a.quality, Some(a.sensor)),
-                        None => (0.0, 0.0, 0.0, None),
-                    };
-                    welfare += value;
-                    if value > 0.0 {
-                        breakdown.point_satisfied += 1;
-                        breakdown.point_quality_sum += value / q.budget;
-                    }
-                    point_results.push(PointResult {
-                        id: q.id,
-                        value,
-                        paid,
-                        quality,
-                        sensor,
-                    });
-                }
-                QueryOrigin::LocationMonitor { monitor } => {
-                    let m = &mut self.location_monitors[monitor];
-                    let before = m.value();
-                    match a {
-                        Some(a) if a.value > 0.0 => {
-                            m.apply_result(t, Some((a.quality, a.payment)));
-                            breakdown.monitor_samples += 1;
-                        }
-                        _ => m.apply_result(t, None),
-                    }
-                    welfare += m.value() - before;
-                }
-                QueryOrigin::RegionMonitor { monitor, .. } => {
-                    if let Some(a) = a {
-                        if a.value > 0.0 {
-                            rm_satisfied[monitor].push((sensors[a.sensor], a.payment));
-                        }
-                    }
-                }
-            }
+                _ => Vec::new(),
+            });
         }
+        let answers = queries
+            .iter()
+            .zip(&alloc.assignments)
+            .map(|(q, a)| match *a {
+                Some(a) => PointResult {
+                    id: q.id,
+                    value: a.value,
+                    paid: a.payment,
+                    quality: a.quality,
+                    sensor: Some(a.sensor),
+                },
+                None => PointResult {
+                    id: q.id,
+                    value: 0.0,
+                    paid: 0.0,
+                    quality: 0.0,
+                    sensor: None,
+                },
+            });
+        let rm_satisfied = self.route_points(t, sensors, &queries, answers, &mut report);
 
         // Region monitors: apply + optional A_{r,t} free-riding with the
         // Algorithm 5 payment adjustment. Only sensors the point stage
         // actually paid for are sharing candidates — a contribution must
         // have payers to refund (pre-bought sensors ride free already).
-        let per_query_payments: Vec<Vec<(usize, f64)>> = alloc
-            .assignments
-            .iter()
-            .map(|a| match a {
-                Some(a) if a.payment > 0.0 => vec![(a.sensor, a.payment)],
-                _ => Vec::new(),
-            })
-            .collect();
+        let candidates: Vec<SensorSnapshot> = if baseline {
+            Vec::new()
+        } else {
+            let paid: HashSet<usize> = per_query_payments
+                .iter()
+                .flatten()
+                .map(|&(si, _)| si)
+                .collect();
+            alloc
+                .sensors_used
+                .iter()
+                .filter(|si| paid.contains(si))
+                .map(|&si| sensors[si])
+                .collect()
+        };
         let query_ids: Vec<QueryId> = queries.iter().map(|q| q.id).collect();
-        let paid: HashSet<usize> = per_query_payments
-            .iter()
-            .flatten()
-            .map(|&(si, _)| si)
-            .collect();
-        let candidates: Vec<SensorSnapshot> = alloc
-            .sensors_used
-            .iter()
-            .filter(|si| paid.contains(si))
-            .map(|&si| sensors[si])
-            .collect();
-        welfare += self.apply_region_sharing(
+        report.welfare += self.apply_region_sharing(
             t,
             sensors,
             &candidates,
             (&rm_satisfied, &rm_plans),
             (&per_query_payments, &query_ids),
-            &mut ledger,
+            &mut report.ledger,
         );
-        sensors_used.extend(
+        report.sensors_used.extend(
             alloc
                 .sensors_used
                 .iter()
                 .filter(|si| !prebought.contains(si))
                 .copied(),
         );
+        report
+    }
+}
 
+impl SlotReport {
+    /// An empty report for `slot` that counts its one-shot queries — the
+    /// start of every batch path.
+    fn blank(slot: Slot, point_total: usize, aggregate_total: usize) -> Self {
         SlotReport {
-            slot: t,
-            welfare,
-            breakdown,
-            ledger,
-            sensors_used,
-            point_results,
-            aggregate_results,
-            custom_results,
+            slot,
+            welfare: 0.0,
+            breakdown: MixBreakdown {
+                point_total,
+                aggregate_total,
+                ..MixBreakdown::default()
+            },
+            ledger: Ledger::new(),
+            sensors_used: Vec::new(),
+            point_results: Vec::new(),
+            aggregate_results: Vec::new(),
+            custom_results: Vec::new(),
             totals: Totals::default(),
             streaming: None,
         }
     }
+
+    /// Files a set-valued query's result: an aggregate's (counted in the
+    /// breakdown against `aggregate_budget`) or a custom valuation's.
+    fn push_set_result(&mut self, result: SetQueryResult, aggregate_budget: Option<f64>) {
+        let Some(budget) = aggregate_budget else {
+            self.custom_results.push(result);
+            return;
+        };
+        if result.value > 0.0 {
+            self.breakdown.aggregate_answered += 1;
+            self.breakdown.aggregate_quality_sum += result.value / budget;
+        }
+        self.aggregate_results.push(result);
+    }
+}
+
+/// A point query in the online auction's waiting book, with its result
+/// slot and its index among the slot's one-shot arrivals.
+struct Waiter {
+    query: PointQuery,
+    slot: usize,
+    oneshot: usize,
+}
+
+/// What the online auction decided before the slot boundary.
+#[derive(Default)]
+struct OnlineOutcome {
+    /// One full-cost receipt per sensor bought online.
+    ledger: Ledger,
+    welfare: f64,
+    /// Point queries matched before the boundary.
+    matched: usize,
+    /// Σ quality-of-results (`v/B`) over the matched point queries.
+    quality_sum: f64,
+    /// One result per point arrival; the matched ones are filled online.
+    results: Vec<Option<PointResult>>,
+    /// Arrival tick of every one-shot query (points and aggregates)…
+    arrival_ticks: Vec<u64>,
+    /// …and its decision latency, when matched before the boundary.
+    decisions: Vec<Option<u64>>,
+}
+
+impl OnlineOutcome {
+    /// Matches `w` to snapshot `si` (`sensor`) at `tick` with reading
+    /// quality `theta`: the first buyer pays the full cost and sets
+    /// `bought`; later buyers reuse the buffered reading free.
+    fn commit(
+        &mut self,
+        w: &Waiter,
+        tick: u64,
+        si: usize,
+        sensor: &SensorSnapshot,
+        bought: &mut bool,
+        theta: f64,
+    ) {
+        let q = &w.query;
+        let value = q.value_of_quality(theta);
+        let price = if *bought { 0.0 } else { sensor.cost };
+        if !*bought {
+            *bought = true;
+            self.welfare -= sensor.cost;
+        }
+        if price > 0.0 {
+            self.ledger.record(q.id, sensor.id, price);
+        }
+        self.welfare += value;
+        self.matched += 1;
+        self.quality_sum += value / q.max_value();
+        self.results[w.slot] = Some(PointResult {
+            id: q.id,
+            value,
+            paid: price,
+            quality: theta,
+            sensor: Some(si),
+        });
+        self.decisions[w.oneshot] = Some(tick.saturating_sub(self.arrival_ticks[w.oneshot]));
+    }
+}
+
+/// `sensors` with the ones `free` marks priced at 0: bought earlier in
+/// the slot, their data is buffered.
+fn priced_at_zero(sensors: &[SensorSnapshot], free: impl Fn(usize) -> bool) -> Vec<SensorSnapshot> {
+    sensors
+        .iter()
+        .enumerate()
+        .map(|(si, s)| SensorSnapshot {
+            cost: if free(si) { 0.0 } else { s.cost },
+            ..*s
+        })
+        .collect()
 }
 
 /// Splits `amount` back to the queries that paid for `sensor_id`,

@@ -23,6 +23,28 @@ use std::collections::BTreeMap;
 
 /// Baseline point scheduler (§4.3): execution on query arrival with data
 /// buffering within the slot.
+///
+/// With a [`SensorIndex`] over the snapshot slice, per query only the
+/// sensors in the `d_max` disk around its location are examined (the
+/// exact `in_range` set, ascending), so the schedule is identical with
+/// and without the index.
+///
+/// The candidate evaluation — disk query, Eq. 4 in-range filter and
+/// quality θ — shards across `threads`, per **distinct queried
+/// location** (θ depends only on the (sensor, location) pair, so
+/// same-location queries share one candidate list; the §4.3 grid
+/// workloads collide heavily, making this strictly less work than a
+/// per-query scan). Only the state-free part parallelizes: which sensor
+/// actually wins each query depends on what earlier queries bought
+/// (that *is* the baseline's §4.3 semantics), so the argmax pass
+/// consumes the precomputed candidates serially in query order,
+/// evaluating each query's Eq. 3 value from the shared θ. Candidates are
+/// kept in ascending sensor order, exactly like the serial scan, so the
+/// schedule is bit-identical for every thread count.
+///
+/// Sensors bought earlier in the slot by other queries (the §4.7 mix's
+/// aggregate stage) are passed in priced at 0: the scheduler then buys
+/// them free and lists them in `sensors_used` like any other purchase.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BaselinePointScheduler;
 
@@ -31,40 +53,18 @@ impl BaselinePointScheduler {
     pub fn new() -> Self {
         Self
     }
+}
 
-    /// Like [`PointScheduler::schedule_sharded`], but sensors already
-    /// marked in `selected` are free (bought earlier this slot, e.g. by
-    /// the baseline aggregate stage of the mix, §4.7). Newly bought
-    /// sensors are marked in `selected` on return.
-    ///
-    /// With a [`SensorIndex`] over the snapshot slice, per query only the
-    /// sensors in the `d_max` disk around its location are examined (the
-    /// exact `in_range` set, ascending), so the schedule is identical
-    /// with and without the index.
-    ///
-    /// The candidate evaluation — disk query, Eq. 4 in-range filter and
-    /// quality θ — shards across `threads`, per **distinct queried
-    /// location** (θ depends only on the (sensor, location) pair, so
-    /// same-location queries share one candidate list; the §4.3 grid
-    /// workloads collide heavily, making this strictly less work than a
-    /// per-query scan). Only the state-free part parallelizes: which
-    /// sensor actually wins each query depends on what earlier queries
-    /// bought (that *is* the baseline's §4.3 semantics), so the argmax
-    /// pass consumes the precomputed candidates serially in query
-    /// order, evaluating each query's Eq. 3 value from the shared θ.
-    /// Candidates are kept in ascending sensor order, exactly like the
-    /// serial scan, so the schedule is bit-identical for every thread
-    /// count.
-    pub fn schedule_with_preselected(
+impl PointScheduler for BaselinePointScheduler {
+    fn schedule_sharded(
         &self,
         queries: &[PointQuery],
         sensors: &[SensorSnapshot],
         quality: &QualityModel,
-        selected: &mut [bool],
         index: Option<&SensorIndex>,
         threads: Threads,
     ) -> PointAllocation {
-        assert_eq!(selected.len(), sensors.len());
+        let mut selected = vec![false; sensors.len()];
         // State-free phase, per distinct location: the in-range sensors
         // as (sensor, θ), ascending by sensor.
         let mut loc_of_query: Vec<usize> = Vec::with_capacity(queries.len());
@@ -179,20 +179,6 @@ impl BaselinePointScheduler {
             lp_bound: None,
             solve_status: None,
         }
-    }
-}
-
-impl PointScheduler for BaselinePointScheduler {
-    fn schedule_sharded(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        index: Option<&SensorIndex>,
-        threads: Threads,
-    ) -> PointAllocation {
-        let mut selected = vec![false; sensors.len()];
-        self.schedule_with_preselected(queries, sensors, quality, &mut selected, index, threads)
     }
 }
 
