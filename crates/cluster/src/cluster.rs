@@ -14,7 +14,7 @@ use ps_core::streaming::{ArrivalEvent, ArrivalPayload, StreamStats};
 use ps_core::valuation::quality::QualityModel;
 use ps_core::valuation::{SetValuation, SpatialSupport};
 use ps_geo::{Point, Rect, TileGrid};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Size of each shard's query-id block: shard `k` mints ids in
 /// `[k · 2⁴⁰, (k + 1) · 2⁴⁰)`, so ids stay globally unique without any
@@ -540,7 +540,7 @@ impl<'s> ShardedAggregator<'s> {
             // claim the pre-settlement payment. (Monitor-owned query ids
             // have no entry in the result lists; their refunds live only
             // in the ledger.)
-            apply_refunds_to_results(&mut rep, refunds);
+            rep.apply_refunds(&refunds);
 
             welfare += rep.welfare;
             breakdown.absorb(&rep.breakdown);
@@ -578,36 +578,6 @@ impl<'s> ShardedAggregator<'s> {
     }
 }
 
-/// Subtracts settlement refunds from the `paid` fields of the results
-/// they belong to. One id → result-slot map is built per report that
-/// actually has refunds, so settlement stays O(results + refunds) even
-/// on seam-heavy metro slots. Ids not present in any result list
-/// (monitor-generated queries, sharing contributors) are ledger-only
-/// and need no rewrite.
-fn apply_refunds_to_results(rep: &mut SlotReport, refunds: Vec<(QueryId, f64)>) {
-    if refunds.is_empty() {
-        return;
-    }
-    let mut slots: HashMap<QueryId, (u8, usize)> = HashMap::new();
-    for (i, r) in rep.point_results.iter().enumerate() {
-        slots.insert(r.id, (0, i));
-    }
-    for (i, r) in rep.aggregate_results.iter().enumerate() {
-        slots.insert(r.id, (1, i));
-    }
-    for (i, r) in rep.custom_results.iter().enumerate() {
-        slots.insert(r.id, (2, i));
-    }
-    for (qid, amount) in refunds {
-        match slots.get(&qid) {
-            Some(&(0, i)) => rep.point_results[i].paid -= amount,
-            Some(&(1, i)) => rep.aggregate_results[i].paid -= amount,
-            Some(&(2, i)) => rep.custom_results[i].paid -= amount,
-            _ => {}
-        }
-    }
-}
-
 // The cluster's whole reason to exist is stepping engines on worker
 // threads; if `Aggregator` ever stops being `Send`, fail loudly at
 // compile time rather than in a trait bound three layers up.
@@ -620,6 +590,7 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ps_core::aggregator::MixStrategy;
     use ps_geo::Rect;
 
     fn quality() -> QualityModel {
@@ -675,22 +646,65 @@ mod tests {
             point_spec(60.0, 60.0, 12.0),
             point_spec(7.0, 5.0, 9.0),
         ];
-        let mut plain = AggregatorBuilder::new(quality()).threads(1).build();
-        let mut cluster = ClusterBuilder::new(quality(), arena(), 1).build();
-        for spec in specs {
-            let a = plain.submit_point(spec);
-            let b = cluster.submit_point(spec);
-            assert_eq!(a, b, "1x1 cluster must mint the engine's ids");
+        // Two overlapping aggregates that both want sensor 0.
+        let aggregates = [
+            AggregateSpec {
+                region: Rect::new(0.0, 0.0, 10.0, 10.0),
+                budget: 50.0,
+                kind: ps_core::query::AggregateKind::Average,
+            },
+            AggregateSpec {
+                region: Rect::new(2.0, 2.0, 12.0, 12.0),
+                budget: 50.0,
+                kind: ps_core::query::AggregateKind::Average,
+            },
+        ];
+        for strategy in [
+            MixStrategy::Alg5,
+            MixStrategy::SequentialBaseline,
+            MixStrategy::OnlineAuction,
+        ] {
+            let mut plain = AggregatorBuilder::new(quality())
+                .strategy(strategy)
+                .threads(1)
+                .build();
+            let mut cluster = ClusterBuilder::new(quality(), arena(), 1)
+                .configure_shards(move |b| b.strategy(strategy))
+                .build();
+            for t in 0..2 {
+                for spec in specs {
+                    let a = plain.submit_point(spec);
+                    let b = cluster.submit_point(spec);
+                    assert_eq!(a, b, "{strategy:?}: 1x1 cluster must mint the engine's ids");
+                }
+                for spec in &aggregates {
+                    let a = plain.submit_aggregate(spec.clone());
+                    let b = cluster.submit_aggregate(spec.clone());
+                    assert_eq!(a, b, "{strategy:?}: 1x1 cluster must mint the engine's ids");
+                }
+                let a = plain.step(t, &sensors);
+                let b = cluster.step(t, &sensors);
+                assert_eq!(a.welfare, b.welfare, "{strategy:?}: welfare at slot {t}");
+                assert_eq!(a.sensors_used, b.sensors_used, "{strategy:?}");
+                assert_eq!(
+                    a.ledger.total_payments(),
+                    b.ledger.total_payments(),
+                    "{strategy:?}"
+                );
+                let paid = |r: &SlotReport| -> Vec<(QueryId, u64)> {
+                    let points = r.point_results.iter().map(|p| (p.id, p.paid.to_bits()));
+                    let sets = r.aggregate_results.iter().map(|a| (a.id, a.paid.to_bits()));
+                    points.chain(sets).collect()
+                };
+                assert_eq!(paid(&a), paid(&b), "{strategy:?}: per-query payments");
+                assert_eq!(a.streaming.is_some(), b.streaming.is_some(), "{strategy:?}");
+            }
+            assert_eq!(
+                cluster.total_settlement(),
+                Settlement::default(),
+                "{strategy:?}"
+            );
         }
-        for t in 0..2 {
-            let a = plain.step(t, &sensors);
-            let b = cluster.step(t, &sensors);
-            assert_eq!(a.welfare, b.welfare);
-            assert_eq!(a.sensors_used, b.sensors_used);
-            assert_eq!(a.ledger.total_payments(), b.ledger.total_payments());
-            assert_eq!(a.point_results.len(), b.point_results.len());
-        }
-        assert_eq!(cluster.total_settlement(), Settlement::default());
     }
 
     #[test]

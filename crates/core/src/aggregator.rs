@@ -1074,7 +1074,8 @@ impl<'s> Aggregator<'s> {
     /// sharing is on, lets it free-ride on `candidates` (sensors bought
     /// for other queries, Algorithm 3's `A_{r,t}`), charging its
     /// contribution and refunding the original payers (Algorithm 5's
-    /// payment adjustment). Returns the monitors' welfare delta.
+    /// payment adjustment) in the ledger and in their results' `paid`.
+    /// Adds the monitors' welfare delta to the report.
     ///
     /// `rm` pairs the per-monitor satisfied lists with the slot plans;
     /// `refund_src` pairs the per-query payment lists with their query
@@ -1086,11 +1087,12 @@ impl<'s> Aggregator<'s> {
         candidates: &[SensorSnapshot],
         rm: RegionSlotState<'_>,
         refund_src: RefundSource<'_>,
-        ledger: &mut Ledger,
-    ) -> f64 {
+        report: &mut SlotReport,
+    ) {
         let (rm_satisfied, rm_plans) = rm;
         let (per_query_payments, ids) = refund_src;
         let mut welfare = 0.0;
+        let mut refunds: Vec<(QueryId, f64)> = Vec::new();
         for (mi, m) in self.region_monitors.iter_mut().enumerate() {
             if !m.is_active(t) {
                 continue;
@@ -1112,19 +1114,18 @@ impl<'s> Aggregator<'s> {
                 // this sensor (`Ledger::strip_sensor`), the monitor's
                 // contribution is refunded along with the payers' net
                 // payments, keeping the merged ledger balanced per query.
-                ledger.charge_for(m.id, sensor_id, contribution);
-                refund_proportionally(
-                    ledger,
-                    per_query_payments,
-                    ids,
-                    sensors,
-                    sensor_id,
-                    contribution,
-                );
+                report.ledger.charge_for(m.id, sensor_id, contribution);
+                let shares =
+                    proportional_refunds(per_query_payments, ids, sensors, sensor_id, contribution);
+                for (qid, amount) in shares {
+                    report.ledger.refund_for(qid, sensor_id, amount);
+                    refunds.push((qid, amount));
+                }
             }
             welfare += m.value() - before;
         }
-        welfare
+        report.welfare += welfare;
+        report.apply_refunds(&refunds);
     }
 
     /// Algorithm 5 with joint Algorithm 1 selection over every query type.
@@ -1218,13 +1219,13 @@ impl<'s> Aggregator<'s> {
             .filter(|si| !prebought.contains(si))
             .map(|&si| sensors[si])
             .collect();
-        report.welfare += self.apply_region_sharing(
+        self.apply_region_sharing(
             t,
             sensors,
             &selected_snapshots,
             (&rm_satisfied, &rm_plans),
             (&selection.per_query_payments, &ids),
-            &mut report.ledger,
+            &mut report,
         );
         report.sensors_used = selection
             .selected
@@ -1507,7 +1508,7 @@ impl<'s> Aggregator<'s> {
                     id: ids[idx],
                     value: out.value,
                     paid: out.cost,
-                    sensors: out.newly_selected,
+                    sensors: out.sensors,
                 };
                 report.push_set_result(result, (idx < na).then(|| v.max_value()));
             }
@@ -1596,13 +1597,13 @@ impl<'s> Aggregator<'s> {
                 .collect()
         };
         let query_ids: Vec<QueryId> = queries.iter().map(|q| q.id).collect();
-        report.welfare += self.apply_region_sharing(
+        self.apply_region_sharing(
             t,
             sensors,
             &candidates,
             (&rm_satisfied, &rm_plans),
             (&per_query_payments, &query_ids),
-            &mut report.ledger,
+            &mut report,
         );
         report.sensors_used.extend(
             alloc
@@ -1634,6 +1635,36 @@ impl SlotReport {
             custom_results: Vec::new(),
             totals: Totals::default(),
             streaming: None,
+        }
+    }
+
+    /// Subtracts `refunds` (query, amount) from the `paid` fields of the
+    /// results they belong to, so each result keeps reporting its
+    /// query's ledger payment. Ids without a result (monitor-generated
+    /// queries, sharing contributors) live only in the ledger. The
+    /// id → result map is built only when there are refunds, so this
+    /// stays O(results + refunds).
+    pub fn apply_refunds(&mut self, refunds: &[(QueryId, f64)]) {
+        if refunds.is_empty() {
+            return;
+        }
+        let mut slots: HashMap<QueryId, (u8, usize)> = HashMap::new();
+        for (i, r) in self.point_results.iter().enumerate() {
+            slots.insert(r.id, (0, i));
+        }
+        for (i, r) in self.aggregate_results.iter().enumerate() {
+            slots.insert(r.id, (1, i));
+        }
+        for (i, r) in self.custom_results.iter().enumerate() {
+            slots.insert(r.id, (2, i));
+        }
+        for &(qid, amount) in refunds {
+            match slots.get(&qid) {
+                Some(&(0, i)) => self.point_results[i].paid -= amount,
+                Some(&(1, i)) => self.aggregate_results[i].paid -= amount,
+                Some(&(2, i)) => self.custom_results[i].paid -= amount,
+                _ => {}
+            }
         }
     }
 
@@ -1731,14 +1762,13 @@ fn priced_at_zero(sensors: &[SensorSnapshot], free: impl Fn(usize) -> bool) -> V
 /// Splits `amount` back to the queries that paid for `sensor_id`,
 /// proportionally to their payments. `ids[i]` is the query behind
 /// `per_query_payments[i]`.
-fn refund_proportionally(
-    ledger: &mut Ledger,
+fn proportional_refunds(
     per_query_payments: &[Vec<(usize, f64)>],
     ids: &[QueryId],
     sensors: &[SensorSnapshot],
     sensor_id: usize,
     amount: f64,
-) {
+) -> Vec<(QueryId, f64)> {
     let mut payers: Vec<(QueryId, f64)> = Vec::new();
     for (qi, pays) in per_query_payments.iter().enumerate() {
         for &(si, p) in pays {
@@ -1749,11 +1779,12 @@ fn refund_proportionally(
     }
     let total: f64 = payers.iter().map(|&(_, p)| p).sum();
     if total <= 1e-12 {
-        return;
+        return Vec::new();
     }
-    for (qid, p) in payers {
-        ledger.refund_for(qid, sensor_id, amount * p / total);
-    }
+    payers
+        .into_iter()
+        .map(|(qid, p)| (qid, amount * p / total))
+        .collect()
 }
 
 #[cfg(test)]

@@ -185,7 +185,10 @@ impl PointScheduler for BaselinePointScheduler {
 /// Outcome of the baseline multi-sensor execution for one query.
 #[derive(Debug, Clone)]
 pub struct BaselineSetOutcome {
-    /// Snapshot indices newly selected (and paid) for this query.
+    /// Snapshot indices of every sensor the query uses, in pick order.
+    pub sensors: Vec<usize>,
+    /// The picks no earlier query had bought: newly selected (and paid)
+    /// for this query, in pick order.
     pub newly_selected: Vec<usize>,
     /// Value achieved for the query.
     pub value: f64,
@@ -196,6 +199,8 @@ pub struct BaselineSetOutcome {
 /// Baseline multi-sensor execution (§4.4): greedily grow this query's own
 /// sensor set while utility improves, treating sensors in
 /// `already_selected` as free, then mark the new picks as selected.
+/// Free picks join the query's `sensors` but not its `newly_selected`,
+/// so no sensor is paid twice in one slot.
 ///
 /// With a [`SensorIndex`] over the snapshot slice, candidates come from
 /// the valuation's [`SetValuation::support`] region (then the exact
@@ -216,6 +221,7 @@ pub fn baseline_select_for_query(
         }
         _ => (0..sensors.len()).collect(),
     };
+    let mut picked = Vec::new();
     let mut newly_selected = Vec::new();
     let mut cost = 0.0;
     loop {
@@ -225,7 +231,7 @@ pub fn baseline_select_for_query(
             if !valuation.is_relevant(s) {
                 continue;
             }
-            if newly_selected.contains(&si) {
+            if picked.contains(&si) {
                 continue;
             }
             let marginal = valuation.marginal(s);
@@ -244,14 +250,16 @@ pub fn baseline_select_for_query(
                 if !already_selected[si] {
                     cost += sensors[si].cost;
                     already_selected[si] = true;
+                    newly_selected.push(si);
                 }
-                newly_selected.push(si);
+                picked.push(si);
             }
             None => break,
         }
     }
     BaselineSetOutcome {
         value: valuation.current_value(),
+        sensors: picked,
         newly_selected,
         cost,
     }
@@ -391,7 +399,11 @@ mod tests {
         }];
         let mut already = vec![true; 1]; // …but already bought by another query
         let out = baseline_select_for_query(&mut v, &sensors, &mut already, None);
-        assert_eq!(out.newly_selected, vec![0]);
+        assert_eq!(out.sensors, vec![0]);
+        assert!(
+            out.newly_selected.is_empty(),
+            "a free sensor is not bought again"
+        );
         assert_eq!(out.cost, 0.0);
         assert!(out.value > 0.0);
     }

@@ -1,13 +1,17 @@
 //! Property tests for the `Aggregator` engine: drive it for N random
 //! slots with mixed query intake and check the paper's §2.1 economic
-//! invariants on every slot, plus the Algorithm 5 vs sequential-baseline
+//! invariants on every slot — under every `MixStrategy` and every
+//! in-tree point scheduler — plus the Algorithm 5 vs sequential-baseline
 //! welfare ordering on identical seeded streams.
+
+mod common;
 
 use proptest::prelude::*;
 use ps_core::aggregator::{
     AggregateSpec, Aggregator, AggregatorBuilder, LocationMonitorSpec, MixStrategy, PointSpec,
     RegionMonitorSpec,
 };
+use ps_core::alloc::PointScheduler;
 use ps_core::model::SensorSnapshot;
 use ps_core::query::AggregateKind;
 use ps_core::valuation::monitoring::{MonitoringContext, MonitoringValuation};
@@ -69,7 +73,9 @@ fn submit_random_workload(
             theta_min: 0.2,
         });
     }
-    for _ in 0..rng.gen_range(0..2usize) {
+    // Up to two aggregates, which usually overlap: the second one can
+    // use sensors the first bought.
+    for _ in 0..rng.gen_range(0..3usize) {
         let w = rng.gen_range(5.0..15.0);
         let h = rng.gen_range(5.0..15.0);
         let x = rng.gen_range(0.0..(20.0 - w));
@@ -118,48 +124,115 @@ fn submit_random_workload(
     }
 }
 
+/// Drives one engine configuration through a random mixed stream and
+/// checks the ledger invariants on every slot.
+fn check_ledger_invariants(
+    label: &str,
+    strategy: MixStrategy,
+    scheduler: Option<&dyn PointScheduler>,
+    seed: u64,
+    slots: usize,
+) -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ctx = monitoring_ctx();
+    let mut builder = AggregatorBuilder::new(QualityModel::new(5.0))
+        .sensing_range(6.0)
+        .strategy(strategy);
+    if let Some(s) = scheduler {
+        builder = builder.scheduler(s);
+    }
+    let mut engine = builder.build();
+    for slot in 0..slots {
+        submit_random_workload(&mut engine, &mut rng, slot, &ctx, true);
+        let sensor_count = rng.gen_range(1..8usize);
+        let sensors = random_sensors(&mut rng, sensor_count);
+        let report = engine.step(slot, &sensors);
+
+        prop_assert!(
+            (report.ledger.total_receipts() - report.ledger.total_payments()).abs() < 1e-6,
+            "{} slot {} unbalanced: receipts {} payments {}",
+            label,
+            slot,
+            report.ledger.total_receipts(),
+            report.ledger.total_payments()
+        );
+        let cost_of = |id: usize| -> f64 {
+            sensors
+                .iter()
+                .find(|s| s.id == id)
+                .map(|s| s.cost)
+                .unwrap_or(0.0)
+        };
+        if let Err(e) = report.ledger.verify_cost_recovery(cost_of, 1e-6) {
+            return Err(TestCaseError::fail(format!("{label} slot {slot}: {e}")));
+        }
+        for r in &report.point_results {
+            prop_assert!(
+                r.paid <= r.value + 1e-9,
+                "{} IR violated: paid {} value {}",
+                label,
+                r.paid,
+                r.value
+            );
+        }
+        // Every answer reports what the ledger charged it.
+        let paid = report
+            .point_results
+            .iter()
+            .map(|r| (r.id, r.paid))
+            .chain(report.aggregate_results.iter().map(|r| (r.id, r.paid)))
+            .chain(report.custom_results.iter().map(|r| (r.id, r.paid)));
+        for (id, paid) in paid {
+            let charged = report.ledger.query_payment(id);
+            prop_assert!(
+                (paid - charged).abs() < 1e-9,
+                "{} slot {}: query {:?} reports paid {} but the ledger charged {}",
+                label,
+                slot,
+                id,
+                paid,
+                charged
+            );
+        }
+        // A sensor that measured is listed once, however many queries
+        // used it.
+        let mut used = report.sensors_used.clone();
+        used.sort_unstable();
+        used.dedup();
+        prop_assert_eq!(
+            used.len(),
+            report.sensors_used.len(),
+            "{} slot {}: repeated sensors_used entry in {:?}",
+            label,
+            slot,
+            &report.sensors_used
+        );
+        prop_assert!(report.welfare.is_finite());
+    }
+    // The cumulative ledger (sum of slot flows) stays balanced too.
+    prop_assert!(
+        (engine.ledger().total_receipts() - engine.ledger().total_payments()).abs() < 1e-6
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Every slot of a random mixed stream keeps the ledger budget-
     /// balanced (receipts == payments, refunds included) and
     /// cost-recovering (each paid sensor receives exactly its announced
-    /// cost), and never charges an answered point query more than its
-    /// value.
+    /// cost), never charges an answered point query more than its value,
+    /// reports each query's ledger payment as its `paid`, and lists each
+    /// measuring sensor once — for every `MixStrategy` and every in-tree
+    /// point scheduler.
     fn ledger_is_balanced_and_cost_recovering_every_slot(seed in 0u64..10_000, slots in 2usize..7) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ctx = monitoring_ctx();
-        let mut engine = AggregatorBuilder::new(QualityModel::new(5.0))
-            .sensing_range(6.0)
-            .build();
-        for slot in 0..slots {
-            submit_random_workload(&mut engine, &mut rng, slot, &ctx, true);
-            let sensor_count = rng.gen_range(1..8usize);
-            let sensors = random_sensors(&mut rng, sensor_count);
-            let report = engine.step(slot, &sensors);
-
-            prop_assert!(
-                (report.ledger.total_receipts() - report.ledger.total_payments()).abs() < 1e-6,
-                "slot {} unbalanced: receipts {} payments {}",
-                slot,
-                report.ledger.total_receipts(),
-                report.ledger.total_payments()
-            );
-            let cost_of = |id: usize| -> f64 {
-                sensors.iter().find(|s| s.id == id).map(|s| s.cost).unwrap_or(0.0)
-            };
-            if let Err(e) = report.ledger.verify_cost_recovery(cost_of, 1e-6) {
-                return Err(TestCaseError::fail(format!("slot {slot}: {e}")));
-            }
-            for r in &report.point_results {
-                prop_assert!(r.paid <= r.value + 1e-9, "IR violated: paid {} value {}", r.paid, r.value);
-            }
-            prop_assert!(report.welfare.is_finite());
+        for strategy in [MixStrategy::Alg5, MixStrategy::SequentialBaseline, MixStrategy::OnlineAuction] {
+            check_ledger_invariants(&format!("{strategy:?}"), strategy, None, seed, slots)?;
         }
-        // The cumulative ledger (sum of slot flows) stays balanced too.
-        prop_assert!(
-            (engine.ledger().total_receipts() - engine.ledger().total_payments()).abs() < 1e-6
-        );
+        for (label, scheduler) in common::all_schedulers() {
+            check_ledger_invariants(label, MixStrategy::Alg5, Some(&*scheduler), seed, slots)?;
+        }
     }
 
     /// On an identical seeded stream, the Algorithm 5 engine's cumulative

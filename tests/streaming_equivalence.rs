@@ -4,9 +4,8 @@
 //! * A stream whose events all carry tick 0 in submission order (queries
 //!   first, then the slot's sensor announcement — exactly what "every
 //!   arrival at the slot boundary" means) must be **bit-identical** to
-//!   the batch `step`, for both `MixStrategy::Alg5` and
-//!   `MixStrategy::OnlineAuction`, at threads ∈ {1, 2, 7} and federation
-//!   grids {1×1, 2×2}.
+//!   the batch `step`, for every `MixStrategy` and for a configured point
+//!   scheduler, at threads ∈ {1, 2, 7} and federation grids {1×1, 2×2}.
 //! * Queries the admission controller defers or rejects pay nothing —
 //!   they never reach an engine — and the money that *does* flow stays
 //!   budget-balanced (payments = receipts) and cost-recovering (every
@@ -15,6 +14,7 @@
 use proptest::prelude::*;
 use ps_cluster::{ClusterBuilder, SlotEngine};
 use ps_core::aggregator::{AggregatorBuilder, MixStrategy, SlotReport};
+use ps_core::alloc::local_search::LocalSearchScheduler;
 use ps_core::streaming::{ArrivalEvent, ArrivalPayload};
 use ps_core::valuation::quality::QualityModel;
 use ps_geo::Rect;
@@ -130,18 +130,44 @@ fn assert_reports_identical(a: &SlotReport, b: &SlotReport, label: &str) {
     );
 }
 
+/// One engine configuration under test: a strategy, optionally with a
+/// configured point scheduler (which takes precedence over it).
+#[derive(Debug, Clone, Copy)]
+struct Config {
+    strategy: MixStrategy,
+    scheduled: bool,
+}
+
+impl Config {
+    fn strategy(strategy: MixStrategy) -> Self {
+        Config {
+            strategy,
+            scheduled: false,
+        }
+    }
+
+    fn apply(self, b: AggregatorBuilder<'static>) -> AggregatorBuilder<'static> {
+        let b = b.strategy(self.strategy);
+        if self.scheduled {
+            b.scheduler(LocalSearchScheduler::new())
+        } else {
+            b
+        }
+    }
+}
+
 /// Builds the engine under test: a plain aggregator when `grid == 1`
 /// (with the worker knob), a `grid × grid` federation otherwise.
 fn build_engine(
-    strategy: MixStrategy,
+    config: Config,
     threads: usize,
     grid: usize,
     arena: Rect,
 ) -> Box<dyn SlotEngine + 'static> {
     if grid <= 1 {
         Box::new(
-            AggregatorBuilder::new(QualityModel::new(5.0))
-                .strategy(strategy)
+            config
+                .apply(AggregatorBuilder::new(QualityModel::new(5.0)))
                 .threads(threads)
                 .build(),
         )
@@ -149,7 +175,7 @@ fn build_engine(
         Box::new(
             ClusterBuilder::new(QualityModel::new(5.0), arena, grid)
                 .threads(threads)
-                .configure_shards(move |b| b.strategy(strategy))
+                .configure_shards(move |b| config.apply(b))
                 .build(),
         )
     }
@@ -158,14 +184,14 @@ fn build_engine(
 /// Runs the batch leg, recording each slot's event list so the
 /// streaming leg replays the *identical* input.
 fn run_batch(
-    strategy: MixStrategy,
+    config: Config,
     threads: usize,
     grid: usize,
     profile: &StandingMixProfile,
     seed: u64,
     slots: usize,
 ) -> (Vec<Vec<ArrivalEvent>>, Vec<SlotReport>) {
-    let mut engine = build_engine(strategy, threads, grid, profile.arena);
+    let mut engine = build_engine(config, threads, grid, profile.arena);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut streams = Vec::with_capacity(slots);
     let mut reports = Vec::with_capacity(slots);
@@ -184,16 +210,16 @@ fn run_batch(
 }
 
 fn assert_streaming_matches_batch(
-    strategy: MixStrategy,
+    config: Config,
     threads: usize,
     grid: usize,
     seed: u64,
     slots: usize,
 ) {
     let profile = small_profile();
-    let label = format!("{strategy:?} threads={threads} grid={grid}x{grid}");
-    let (streams, batch_reports) = run_batch(strategy, threads, grid, &profile, seed, slots);
-    let mut engine = build_engine(strategy, threads, grid, profile.arena);
+    let label = format!("{config:?} threads={threads} grid={grid}x{grid}");
+    let (streams, batch_reports) = run_batch(config, threads, grid, &profile, seed, slots);
+    let mut engine = build_engine(config, threads, grid, profile.arena);
     for (t, events) in streams.iter().enumerate() {
         let report = engine.step_streaming(t, events);
         assert!(
@@ -208,15 +234,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// The tentpole contract: an all-arrivals-at-slot-start stream is
-    /// bit-identical to the batch `step` — for the batch strategy *and*
-    /// the online auction, across the threads grid and the federation.
+    /// bit-identical to the batch `step` — for every strategy and for a
+    /// configured scheduler, across the threads grid and the federation.
     fn tick0_streaming_is_bit_identical_to_batch(seed in 0u64..10_000, slots in 2usize..4) {
-        for strategy in [MixStrategy::Alg5, MixStrategy::OnlineAuction] {
+        let configs = [
+            Config::strategy(MixStrategy::Alg5),
+            Config::strategy(MixStrategy::SequentialBaseline),
+            Config::strategy(MixStrategy::OnlineAuction),
+            Config { strategy: MixStrategy::Alg5, scheduled: true },
+        ];
+        for config in configs {
             for threads in [1usize, 2, 7] {
-                assert_streaming_matches_batch(strategy, threads, 1, seed, slots);
+                assert_streaming_matches_batch(config, threads, 1, seed, slots);
             }
             for grid in [1usize, 2] {
-                assert_streaming_matches_batch(strategy, 0, grid, seed, slots);
+                assert_streaming_matches_batch(config, 0, grid, seed, slots);
             }
         }
     }
@@ -332,9 +364,10 @@ proptest! {
 #[test]
 fn retirement_matches_across_entry_points() {
     let profile = small_profile();
-    let (streams, _) = run_batch(MixStrategy::OnlineAuction, 1, 1, &profile, 99, 3);
+    let online = Config::strategy(MixStrategy::OnlineAuction);
+    let (streams, _) = run_batch(online, 1, 1, &profile, 99, 3);
     let run = |use_streaming: bool| {
-        let mut engine = build_engine(MixStrategy::OnlineAuction, 1, 1, profile.arena);
+        let mut engine = build_engine(online, 1, 1, profile.arena);
         for (t, events) in streams.iter().enumerate() {
             if use_streaming {
                 engine.step_streaming(t, events);
