@@ -34,7 +34,9 @@ pub trait SlotEngine {
     /// Submits a region-monitoring query (active `[t1, t2]`).
     fn submit_region_monitor(&mut self, spec: RegionMonitorSpec) -> QueryId;
 
-    /// Executes one time slot against the announced sensors.
+    /// Executes one time slot against the announced sensors. The report
+    /// carries no decision latencies ([`SlotReport::streaming`] is
+    /// `None`), whatever the strategy.
     fn step(&mut self, slot: Slot, sensors: &[SensorSnapshot]) -> SlotReport;
 
     /// Executes one time slot against a stream of intra-slot arrival

@@ -24,11 +24,15 @@
 //! | [`AggregatorBuilder::spatial_index`] | per-slot [`SensorIndex`] over the announcement (scaling only — selections are identical with and without it) |
 //! | [`AggregatorBuilder::threads`] | worker count for the parallel evaluate phases (scaling only — output is bit-identical for every count) |
 //!
-//! With no dedicated scheduler, point queries of every origin are fed
+//! A batch slot takes one of two paths. Under [`MixStrategy::Alg5`] with
+//! no dedicated scheduler, point queries of every origin are fed
 //! *jointly* with the aggregates to Algorithm 1 (the full Algorithm 5
-//! mix). With a scheduler, point queries go through it instead — this is
-//! how the monitoring experiments (§4.5, §4.6) compare `Alg2-O`,
-//! `Alg2-LS`, and the desired-times-only baseline.
+//! mix). Every other batch configuration takes the *staged* path: the
+//! set-valued queries first, then the whole point workload through one
+//! [`PointScheduler`] — the configured one, or the §4.7 baseline's
+//! [`BaselinePointScheduler`]. This is how the monitoring experiments
+//! (§4.5, §4.6) compare `Alg2-O`, `Alg2-LS`, and the desired-times-only
+//! baseline, and how §4.7 runs its sequential baseline.
 //!
 //! # The slot pipeline: gather → evaluate ∥ → select → settle
 //!
@@ -1264,7 +1268,8 @@ impl<'s> Aggregator<'s> {
             |p: Point| -> (i64, i64) { ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64) };
 
         // The announced sensors and their bought flags stay plain locals:
-        // the arrival loops below are sensitive to how they are laid out.
+        // kept inside `OnlineOutcome`, they made perfbench's city_online
+        // slot 1.8× slower.
         let mut sensors: Vec<SensorSnapshot> = Vec::new();
         let mut bought: Vec<bool> = Vec::new();
         let mut grid: HashMap<(i64, i64), Vec<usize>> = HashMap::new();

@@ -268,3 +268,13 @@ proptest! {
         );
     }
 }
+
+/// A pinned stream on which a region monitor free-rides, in slot 2, on a
+/// sensor a one-shot query paid for: Algorithm 5's refund to that query
+/// must show in its result's `paid`, not only in the ledger.
+#[test]
+fn sharing_refunds_reach_the_results() {
+    if let Err(e) = check_ledger_invariants("Alg5", MixStrategy::Alg5, None, 7481, 4) {
+        panic!("{e}");
+    }
+}
