@@ -1,71 +1,50 @@
 //! Aggregator engine throughput, the spatial-index scaling story, the
 //! threads×scale parallel-pipeline grid, the shards×scale federation
-//! grid, and the streaming-intake latency/welfare part.
+//! grid, the streaming-intake latency/welfare part, and the solver grid.
 //!
-//! Six parts:
+//! The bench is one table of **engine groups** (`groups`). A group is one
+//! standing workload (`StandingMixProfile`) driven through a few engines
+//! in lockstep (`measure`); in every grid but `paper` and `solver` the
+//! first engine is the reference the others are checked against:
 //!
-//! 1. **Standing workload** (criterion group `slot_engine`): one
-//!    long-running `Aggregator` serves a steady stream — point and
-//!    aggregate queries every slot plus a rolling monitor population —
-//!    and each bench iteration is exactly one `step`.
-//! 2. **Indexed vs brute force** (`slot_engine_scaling`): the same
-//!    city-style mixed standing workload driven through two engines that
-//!    differ only in the `spatial_index` builder knob, at 100 / 1 000 /
-//!    10 000 sensors.
-//! 3. **Threads×scale grid** (`slot_engine_threads`): the city and metro
-//!    standing workloads driven through engines that differ only in the
-//!    `threads` builder knob (1 / 2 / 4). Per-slot medians and speedups
-//!    vs the single-thread run are recorded, and the welfare trajectory
-//!    of every thread count is asserted **bit-identical** to threads=1
-//!    (the determinism contract of `ps_core::exec`).
-//! 4. **Shards×scale grid** (`slot_engine_shards`): the same city and
-//!    metro workloads driven through the `ps_cluster` federation at tile
-//!    grids 1×1 and 2×2. Per-slot medians, the measured **welfare gap**
-//!    of the partitioned greedy vs the 1-shard engine (cross-tile
-//!    workloads are where federation is *not* exact), and a
-//!    `tile_local_identical` flag from an explicit tile-local
-//!    micro-workload identity check run once per tile grid (the
-//!    `ps_cluster` exactness contract; the check is scale-independent,
-//!    so its verdict is shared by that grid's scale rows).
-//! 5. **Streaming intake** (`slot_engine_streaming`): the city and metro
-//!    standing workloads as bursty timestamped event streams
-//!    (`StandingMixProfile::slot_events`) driven through the
-//!    `MixStrategy::OnlineAuction` engine via `step_streaming`. Records
-//!    per-slot step time, p50/p99 per-query decision latency in ticks,
-//!    the fraction of point queries matched mid-slot, and the welfare
-//!    gap against a batch Alg5 engine fed the *identical* event stream.
-//! 6. **Solver grid** (`slot_engine_solver`): the city standing workload
-//!    driven through dedicated point schedulers — `Optimal` (the
-//!    `ps_solver` branch-and-bound under its default node/pivot limits),
-//!    Local Search, and greedy, the two heuristics wrapped in
-//!    `WithLpBound` so every row carries an LP-relaxation certificate.
-//!    Records ms/slot, the summed Eq. 9 point welfare, the summed LP
-//!    bound, the certified `optimality_gap`, and how many slots hit a
-//!    solver limit — so "Optimal is viable at city scale" is a measured
-//!    claim with a gap attached, not a hope.
+//! | Grid | Engines per group | Aborts unless |
+//! |---|---|---|
+//! | `paper` | the plain engine at the paper's 80-sensor population, two query intensities (printed only) | — |
+//! | `scaling` | brute force, indexed — per sensor tier | welfare trajectories bit-identical |
+//! | `threads` | 1 / 2 / 4 workers — per scale (city, metro) | welfare trajectories bit-identical to threads=1 |
+//! | `shards` | 1×1 / 2×2 `ps_cluster` federations — per scale | a tile-local workload is answered as by the plain engine |
+//! | `streaming` | batch Alg5, the online auction — both through `step_streaming` on the bursty stream, per scale | p99 decision latency ≤ one slot |
+//! | `solver` | `Optimal` (default node/pivot limits), Local Search, greedy — the heuristics wrapped in `WithLpBound` — at city scale | LP-bounded slots exist, welfare ≤ bound, gap in [0, 1] |
+//!
+//! Each row reports the median time of one `step` / `step_streaming`
+//! call over the measured slots; workload generation is never timed. The
+//! shards row adds the welfare gap of the partitioned greedy vs the 1×1
+//! federation, the streaming row the decision-latency percentiles, the
+//! matched-at-arrival fraction and the welfare gap vs batch Alg5 on the
+//! identical stream, the solver row the summed Eq. 9 point welfare, LP
+//! bound, certified `optimality_gap` and solver-limit strikes.
 //!
 //! All results are printed and written as machine-readable JSON to
 //! `BENCH_slot_engine.json` at the repo root (override the path with
 //! `BENCH_JSON_PATH`); `docs/PERFORMANCE.md` documents the schema.
 //!
 //! `SLOT_ENGINE_SMOKE=1` shrinks the scaling tiers, the threads grid
-//! (threads 1 and 2 on a small profile), and the slot counts so CI can
-//! execute the whole pipeline end to end in seconds; the emitted JSON
-//! then carries `"mode": "smoke"`, is *not* meant to be committed, and
-//! defaults to a temp-dir path so it cannot clobber the committed file.
-//! The committed file must come from a full run:
+//! (threads 1 and 2), every scale to one small profile, and the slot
+//! counts so CI can execute the whole pipeline end to end in seconds;
+//! the emitted JSON then carries `"mode": "smoke"`, is *not* meant to be
+//! committed, and defaults to a temp-dir path so it cannot clobber the
+//! committed file. The committed file must come from a full run:
 //!
 //! ```text
 //! cargo bench -p ps-bench --bench slot_engine
 //! ```
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
 use ps_cluster::{ClusterBuilder, SlotEngine};
-use ps_core::aggregator::{AggregatorBuilder, MixBreakdown, PointSpec};
+use ps_core::aggregator::{AggregatorBuilder, MixBreakdown, MixStrategy, PointSpec};
 use ps_core::alloc::local_search::LocalSearchScheduler;
 use ps_core::alloc::optimal::{GreedyPointScheduler, OptimalScheduler, WithLpBound};
-use ps_core::alloc::PointScheduler;
 use ps_core::model::SensorSnapshot;
+use ps_core::streaming::StreamStats;
 use ps_core::valuation::monitoring::MonitoringContext;
 use ps_core::valuation::quality::QualityModel;
 use ps_geo::{Point, Rect, TileGrid};
@@ -76,7 +55,6 @@ use ps_stats::regression::DiurnalBasis;
 use ps_stats::TimeSeries;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -94,15 +72,22 @@ const FULL_MEASURED_SLOTS: usize = 5;
 const FULL_WARMUP_SLOTS: usize = 2;
 /// Worker counts measured by the threads×scale grid in full mode.
 const FULL_THREADS_GRID: [usize; 3] = [1, 2, 4];
-/// Tile-grid sides measured by the shards×scale grid in full mode
-/// (1 = the plain engine, 2 = a 2×2 federation of 4 shards).
+/// Tile-grid sides measured by the shards×scale grid (1 = one shard,
+/// 2 = a 2×2 federation of 4 shards).
 const FULL_SHARDS_GRID: [usize; 2] = [1, 2];
+/// Point schedulers of the solver grid, in row order.
+const SOLVER_SCHEDULERS: [&str; 3] = ["optimal", "local_search", "greedy"];
 /// Event-time resolution of the streaming part (`ps_core`'s default).
 const STREAMING_TICKS_PER_SLOT: u64 = ps_core::aggregator::DEFAULT_TICKS_PER_SLOT;
 /// Burst cadence/height applied to the streaming scales that do not
 /// already carry one (`StandingMixProfile::metro`'s shape).
 const STREAMING_BURST_PERIOD: usize = 4;
 const STREAMING_BURST_FACTOR: f64 = 1.5;
+/// The paper canary's (points, aggregates, standing location monitors)
+/// per slot, at the paper's 80-sensor population on its 40×40 arena.
+const PAPER_INTENSITIES: [(usize, usize, usize); 2] = [(30, 3, 10), (120, 8, 30)];
+/// Slots that warm the paper canary into a steady monitor population.
+const PAPER_WARMUP_SLOTS: usize = 3;
 
 fn monitoring_ctx() -> Arc<MonitoringContext> {
     let times: Vec<f64> = (0..200).map(|i| i as f64 - 200.0).collect();
@@ -139,280 +124,274 @@ fn tier_profile(sensors: usize) -> StandingMixProfile {
     profile
 }
 
-/// One slot of standing workload: refresh one-shot queries, top the
-/// monitor populations back up, announce sensors, step. Returns the
-/// slot's welfare and the time spent inside `step`.
-fn drive_slot<E: SlotEngine + ?Sized>(
-    engine: &mut E,
-    profile: &StandingMixProfile,
-    rng: &mut StdRng,
-    ctx: &Arc<MonitoringContext>,
-    kernel: &SquaredExponential,
-    slot: usize,
-) -> (f64, Duration) {
-    profile.submit_slot(rng, slot, engine, ctx, kernel);
-    let sensors = profile.sensors(rng);
-    let start = Instant::now();
-    let report = engine.step(slot, &sensors);
-    let elapsed = start.elapsed();
-    engine.clear_retired();
-    (report.welfare, elapsed)
+/// The bench's parts; every one but `Paper` is a section of the JSON file.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Grid {
+    Paper,
+    Scaling,
+    Threads,
+    Shards,
+    Streaming,
+    Solver,
 }
 
-// ── Part 1: standing-workload throughput ─────────────────────────────
+impl Grid {
+    /// The JSON file's sections, in file order.
+    const SECTIONS: [Grid; 5] = [
+        Grid::Scaling,
+        Grid::Threads,
+        Grid::Shards,
+        Grid::Streaming,
+        Grid::Solver,
+    ];
 
-fn bench(c: &mut Criterion) {
-    let ctx = monitoring_ctx();
-    let kernel = SquaredExponential::new(2.0, 2.0);
-    let mut group = c.benchmark_group("slot_engine");
-    group.sample_size(10);
-    // (points, aggregates, standing location monitors) per slot at the
-    // paper's 80-sensor population on its 40×40 arena.
-    for &(points, aggregates, monitors) in &[(30usize, 3usize, 10usize), (120, 8, 30)] {
-        group.bench_function(
-            BenchmarkId::new("step", format!("{points}p_{aggregates}a_{monitors}m")),
-            |b| {
-                let mut profile = tier_profile(80);
-                profile.arena = ps_geo::Rect::with_size(40.0, 40.0);
-                profile.points_per_slot = points;
-                profile.aggregates_mean = aggregates;
-                profile.location_monitors = monitors;
-                profile.region_monitors = 0;
-                let mut engine = AggregatorBuilder::new(QualityModel::new(5.0)).build();
-                let mut rng = StdRng::seed_from_u64(SEED);
-                let mut slot = 0usize;
-                // Warm the engine into a steady monitor population.
-                for _ in 0..3 {
-                    drive_slot(&mut engine, &profile, &mut rng, &ctx, &kernel, slot);
-                    slot += 1;
-                }
-                b.iter(|| {
-                    let (welfare, _) =
-                        drive_slot(&mut engine, &profile, &mut rng, &ctx, &kernel, slot);
-                    slot += 1;
-                    black_box(welfare)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench);
-
-// ── Part 2: indexed vs brute force across sensor tiers ───────────────
-
-struct TierResult {
-    sensors: usize,
-    standing_queries: usize,
-    indexed_ms: f64,
-    brute_ms: f64,
-    speedup: f64,
-    welfare_match: bool,
-}
-
-fn median_ms(mut samples: Vec<Duration>) -> f64 {
-    samples.sort();
-    samples[samples.len() / 2].as_secs_f64() * 1e3
-}
-
-/// Runs the tier's workload through one engine; returns per-slot times
-/// and the exact welfare trajectory.
-fn run_engine(
-    profile: &StandingMixProfile,
-    spatial_index: bool,
-    warmup: usize,
-    measured: usize,
-    ctx: &Arc<MonitoringContext>,
-    kernel: &SquaredExponential,
-) -> (Vec<Duration>, Vec<f64>) {
-    let mut engine = AggregatorBuilder::new(QualityModel::new(5.0))
-        .spatial_index(spatial_index)
-        .build();
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let mut times = Vec::with_capacity(measured);
-    let mut welfares = Vec::with_capacity(warmup + measured);
-    for slot in 0..warmup + measured {
-        let (welfare, elapsed) = drive_slot(&mut engine, profile, &mut rng, ctx, kernel, slot);
-        welfares.push(welfare);
-        if slot >= warmup {
-            times.push(elapsed);
+    fn name(self) -> &'static str {
+        match self {
+            Grid::Paper => "paper",
+            Grid::Scaling => "scaling",
+            Grid::Threads => "threads",
+            Grid::Shards => "shards",
+            Grid::Streaming => "streaming",
+            Grid::Solver => "solver",
         }
     }
-    (times, welfares)
-}
 
-fn run_tier(
-    sensors: usize,
-    warmup: usize,
-    measured: usize,
-    ctx: &Arc<MonitoringContext>,
-    kernel: &SquaredExponential,
-) -> TierResult {
-    let profile = tier_profile(sensors);
-    let (indexed_times, indexed_welfare) =
-        run_engine(&profile, true, warmup, measured, ctx, kernel);
-    let (brute_times, brute_welfare) = run_engine(&profile, false, warmup, measured, ctx, kernel);
-    let indexed_ms = median_ms(indexed_times);
-    let brute_ms = median_ms(brute_times);
-    TierResult {
-        sensors,
-        standing_queries: profile.standing_queries(),
-        indexed_ms,
-        brute_ms,
-        speedup: brute_ms / indexed_ms,
-        // Bit-exact: the index must not change a single selection.
-        welfare_match: indexed_welfare == brute_welfare,
-    }
-}
-
-// ── Part 3: threads×scale grid ───────────────────────────────────────
-
-/// One (scale, threads) cell of the parallel-pipeline grid.
-struct ThreadsResult {
-    scale: &'static str,
-    sensors: usize,
-    standing_queries: usize,
-    threads: usize,
-    ms_per_slot: f64,
-    speedup_vs_1: f64,
-    identical_to_1: bool,
-}
-
-/// Runs one profile through an engine with the given worker count;
-/// returns per-slot times and the exact welfare trajectory.
-fn run_engine_threads(
-    profile: &StandingMixProfile,
-    threads: usize,
-    warmup: usize,
-    measured: usize,
-    ctx: &Arc<MonitoringContext>,
-    kernel: &SquaredExponential,
-) -> (Vec<Duration>, Vec<f64>) {
-    let mut engine = AggregatorBuilder::new(QualityModel::new(5.0))
-        .threads(threads)
-        .build();
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let mut times = Vec::with_capacity(measured);
-    let mut welfares = Vec::with_capacity(warmup + measured);
-    for slot in 0..warmup + measured {
-        let (welfare, elapsed) = drive_slot(&mut engine, profile, &mut rng, ctx, kernel, slot);
-        welfares.push(welfare);
-        if slot >= warmup {
-            times.push(elapsed);
+    /// The JSON section's key (the scaling tiers predate the other grids
+    /// and kept the name `results`).
+    fn section(self) -> &'static str {
+        match self {
+            Grid::Scaling => "results",
+            grid => grid.name(),
         }
     }
-    (times, welfares)
 }
 
-fn threads_grid(smoke: bool) -> Vec<ThreadsResult> {
-    let (scales, thread_counts, warmup, measured): (
-        Vec<(&'static str, StandingMixProfile)>,
-        Vec<usize>,
-        usize,
-        usize,
-    ) = if smoke {
-        (vec![("smoke", tier_profile(500))], vec![1, 2], 1, 2)
+/// One engine configuration of a group.
+#[derive(Debug, Clone, Copy)]
+enum Engine {
+    /// The plain `Aggregator` with `threads` workers (0 = auto) and the
+    /// `spatial_index` knob.
+    Plain { threads: usize, index: bool },
+    /// A `g × g` `ps_cluster` federation of single-threaded shard engines.
+    /// Every shards cell — g = 1 included — is one, so the grid isolates
+    /// the sharding axis from the `threads` knob (the 1×1 cluster is
+    /// bit-identical to the plain engine by the `ps_cluster` contract).
+    Cluster { g: usize },
+    /// Driven through `step_streaming`: the online double auction, or
+    /// batch Alg5 clearing the same stream at the slot boundary.
+    Stream { online: bool },
+    /// Point queries through a dedicated scheduler (`SOLVER_SCHEDULERS`).
+    Scheduler(&'static str),
+}
+
+impl Engine {
+    fn build(self, arena: Rect) -> Box<dyn SlotEngine> {
+        let quality = QualityModel::new(5.0);
+        let builder = AggregatorBuilder::new(quality);
+        let builder = match self {
+            Engine::Cluster { g } => {
+                return Box::new(ClusterBuilder::new(quality, arena, g).build())
+            }
+            Engine::Plain { threads, index } => builder.threads(threads).spatial_index(index),
+            Engine::Stream { online: true } => builder.strategy(MixStrategy::OnlineAuction),
+            Engine::Stream { online: false } => builder,
+            // The claim is "Optimal completes a city slot under its
+            // *default* node/pivot limits": no tuned budgets, no deadline.
+            Engine::Scheduler("optimal") => builder.scheduler(OptimalScheduler::new()),
+            Engine::Scheduler("local_search") => {
+                builder.scheduler(WithLpBound::new(LocalSearchScheduler::new()))
+            }
+            Engine::Scheduler("greedy") => {
+                builder.scheduler(WithLpBound::new(GreedyPointScheduler))
+            }
+            Engine::Scheduler(other) => panic!("unknown solver-grid scheduler {other}"),
+        };
+        Box::new(builder.build())
+    }
+}
+
+/// One standing workload driven through `engines` in lockstep.
+struct Group {
+    grid: Grid,
+    /// The rows' `scale`: "city", "metro", "smoke", a tier's sensor count
+    /// or a paper intensity.
+    scale: String,
+    profile: StandingMixProfile,
+    engines: Vec<Engine>,
+    warmup: usize,
+    measured: usize,
+}
+
+/// The bench's engine groups, in run order.
+fn groups(smoke: bool) -> Vec<Group> {
+    let (warmup, measured) = if smoke {
+        (1, 2)
+    } else {
+        (FULL_WARMUP_SLOTS, FULL_MEASURED_SLOTS)
+    };
+    let (tiers, thread_counts, scales): (&[usize], &[usize], _) = if smoke {
+        (&[100, 500], &[1, 2], vec![("smoke", tier_profile(500))])
     } else {
         (
+            &FULL_TIERS,
+            &FULL_THREADS_GRID,
             vec![
                 ("city", StandingMixProfile::from_scale(&Scale::city())),
                 ("metro", StandingMixProfile::metro()),
             ],
-            FULL_THREADS_GRID.to_vec(),
-            FULL_WARMUP_SLOTS,
-            FULL_MEASURED_SLOTS,
         )
     };
-    let ctx = monitoring_ctx();
-    let kernel = SquaredExponential::new(2.0, 2.0);
-    let mut results = Vec::new();
+    let group = |grid, scale: &str, profile: &StandingMixProfile, engines: &[Engine]| Group {
+        grid,
+        scale: scale.to_string(),
+        profile: profile.clone(),
+        engines: engines.to_vec(),
+        warmup,
+        measured,
+    };
+    let mut groups = Vec::new();
+    for (points, aggregates, monitors) in PAPER_INTENSITIES {
+        let mut profile = tier_profile(80);
+        profile.arena = Rect::with_size(40.0, 40.0);
+        profile.points_per_slot = points;
+        profile.aggregates_mean = aggregates;
+        profile.location_monitors = monitors;
+        profile.region_monitors = 0;
+        let scale = format!("{points}p_{aggregates}a_{monitors}m");
+        let engines = [Engine::Plain {
+            threads: 0,
+            index: true,
+        }];
+        groups.push(Group {
+            warmup: PAPER_WARMUP_SLOTS,
+            ..group(Grid::Paper, &scale, &profile, &engines)
+        });
+    }
+    for &sensors in tiers {
+        let engines = [false, true].map(|index| Engine::Plain { threads: 0, index });
+        let (scale, profile) = (sensors.to_string(), tier_profile(sensors));
+        groups.push(group(Grid::Scaling, &scale, &profile, &engines));
+    }
     for (name, profile) in &scales {
-        let mut baseline_ms = f64::NAN;
-        let mut baseline_welfare: Vec<f64> = Vec::new();
-        for &threads in &thread_counts {
-            let (times, welfares) =
-                run_engine_threads(profile, threads, warmup, measured, &ctx, &kernel);
-            let ms = median_ms(times);
-            let (speedup, identical) = if threads == 1 {
-                baseline_ms = ms;
-                baseline_welfare = welfares;
-                (1.0, true)
-            } else {
-                (baseline_ms / ms, welfares == baseline_welfare)
-            };
-            println!(
-                "slot_engine_threads/{name:>5} ({} sensors, {} standing queries)  \
-                 threads={threads}  {ms:>9.3} ms/slot  speedup {speedup:>5.2}x  identical={identical}",
-                profile.sensors,
-                profile.standing_queries(),
-            );
-            assert!(
-                identical,
-                "threads={threads} diverged from threads=1 on the {name} scenario"
-            );
-            results.push(ThreadsResult {
-                scale: name,
-                sensors: profile.sensors,
-                standing_queries: profile.standing_queries(),
+        let engines: Vec<Engine> = thread_counts
+            .iter()
+            .map(|&threads| Engine::Plain {
                 threads,
-                ms_per_slot: ms,
-                speedup_vs_1: speedup,
-                identical_to_1: identical,
-            });
-        }
+                index: true,
+            })
+            .collect();
+        groups.push(group(Grid::Threads, name, profile, &engines));
     }
-    results
+    for (name, profile) in &scales {
+        let engines = FULL_SHARDS_GRID.map(|g| Engine::Cluster { g });
+        groups.push(group(Grid::Shards, name, profile, &engines));
+    }
+    for (name, profile) in &scales {
+        let mut profile = profile.clone();
+        if profile.burst_period == 0 {
+            profile.burst_period = STREAMING_BURST_PERIOD;
+            profile.burst_factor = STREAMING_BURST_FACTOR;
+        }
+        let engines = [false, true].map(|online| Engine::Stream { online });
+        groups.push(group(Grid::Streaming, name, &profile, &engines));
+    }
+    // The solver grid runs at the first scale only (city in full mode).
+    let (name, profile) = &scales[0];
+    let engines = SOLVER_SCHEDULERS.map(Engine::Scheduler);
+    groups.push(group(Grid::Solver, name, profile, &engines));
+    groups
 }
 
-// ── Part 4: shards×scale federation grid ─────────────────────────────
-
-/// One (scale, grid) cell of the federation grid.
-struct ShardsResult {
-    scale: &'static str,
-    sensors: usize,
-    standing_queries: usize,
-    /// Tile-grid side g.
-    grid: usize,
-    /// Shard count g².
-    shards: usize,
-    ms_per_slot: f64,
-    /// `(welfare_1shard − welfare_g) / welfare_1shard` over the same
-    /// seeded slots: what the partitioned greedy loses (or gains, when
-    /// negative) to locally-optimal choices on cross-tile queries.
-    welfare_gap_vs_1shard: f64,
-    /// Whether an explicit tile-local workload was answered identically
-    /// by this cell's grid and the plain engine (always true for g = 1).
-    tile_local_identical: bool,
+/// What one engine of a group did over the group's slots.
+#[derive(Default)]
+struct Run {
+    /// Time inside `step` / `step_streaming`, measured slots only.
+    times: Vec<Duration>,
+    /// Every slot's welfare, warm-up included.
+    welfare: Vec<f64>,
+    /// Breakdowns summed over the measured slots.
+    breakdown: MixBreakdown,
+    /// Decision latencies absorbed over the measured slots.
+    stats: StreamStats,
 }
 
-/// Runs one profile through a `g × g` federation. Every cell — g = 1
-/// included — is a `ClusterBuilder` cluster of single-threaded shard
-/// engines, so the grid isolates the *sharding* axis: the 1×1 cell is
-/// bit-identical to the plain engine (a proptested `ps_cluster`
-/// contract) and no cell's timing mixes in the `threads` knob. Returns
-/// per-slot times and the summed welfare.
-fn run_engine_sharded(
-    profile: &StandingMixProfile,
-    g: usize,
-    warmup: usize,
-    measured: usize,
-    ctx: &Arc<MonitoringContext>,
-    kernel: &SquaredExponential,
-) -> (Vec<Duration>, f64) {
-    let mut engine: Box<dyn SlotEngine> =
-        Box::new(ClusterBuilder::new(QualityModel::new(5.0), profile.arena, g).build());
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let mut times = Vec::with_capacity(measured);
-    let mut welfare = 0.0;
-    for slot in 0..warmup + measured {
-        let (w, elapsed) = drive_slot(engine.as_mut(), profile, &mut rng, ctx, kernel, slot);
-        welfare += w;
-        if slot >= warmup {
-            times.push(elapsed);
+impl Run {
+    /// Median time of one measured step, in milliseconds.
+    fn ms(&self) -> f64 {
+        let mut times = self.times.clone();
+        times.sort();
+        times[times.len() / 2].as_secs_f64() * 1e3
+    }
+
+    fn total_welfare(&self) -> f64 {
+        self.welfare.iter().sum()
+    }
+}
+
+/// Steps every engine of `group` once per slot, rotating which goes
+/// first. Each engine draws its workload from its own equally-seeded
+/// RNG; the generator's draws depend only on the profile, the slot and
+/// the engine's live monitor counts, so the per-slot assertion that all
+/// engines hold the same counts guarantees they all see the identical
+/// workload.
+fn measure(group: &Group, ctx: &Arc<MonitoringContext>, kernel: &SquaredExponential) -> Vec<Run> {
+    let profile = &group.profile;
+    let mut engines: Vec<Box<dyn SlotEngine>> = group
+        .engines
+        .iter()
+        .map(|e| e.build(profile.arena))
+        .collect();
+    let mut rngs = vec![StdRng::seed_from_u64(SEED); engines.len()];
+    let mut runs: Vec<Run> = engines.iter().map(|_| Run::default()).collect();
+    let monitors = |e: &dyn SlotEngine| (e.location_monitor_count(), e.region_monitor_count());
+    for slot in 0..group.warmup + group.measured {
+        let (locations, regions) = monitors(engines[0].as_ref());
+        assert!(
+            engines
+                .iter()
+                .all(|e| monitors(e.as_ref()) == (locations, regions)),
+            "the {} {} engines hold different monitor populations at slot {slot}",
+            group.grid.name(),
+            group.scale,
+        );
+        for k in 0..engines.len() {
+            let i = (slot + k) % engines.len();
+            let (engine, rng) = (engines[i].as_mut(), &mut rngs[i]);
+            let (report, elapsed) = if let Engine::Stream { .. } = group.engines[i] {
+                let tps = STREAMING_TICKS_PER_SLOT;
+                let events = profile.slot_events(rng, slot, tps, locations, regions, ctx, kernel);
+                let start = Instant::now();
+                (engine.step_streaming(slot, &events), start.elapsed())
+            } else {
+                profile.submit_slot(rng, slot, engine, ctx, kernel);
+                let sensors = profile.sensors(rng);
+                let start = Instant::now();
+                (engine.step(slot, &sensors), start.elapsed())
+            };
+            engine.clear_retired();
+            let run = &mut runs[i];
+            run.welfare.push(report.welfare);
+            if slot >= group.warmup {
+                run.times.push(elapsed);
+                run.breakdown.absorb(&report.breakdown);
+                if let Some(stats) = &report.streaming {
+                    run.stats.absorb(stats);
+                }
+            }
         }
     }
-    (times, welfare)
+    runs
+}
+
+/// A row's `(key, JSON value)` fields, in the schema's order.
+type Fields = Vec<(&'static str, String)>;
+
+fn json_object(fields: &Fields) -> String {
+    let body: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    format!("{{ {} }}", body.join(", "))
 }
 
 /// The `ps_cluster` exactness contract, checked explicitly: a workload
@@ -493,537 +472,187 @@ fn tile_local_identity(g: usize) -> bool {
     )
 }
 
-fn shards_grid(smoke: bool) -> Vec<ShardsResult> {
-    let (scales, grids, warmup, measured): (
-        Vec<(&'static str, StandingMixProfile)>,
-        Vec<usize>,
-        usize,
-        usize,
-    ) = if smoke {
-        (
-            vec![("smoke", tier_profile(500))],
-            FULL_SHARDS_GRID.to_vec(),
-            1,
-            2,
-        )
-    } else {
-        (
-            vec![
-                ("city", StandingMixProfile::from_scale(&Scale::city())),
-                ("metro", StandingMixProfile::metro()),
-            ],
-            FULL_SHARDS_GRID.to_vec(),
-            FULL_WARMUP_SLOTS,
-            FULL_MEASURED_SLOTS,
-        )
-    };
-    let ctx = monitoring_ctx();
-    let kernel = SquaredExponential::new(2.0, 2.0);
-    // One identity check per tile grid — the check's fixed micro-workload
-    // is scale-independent, so running it again per scale row would just
-    // re-verify the same thing (the JSON field documents this).
-    let mut identity_by_grid: std::collections::HashMap<usize, bool> =
-        std::collections::HashMap::new();
-    let mut results = Vec::new();
-    for (name, profile) in &scales {
-        let mut welfare_1shard = f64::NAN;
-        for &g in &grids {
-            let (times, welfare) = run_engine_sharded(profile, g, warmup, measured, &ctx, &kernel);
-            let ms = median_ms(times);
-            let gap = if g == 1 {
-                welfare_1shard = welfare;
-                0.0
-            } else {
-                (welfare_1shard - welfare) / welfare_1shard
-            };
-            let identical = g == 1
-                || *identity_by_grid
-                    .entry(g)
-                    .or_insert_with(|| tile_local_identity(g));
-            println!(
-                "slot_engine_shards/{name:>5} ({} sensors, {} standing queries)  \
-                 grid={g}x{g} ({} shards)  {ms:>9.3} ms/slot  welfare gap {:>7.4}  \
-                 tile_local_identical={identical}",
-                profile.sensors,
-                profile.standing_queries(),
-                g * g,
-                gap,
-            );
+/// Renders engine `e`'s row of `group`, aborting the bench when the row
+/// breaks its grid's contract. Returns the fields and whether the row
+/// goes into the JSON file: the paper canary and the references of the
+/// scaling and streaming grids (folded into their partners' rows) are
+/// printed only.
+fn row(group: &Group, runs: &[Run], e: usize) -> (Fields, bool) {
+    let (run, reference) = (&runs[e], &runs[0]);
+    let (ms, scale, profile) = (run.ms(), &group.scale, &group.profile);
+    let sensors = profile.sensors;
+    // The scaling tiers are told apart by their sensor count alone.
+    let mut fields: Fields = Vec::new();
+    if group.grid != Grid::Scaling {
+        fields.push(("scale", format!("\"{scale}\"")));
+    }
+    fields.push(("sensors", sensors.to_string()));
+    fields.push(("standing_queries", profile.standing_queries().to_string()));
+    let fixed = |x: f64, digits: usize| format!("{x:.digits$}");
+    // Bit-exact: neither the index nor the worker count may change a
+    // single selection, warm-up slots included.
+    let identical = run.welfare == reference.welfare;
+    match (group.grid, group.engines[e]) {
+        (Grid::Paper | Grid::Scaling | Grid::Streaming, _) if e == 0 => {
+            fields.push(("ms_per_slot", fixed(ms, 3)));
+            return (fields, false);
+        }
+        (Grid::Scaling, _) => {
             assert!(
                 identical,
+                "indexed and brute-force slots diverged at {sensors} sensors"
+            );
+            let brute_ms = reference.ms();
+            fields.extend([
+                ("indexed_ms_per_slot", fixed(ms, 3)),
+                ("brute_force_ms_per_slot", fixed(brute_ms, 3)),
+                ("speedup", fixed(brute_ms / ms, 2)),
+                ("identical_selections", identical.to_string()),
+            ]);
+        }
+        (Grid::Threads, Engine::Plain { threads, .. }) => {
+            assert!(
+                identical,
+                "threads={threads} diverged from threads=1 on the {scale} scenario"
+            );
+            fields.extend([
+                ("threads", threads.to_string()),
+                ("ms_per_slot", fixed(ms, 3)),
+                ("speedup_vs_1_thread", fixed(reference.ms() / ms, 2)),
+                ("identical_to_1_thread", identical.to_string()),
+            ]);
+        }
+        (Grid::Shards, Engine::Cluster { g }) => {
+            let tile_local = g == 1 || tile_local_identity(g);
+            assert!(
+                tile_local,
                 "tile-local workloads diverged from the plain engine at grid {g}x{g}"
             );
-            results.push(ShardsResult {
-                scale: name,
-                sensors: profile.sensors,
-                standing_queries: profile.standing_queries(),
-                grid: g,
-                shards: g * g,
-                ms_per_slot: ms,
-                welfare_gap_vs_1shard: gap,
-                tile_local_identical: identical,
-            });
+            // What the partitioned greedy loses (or gains, when negative)
+            // to locally-optimal choices on cross-tile queries.
+            let w1 = reference.total_welfare();
+            let gap = (w1 - run.total_welfare()) / w1;
+            fields.extend([
+                ("grid", g.to_string()),
+                ("shards", (g * g).to_string()),
+                ("ms_per_slot", fixed(ms, 3)),
+                ("welfare_gap_vs_1shard", fixed(gap, 4)),
+                ("tile_local_identical", tile_local.to_string()),
+            ]);
         }
-    }
-    results
-}
-
-// ── Part 5: streaming intake — decision latency and welfare gap ──────
-
-/// One scale row of the streaming part.
-struct StreamingResult {
-    scale: &'static str,
-    sensors: usize,
-    standing_queries: usize,
-    ms_per_slot: f64,
-    p50_decision_ticks: u64,
-    p99_decision_ticks: u64,
-    /// Fraction of one-shot point queries matched mid-slot by the
-    /// online auction (the rest waited for the boundary pass).
-    matched_at_arrival_fraction: f64,
-    /// `(welfare_batch − welfare_online) / |welfare_batch|` on the
-    /// identical event stream: what arrival-time matching gives up to
-    /// boundary-time Alg5 (negative when the online auction wins).
-    welfare_gap_vs_batch_alg5: f64,
-}
-
-/// Drives one profile's bursty event stream through an
-/// `OnlineAuction` engine and a batch Alg5 engine slot-locked on the
-/// *same* events, timing only the online engine's `step_streaming`.
-fn run_streaming_pair(
-    name: &'static str,
-    profile: &StandingMixProfile,
-    warmup: usize,
-    measured: usize,
-    ctx: &Arc<MonitoringContext>,
-    kernel: &SquaredExponential,
-) -> StreamingResult {
-    use ps_core::aggregator::MixStrategy;
-    use ps_core::streaming::StreamStats;
-    let tps = STREAMING_TICKS_PER_SLOT;
-    let mut online = AggregatorBuilder::new(QualityModel::new(5.0))
-        .strategy(MixStrategy::OnlineAuction)
-        .build();
-    let mut batch = AggregatorBuilder::new(QualityModel::new(5.0)).build();
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let mut times = Vec::with_capacity(measured);
-    let mut stats = StreamStats::new(tps);
-    let (mut online_welfare, mut batch_welfare) = (0.0f64, 0.0f64);
-    for slot in 0..warmup + measured {
-        // Both engines see the same admitted monitors, so the online
-        // engine's standing populations speak for both.
-        let events = profile.slot_events(
-            &mut rng,
-            slot,
-            tps,
-            online.location_monitors().len(),
-            online.region_monitors().len(),
-            ctx,
-            kernel,
-        );
-        let start = Instant::now();
-        let report = online.step_streaming(slot, &events);
-        let elapsed = start.elapsed();
-        let batch_report = batch.step_streaming(slot, &events);
-        online.clear_retired();
-        batch.clear_retired();
-        online_welfare += report.welfare;
-        batch_welfare += batch_report.welfare;
-        if slot >= warmup {
-            times.push(elapsed);
-            if let Some(s) = &report.streaming {
-                stats.absorb(s);
-            }
-        }
-    }
-    StreamingResult {
-        scale: name,
-        sensors: profile.sensors,
-        standing_queries: profile.standing_queries(),
-        ms_per_slot: median_ms(times),
-        p50_decision_ticks: stats.p50().unwrap_or(0),
-        p99_decision_ticks: stats.p99().unwrap_or(0),
-        matched_at_arrival_fraction: stats.matched_at_arrival as f64
-            / stats.decision_ticks.len().max(1) as f64,
-        welfare_gap_vs_batch_alg5: if batch_welfare.abs() > f64::EPSILON {
-            (batch_welfare - online_welfare) / batch_welfare.abs()
-        } else {
-            0.0
-        },
-    }
-}
-
-fn streaming_grid(smoke: bool) -> Vec<StreamingResult> {
-    let with_bursts = |mut profile: StandingMixProfile| {
-        if profile.burst_period == 0 {
-            profile.burst_period = STREAMING_BURST_PERIOD;
-            profile.burst_factor = STREAMING_BURST_FACTOR;
-        }
-        profile
-    };
-    let (scales, warmup, measured): (Vec<(&'static str, StandingMixProfile)>, usize, usize) =
-        if smoke {
-            (vec![("smoke", with_bursts(tier_profile(500)))], 1, 2)
-        } else {
-            (
-                vec![
-                    (
-                        "city",
-                        with_bursts(StandingMixProfile::from_scale(&Scale::city())),
-                    ),
-                    ("metro", StandingMixProfile::metro()),
-                ],
-                FULL_WARMUP_SLOTS,
-                FULL_MEASURED_SLOTS,
-            )
-        };
-    let ctx = monitoring_ctx();
-    let kernel = SquaredExponential::new(2.0, 2.0);
-    let mut results = Vec::new();
-    for (name, profile) in &scales {
-        let r = run_streaming_pair(name, profile, warmup, measured, &ctx, &kernel);
-        println!(
-            "slot_engine_streaming/{name:>5} ({} sensors, {} standing queries)  \
-             {:>9.3} ms/slot  decision ticks p50 {} / p99 {}  \
-             matched at arrival {:.2}  welfare gap vs batch {:+.4}",
-            r.sensors,
-            r.standing_queries,
-            r.ms_per_slot,
-            r.p50_decision_ticks,
-            r.p99_decision_ticks,
-            r.matched_at_arrival_fraction,
-            r.welfare_gap_vs_batch_alg5,
-        );
-        assert!(
-            r.p99_decision_ticks <= STREAMING_TICKS_PER_SLOT,
-            "no decision can wait past the slot boundary on the {name} scenario"
-        );
-        results.push(r);
-    }
-    results
-}
-
-// ── Part 6: solver grid — exact vs certified heuristics ──────────────
-
-/// One (scale, scheduler) cell of the solver grid.
-struct SolverResult {
-    scale: &'static str,
-    sensors: usize,
-    standing_queries: usize,
-    scheduler: &'static str,
-    ms_per_slot: f64,
-    /// Summed Eq. 9 point-schedule welfare over the bound-carrying
-    /// measured slots.
-    point_welfare: f64,
-    /// Summed LP-relaxation bound over the same slots — always ≥
-    /// `point_welfare`, so the gap below is a real certificate.
-    lp_bound: f64,
-    /// `(lp_bound − point_welfare) / lp_bound`, clamped at 0.
-    optimality_gap: f64,
-    /// Measured slots where the exact solver hit a node/pivot/deadline
-    /// limit and returned its incumbent instead of a proven optimum
-    /// (always 0 for the heuristic rows — their bound is root-LP-only).
-    limited_slots: usize,
-}
-
-/// Runs one profile through an engine whose point queries go through the
-/// given dedicated scheduler; returns per-slot times and the summed
-/// breakdown of the measured slots.
-fn run_engine_solver(
-    profile: &StandingMixProfile,
-    scheduler: Box<dyn PointScheduler + Send + Sync>,
-    warmup: usize,
-    measured: usize,
-    ctx: &Arc<MonitoringContext>,
-    kernel: &SquaredExponential,
-) -> (Vec<Duration>, MixBreakdown) {
-    let mut engine = AggregatorBuilder::new(QualityModel::new(5.0))
-        .scheduler(scheduler)
-        .build();
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let mut times = Vec::with_capacity(measured);
-    let mut breakdown = MixBreakdown::default();
-    for slot in 0..warmup + measured {
-        profile.submit_slot(&mut rng, slot, &mut engine, ctx, kernel);
-        let sensors = profile.sensors(&mut rng);
-        let start = Instant::now();
-        let report = engine.step(slot, &sensors);
-        let elapsed = start.elapsed();
-        engine.clear_retired();
-        if slot >= warmup {
-            times.push(elapsed);
-            breakdown.absorb(&report.breakdown);
-        }
-    }
-    (times, breakdown)
-}
-
-fn solver_grid(smoke: bool) -> Vec<SolverResult> {
-    let (scales, warmup, measured): (Vec<(&'static str, StandingMixProfile)>, usize, usize) =
-        if smoke {
-            (vec![("smoke", tier_profile(500))], 1, 2)
-        } else {
-            (
-                vec![("city", StandingMixProfile::from_scale(&Scale::city()))],
-                FULL_WARMUP_SLOTS,
-                FULL_MEASURED_SLOTS,
-            )
-        };
-    let ctx = monitoring_ctx();
-    let kernel = SquaredExponential::new(2.0, 2.0);
-    // The acceptance claim is "Optimal completes a city slot under its
-    // *default* node/pivot limits", so the Optimal row takes
-    // `SolveOptions::default()` — no tuned budgets, no deadline.
-    type SchedulerFactory = fn() -> Box<dyn PointScheduler + Send + Sync>;
-    let schedulers: [(&'static str, SchedulerFactory); 3] = [
-        ("optimal", || Box::new(OptimalScheduler::new())),
-        ("local_search", || {
-            Box::new(WithLpBound::new(LocalSearchScheduler::new()))
-        }),
-        ("greedy", || {
-            Box::new(WithLpBound::new(GreedyPointScheduler))
-        }),
-    ];
-    let mut results = Vec::new();
-    for (name, profile) in &scales {
-        for &(sched_name, make_scheduler) in &schedulers {
-            let (times, breakdown) =
-                run_engine_solver(profile, make_scheduler(), warmup, measured, &ctx, &kernel);
-            let ms = median_ms(times);
-            let gap = breakdown.optimality_gap().unwrap_or(0.0);
-            println!(
-                "slot_engine_solver/{name:>5} ({} sensors, {} standing queries)  \
-                 scheduler={sched_name:<12}  {ms:>9.3} ms/slot  \
-                 point welfare {:>10.2}  lp bound {:>10.2}  gap {:>7.4}  limited slots {}",
-                profile.sensors,
-                profile.standing_queries(),
-                breakdown.point_sched_welfare,
-                breakdown.point_lp_bound,
-                gap,
-                breakdown.limited_slots,
+        (Grid::Streaming, _) => {
+            let stats = &run.stats;
+            let p99 = stats.p99().unwrap_or(0);
+            assert!(
+                p99 <= STREAMING_TICKS_PER_SLOT,
+                "no decision can wait past the slot boundary on the {scale} scenario"
             );
+            // What arrival-time matching gives up to boundary-time Alg5
+            // (negative when the online auction wins).
+            let batch = reference.total_welfare();
+            let gap = if batch.abs() > f64::EPSILON {
+                (batch - run.total_welfare()) / batch.abs()
+            } else {
+                0.0
+            };
+            let matched =
+                stats.matched_at_arrival as f64 / stats.decision_ticks.len().max(1) as f64;
+            fields.extend([
+                ("ms_per_slot", fixed(ms, 3)),
+                ("p50_decision_ticks", stats.p50().unwrap_or(0).to_string()),
+                ("p99_decision_ticks", p99.to_string()),
+                ("matched_at_arrival_fraction", fixed(matched, 4)),
+                ("welfare_gap_vs_batch_alg5", fixed(gap, 4)),
+            ]);
+        }
+        (Grid::Solver, Engine::Scheduler(name)) => {
             // Every row must carry a real certificate: bound-known slots
             // present, welfare within its own bound, gap a valid ratio.
+            let b = &run.breakdown;
+            let gap = b.optimality_gap().unwrap_or(0.0);
             assert!(
-                breakdown.bound_known_slots > 0,
-                "{sched_name} produced no LP-bounded slots on the {name} scenario"
+                b.bound_known_slots > 0,
+                "{name} produced no LP-bounded slots on the {scale} scenario"
             );
             assert!(
-                breakdown.point_sched_welfare <= breakdown.point_lp_bound + 1e-6,
-                "{sched_name} welfare exceeded its LP bound on the {name} scenario"
+                b.point_sched_welfare <= b.point_lp_bound + 1e-6,
+                "{name} welfare exceeded its LP bound on the {scale} scenario"
             );
             assert!(
                 (0.0..=1.0).contains(&gap),
-                "{sched_name} reported a nonsensical optimality gap {gap} on {name}"
+                "{name} reported a nonsensical optimality gap {gap} on {scale}"
             );
-            results.push(SolverResult {
-                scale: name,
-                sensors: profile.sensors,
-                standing_queries: profile.standing_queries(),
-                scheduler: sched_name,
-                ms_per_slot: ms,
-                point_welfare: breakdown.point_sched_welfare,
-                lp_bound: breakdown.point_lp_bound,
-                optimality_gap: gap,
-                limited_slots: breakdown.limited_slots,
-            });
+            fields.extend([
+                ("scheduler", format!("\"{name}\"")),
+                ("ms_per_slot", fixed(ms, 3)),
+                ("point_welfare", fixed(b.point_sched_welfare, 3)),
+                ("lp_bound", fixed(b.point_lp_bound, 3)),
+                ("optimality_gap", fixed(gap, 4)),
+                ("limited_slots", b.limited_slots.to_string()),
+            ]);
         }
+        (grid, engine) => unreachable!("{engine:?} in the {} grid", grid.name()),
     }
-    results
+    (fields, true)
 }
 
-fn scaling() -> (Vec<TierResult>, &'static str) {
-    let smoke = std::env::var("SLOT_ENGINE_SMOKE").is_ok_and(|v| v == "1");
-    let (tiers, warmup, measured, mode): (Vec<usize>, usize, usize, &'static str) = if smoke {
-        (vec![100, 500], 1, 2, "smoke")
-    } else {
-        (
-            FULL_TIERS.to_vec(),
-            FULL_WARMUP_SLOTS,
-            FULL_MEASURED_SLOTS,
-            "full",
-        )
-    };
-    let ctx = monitoring_ctx();
-    let kernel = SquaredExponential::new(2.0, 2.0);
-    let mut results = Vec::new();
-    for &sensors in &tiers {
-        let r = run_tier(sensors, warmup, measured, &ctx, &kernel);
-        println!(
-            "slot_engine_scaling/{:>6} sensors ({} standing queries)  indexed {:>9.3} ms/slot  \
-             brute {:>9.3} ms/slot  speedup {:>5.2}x  identical={}",
-            r.sensors, r.standing_queries, r.indexed_ms, r.brute_ms, r.speedup, r.welfare_match
-        );
-        assert!(
-            r.welfare_match,
-            "indexed and brute-force slots diverged at {} sensors",
-            r.sensors
-        );
-        results.push(r);
+/// The schema-v5 file. The `config` object describes the *full-run*
+/// workload constants and is emitted identically in smoke and full mode:
+/// CI regenerates the file in smoke mode and fails when the committed
+/// config no longer matches the bench source (a stale file).
+fn bench_file(mode: &str, rows: &[(Grid, Fields)]) -> String {
+    let mut sections = String::new();
+    for grid in Grid::SECTIONS {
+        let objects: Vec<String> = rows
+            .iter()
+            .filter(|(g, _)| *g == grid)
+            .map(|(_, fields)| format!("    {}", json_object(fields)))
+            .collect();
+        let section = grid.section();
+        sections += &format!("  \"{section}\": [\n{}\n  ],\n", objects.join(",\n"));
     }
-    (results, mode)
-}
-
-fn render_json(
-    results: &[TierResult],
-    threads: &[ThreadsResult],
-    shards: &[ShardsResult],
-    streaming: &[StreamingResult],
-    solver: &[SolverResult],
-    mode: &str,
-) -> String {
-    // The `config` object describes the *full-run* workload constants and
-    // is emitted identically in smoke and full mode: CI regenerates the
-    // file in smoke mode and fails when the committed config no longer
-    // matches the bench source (a stale BENCH_slot_engine.json).
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"slot_engine\",\n");
-    out.push_str("  \"schema_version\": 5,\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str("  \"command\": \"cargo bench -p ps-bench --bench slot_engine\",\n");
-    out.push_str("  \"config\": {\n");
-    out.push_str(&format!("    \"seed\": {SEED},\n"));
-    out.push_str(&format!("    \"query_factor\": {QUERY_FACTOR},\n"));
-    out.push_str(&format!("    \"aggregates_mean\": {AGGREGATES_MEAN},\n"));
-    out.push_str(&format!(
-        "    \"location_monitors\": {LOCATION_MONITORS},\n"
-    ));
-    out.push_str(&format!("    \"region_monitors\": {REGION_MONITORS},\n"));
-    out.push_str(&format!(
-        "    \"full_tiers\": [{}],\n",
-        FULL_TIERS.map(|t| t.to_string()).join(", ")
-    ));
-    out.push_str(&format!(
-        "    \"full_measured_slots\": {FULL_MEASURED_SLOTS},\n"
-    ));
-    out.push_str(&format!(
-        "    \"full_warmup_slots\": {FULL_WARMUP_SLOTS},\n"
-    ));
-    out.push_str("    \"full_threads_grid_scales\": [\"city\", \"metro\"],\n");
-    out.push_str(&format!(
-        "    \"full_threads_grid\": [{}],\n",
-        FULL_THREADS_GRID.map(|t| t.to_string()).join(", ")
-    ));
-    out.push_str("    \"full_shards_grid_scales\": [\"city\", \"metro\"],\n");
-    out.push_str(&format!(
-        "    \"full_shards_grid\": [{}],\n",
-        FULL_SHARDS_GRID.map(|t| t.to_string()).join(", ")
-    ));
-    out.push_str("    \"full_streaming_scales\": [\"city\", \"metro\"],\n");
-    out.push_str("    \"full_solver_scales\": [\"city\"],\n");
-    out.push_str("    \"solver_schedulers\": [\"optimal\", \"local_search\", \"greedy\"],\n");
-    out.push_str(&format!(
-        "    \"streaming_ticks_per_slot\": {STREAMING_TICKS_PER_SLOT},\n"
-    ));
-    out.push_str(&format!(
-        "    \"streaming_burst_period\": {STREAMING_BURST_PERIOD},\n"
-    ));
-    out.push_str(&format!(
-        "    \"streaming_burst_factor\": {STREAMING_BURST_FACTOR}\n"
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"sensors\": {}, \"standing_queries\": {}, \"indexed_ms_per_slot\": {:.3}, \
-             \"brute_force_ms_per_slot\": {:.3}, \"speedup\": {:.2}, \
-             \"identical_selections\": {} }}{}\n",
-            r.sensors,
-            r.standing_queries,
-            r.indexed_ms,
-            r.brute_ms,
-            r.speedup,
-            r.welfare_match,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"threads\": [\n");
-    for (i, r) in threads.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"scale\": \"{}\", \"sensors\": {}, \"standing_queries\": {}, \
-             \"threads\": {}, \"ms_per_slot\": {:.3}, \"speedup_vs_1_thread\": {:.2}, \
-             \"identical_to_1_thread\": {} }}{}\n",
-            r.scale,
-            r.sensors,
-            r.standing_queries,
-            r.threads,
-            r.ms_per_slot,
-            r.speedup_vs_1,
-            r.identical_to_1,
-            if i + 1 < threads.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"shards\": [\n");
-    for (i, r) in shards.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"scale\": \"{}\", \"sensors\": {}, \"standing_queries\": {}, \
-             \"grid\": {}, \"shards\": {}, \"ms_per_slot\": {:.3}, \
-             \"welfare_gap_vs_1shard\": {:.4}, \"tile_local_identical\": {} }}{}\n",
-            r.scale,
-            r.sensors,
-            r.standing_queries,
-            r.grid,
-            r.shards,
-            r.ms_per_slot,
-            r.welfare_gap_vs_1shard,
-            r.tile_local_identical,
-            if i + 1 < shards.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"streaming\": [\n");
-    for (i, r) in streaming.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"scale\": \"{}\", \"sensors\": {}, \"standing_queries\": {}, \
-             \"ms_per_slot\": {:.3}, \"p50_decision_ticks\": {}, \"p99_decision_ticks\": {}, \
-             \"matched_at_arrival_fraction\": {:.4}, \"welfare_gap_vs_batch_alg5\": {:.4} }}{}\n",
-            r.scale,
-            r.sensors,
-            r.standing_queries,
-            r.ms_per_slot,
-            r.p50_decision_ticks,
-            r.p99_decision_ticks,
-            r.matched_at_arrival_fraction,
-            r.welfare_gap_vs_batch_alg5,
-            if i + 1 < streaming.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"solver\": [\n");
-    for (i, r) in solver.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"scale\": \"{}\", \"sensors\": {}, \"standing_queries\": {}, \
-             \"scheduler\": \"{}\", \"ms_per_slot\": {:.3}, \"point_welfare\": {:.3}, \
-             \"lp_bound\": {:.3}, \"optimality_gap\": {:.4}, \"limited_slots\": {} }}{}\n",
-            r.scale,
-            r.sensors,
-            r.standing_queries,
-            r.scheduler,
-            r.ms_per_slot,
-            r.point_welfare,
-            r.lp_bound,
-            r.optimality_gap,
-            r.limited_slots,
-            if i + 1 < solver.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
     // Hardware context matters for the threads grid: a speedup of ~1.0
     // on a 1-core runner is the expected reading, not a regression.
-    out.push_str(&format!(
-        "  \"host_parallelism\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    let max_tier = results.iter().max_by_key(|r| r.sensors).expect("nonempty");
-    out.push_str(&format!(
-        "  \"speedup_at_max_tier\": {:.2}\n",
-        max_tier.speedup
-    ));
-    out.push_str("}\n");
-    out
+    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // Tiers ascend, so the last scaling row is the largest tier.
+    let speedup_at_max_tier = rows
+        .iter()
+        .rev()
+        .find(|(g, _)| *g == Grid::Scaling)
+        .and_then(|(_, fields)| fields.iter().find(|(k, _)| *k == "speedup"))
+        .map(|(_, v)| v.as_str())
+        .expect("a scaling tier");
+    format!(
+        r#"{{
+  "bench": "slot_engine",
+  "schema_version": 5,
+  "mode": "{mode}",
+  "command": "cargo bench -p ps-bench --bench slot_engine",
+  "config": {{
+    "seed": {SEED},
+    "query_factor": {QUERY_FACTOR},
+    "aggregates_mean": {AGGREGATES_MEAN},
+    "location_monitors": {LOCATION_MONITORS},
+    "region_monitors": {REGION_MONITORS},
+    "full_tiers": {FULL_TIERS:?},
+    "full_measured_slots": {FULL_MEASURED_SLOTS},
+    "full_warmup_slots": {FULL_WARMUP_SLOTS},
+    "full_threads_grid_scales": ["city", "metro"],
+    "full_threads_grid": {FULL_THREADS_GRID:?},
+    "full_shards_grid_scales": ["city", "metro"],
+    "full_shards_grid": {FULL_SHARDS_GRID:?},
+    "full_streaming_scales": ["city", "metro"],
+    "full_solver_scales": ["city"],
+    "solver_schedulers": {SOLVER_SCHEDULERS:?},
+    "streaming_ticks_per_slot": {STREAMING_TICKS_PER_SLOT},
+    "streaming_burst_period": {STREAMING_BURST_PERIOD},
+    "streaming_burst_factor": {STREAMING_BURST_FACTOR}
+  }},
+{sections}  "host_parallelism": {host_parallelism},
+  "speedup_at_max_tier": {speedup_at_max_tier}
+}}
+"#
+    )
 }
 
 /// Full runs default to the committed repo-root file; smoke runs default
@@ -1041,17 +670,27 @@ fn json_path(mode: &str) -> std::path::PathBuf {
 }
 
 fn main() {
-    benches();
-    let (results, mode) = scaling();
-    let threads = threads_grid(mode == "smoke");
-    let shards = shards_grid(mode == "smoke");
-    let streaming = streaming_grid(mode == "smoke");
-    let solver = solver_grid(mode == "smoke");
+    let smoke = std::env::var("SLOT_ENGINE_SMOKE").is_ok_and(|v| v == "1");
+    let mode = if smoke { "smoke" } else { "full" };
+    let ctx = monitoring_ctx();
+    let kernel = SquaredExponential::new(2.0, 2.0);
+    let mut rows = Vec::new();
+    for group in groups(smoke) {
+        let runs = measure(&group, &ctx, &kernel);
+        for (e, engine) in group.engines.iter().enumerate() {
+            let (fields, written) = row(&group, &runs, e);
+            println!(
+                "slot_engine_{}/{} {engine:?}  {}",
+                group.grid.name(),
+                group.scale,
+                json_object(&fields)
+            );
+            if written {
+                rows.push((group.grid, fields));
+            }
+        }
+    }
     let path = json_path(mode);
-    std::fs::write(
-        &path,
-        render_json(&results, &threads, &shards, &streaming, &solver, mode),
-    )
-    .expect("write BENCH_slot_engine.json");
+    std::fs::write(&path, bench_file(mode, &rows)).expect("write BENCH_slot_engine.json");
     println!("wrote {}", path.display());
 }
