@@ -138,6 +138,33 @@ impl ExperimentId {
     }
 }
 
+/// Runs `run(row, xi, x)` for every cell of a (row × x) grid, one scoped
+/// thread per cell, and returns the results as `[row][x]`. The drivers
+/// derive every seed from the cell, never from the thread schedule, so
+/// the grid is the same however its threads interleave.
+fn sweep<A: Sync, R: Send>(
+    rows: &[A],
+    xs: &[f64],
+    run: impl Fn(&A, usize, f64) -> R + Sync,
+) -> Vec<Vec<R>> {
+    let run = &run;
+    std::thread::scope(|s| {
+        let handles: Vec<Vec<_>> = rows
+            .iter()
+            .map(|row| {
+                xs.iter()
+                    .enumerate()
+                    .map(|(xi, &x)| s.spawn(move || run(row, xi, x)))
+                    .collect()
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|row| row.into_iter().map(|h| h.join().expect("worker")).collect())
+            .collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -32,6 +32,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use super::point_queries::rnc_setting;
+use super::sweep;
 
 const BUDGET_FACTORS: [f64; 3] = [10.0, 15.0, 20.0];
 
@@ -127,29 +128,11 @@ pub fn ablation_region(scale: &Scale) -> Vec<FigureTable> {
         "Average utility",
         BUDGET_FACTORS.to_vec(),
     );
-    let grid: Vec<(usize, usize, f64)> = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (vi, variant) in REGION_VARIANTS.iter().enumerate() {
-            for (xi, &b) in BUDGET_FACTORS.iter().enumerate() {
-                handles.push(s.spawn(move || {
-                    let w =
-                        run_region_variant(scale, b, *variant, scale.seed.wrapping_add(xi as u64));
-                    (vi, xi, w)
-                }));
-            }
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
+    let grid = sweep(&REGION_VARIANTS, &BUDGET_FACTORS, |variant, xi, b| {
+        run_region_variant(scale, b, *variant, scale.seed.wrapping_add(xi as u64))
     });
-
-    let mut values = vec![vec![0.0; BUDGET_FACTORS.len()]; REGION_VARIANTS.len()];
-    for (vi, xi, w) in grid {
-        values[vi][xi] = w;
-    }
-    for (vi, variant) in REGION_VARIANTS.iter().enumerate() {
-        table.push_series(variant.label, values[vi].clone());
+    for (variant, values) in REGION_VARIANTS.iter().zip(grid) {
+        table.push_series(variant.label, values);
     }
     vec![table]
 }
@@ -309,34 +292,14 @@ pub fn ablation_solver(scale: &Scale) -> Vec<FigureTable> {
             Box::new(WithLpBound::new(GreedyPointScheduler::new())),
         ),
     ];
-    let grid: Vec<(usize, usize, PointAblationRun)> = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (si, (_, scheduler)) in schedulers.iter().enumerate() {
-            for (xi, &b) in budgets.iter().enumerate() {
-                let scheduler = scheduler.as_ref();
-                handles
-                    .push(s.spawn(move || (si, xi, run_point_ablation(scale, scheduler, b, xi))));
-            }
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
+    let grid = sweep(&schedulers, &budgets, |(_, scheduler), xi, b| {
+        run_point_ablation(scale, scheduler.as_ref(), b, xi)
     });
-
-    let n = budgets.len();
-    let mut welfare = vec![vec![0.0; n]; schedulers.len()];
-    let mut bounds = vec![vec![0.0; n]; schedulers.len()];
-    let mut gaps = vec![vec![0.0; n]; schedulers.len()];
-    for (si, xi, run) in grid {
-        welfare[si][xi] = run.avg_utility;
-        bounds[si][xi] = run.avg_lp_bound;
-        gaps[si][xi] = run.optimality_gap.unwrap_or(0.0);
-    }
-    for (si, (name, _)) in schedulers.iter().enumerate() {
-        welfare_t.push_series(name, welfare[si].clone());
-        bound_t.push_series(name, bounds[si].clone());
-        gap_t.push_series(name, gaps[si].clone());
+    for ((name, _), runs) in schedulers.iter().zip(&grid) {
+        welfare_t.push_series(name, runs.iter().map(|r| r.avg_utility).collect());
+        bound_t.push_series(name, runs.iter().map(|r| r.avg_lp_bound).collect());
+        let gaps = runs.iter().map(|r| r.optimality_gap.unwrap_or(0.0));
+        gap_t.push_series(name, gaps.collect());
     }
     vec![welfare_t, bound_t, gap_t]
 }

@@ -11,6 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use super::point_queries::{rnc_setting, PointSetting};
+use super::sweep;
 
 /// Sensing range of §4.4 ("the sensing range of sensors is set to 10
 /// units").
@@ -81,38 +82,19 @@ fn run_aggregate_simulation(
 pub fn fig7(scale: &Scale) -> Vec<FigureTable> {
     let mean_count = scale.queries(30);
     let algos = [AggAlgo::Greedy, AggAlgo::Baseline];
-    let grid: Vec<(usize, usize, AggRunResult)> = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (ai, algo) in algos.iter().enumerate() {
-            for (xi, &b) in BUDGET_FACTORS.iter().enumerate() {
-                handles.push(s.spawn(move || {
-                    let setting = rnc_setting(scale, scale.seed.wrapping_add(xi as u64));
-                    let cfg = SensorPoolConfig::paper_default(scale.slots, scale.seed ^ 0x77);
-                    let r = run_aggregate_simulation(
-                        &setting,
-                        scale,
-                        &cfg,
-                        mean_count,
-                        b,
-                        *algo,
-                        scale.seed.wrapping_add(3000 + xi as u64),
-                    );
-                    (ai, xi, r)
-                }));
-            }
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
+    let grid = sweep(&algos, &BUDGET_FACTORS, |algo, xi, b| {
+        let setting = rnc_setting(scale, scale.seed.wrapping_add(xi as u64));
+        let cfg = SensorPoolConfig::paper_default(scale.slots, scale.seed ^ 0x77);
+        run_aggregate_simulation(
+            &setting,
+            scale,
+            &cfg,
+            mean_count,
+            b,
+            *algo,
+            scale.seed.wrapping_add(3000 + xi as u64),
+        )
     });
-
-    let mut utilities = vec![vec![0.0; BUDGET_FACTORS.len()]; 2];
-    let mut qualities = vec![vec![0.0; BUDGET_FACTORS.len()]; 2];
-    for (ai, xi, r) in grid {
-        utilities[ai][xi] = r.avg_utility;
-        qualities[ai][xi] = r.avg_quality;
-    }
 
     let mut ta = FigureTable::new(
         "fig7a",
@@ -128,10 +110,10 @@ pub fn fig7(scale: &Scale) -> Vec<FigureTable> {
         "Average quality of results",
         BUDGET_FACTORS.to_vec(),
     );
-    ta.push_series("Greedy", utilities[0].clone());
-    ta.push_series("Baseline", utilities[1].clone());
-    tb.push_series("Greedy", qualities[0].clone());
-    tb.push_series("Baseline", qualities[1].clone());
+    for (label, row) in ["Greedy", "Baseline"].iter().zip(&grid) {
+        ta.push_series(label, row.iter().map(|r| r.avg_utility).collect());
+        tb.push_series(label, row.iter().map(|r| r.avg_quality).collect());
+    }
     vec![ta, tb]
 }
 

@@ -14,6 +14,7 @@ use rand::SeedableRng;
 
 use super::monitoring::ozone_context;
 use super::point_queries::rnc_setting;
+use super::sweep;
 
 const BUDGET_FACTORS: [f64; 5] = [7.0, 10.0, 15.0, 20.0, 25.0];
 const SENSING_RANGE: f64 = 10.0;
@@ -24,7 +25,7 @@ enum MixAlgo {
     Baseline,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct MixRunResult {
     avg_utility: f64,
     point_quality: f64,
@@ -129,27 +130,9 @@ fn run_mix_simulation(scale: &Scale, budget_factor: f64, algo: MixAlgo, seed: u6
 /// c: aggregate, d: location monitoring) versus the budget factor.
 pub fn fig10(scale: &Scale) -> Vec<FigureTable> {
     let algos = [MixAlgo::Alg5, MixAlgo::Baseline];
-    let grid: Vec<(usize, usize, MixRunResult)> = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (ai, algo) in algos.iter().enumerate() {
-            for (xi, &b) in BUDGET_FACTORS.iter().enumerate() {
-                handles.push(s.spawn(move || {
-                    let r = run_mix_simulation(scale, b, *algo, scale.seed.wrapping_add(xi as u64));
-                    (ai, xi, r)
-                }));
-            }
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
+    let results = sweep(&algos, &BUDGET_FACTORS, |algo, xi, b| {
+        run_mix_simulation(scale, b, *algo, scale.seed.wrapping_add(xi as u64))
     });
-
-    let n = BUDGET_FACTORS.len();
-    let mut results = vec![vec![MixRunResult::default(); n]; 2];
-    for (ai, xi, r) in grid {
-        results[ai][xi] = r;
-    }
 
     type Extract = fn(&MixRunResult) -> f64;
     let panels: [(&str, &str, Extract); 4] = [

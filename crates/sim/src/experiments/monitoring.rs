@@ -25,6 +25,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 use super::point_queries::rnc_setting;
+use super::sweep;
 
 const MONITOR_BUDGET_FACTORS: [f64; 5] = [7.0, 10.0, 15.0, 20.0, 25.0];
 
@@ -168,34 +169,9 @@ pub fn fig8(scale: &Scale) -> Vec<FigureTable> {
         LocAlgo::Alg2LocalSearch,
         LocAlgo::Baseline,
     ];
-    let grid: Vec<(usize, usize, MonitorRunResult)> = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (ai, algo) in algos.iter().enumerate() {
-            for (xi, &b) in MONITOR_BUDGET_FACTORS.iter().enumerate() {
-                handles.push(s.spawn(move || {
-                    let r = run_location_simulation(
-                        scale,
-                        b,
-                        *algo,
-                        scale.seed.wrapping_add(xi as u64),
-                    );
-                    (ai, xi, r)
-                }));
-            }
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
+    let grid = sweep(&algos, &MONITOR_BUDGET_FACTORS, |algo, xi, b| {
+        run_location_simulation(scale, b, *algo, scale.seed.wrapping_add(xi as u64))
     });
-
-    let n = MONITOR_BUDGET_FACTORS.len();
-    let mut utilities = vec![vec![0.0; n]; algos.len()];
-    let mut qualities = vec![vec![0.0; n]; algos.len()];
-    for (ai, xi, r) in grid {
-        utilities[ai][xi] = r.avg_utility;
-        qualities[ai][xi] = r.avg_quality;
-    }
 
     let mut ta = FigureTable::new(
         "fig8a",
@@ -211,9 +187,9 @@ pub fn fig8(scale: &Scale) -> Vec<FigureTable> {
         "Average quality of results",
         MONITOR_BUDGET_FACTORS.to_vec(),
     );
-    for (ai, algo) in algos.iter().enumerate() {
-        ta.push_series(algo.label(), utilities[ai].clone());
-        tb.push_series(algo.label(), qualities[ai].clone());
+    for (algo, row) in algos.iter().zip(&grid) {
+        ta.push_series(algo.label(), row.iter().map(|r| r.avg_utility).collect());
+        tb.push_series(algo.label(), row.iter().map(|r| r.avg_quality).collect());
     }
     vec![ta, tb]
 }
@@ -302,30 +278,9 @@ fn run_region_simulation(
 /// results (b, not bounded by 1) versus the budget factor.
 pub fn fig9(scale: &Scale) -> Vec<FigureTable> {
     let algos = [RegionAlgo::Alg3, RegionAlgo::Baseline];
-    let grid: Vec<(usize, usize, MonitorRunResult)> = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (ai, algo) in algos.iter().enumerate() {
-            for (xi, &b) in MONITOR_BUDGET_FACTORS.iter().enumerate() {
-                handles.push(s.spawn(move || {
-                    let r =
-                        run_region_simulation(scale, b, *algo, scale.seed.wrapping_add(xi as u64));
-                    (ai, xi, r)
-                }));
-            }
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
+    let grid = sweep(&algos, &MONITOR_BUDGET_FACTORS, |algo, xi, b| {
+        run_region_simulation(scale, b, *algo, scale.seed.wrapping_add(xi as u64))
     });
-
-    let n = MONITOR_BUDGET_FACTORS.len();
-    let mut utilities = vec![vec![0.0; n]; 2];
-    let mut qualities = vec![vec![0.0; n]; 2];
-    for (ai, xi, r) in grid {
-        utilities[ai][xi] = r.avg_utility;
-        qualities[ai][xi] = r.avg_quality;
-    }
 
     let mut ta = FigureTable::new(
         "fig9a",
@@ -341,10 +296,10 @@ pub fn fig9(scale: &Scale) -> Vec<FigureTable> {
         "Average quality of results",
         MONITOR_BUDGET_FACTORS.to_vec(),
     );
-    ta.push_series("Alg3", utilities[0].clone());
-    ta.push_series("Baseline", utilities[1].clone());
-    tb.push_series("Alg3", qualities[0].clone());
-    tb.push_series("Baseline", qualities[1].clone());
+    for (label, row) in ["Alg3", "Baseline"].iter().zip(&grid) {
+        ta.push_series(label, row.iter().map(|r| r.avg_utility).collect());
+        tb.push_series(label, row.iter().map(|r| r.avg_quality).collect());
+    }
     vec![ta, tb]
 }
 

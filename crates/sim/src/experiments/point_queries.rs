@@ -1,6 +1,7 @@
 //! Single-sensor point-query experiments: Figs. 2–6 and the §4.7 trust
 //! sweep.
 
+use super::sweep;
 use crate::config::Scale;
 use crate::engine::engine_for;
 use crate::metrics::FigureTable;
@@ -151,7 +152,7 @@ pub fn run_point_simulation(
 
 /// Sweep runner shared by Figs. 2–6: one (algorithm × x-value) grid, with
 /// identical workloads across algorithms at each x (same seeds). Runs the
-/// grid in parallel with std scoped threads.
+/// grid in parallel through `sweep`.
 fn run_point_sweep(
     xs: &[f64],
     scale: &Scale,
@@ -160,46 +161,25 @@ fn run_point_sweep(
     queries_for_x: impl Fn(f64) -> usize + Sync,
     budgets_for_x: impl Fn(f64) -> BudgetScheme + Sync,
 ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    // [algo][x] result grids.
-    let n = xs.len();
-    let mut utilities = vec![vec![0.0; n]; PointAlgo::ALL.len()];
-    let mut satisfactions = vec![vec![0.0; n]; PointAlgo::ALL.len()];
-
-    let results: Vec<(usize, usize, PointRunResult)> = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (ai, algo) in PointAlgo::ALL.iter().enumerate() {
-            for (xi, &x) in xs.iter().enumerate() {
-                let make_setting = &make_setting;
-                let make_pool_cfg = &make_pool_cfg;
-                let queries_for_x = &queries_for_x;
-                let budgets_for_x = &budgets_for_x;
-                handles.push(s.spawn(move || {
-                    // Same trace/workload seed across algorithms.
-                    let setting = make_setting(scale.seed.wrapping_add(xi as u64));
-                    let result = run_point_simulation(
-                        &setting,
-                        scale,
-                        &make_pool_cfg(),
-                        queries_for_x(x),
-                        budgets_for_x(x),
-                        *algo,
-                        scale.seed.wrapping_add(1000 + xi as u64),
-                    );
-                    (ai, xi, result)
-                }));
-            }
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
+    let grid = sweep(&PointAlgo::ALL, xs, |algo, xi, x| {
+        // Same trace/workload seed across algorithms.
+        let setting = make_setting(scale.seed.wrapping_add(xi as u64));
+        run_point_simulation(
+            &setting,
+            scale,
+            &make_pool_cfg(),
+            queries_for_x(x),
+            budgets_for_x(x),
+            *algo,
+            scale.seed.wrapping_add(1000 + xi as u64),
+        )
     });
-
-    for (ai, xi, r) in results {
-        utilities[ai][xi] = r.avg_utility;
-        satisfactions[ai][xi] = r.satisfaction;
-    }
-    (utilities, satisfactions)
+    let series = |metric: fn(&PointRunResult) -> f64| -> Vec<Vec<f64>> {
+        grid.iter()
+            .map(|row| row.iter().map(metric).collect())
+            .collect()
+    };
+    (series(|r| r.avg_utility), series(|r| r.satisfaction))
 }
 
 fn tables_from_grids(
