@@ -181,6 +181,8 @@ fn trust_sweep_shows_monotone_utility() {
     );
 }
 
+/// Also checks `Scale::threads`' contract: every experiment's output is
+/// bit-identical for every worker count.
 #[test]
 fn every_experiment_runs_at_test_scale() {
     let s = Scale {
@@ -188,12 +190,18 @@ fn every_experiment_runs_at_test_scale() {
         query_factor: 0.08,
         sensor_factor: 0.35,
         seed: 77,
-        threads: 0,
+        threads: 1,
         shards: 1,
     };
     for id in ExperimentId::ALL {
         let tables = id.run(&s);
         assert!(!tables.is_empty(), "{} produced no tables", id.name());
+        assert_eq!(
+            tables,
+            id.run(&Scale { threads: 2, ..s }),
+            "{} depends on the worker count",
+            id.name()
+        );
         for t in &tables {
             assert!(!t.xs.is_empty());
             assert!(!t.series.is_empty());
