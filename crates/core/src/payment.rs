@@ -153,11 +153,6 @@ impl Ledger {
         self.payments.values().sum()
     }
 
-    /// Sensors with any receipts, in id order.
-    pub fn paid_sensors(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.receipts.iter().map(|(&s, &a)| (s, a))
-    }
-
     /// Checks the cost-recovery invariant: each paid sensor's receipts
     /// match its announced cost within `tol`. `costs[sensor_id]` gives the
     /// announced cost.

@@ -64,11 +64,6 @@ impl CoverageMap {
         self.radius
     }
 
-    /// Total number of cells in the region.
-    pub fn total_cells(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Number of currently covered cells.
     pub fn covered_cells(&self) -> usize {
         self.covered_count

@@ -35,17 +35,6 @@ impl Rect {
         Self::new(0.0, 0.0, width, height)
     }
 
-    /// A rectangle centred on `center` with the given half-extents,
-    /// clamped to `bounds` when provided.
-    pub fn centered(center: Point, half_w: f64, half_h: f64) -> Self {
-        Self::new(
-            center.x - half_w,
-            center.y - half_h,
-            center.x + half_w,
-            center.y + half_h,
-        )
-    }
-
     /// Width of the rectangle.
     #[inline]
     pub fn width(&self) -> f64 {

@@ -61,11 +61,6 @@ impl<K: Kernel> GaussianProcess<K> {
         }
     }
 
-    /// Number of conditioning observations.
-    pub fn num_observations(&self) -> usize {
-        self.locations.len()
-    }
-
     /// Posterior mean at `x`.
     pub fn mean(&self, x: Point) -> f64 {
         if self.locations.is_empty() {

@@ -74,11 +74,6 @@ impl PosteriorField {
         self.cov[(i, i)].max(0.0)
     }
 
-    /// Prior variance at location index `i`.
-    pub fn prior_variance(&self, i: usize) -> f64 {
-        self.prior_var[i]
-    }
-
     /// Total posterior variance over a subset of location indices.
     pub fn total_variance(&self, subset: &[usize]) -> f64 {
         subset.iter().map(|&i| self.variance(i)).sum()

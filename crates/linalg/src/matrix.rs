@@ -89,11 +89,6 @@ impl Matrix {
         self.rows == self.cols
     }
 
-    /// Borrow of the underlying row-major data.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
     /// A row as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {

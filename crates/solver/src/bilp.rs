@@ -162,12 +162,6 @@ impl SolveOptions {
         self
     }
 
-    /// Sets the per-LP pivot budget (builder style).
-    pub fn with_max_pivots(mut self, n: usize) -> Self {
-        self.max_pivots = n;
-        self
-    }
-
     /// Sets the wall-clock deadline (builder style).
     pub fn with_deadline(mut self, d: Duration) -> Self {
         self.deadline = Some(d);
