@@ -150,7 +150,6 @@ impl<'s> ClusterBuilder<'s> {
             halo,
             threads: self.threads,
             shards,
-            ledger: Ledger::new(),
             totals: Totals::default(),
             last_settlement: Settlement::default(),
             total_settlement: Settlement::default(),
@@ -187,7 +186,6 @@ pub struct ShardedAggregator<'s> {
     halo: f64,
     threads: Threads,
     shards: Vec<Aggregator<'s>>,
-    ledger: Ledger,
     totals: Totals,
     last_settlement: Settlement,
     total_settlement: Settlement,
@@ -267,26 +265,20 @@ impl<'s> ShardedAggregator<'s> {
 
     /// The per-tile engines, in shard (row-major tile) order.
     ///
-    /// **Pre-settlement views.** Each shard keeps its own cumulative
-    /// ledger and totals, absorbed during its `step` — *before* the
-    /// cluster's settlement strips duplicate halo purchases. On
-    /// cross-tile workloads the sum of shard books therefore exceeds
-    /// the cluster's settled [`ShardedAggregator::ledger`]/
+    /// **Pre-settlement views.** Each shard rolls its own totals during
+    /// its `step` — *before* the cluster's settlement strips duplicate
+    /// halo purchases. On cross-tile workloads the shards' summed
+    /// welfare therefore falls short of the cluster's settled
     /// [`ShardedAggregator::totals`] by one announced cost per settled
-    /// duplicate. Reconcile against the cluster's books (or the merged
+    /// duplicate. Reconcile against the cluster's totals (or the merged
     /// [`SlotReport`]s), never by summing shard state.
     pub fn shards(&self) -> &[Aggregator<'s>] {
         &self.shards
     }
 
-    /// Cumulative merged money flows across all slots — settled: every
-    /// measurement counted once, unlike the per-shard books behind
-    /// [`ShardedAggregator::shards`].
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
-    /// Cumulative merged statistics across all slots.
+    /// Cumulative merged statistics across all slots — settled: every
+    /// measurement's cost counted once, unlike the per-shard totals
+    /// behind [`ShardedAggregator::shards`].
     pub fn totals(&self) -> &Totals {
         &self.totals
     }
@@ -467,7 +459,7 @@ impl<'s> ShardedAggregator<'s> {
     }
 
     /// The tail of every cluster slot: the global settlement pass, then
-    /// the cluster's books. Settlement remaps every per-shard result to
+    /// the cluster's totals. Settlement remaps every per-shard result to
     /// global snapshot indices, merges reports (and any decision-latency
     /// statistics) in shard order, and resolves halo sensors selected by
     /// multiple shards — the lowest shard id keeps the purchase, each
@@ -554,7 +546,7 @@ impl<'s> ShardedAggregator<'s> {
         self.last_settlement = settlement;
         self.total_settlement.absorb(&settlement);
 
-        let mut report = SlotReport {
+        let report = SlotReport {
             slot,
             welfare,
             breakdown,
@@ -563,17 +555,14 @@ impl<'s> ShardedAggregator<'s> {
             point_results,
             aggregate_results,
             custom_results,
-            totals: Totals::default(),
             streaming,
         };
-        self.ledger.absorb(&report.ledger);
         self.totals.absorb_report(&report);
         self.totals.monitors_retired = self
             .shards
             .iter()
             .map(|s| s.totals().monitors_retired)
             .sum();
-        report.totals = self.totals.clone();
         report
     }
 }
@@ -771,6 +760,65 @@ mod tests {
             report.ledger.total_payments(),
             wide_report.ledger.total_payments()
         );
+    }
+
+    #[test]
+    fn totals_are_the_settled_reports_summed() {
+        use ps_core::valuation::monitoring::{MonitoringContext, MonitoringValuation};
+        use ps_stats::regression::DiurnalBasis;
+        use ps_stats::TimeSeries;
+        use std::sync::Arc;
+
+        // The seam layout of `halo_duplicates_settle_to_one_payment` for
+        // three slots, so every slot settles a duplicate, plus a location
+        // monitor in tile 0 whose window ends at slot 1.
+        let times: Vec<f64> = (0..100).map(|i| i as f64 - 100.0).collect();
+        let values = times
+            .iter()
+            .map(|&t| 20.0 + 5.0 * (std::f64::consts::TAU * t / 50.0).sin())
+            .collect();
+        let ctx = Arc::new(MonitoringContext {
+            basis: DiurnalBasis {
+                period: 50.0,
+                harmonics: 1,
+            },
+            history: TimeSeries::new(times, values),
+            fold: None,
+        });
+        let sensors = vec![sensor(7, 50.0, 50.0)];
+        let mut cluster = ClusterBuilder::new(quality(), arena(), 2).build();
+        cluster.submit_location_monitor(LocationMonitorSpec {
+            loc: Point::new(47.0, 47.0),
+            t1: 0,
+            t2: 1,
+            alpha: 0.5,
+            theta_min: 0.2,
+            valuation: MonitoringValuation::new(ctx, 40.0, vec![0.0, 1.0]),
+        });
+        let mut welfare = 0.0;
+        let (mut point_total, mut point_satisfied) = (0, 0);
+        for t in 0..3 {
+            cluster.submit_point(point_spec(48.0, 48.0, 30.0));
+            cluster.submit_point(point_spec(52.0, 52.0, 30.0));
+            let report = cluster.step(t, &sensors);
+            assert_eq!(cluster.last_settlement().duplicates, 1, "slot {t}");
+            welfare += report.welfare;
+            point_total += report.breakdown.point_total;
+            point_satisfied += report.breakdown.point_satisfied;
+        }
+
+        let totals = cluster.totals();
+        assert_eq!(totals.slots, 3);
+        assert_eq!(totals.welfare.to_bits(), welfare.to_bits());
+        assert_eq!(totals.breakdown.point_total, point_total);
+        assert_eq!(totals.breakdown.point_satisfied, point_satisfied);
+        assert_eq!(totals.monitors_retired, 1);
+        // The shards' own totals are pre-settlement: short of the
+        // cluster's welfare by exactly the restored duplicate costs.
+        let shard_welfare: f64 = cluster.shards().iter().map(|s| s.totals().welfare).sum();
+        let restored = cluster.total_settlement().cost_restored;
+        assert_eq!(restored, 30.0);
+        assert!((totals.welfare - shard_welfare - restored).abs() < 1e-9);
     }
 
     #[test]

@@ -9,12 +9,11 @@ use ps_core::aggregator::{
 use ps_core::model::{QueryId, SensorSnapshot, Slot};
 use ps_core::monitor::location::LocationMonitor;
 use ps_core::monitor::region::RegionMonitor;
-use ps_core::payment::Ledger;
 use ps_core::streaming::ArrivalEvent;
 
 /// What a slot-stepped acquisition engine looks like from the outside:
-/// query intake, one [`SlotEngine::step`] per tick, and cumulative
-/// bookkeeping. Implemented by [`Aggregator`] (one engine, the paper's
+/// query intake, one [`SlotEngine::step`] per tick, and running
+/// [`Totals`]. Implemented by [`Aggregator`] (one engine, the paper's
 /// service) and [`ShardedAggregator`] (a tiled cluster of them), so
 /// workload generators and experiment drivers run unchanged against
 /// either.
@@ -48,9 +47,6 @@ pub trait SlotEngine {
 
     /// Cumulative statistics since construction.
     fn totals(&self) -> &Totals;
-
-    /// Cumulative money flows since construction.
-    fn ledger(&self) -> &Ledger;
 
     /// Live location monitors (cluster: collated in shard order).
     fn location_monitors(&self) -> Vec<&LocationMonitor>;
@@ -102,10 +98,6 @@ impl<'s> SlotEngine for Aggregator<'s> {
 
     fn totals(&self) -> &Totals {
         Aggregator::totals(self)
-    }
-
-    fn ledger(&self) -> &Ledger {
-        Aggregator::ledger(self)
     }
 
     fn location_monitors(&self) -> Vec<&LocationMonitor> {
@@ -160,10 +152,6 @@ impl<'s> SlotEngine for ShardedAggregator<'s> {
 
     fn totals(&self) -> &Totals {
         ShardedAggregator::totals(self)
-    }
-
-    fn ledger(&self) -> &Ledger {
-        ShardedAggregator::ledger(self)
     }
 
     fn location_monitors(&self) -> Vec<&LocationMonitor> {

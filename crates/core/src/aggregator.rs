@@ -6,9 +6,9 @@
 //! slots, and every tick the data-acquisition loop (Algorithm 5) runs
 //! against whatever sensors announced themselves. [`Aggregator`] owns
 //! that loop: query intake with internal [`QueryId`] minting, monitor
-//! lifecycle (activation, expiry, retired-monitor statistics), a
-//! cumulative [`Ledger`], and a single [`Aggregator::step`] that executes
-//! one time slot and returns a [`SlotReport`].
+//! lifecycle (activation, expiry, retired-monitor statistics), running
+//! [`Totals`], and a single [`Aggregator::step`] that executes one time
+//! slot and returns a [`SlotReport`] carrying that slot's [`Ledger`].
 //!
 //! # Builder knobs → paper equations
 //!
@@ -106,8 +106,9 @@ use std::collections::{HashMap, HashSet};
 /// the cutover is invisible except in wall-clock time.
 pub const SPATIAL_INDEX_MIN_SENSORS: usize = 256;
 
-/// Default intra-slot tick resolution for the streaming path (see
-/// [`AggregatorBuilder::ticks_per_slot`]).
+/// Intra-slot tick resolution of the streaming path: arrival ticks live
+/// in `[0, DEFAULT_TICKS_PER_SLOT)`, and a boundary decision is recorded
+/// at latency `DEFAULT_TICKS_PER_SLOT − arrival_tick`.
 pub const DEFAULT_TICKS_PER_SLOT: u64 = 1_000;
 
 /// Per-monitor `(serving sensor, payment)` lists paired with the slot's
@@ -352,10 +353,10 @@ pub struct Totals {
 }
 
 impl Totals {
-    /// Accumulates one (possibly merged) slot report into these totals.
-    /// The federation layer uses this to keep cluster-level totals over
-    /// settled cross-shard reports; `monitors_retired` is not derivable
-    /// from a report and is tracked by the caller.
+    /// Accumulates one (possibly merged) slot report into these totals:
+    /// the engine's own report, or a federation's settled cross-shard
+    /// one. `monitors_retired` is not derivable from a report and is
+    /// tracked by the caller.
     pub fn absorb_report(&mut self, report: &SlotReport) {
         self.slots += 1;
         self.welfare += report.welfare;
@@ -372,8 +373,8 @@ pub struct SlotReport {
     pub welfare: f64,
     /// This slot's per-type breakdown.
     pub breakdown: MixBreakdown,
-    /// This slot's money flows (also absorbed into the cumulative
-    /// [`Aggregator::ledger`]).
+    /// This slot's money flows. The paper settles every payment inside
+    /// its slot, so the engine keeps no other ledger.
     pub ledger: Ledger,
     /// Snapshot indices of sensors that provided measurements.
     pub sensors_used: Vec<usize>,
@@ -386,8 +387,6 @@ pub struct SlotReport {
     /// Per-query answers for this slot's custom set valuations, in
     /// submission order.
     pub custom_results: Vec<SetQueryResult>,
-    /// Cumulative statistics after this slot.
-    pub totals: Totals,
     /// Decision-latency statistics, present exactly when the slot was
     /// driven through a `step_streaming` entry point (this engine's
     /// [`Aggregator::step_streaming`], or a federation's, which merges
@@ -417,7 +416,6 @@ pub struct AggregatorBuilder<'s> {
     spatial_index: bool,
     threads: Threads,
     next_query_id: u64,
-    ticks_per_slot: u64,
 }
 
 impl<'s> AggregatorBuilder<'s> {
@@ -437,7 +435,6 @@ impl<'s> AggregatorBuilder<'s> {
             spatial_index: true,
             threads: Threads::default(),
             next_query_id: 0,
-            ticks_per_slot: DEFAULT_TICKS_PER_SLOT,
         }
     }
 
@@ -507,16 +504,6 @@ impl<'s> AggregatorBuilder<'s> {
         self
     }
 
-    /// Intra-slot tick resolution for [`Aggregator::step_streaming`]
-    /// (default [`DEFAULT_TICKS_PER_SLOT`]): arrival-event ticks live in
-    /// `[0, n)` and boundary decisions are recorded at latency
-    /// `n − arrival_tick`. Must be positive.
-    pub fn ticks_per_slot(mut self, n: u64) -> Self {
-        assert!(n > 0, "ticks_per_slot must be positive");
-        self.ticks_per_slot = n;
-        self
-    }
-
     /// Builds the engine.
     #[must_use = "dropping the built engine discards all the configuration"]
     pub fn build(self) -> Aggregator<'s> {
@@ -530,14 +517,12 @@ impl<'s> AggregatorBuilder<'s> {
             spatial_index: self.spatial_index,
             threads: self.threads,
             next_query_id: self.next_query_id,
-            ticks_per_slot: self.ticks_per_slot,
             pending_points: Vec::new(),
             pending_aggregates: Vec::new(),
             pending_customs: Vec::new(),
             location_monitors: Vec::new(),
             region_monitors: Vec::new(),
             retired: Vec::new(),
-            ledger: Ledger::new(),
             totals: Totals::default(),
         }
     }
@@ -558,14 +543,12 @@ pub struct Aggregator<'s> {
     spatial_index: bool,
     threads: Threads,
     next_query_id: u64,
-    ticks_per_slot: u64,
     pending_points: Vec<PointQuery>,
     pending_aggregates: Vec<AggregateQuery>,
     pending_customs: Vec<(QueryId, Box<dyn SetValuation + 's>)>,
     location_monitors: Vec<LocationMonitor>,
     region_monitors: Vec<RegionMonitor>,
     retired: Vec<RetiredMonitor>,
-    ledger: Ledger,
     totals: Totals,
 }
 
@@ -665,11 +648,6 @@ impl<'s> Aggregator<'s> {
         self.retired.clear();
     }
 
-    /// Cumulative money flows across all slots stepped so far.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
     /// Cumulative statistics across all slots stepped so far.
     pub fn totals(&self) -> &Totals {
         &self.totals
@@ -699,12 +677,6 @@ impl<'s> Aggregator<'s> {
     /// (≥ 1; see [`AggregatorBuilder::threads`]).
     pub fn threads(&self) -> usize {
         self.threads.get()
-    }
-
-    /// The configured intra-slot tick resolution (see
-    /// [`AggregatorBuilder::ticks_per_slot`]).
-    pub fn ticks_per_slot(&self) -> u64 {
-        self.ticks_per_slot
     }
 
     // ── The tick ──────────────────────────────────────────────────────
@@ -767,7 +739,7 @@ impl<'s> Aggregator<'s> {
         // Batch fallback: replay the stream into the intake (preserving
         // event order, hence the minted id sequence) and resolve
         // everything at the boundary.
-        let tps = self.ticks_per_slot;
+        let tps = DEFAULT_TICKS_PER_SLOT;
         let mut stats = StreamStats::new(tps);
         let mut sensors: Vec<SensorSnapshot> = Vec::new();
         for ev in events {
@@ -811,14 +783,10 @@ impl<'s> Aggregator<'s> {
     }
 
     /// Post-dispatch bookkeeping shared by the batch and streaming
-    /// paths: absorb the slot ledger, roll the totals, retire monitors
-    /// whose window ended at `slot`, and stamp the cumulative totals
-    /// into the report.
-    fn finalize(&mut self, slot: Slot, mut report: SlotReport) -> SlotReport {
-        self.ledger.absorb(&report.ledger);
-        self.totals.slots += 1;
-        self.totals.welfare += report.welfare;
-        self.totals.breakdown.absorb(&report.breakdown);
+    /// paths: roll the totals and retire monitors whose window ended at
+    /// `slot`.
+    fn finalize(&mut self, slot: Slot, report: SlotReport) -> SlotReport {
+        self.totals.absorb_report(&report);
 
         // Retire monitors that can never be active again.
         let retired = &mut self.retired;
@@ -840,8 +808,6 @@ impl<'s> Aggregator<'s> {
         // Increment rather than read `retired.len()`: `clear_retired`
         // drops the retained state but must not reset the running count.
         self.totals.monitors_retired += self.retired.len() - before;
-
-        report.totals = self.totals.clone();
         report
     }
 
@@ -1260,7 +1226,7 @@ impl<'s> Aggregator<'s> {
     /// and the merged slot ledger is budget-balanced and
     /// cost-recovering (proptested in `tests/streaming_equivalence.rs`).
     fn step_online(&mut self, t: Slot, events: &[ArrivalEvent]) -> SlotReport {
-        let tps = self.ticks_per_slot;
+        let tps = DEFAULT_TICKS_PER_SLOT;
         // Cell grid over arrived sensors, cell side d_max: a point's
         // candidates all live in the 3×3 neighborhood of its cell.
         let cell = self.quality.d_max;
@@ -1638,7 +1604,6 @@ impl SlotReport {
             point_results: Vec::new(),
             aggregate_results: Vec::new(),
             custom_results: Vec::new(),
-            totals: Totals::default(),
             streaming: None,
         }
     }
@@ -1932,12 +1897,11 @@ mod tests {
     }
 
     #[test]
-    fn cumulative_ledger_matches_slot_ledgers() {
+    fn every_slot_ledger_recovers_sensor_costs() {
         let sensors: Vec<SensorSnapshot> = (0..4)
             .map(|i| sensor(i, 2.0 + 4.0 * i as f64, 5.0))
             .collect();
         let mut engine = AggregatorBuilder::new(quality()).build();
-        let mut paid = 0.0;
         for t in 0..3 {
             for i in 0..4 {
                 engine.submit_point(point_spec(2.0 + 4.0 * i as f64, 5.0, 25.0));
@@ -1948,11 +1912,7 @@ mod tests {
                 .ledger
                 .verify_cost_recovery(|_| 10.0, 1e-6)
                 .unwrap_or_else(|e| panic!("slot {t}: {e}"));
-            paid += report.ledger.total_payments();
         }
-        // Cumulative ledger = sum of the slot ledgers, still balanced.
-        assert!((engine.ledger().total_payments() - paid).abs() < 1e-9);
-        assert!((engine.ledger().total_receipts() - engine.ledger().total_payments()).abs() < 1e-9);
     }
 
     #[test]

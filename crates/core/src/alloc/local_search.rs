@@ -60,7 +60,7 @@ mod tests {
     use crate::model::QueryId;
     use crate::query::QueryOrigin;
     use ps_geo::Point;
-    use ps_solver::submodular::{verify_submodular, FnSet};
+    use ps_solver::submodular::verify_submodular;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -169,11 +169,14 @@ mod tests {
             None,
             Threads::single(),
         );
-        let f = FnSet::new(sensors.len(), |set| {
-            let open: Vec<bool> = (0..sensors.len()).map(|i| set.contains(i)).collect();
+        let f = |set: &[usize]| {
+            let open: Vec<bool> = (0..sensors.len()).map(|i| set.contains(&i)).collect();
             problem.welfare_of(&open)
-        });
-        assert!(verify_submodular(&f, 1e-9), "Eq. 12 utility not submodular");
+        };
+        assert!(
+            verify_submodular(sensors.len(), f, 1e-9),
+            "Eq. 12 utility not submodular"
+        );
         // Non-monotone: adding a useless costly sensor lowers u.
         // (With cost 10 > any marginal gain of a far sensor this holds by
         // construction whenever some sensor serves nothing.)

@@ -31,10 +31,11 @@
 //!
 //! The public entry point is the stateful [`aggregator::Aggregator`]
 //! engine: builder-configured, owning query intake, monitor lifecycle,
-//! and a cumulative ledger, with one [`aggregator::Aggregator::step`]
-//! per time slot. (The deprecated `mix` free-function shims were removed
-//! after one release; `docs/MIGRATION.md` maps every removed symbol to
-//! its builder-API replacement.)
+//! and running totals, with one [`aggregator::Aggregator::step`] per
+//! time slot whose report carries that slot's ledger. (The deprecated
+//! `mix` free-function shims were removed after one release;
+//! `docs/MIGRATION.md` maps every removed symbol to its builder-API
+//! replacement.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -45,50 +45,34 @@ impl Ledger {
         *self.flows.entry((sensor, query)).or_insert(0.0) += amount;
     }
 
-    /// Records an adjustment (refund) to a query's total, e.g. when a
+    /// Refunds `amount` of what `query` paid for `sensor`, e.g. when a
     /// region monitor's cost contribution lowers what point queries owe
     /// (Algorithm 5, step 5). The sensor's receipt is unchanged: the
-    /// contributor covers the difference. When the refund concerns a
-    /// specific sensor's cost, prefer [`Ledger::refund_for`] so the
-    /// per-sensor flows stay settlement-accurate.
-    pub fn refund(&mut self, query: QueryId, amount: f64) {
-        assert!(amount >= 0.0, "negative refund {amount}");
-        *self.payments.entry(query).or_insert(0.0) -= amount;
-    }
-
-    /// [`Ledger::refund`] with sensor attribution: also reduces the
-    /// `(sensor, query)` flow, so a later [`Ledger::strip_sensor`]
-    /// refunds the query's *net* payment for that sensor, not the gross.
+    /// contributor covers the difference. The `(sensor, query)` flow
+    /// drops too, so a later [`Ledger::strip_sensor`] refunds the
+    /// query's *net* payment for that sensor, not the gross.
     pub fn refund_for(&mut self, query: QueryId, sensor: usize, amount: f64) {
         assert!(amount >= 0.0, "negative refund {amount}");
         *self.payments.entry(query).or_insert(0.0) -= amount;
         *self.flows.entry((sensor, query)).or_insert(0.0) -= amount;
     }
 
-    /// Records a payment by `query` that is *not* a sensor receipt — a
-    /// region monitor's sharing contribution, which reimburses the
-    /// queries that already paid the sensor (via [`Ledger::refund`])
-    /// rather than paying the sensor twice. Pairing `charge` with equal
-    /// refunds keeps `total_payments == total_receipts` and preserves the
-    /// §2.1 cost-recovery invariant. When the charge concerns a specific
-    /// sensor's cost, prefer [`Ledger::charge_for`].
-    pub fn charge(&mut self, query: QueryId, amount: f64) {
-        assert!(amount >= 0.0, "negative charge {amount}");
-        *self.payments.entry(query).or_insert(0.0) += amount;
-    }
-
-    /// [`Ledger::charge`] with sensor attribution: also records the
-    /// `(sensor, query)` flow (without touching the sensor's receipt), so
-    /// contributors — not just original payers — are made whole when
-    /// [`Ledger::strip_sensor`] unwinds the sensor.
+    /// Records a payment by `query` toward `sensor`'s cost that is *not*
+    /// a sensor receipt — a region monitor's sharing contribution, which
+    /// reimburses the queries that already paid the sensor (via
+    /// [`Ledger::refund_for`]) rather than paying the sensor twice. Paired
+    /// with equal refunds it keeps `total_payments == total_receipts` and
+    /// §2.1 cost recovery; its recorded flow makes the contributor whole
+    /// when [`Ledger::strip_sensor`] unwinds the sensor.
     pub fn charge_for(&mut self, query: QueryId, sensor: usize, amount: f64) {
         assert!(amount >= 0.0, "negative charge {amount}");
         *self.payments.entry(query).or_insert(0.0) += amount;
         *self.flows.entry((sensor, query)).or_insert(0.0) += amount;
     }
 
-    /// Adds every flow of `other` into this ledger (the engine's
-    /// cumulative ledger absorbing one slot's flows).
+    /// Adds every flow of `other` into this ledger — a federation
+    /// merging its settled shard ledgers, or the online auction merging
+    /// its arrival-time ledger into the boundary one.
     pub fn absorb(&mut self, other: &Ledger) {
         for (&sensor, &amount) in &other.receipts {
             *self.receipts.entry(sensor).or_insert(0.0) += amount;
@@ -193,7 +177,7 @@ mod tests {
     fn refunds_lower_query_totals_only() {
         let mut l = Ledger::new();
         l.record(QueryId(1), 7, 10.0);
-        l.refund(QueryId(1), 3.0);
+        l.refund_for(QueryId(1), 7, 3.0);
         assert_eq!(l.query_payment(QueryId(1)), 7.0);
         assert_eq!(l.sensor_receipt(7), 10.0);
     }
@@ -218,8 +202,8 @@ mod tests {
         let mut l = Ledger::new();
         l.record(QueryId(1), 7, 10.0);
         // Query 2 contributes 4 toward sensor 7; query 1 is refunded.
-        l.charge(QueryId(2), 4.0);
-        l.refund(QueryId(1), 4.0);
+        l.charge_for(QueryId(2), 7, 4.0);
+        l.refund_for(QueryId(1), 7, 4.0);
         assert_eq!(l.sensor_receipt(7), 10.0);
         assert_eq!(l.total_payments(), 10.0);
         assert_eq!(l.query_payment(QueryId(1)), 6.0);

@@ -121,7 +121,7 @@ mod tests {
     use crate::model::QueryId;
     use crate::query::AggregateKind;
     use ps_geo::{Point, Rect, Trajectory};
-    use ps_solver::submodular::{verify_submodular, FnSet};
+    use ps_solver::submodular::verify_submodular;
 
     fn sensor(id: usize, x: f64, y: f64, trust: f64, gamma: f64) -> SensorSnapshot {
         SensorSnapshot {
@@ -214,24 +214,27 @@ mod tests {
             sensor(3, 1.0, 7.0, 0.9, 0.15),
         ];
         let q = query(region, 30.0);
-        let eq5 = FnSet::new(sensors.len(), |set| {
+        let eq5 = |set: &[usize]| {
             let mut v = AggregateValuation::new(&q, 3.0);
-            for i in set.iter() {
+            for &i in set {
                 v.commit(&sensors[i]);
             }
             v.current_value()
-        });
-        assert!(!verify_submodular(&eq5, 1e-9), "Eq. 5 looked submodular");
+        };
+        assert!(
+            !verify_submodular(sensors.len(), eq5, 1e-9),
+            "Eq. 5 looked submodular"
+        );
 
-        let coverage_only = FnSet::new(sensors.len(), |set| {
+        let coverage_only = |set: &[usize]| {
             let mut cov = CoverageMap::new(region, 3.0);
-            for i in set.iter() {
+            for &i in set {
                 cov.commit(sensors[i].loc);
             }
             cov.fraction()
-        });
+        };
         assert!(
-            verify_submodular(&coverage_only, 1e-9),
+            verify_submodular(sensors.len(), coverage_only, 1e-9),
             "pure coverage must be submodular"
         );
     }

@@ -118,7 +118,7 @@ mod tests {
     use crate::model::QueryId;
     use crate::query::QueryOrigin;
     use ps_geo::Point;
-    use ps_solver::submodular::{verify_monotone, verify_submodular, FnSet};
+    use ps_solver::submodular::{verify_monotone, verify_submodular};
 
     fn sensor(id: usize, x: f64, trust: f64) -> SensorSnapshot {
         SensorSnapshot {
@@ -218,14 +218,14 @@ mod tests {
             sensor(2, 3.5, 0.9),
             sensor(3, 1.0, 0.4),
         ];
-        let f = FnSet::new(sensors.len(), |set| {
+        let f = |set: &[usize]| {
             let mut v = valuation(30.0);
-            for i in set.iter() {
+            for &i in set {
                 v.commit(&sensors[i]);
             }
             v.current_value()
-        });
-        assert!(verify_monotone(&f, 1e-9));
-        assert!(verify_submodular(&f, 1e-9));
+        };
+        assert!(verify_monotone(sensors.len(), f, 1e-9));
+        assert!(verify_submodular(sensors.len(), f, 1e-9));
     }
 }

@@ -21,8 +21,8 @@
 //! 3. **Greedy marginal-gain selection** (Algorithm 1's engine), as the
 //!    facility-opening heuristic [`ufl::solve_greedy`].
 //!
-//! [`submodular`] holds the black-box [`submodular::SetFunction`]
-//! interface and the brute-force property checks the valuation tests use.
+//! [`submodular`] holds the brute-force set-function property checks
+//! the valuation tests use.
 //!
 //! Every solve surfaces a [`SolveStatus`] — `Optimal`, `Feasible`
 //! (incumbent under a deadline), `Infeasible`, `Unbounded`, or
@@ -37,12 +37,10 @@
 #![warn(missing_docs)]
 
 pub mod bilp;
-pub mod bitset;
 pub mod simplex;
 pub mod submodular;
 pub mod ufl;
 
 pub use bilp::{BilpProblem, BilpSolution, SolveOptions, SolveStatus, WarmStart};
-pub use bitset::BitSet;
 pub use simplex::{Basis, Constraint, ConstraintOp, LpOutcome, LpProblem, LpStatus};
 pub use ufl::{WelfareProblem, WelfareSolution};

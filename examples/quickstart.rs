@@ -64,11 +64,10 @@ fn main() {
             .collect::<Vec<_>>(),
         report.ledger.total_receipts()
     );
+    let totals = engine.totals();
     println!(
         "engine totals after 1 slot: {} queries in, {} satisfied, welfare {:.2}",
-        report.totals.breakdown.point_total,
-        report.totals.breakdown.point_satisfied,
-        report.totals.welfare
+        totals.breakdown.point_total, totals.breakdown.point_satisfied, totals.welfare
     );
 }
 

@@ -1,7 +1,7 @@
 //! The `threads` knob is a pure accelerator: an `Aggregator` stepped
 //! with `threads(1)` and one stepped with `threads(N)` must produce
 //! **bit-identical** results — same `SlotReport`s (welfare bits,
-//! selections, per-query payments), same cumulative ledgers, same
+//! selections, per-query payments), same running welfare total, same
 //! retired-monitor statistics — on the same seeded standing stream.
 //! This mirrors the `spatial_index` equivalence contract of
 //! `tests/index_equivalence.rs`, one abstraction layer up.
@@ -51,8 +51,7 @@ fn sharding_profile() -> StandingMixProfile {
 /// Everything one run produced, cumulative state included.
 struct RunOutcome {
     reports: Vec<SlotReport>,
-    cumulative_payments: f64,
-    cumulative_receipts: f64,
+    total_welfare: f64,
     retired: Vec<(u64, f64, f64, f64)>, // (id, value, spent, quality)
     next_query_id: u64,
 }
@@ -75,8 +74,7 @@ fn run(
         .collect();
     RunOutcome {
         reports,
-        cumulative_payments: engine.ledger().total_payments(),
-        cumulative_receipts: engine.ledger().total_receipts(),
+        total_welfare: engine.totals().welfare,
         retired: engine
             .retired_monitors()
             .iter()
@@ -138,18 +136,10 @@ fn assert_outcomes_identical(a: &RunOutcome, b: &RunOutcome, label: &str) {
                 "{label}: aggregate sensors at slot {t}"
             );
         }
-        assert_eq!(
-            x.totals.welfare, y.totals.welfare,
-            "{label}: cumulative welfare at slot {t}"
-        );
     }
     assert_eq!(
-        a.cumulative_payments, b.cumulative_payments,
-        "{label}: cumulative ledger payments"
-    );
-    assert_eq!(
-        a.cumulative_receipts, b.cumulative_receipts,
-        "{label}: cumulative ledger receipts"
+        a.total_welfare, b.total_welfare,
+        "{label}: cumulative welfare"
     );
     assert_eq!(a.retired.len(), b.retired.len(), "{label}: retired count");
     for (ra, rb) in a.retired.iter().zip(&b.retired) {

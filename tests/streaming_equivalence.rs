@@ -124,10 +124,6 @@ fn assert_reports_identical(a: &SlotReport, b: &SlotReport, label: &str) {
         a.breakdown.monitor_samples, b.breakdown.monitor_samples,
         "{label}: monitor samples at slot {t}"
     );
-    assert_eq!(
-        a.totals.welfare, b.totals.welfare,
-        "{label}: cumulative welfare at slot {t}"
-    );
 }
 
 /// One engine configuration under test: a strategy, optionally with a
