@@ -2086,4 +2086,103 @@ mod tests {
         assert!((engine.totals().welfare - welfare).abs() < 1e-9);
         assert_eq!(engine.totals().breakdown.point_total, 4);
     }
+
+    #[test]
+    fn streaming_totals_are_the_reports_summed() {
+        for strategy in [MixStrategy::Alg5, MixStrategy::OnlineAuction] {
+            let mut engine = AggregatorBuilder::new(quality()).strategy(strategy).build();
+            let mut monitor = location_spec(Point::new(5.0, 5.0), 100.0);
+            monitor.t2 = 1;
+            engine.submit_location_monitor(monitor);
+            let mut welfare = 0.0;
+            let (mut points, mut satisfied, mut samples) = (0, 0, 0);
+            for t in 0..3 {
+                let events = vec![
+                    ArrivalEvent::point(50, point_spec(5.0, 5.0, 20.0)),
+                    ArrivalEvent::sensor(100 * t as u64, sensor(0, 5.0, 5.0)),
+                    ArrivalEvent::sensor(200, sensor(1, 12.0, 5.0)),
+                    ArrivalEvent::point(300, point_spec(12.0, 5.0, 20.0)),
+                ];
+                let report = engine.step_streaming(t, &events);
+                welfare += report.welfare;
+                points += report.breakdown.point_total;
+                satisfied += report.breakdown.point_satisfied;
+                samples += report.breakdown.monitor_samples;
+            }
+            let totals = engine.totals();
+            assert_eq!(totals.slots, 3, "{strategy:?}");
+            assert_eq!(totals.welfare, welfare, "{strategy:?}: welfare");
+            assert!(welfare > 0.0, "{strategy:?}: nothing was bought");
+            assert_eq!(totals.breakdown.point_total, points, "{strategy:?}");
+            assert_eq!(totals.breakdown.point_satisfied, satisfied, "{strategy:?}");
+            assert!(satisfied > 0, "{strategy:?}: no point answered");
+            assert_eq!(totals.breakdown.monitor_samples, samples, "{strategy:?}");
+            assert_eq!(totals.monitors_retired, 1, "{strategy:?}");
+            assert!(engine.location_monitors().is_empty(), "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn batch_streaming_decides_every_query_at_the_boundary() {
+        let mut engine = AggregatorBuilder::new(quality()).build();
+        let events = vec![
+            ArrivalEvent::aggregate(
+                0,
+                AggregateSpec {
+                    region: Rect::new(0.0, 0.0, 10.0, 10.0),
+                    budget: 50.0,
+                    kind: AggregateKind::Average,
+                },
+            ),
+            ArrivalEvent::sensor(100, sensor(0, 5.0, 5.0)),
+            ArrivalEvent::point(250, point_spec(5.0, 5.0, 20.0)),
+            // Past the slot's end: clamped to the boundary itself.
+            ArrivalEvent::point(DEFAULT_TICKS_PER_SLOT + 500, point_spec(5.0, 5.0, 20.0)),
+        ];
+        let report = engine.step_streaming(0, &events);
+        let stats = report.streaming.as_ref().expect("streaming entry point");
+        assert_eq!(stats.ticks_per_slot, DEFAULT_TICKS_PER_SLOT);
+        assert_eq!(
+            stats.decision_ticks,
+            vec![DEFAULT_TICKS_PER_SLOT, DEFAULT_TICKS_PER_SLOT - 250, 0]
+        );
+        assert_eq!(stats.matched_at_arrival, 0);
+        assert_eq!((stats.query_arrivals, stats.sensor_arrivals), (3, 1));
+        assert_eq!(report.breakdown.point_satisfied, 2);
+    }
+
+    #[test]
+    fn online_auction_decides_at_arrival_or_at_the_boundary() {
+        let mut engine = AggregatorBuilder::new(quality())
+            .strategy(MixStrategy::OnlineAuction)
+            .build();
+        let events = vec![
+            // Waits: no sensor has arrived yet.
+            ArrivalEvent::point(100, point_spec(5.0, 5.0, 20.0)),
+            // Bought on arrival by the waiting point.
+            ArrivalEvent::sensor(300, sensor(0, 5.0, 5.0)),
+            // Matched on arrival, reading the bought sensor free.
+            ArrivalEvent::point(400, point_spec(5.0, 5.0, 20.0)),
+            // Out of every sensor's range: unanswered at the boundary.
+            ArrivalEvent::point(600, point_spec(50.0, 50.0, 20.0)),
+        ];
+        let report = engine.step_streaming(0, &events);
+        let stats = report.streaming.as_ref().expect("streaming entry point");
+        assert_eq!(stats.ticks_per_slot, DEFAULT_TICKS_PER_SLOT);
+        assert_eq!(
+            stats.decision_ticks,
+            vec![200, 0, DEFAULT_TICKS_PER_SLOT - 600]
+        );
+        assert_eq!(stats.matched_at_arrival, 2);
+        let paid: Vec<f64> = report.point_results.iter().map(|r| r.paid).collect();
+        assert_eq!(paid, vec![10.0, 0.0, 0.0]);
+        assert_eq!(report.point_results[2].sensor, None);
+        assert_eq!(
+            report.ledger.query_payment(report.point_results[0].id),
+            10.0
+        );
+        assert_eq!(report.ledger.sensor_receipt(0), 10.0);
+        // Two perfect readings worth 20 each, one sensor costing 10.
+        assert_eq!(report.welfare, 30.0);
+    }
 }
