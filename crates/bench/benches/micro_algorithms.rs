@@ -19,7 +19,6 @@ use ps_core::QueryId;
 use ps_geo::{Point, Rect};
 use ps_gp::kernel::SquaredExponential;
 use ps_gp::posterior::PosteriorField;
-use ps_solver::simplex::DEFAULT_MAX_PIVOTS;
 use ps_solver::ufl::{self, WelfareProblem};
 use ps_solver::SolveOptions;
 use rand::rngs::StdRng;
@@ -63,7 +62,7 @@ fn bench_schedulers(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("lp_bound", format!("{nf}s_{nc}l")),
             &problem,
-            |b, p| b.iter(|| black_box(ufl::lp_relaxation_bound(p, DEFAULT_MAX_PIVOTS))),
+            |b, p| b.iter(|| black_box(ufl::lp_relaxation_bound(p))),
         );
         group.bench_with_input(
             BenchmarkId::new("local_search", format!("{nf}s_{nc}l")),

@@ -29,10 +29,9 @@ use std::time::Duration;
 /// The Optimal scheduler of §3.1.1, backed by the `ps_solver` simplex +
 /// branch-and-bound core.
 ///
-/// Resource knobs ([`Self::max_nodes`], [`Self::max_pivots`],
-/// [`Self::deadline`]) bound the exact search; thanks to heuristic
-/// incumbent seeding the schedule is always a feasible allocation at
-/// least as good as Local Search, with
+/// Resource knobs ([`Self::max_nodes`], [`Self::deadline`]) bound the
+/// exact search; thanks to heuristic incumbent seeding the schedule is
+/// always a feasible allocation at least as good as Local Search, with
 /// [`PointAllocation::solve_status`] recording whether optimality was
 /// proven. At default options the schedule is deterministic and
 /// bit-identical for every thread count.
@@ -51,12 +50,6 @@ impl OptimalScheduler {
     /// Sets the global branch-and-bound node budget per slot.
     pub fn max_nodes(mut self, nodes: usize) -> Self {
         self.options.max_nodes = nodes;
-        self
-    }
-
-    /// Sets the simplex pivot budget per LP relaxation.
-    pub fn max_pivots(mut self, pivots: usize) -> Self {
-        self.options.max_pivots = pivots;
         self
     }
 
@@ -131,17 +124,12 @@ impl PointScheduler for GreedyPointScheduler {
 pub struct WithLpBound<S> {
     /// The scheduler producing the actual allocation.
     pub inner: S,
-    /// Simplex pivot budget for the bound computation.
-    pub max_pivots: usize,
 }
 
 impl<S> WithLpBound<S> {
-    /// Wraps `inner`, using the default pivot budget for bound LPs.
+    /// Wraps `inner`.
     pub fn new(inner: S) -> Self {
-        Self {
-            inner,
-            max_pivots: SolveOptions::default().max_pivots,
-        }
+        Self { inner }
     }
 }
 
@@ -162,7 +150,7 @@ impl<S: PointScheduler> PointScheduler for WithLpBound<S> {
         }
         let groups = group_by_location(queries);
         let problem = build_welfare_problem(queries, &groups, sensors, quality, index, threads);
-        let bound = ufl::lp_relaxation_bound(&problem, self.max_pivots);
+        let bound = ufl::lp_relaxation_bound(&problem);
         alloc.lp_bound = Some(bound.max(alloc.welfare));
         alloc
     }

@@ -402,35 +402,11 @@ impl StandingMixProfile {
             submitted += 1;
         }
         while engine.location_monitor_count() < self.location_monitors {
-            let duration = rng.gen_range(5..=20usize);
-            let desired: Vec<f64> = (t..t + duration).step_by(3).map(|s| s as f64).collect();
-            engine.submit_location_monitor(LocationMonitorSpec {
-                loc: random_cell_center(rng, &self.arena),
-                t1: t,
-                t2: t + duration,
-                alpha: 0.5,
-                theta_min: THETA_MIN,
-                valuation: MonitoringValuation::new(
-                    ctx.clone(),
-                    duration as f64 * self.monitor_budget_factor,
-                    desired,
-                ),
-            });
+            engine.submit_location_monitor(self.location_monitor(rng, t, ctx));
             submitted += 1;
         }
         while engine.region_monitor_count() < self.region_monitors {
-            let duration = rng.gen_range(5..=20usize);
-            let region = random_subregion(rng, &self.arena, self.region_side.0, self.region_side.1);
-            let r_s = 2.0f64;
-            let budget = region.area() / (3.0 * std::f64::consts::PI * r_s * r_s)
-                * self.monitor_budget_factor;
-            engine.submit_region_monitor(RegionMonitorSpec {
-                t1: t,
-                t2: t + duration,
-                alpha: 0.5,
-                theta_min: THETA_MIN,
-                valuation: RegionValuation::new(budget, region, kernel, 0.1),
-            });
+            engine.submit_region_monitor(self.region_monitor(rng, t, kernel));
             submitted += 1;
         }
         submitted
@@ -497,43 +473,68 @@ impl StandingMixProfile {
             events.push(ArrivalEvent::aggregate(rng.gen_range(0..tps), spec));
         }
         for _ in active_location_monitors..self.location_monitors {
-            let duration = rng.gen_range(5..=20usize);
-            let desired: Vec<f64> = (t..t + duration).step_by(3).map(|s| s as f64).collect();
+            let spec = self.location_monitor(rng, t, ctx);
             events.push(ArrivalEvent {
                 tick: 0,
-                payload: ArrivalPayload::LocationMonitor(LocationMonitorSpec {
-                    loc: random_cell_center(rng, &self.arena),
-                    t1: t,
-                    t2: t + duration,
-                    alpha: 0.5,
-                    theta_min: THETA_MIN,
-                    valuation: MonitoringValuation::new(
-                        ctx.clone(),
-                        duration as f64 * self.monitor_budget_factor,
-                        desired,
-                    ),
-                }),
+                payload: ArrivalPayload::LocationMonitor(spec),
             });
         }
         for _ in active_region_monitors..self.region_monitors {
-            let duration = rng.gen_range(5..=20usize);
-            let region = random_subregion(rng, &self.arena, self.region_side.0, self.region_side.1);
-            let r_s = 2.0f64;
-            let budget = region.area() / (3.0 * std::f64::consts::PI * r_s * r_s)
-                * self.monitor_budget_factor;
+            let spec = self.region_monitor(rng, t, kernel);
             events.push(ArrivalEvent {
                 tick: 0,
-                payload: ArrivalPayload::RegionMonitor(RegionMonitorSpec {
-                    t1: t,
-                    t2: t + duration,
-                    alpha: 0.5,
-                    theta_min: THETA_MIN,
-                    valuation: RegionValuation::new(budget, region, kernel, 0.1),
-                }),
+                payload: ArrivalPayload::RegionMonitor(spec),
             });
         }
         events.sort_by_key(|e| e.tick);
         events
+    }
+
+    /// One location monitor starting at slot `t`: duration uniform in
+    /// `[5, 20]`, desired times every 3rd slot, α = 0.5.
+    fn location_monitor(
+        &self,
+        rng: &mut StdRng,
+        t: usize,
+        ctx: &Arc<MonitoringContext>,
+    ) -> LocationMonitorSpec {
+        let duration = rng.gen_range(5..=20usize);
+        let desired: Vec<f64> = (t..t + duration).step_by(3).map(|s| s as f64).collect();
+        LocationMonitorSpec {
+            loc: random_cell_center(rng, &self.arena),
+            t1: t,
+            t2: t + duration,
+            alpha: 0.5,
+            theta_min: THETA_MIN,
+            valuation: MonitoringValuation::new(
+                ctx.clone(),
+                duration as f64 * self.monitor_budget_factor,
+                desired,
+            ),
+        }
+    }
+
+    /// One region monitor starting at slot `t`: duration uniform in
+    /// `[5, 20]`, a region of this profile's side lengths, the §4.6
+    /// budget `A(r_q)/(3π r_s²)·b` with `r_s = 2`, α = 0.5.
+    fn region_monitor(
+        &self,
+        rng: &mut StdRng,
+        t: usize,
+        kernel: &SquaredExponential,
+    ) -> RegionMonitorSpec {
+        let duration = rng.gen_range(5..=20usize);
+        let region = random_subregion(rng, &self.arena, self.region_side.0, self.region_side.1);
+        let r_s = 2.0f64;
+        let budget =
+            region.area() / (3.0 * std::f64::consts::PI * r_s * r_s) * self.monitor_budget_factor;
+        RegionMonitorSpec {
+            t1: t,
+            t2: t + duration,
+            alpha: 0.5,
+            theta_min: THETA_MIN,
+            valuation: RegionValuation::new(budget, region, kernel, 0.1),
+        }
     }
 
     /// One slot's aggregate specs (§4.4 with this profile's region sizes

@@ -8,13 +8,13 @@
 //! **best-bound order** and branch on the **most fractional** variable.
 //!
 //! Every solve is *anytime*: an incumbent is tracked from the first
-//! integral point on (or from a warm-started one), so exhausting the node
+//! integral point on (or from a caller-supplied seed), so exhausting the node
 //! budget, the pivot budget, or the wall-clock deadline still returns the
 //! best feasible solution found — with a status
 //! ([`SolveStatus::LimitReached`] / [`SolveStatus::Feasible`]) that is
 //! always distinguishable from a proven [`SolveStatus::Infeasible`].
 
-use crate::simplex::{self, Basis, Constraint, ConstraintOp, LpProblem, LpStatus};
+use crate::simplex::{self, Constraint, ConstraintOp, LpProblem, LpStatus};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
@@ -110,20 +110,11 @@ impl SolveStatus {
     }
 }
 
-/// Warm-start state carried across solves.
-#[derive(Debug, Clone, Default)]
-pub struct WarmStart {
-    /// A feasible 0/1 assignment to seed the incumbent (checked against
-    /// the constraints before use; for [`crate::ufl::solve_exact`] this
-    /// is interpreted in *facility* space instead — see its docs).
-    pub incumbent: Option<Vec<bool>>,
-    /// A simplex basis for the root relaxation, from a previous solve of
-    /// an identically-shaped program (e.g. the previous slot). Rejected
-    /// silently when the shape no longer matches.
-    pub basis: Option<Basis>,
-}
+/// A relaxation value within this distance of an integer counts as
+/// integral.
+const INT_TOLERANCE: f64 = 1e-6;
 
-/// Resource limits and tolerances for a solve.
+/// Resource limits for a solve.
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
     /// Simplex pivot budget per LP relaxation solve.
@@ -136,11 +127,6 @@ pub struct SolveOptions {
     /// and pivot limits. Deadline-limited solves return the incumbent
     /// with [`SolveStatus::Feasible`] — the anytime contract.
     pub deadline: Option<Duration>,
-    /// A relaxation value within this distance of an integer counts as
-    /// integral.
-    pub int_tolerance: f64,
-    /// Warm-start state (previous incumbent and/or root basis).
-    pub warm_start: WarmStart,
 }
 
 impl Default for SolveOptions {
@@ -149,8 +135,6 @@ impl Default for SolveOptions {
             max_pivots: simplex::DEFAULT_MAX_PIVOTS,
             max_nodes: 50_000,
             deadline: None,
-            int_tolerance: 1e-6,
-            warm_start: WarmStart::default(),
         }
     }
 }
@@ -191,9 +175,6 @@ pub struct BilpSolution {
     pub nodes: usize,
     /// Total simplex pivots spent.
     pub pivots: usize,
-    /// Basis of the root relaxation, for warm-starting the next solve of
-    /// an identically-shaped program.
-    pub root_basis: Option<Basis>,
 }
 
 /// A solved-but-fractional node awaiting branching, keyed by its own
@@ -256,12 +237,11 @@ impl Search<'_> {
     }
 
     /// Solves one node's relaxation and either records an incumbent
-    /// (integral) or pushes an open node (fractional). Returns the root
-    /// basis when this was the root.
-    fn process(&mut self, fixing: Vec<Option<bool>>, warm: Option<&Basis>) -> Option<LpNode> {
+    /// (integral) or pushes an open node (fractional).
+    fn process(&mut self, fixing: Vec<Option<bool>>) -> Option<LpNode> {
         self.nodes += 1;
         let lp = relax(self.problem, &fixing);
-        let out = simplex::solve_with(&lp, self.options.max_pivots, warm);
+        let out = simplex::solve_with(&lp, self.options.max_pivots);
         self.pivots += out.pivots;
         match out.status {
             LpStatus::Infeasible => None,
@@ -272,7 +252,7 @@ impl Search<'_> {
                 // subtree can't be searched exactly.
                 self.limit_hit = true;
                 if out.feasible {
-                    if let Some(x) = integral(&out.x, &fixing, self.options.int_tolerance) {
+                    if let Some(x) = integral(&out.x, &fixing, INT_TOLERANCE) {
                         if self.problem.is_feasible(&x) {
                             self.offer_incumbent(x);
                         }
@@ -282,9 +262,9 @@ impl Search<'_> {
             }
             LpStatus::Optimal => {
                 if out.objective <= self.best_objective() + 1e-9 {
-                    return Some(LpNode::Solved(out.objective, out.basis));
+                    return Some(LpNode::Solved(out.objective));
                 }
-                match integral(&out.x, &fixing, self.options.int_tolerance) {
+                match integral(&out.x, &fixing, INT_TOLERANCE) {
                     Some(x) => {
                         debug_assert!(self.problem.is_feasible(&x));
                         self.offer_incumbent(x);
@@ -299,20 +279,28 @@ impl Search<'_> {
                         });
                     }
                 }
-                Some(LpNode::Solved(out.objective, out.basis))
+                Some(LpNode::Solved(out.objective))
             }
         }
     }
 }
 
 enum LpNode {
-    Solved(f64, Option<Basis>),
+    Solved(f64),
     Unbounded,
 }
 
 /// Solves the BILP by best-bound branch-and-bound over the simplex
 /// relaxation. See the module docs for the anytime contract.
-pub fn solve(problem: &BilpProblem, options: &SolveOptions) -> BilpSolution {
+///
+/// `incumbent` seeds the search with a known 0/1 point, so pruning starts
+/// before the first integral relaxation; it is ignored unless it has one
+/// entry per variable and satisfies every constraint.
+pub fn solve(
+    problem: &BilpProblem,
+    options: &SolveOptions,
+    incumbent: Option<Vec<bool>>,
+) -> BilpSolution {
     let n = problem.num_vars();
     let deadline_at = options.deadline.map(|d| Instant::now() + d);
     let mut search = Search {
@@ -327,29 +315,25 @@ pub fn solve(problem: &BilpProblem, options: &SolveOptions) -> BilpSolution {
         limit_hit: false,
     };
 
-    // Warm incumbent: accepted only when shape-correct and feasible.
-    if let Some(seed) = &options.warm_start.incumbent {
-        if seed.len() == n && problem.is_feasible(seed) {
-            search.offer_incumbent(seed.clone());
-        }
+    if let Some(seed) = incumbent.filter(|x| x.len() == n && problem.is_feasible(x)) {
+        search.offer_incumbent(seed);
     }
 
     // Root relaxation (not counted against `max_nodes`).
-    let root = search.process(vec![None; n], options.warm_start.basis.as_ref());
+    let root = search.process(vec![None; n]);
     search.nodes -= 1;
-    let (lp_bound, root_basis) = match root {
-        Some(LpNode::Solved(bound, basis)) => (bound, basis),
+    let lp_bound = match root {
+        Some(LpNode::Solved(bound)) => bound,
         Some(LpNode::Unbounded) => {
-            return finish(search, SolveStatus::Unbounded, f64::INFINITY, None);
+            return finish(search, SolveStatus::Unbounded, f64::INFINITY);
         }
         None if search.limit_hit => {
             // Root pivot budget struck: no bound proven at all.
-            let status = SolveStatus::LimitReached;
-            return finish(search, status, f64::INFINITY, None);
+            return finish(search, SolveStatus::LimitReached, f64::INFINITY);
         }
         None => {
             // Relaxation proven infeasible ⇒ the integer program is too.
-            return finish(search, SolveStatus::Infeasible, f64::NEG_INFINITY, None);
+            return finish(search, SolveStatus::Infeasible, f64::NEG_INFINITY);
         }
     };
 
@@ -386,7 +370,7 @@ pub fn solve(problem: &BilpProblem, options: &SolveOptions) -> BilpSolution {
                 continue;
             }
             let frac = (v - v.round()).abs();
-            if frac > options.int_tolerance {
+            if frac > INT_TOLERANCE {
                 let dist_to_half = (v.fract() - 0.5).abs();
                 match branch {
                     Some((_, best)) if best <= dist_to_half => {}
@@ -410,21 +394,16 @@ pub fn solve(problem: &BilpProblem, options: &SolveOptions) -> BilpSolution {
         for value in [true, false] {
             let mut fixing = node.fixing.clone();
             fixing[j] = Some(value);
-            if let Some(LpNode::Unbounded) = search.process(fixing, None) {
-                return finish(search, SolveStatus::Unbounded, lp_bound, root_basis);
+            if let Some(LpNode::Unbounded) = search.process(fixing) {
+                return finish(search, SolveStatus::Unbounded, lp_bound);
             }
         }
     };
 
-    finish(search, status, lp_bound, root_basis)
+    finish(search, status, lp_bound)
 }
 
-fn finish(
-    search: Search<'_>,
-    status: SolveStatus,
-    lp_bound: f64,
-    root_basis: Option<Basis>,
-) -> BilpSolution {
+fn finish(search: Search<'_>, status: SolveStatus, lp_bound: f64) -> BilpSolution {
     let best_objective = search.best_objective();
     // Tightest proven bound: the best open-node bound, or the incumbent
     // when the search closed (min'd with the root bound for safety).
@@ -455,7 +434,6 @@ fn finish(
         best_bound,
         nodes: search.nodes,
         pivots: search.pivots,
-        root_basis,
     }
 }
 
@@ -477,10 +455,8 @@ fn integral(x: &[f64], fixing: &[Option<bool>], tol: f64) -> Option<Vec<bool>> {
     Some(out)
 }
 
-/// Builds the LP relaxation with the 0/1 box and current fixings. The
-/// row layout (original constraints first, then one box/fixing row per
-/// variable) is identical for every node of a given problem, so root
-/// bases stay reusable across same-shaped solves.
+/// Builds the LP relaxation with the 0/1 box and current fixings:
+/// the original constraints first, then one box/fixing row per variable.
 fn relax(problem: &BilpProblem, fixing: &[Option<bool>]) -> LpProblem {
     let mut lp = LpProblem::maximize(problem.objective.clone());
     lp.constraints = problem.constraints.clone();
@@ -520,14 +496,20 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn solve_default(p: &BilpProblem) -> BilpSolution {
-        solve(p, &SolveOptions::default())
+        solve(p, &SolveOptions::default(), None)
+    }
+
+    /// max 10a + 13b + 7c  s.t.  3a + 4b + 2c <= 6: the root relaxation
+    /// is fractional, so a zero-node solve stops before any integral point.
+    fn fractional_knapsack() -> BilpProblem {
+        BilpProblem::maximize(vec![10.0, 13.0, 7.0])
+            .with(Constraint::le(vec![(0, 3.0), (1, 4.0), (2, 2.0)], 6.0))
     }
 
     #[test]
     fn knapsack_is_solved_exactly() {
-        // max 10a + 13b + 7c  s.t.  3a + 4b + 2c <= 6 → b + c = 20.
-        let p = BilpProblem::maximize(vec![10.0, 13.0, 7.0])
-            .with(Constraint::le(vec![(0, 3.0), (1, 4.0), (2, 2.0)], 6.0));
+        // b + c = 20 is optimal.
+        let p = fractional_knapsack();
         let s = solve_default(&p);
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!((s.objective - 20.0).abs() < 1e-9);
@@ -578,24 +560,14 @@ mod tests {
     /// with `x = Some(..)` — never a bogus `Infeasible`.
     #[test]
     fn node_limit_with_incumbent_is_distinguishable_from_infeasible() {
-        // A knapsack whose relaxation is fractional, so the root alone
-        // doesn't close the search.
-        let p = BilpProblem::maximize(vec![10.0, 13.0, 7.0])
-            .with(Constraint::le(vec![(0, 3.0), (1, 4.0), (2, 2.0)], 6.0));
+        let p = fractional_knapsack();
         let opts = SolveOptions::default().with_max_nodes(0);
-        let s = solve(&p, &opts);
+        let s = solve(&p, &opts, None);
         assert_eq!(s.status, SolveStatus::LimitReached);
-        // All-false is trivially feasible but never visited with zero
-        // nodes; seed it as a warm incumbent and the limited solve must
-        // surface it (or something at least as good).
-        let warm = SolveOptions {
-            warm_start: WarmStart {
-                incumbent: Some(vec![false, true, false]),
-                basis: None,
-            },
-            ..SolveOptions::default().with_max_nodes(0)
-        };
-        let s = solve(&p, &warm);
+        // A feasible point is never visited with zero nodes; seed one and
+        // the limited solve must surface it (or something at least as
+        // good).
+        let s = solve(&p, &opts, Some(vec![false, true, false]));
         assert_eq!(s.status, SolveStatus::LimitReached);
         let x = s.x.expect("incumbent must survive the node limit");
         assert!(p.is_feasible(&x));
@@ -605,17 +577,10 @@ mod tests {
 
     #[test]
     fn zero_deadline_returns_feasible_incumbent() {
-        let p = BilpProblem::maximize(vec![10.0, 13.0, 7.0])
-            .with(Constraint::le(vec![(0, 3.0), (1, 4.0), (2, 2.0)], 6.0));
-        let opts = SolveOptions {
-            warm_start: WarmStart {
-                incumbent: Some(vec![true, false, false]),
-                basis: None,
-            },
-            ..SolveOptions::default().with_deadline(Duration::ZERO)
-        };
-        let s = solve(&p, &opts);
-        // Deadline already expired when the loop starts: the warm
+        let p = fractional_knapsack();
+        let opts = SolveOptions::default().with_deadline(Duration::ZERO);
+        let s = solve(&p, &opts, Some(vec![true, false, false]));
+        // Deadline already expired when the loop starts: the seeded
         // incumbent (possibly improved by the root LP) comes back with a
         // non-Infeasible status.
         assert!(
@@ -628,26 +593,24 @@ mod tests {
         assert!(s.objective >= 10.0 - 1e-9);
     }
 
+    /// A seed of the wrong length or one that breaks a constraint is
+    /// dropped: the zero-node solve ends exactly as an unseeded one.
     #[test]
-    fn warm_basis_reuse_matches_cold_solve() {
-        let p = BilpProblem::maximize(vec![4.0, 3.0, 5.0, 1.0])
-            .with(Constraint::le(
-                vec![(0, 2.0), (1, 1.0), (2, 3.0), (3, 1.0)],
-                4.0,
-            ))
-            .with(Constraint::le(vec![(0, 1.0), (2, 1.0)], 1.0));
-        let cold = solve_default(&p);
-        assert_eq!(cold.status, SolveStatus::Optimal);
-        let opts = SolveOptions {
-            warm_start: WarmStart {
-                incumbent: cold.x.clone(),
-                basis: cold.root_basis.clone(),
-            },
-            ..Default::default()
-        };
-        let warm = solve(&p, &opts);
-        assert_eq!(warm.status, SolveStatus::Optimal);
-        assert!((warm.objective - cold.objective).abs() < 1e-9);
+    fn unusable_incumbents_are_ignored() {
+        let p = fractional_knapsack();
+        let opts = SolveOptions::default().with_max_nodes(0);
+        let overweight = vec![true, true, true]; // 3 + 4 + 2 > 6
+        assert!(!p.is_feasible(&overweight));
+        for seed in [
+            vec![false, true],
+            vec![false, true, false, true],
+            overweight,
+        ] {
+            let s = solve(&p, &opts, Some(seed.clone()));
+            assert_eq!(s.status, SolveStatus::LimitReached, "seed {seed:?}");
+            assert_eq!(s.x, None, "seed {seed:?} was accepted");
+            assert_eq!(s.objective, f64::NEG_INFINITY);
+        }
     }
 
     fn random_instance(rng: &mut StdRng, n: usize, m: usize) -> BilpProblem {
@@ -693,7 +656,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         /// Satellite: the simplex+B&B stack agrees with the exhaustive
-        /// oracle on random small BILPs (≤ 12 vars) to `int_tolerance`.
+        /// oracle on random small BILPs (≤ 12 vars).
         #[test]
         fn branch_and_bound_matches_exhaustive(seed in 0u64..1000) {
             let mut rng = StdRng::seed_from_u64(seed);

@@ -8,8 +8,8 @@
 //!    location `l` collects the value of the best open sensor. The solver
 //!    core is layered: [`simplex`] is a two-phase (phase-I feasibility /
 //!    phase-II optimize) dense-tableau simplex with Bland's-rule
-//!    anti-cycling, pivot budgets, and warm-start bases; [`bilp`] is a
-//!    best-bound branch-and-bound over its LP relaxations (most-fractional
+//!    anti-cycling and pivot budgets; [`bilp`] is a best-bound
+//!    branch-and-bound over its LP relaxations (most-fractional
 //!    branching, incumbent tracking, so every solve is *anytime*); and
 //!    [`ufl`] specializes both to Eq. 9 via connected-component
 //!    decomposition with heuristic incumbent seeding.
@@ -41,6 +41,6 @@ pub mod simplex;
 pub mod submodular;
 pub mod ufl;
 
-pub use bilp::{BilpProblem, BilpSolution, SolveOptions, SolveStatus, WarmStart};
-pub use simplex::{Basis, Constraint, ConstraintOp, LpOutcome, LpProblem, LpStatus};
+pub use bilp::{BilpProblem, BilpSolution, SolveOptions, SolveStatus};
+pub use simplex::{Constraint, ConstraintOp, LpOutcome, LpProblem, LpStatus};
 pub use ufl::{WelfareProblem, WelfareSolution};

@@ -11,14 +11,6 @@
 //! ```text
 //! [ decision vars | slack/surplus | artificials | rhs ]
 //! ```
-//!
-//! and the returned [`Basis`] names the basic column of each row, which
-//! callers can feed back through [`solve_with`] to warm-start a later
-//! solve of an identically-shaped program (same variable count, same
-//! constraint rows in the same order). A warm basis that turns out to be
-//! primal infeasible for the new right-hand side is rejected and the
-//! solve silently falls back to the two-phase cold start, so warm-start
-//! can only change running time, never the answer.
 
 /// Relational operator of a linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,16 +108,6 @@ pub enum LpStatus {
     PivotLimit,
 }
 
-/// A simplex basis: the basic column of each tableau row, in row order.
-/// Only structural columns (decision + slack/surplus) appear; an
-/// artificial left basic at value zero is recorded as `usize::MAX` and
-/// rejected on reuse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Basis {
-    /// Basic column per row.
-    pub cols: Vec<usize>,
-}
-
 /// Outcome of a simplex solve.
 #[derive(Debug, Clone)]
 pub struct LpOutcome {
@@ -141,11 +123,8 @@ pub struct LpOutcome {
     /// [`LpStatus::Optimal`], and on a [`LpStatus::PivotLimit`] that
     /// struck during phase II (the tableau stays feasible there).
     pub feasible: bool,
-    /// Pivots spent, warm-start pivots included.
+    /// Pivots spent.
     pub pivots: usize,
-    /// The final basis when `feasible`, for warm-starting a later solve
-    /// of an identically-shaped program.
-    pub basis: Option<Basis>,
 }
 
 /// Default per-solve pivot budget, ample for the small dense programs
@@ -154,23 +133,14 @@ pub const DEFAULT_MAX_PIVOTS: usize = 10_000;
 
 const EPS: f64 = 1e-9;
 
-/// Solves the LP cold with the default pivot budget.
+/// Solves the LP with the default pivot budget.
 pub fn solve(problem: &LpProblem) -> LpOutcome {
-    solve_with(problem, DEFAULT_MAX_PIVOTS, None)
+    solve_with(problem, DEFAULT_MAX_PIVOTS)
 }
 
-/// Solves the LP with an explicit pivot budget and an optional warm basis
-/// from a previous solve of an identically-shaped program.
-pub fn solve_with(problem: &LpProblem, max_pivots: usize, warm: Option<&Basis>) -> LpOutcome {
-    if let Some(basis) = warm {
-        let mut t = Tableau::build(problem, max_pivots);
-        if t.try_warm(basis) {
-            return t.run(true);
-        }
-        // Warm basis rejected (wrong shape, singular, or primal
-        // infeasible here): fall through to a fresh cold start.
-    }
-    Tableau::build(problem, max_pivots).run(false)
+/// Solves the LP with an explicit pivot budget.
+pub fn solve_with(problem: &LpProblem, max_pivots: usize) -> LpOutcome {
+    Tableau::build(problem, max_pivots).run()
 }
 
 /// Internal simplex tableau. See the module docs for the column layout.
@@ -266,52 +236,11 @@ impl Tableau {
         }
     }
 
-    /// Attempts to pivot the fresh tableau onto `basis`. Returns false —
-    /// leaving the tableau dirty, the caller must rebuild — when the
-    /// basis has the wrong shape, is numerically singular, or is not
-    /// primal feasible for this right-hand side.
-    fn try_warm(&mut self, warm: &Basis) -> bool {
+    /// Runs the solve: phase I when the starting basis holds
+    /// artificials, then phase II.
+    fn run(mut self) -> LpOutcome {
         let m = self.rows.len();
-        if warm.cols.len() != m {
-            return false;
-        }
-        if warm.cols.iter().any(|&j| j >= self.num_structural) {
-            return false;
-        }
-        let mut taken = vec![false; m];
-        for &j in &warm.cols {
-            // Greedy row assignment: largest pivot magnitude wins, which
-            // keeps the elimination numerically sane.
-            let mut best: Option<(usize, f64)> = None;
-            for (i, &done) in taken.iter().enumerate() {
-                if done {
-                    continue;
-                }
-                let a = self.rows[i][j].abs();
-                match best {
-                    Some((_, b)) if b >= a => {}
-                    _ => best = Some((i, a)),
-                }
-            }
-            let Some((row, mag)) = best else { return false };
-            if mag < 1e-7 {
-                return false;
-            }
-            if self.pivots >= self.max_pivots {
-                return false;
-            }
-            self.pivot(row, j);
-            taken[row] = true;
-        }
-        let rhs_col = self.cols - 1;
-        self.rows.iter().all(|r| r[rhs_col] >= -EPS)
-    }
-
-    /// Runs the solve. `warm` skips phase I (the basis is already
-    /// feasible and artificial-free).
-    fn run(mut self, warm: bool) -> LpOutcome {
-        let m = self.rows.len();
-        let has_artificials = !warm && self.basis.iter().any(|&b| b >= self.artificial_start);
+        let has_artificials = self.basis.iter().any(|&b| b >= self.artificial_start);
 
         #[allow(clippy::needless_range_loop)]
         if has_artificials {
@@ -362,26 +291,12 @@ impl Tableau {
 
     fn outcome(&self, status: LpStatus, objective: f64, feasible: bool) -> LpOutcome {
         let mut x = vec![0.0; self.num_decision];
-        let mut basis = None;
         if feasible {
             for (i, &b) in self.basis.iter().enumerate() {
                 if b < self.num_decision {
                     x[b] = self.rows[i][self.cols - 1];
                 }
             }
-            basis = Some(Basis {
-                cols: self
-                    .basis
-                    .iter()
-                    .map(|&b| {
-                        if b < self.num_structural {
-                            b
-                        } else {
-                            usize::MAX
-                        }
-                    })
-                    .collect(),
-            });
         }
         LpOutcome {
             status,
@@ -389,7 +304,6 @@ impl Tableau {
             x,
             feasible,
             pivots: self.pivots,
-            basis,
         }
     }
 
@@ -648,44 +562,11 @@ mod tests {
             .with(Constraint::le(vec![(0, 1.0), (1, 1.0)], 4.0))
             .with(Constraint::le(vec![(1, 1.0), (2, 1.0)], 3.0))
             .with(Constraint::le(vec![(0, 1.0), (2, 1.0)], 5.0));
-        let s = solve_with(&p, 1, None);
+        let s = solve_with(&p, 1);
         assert_eq!(s.status, LpStatus::PivotLimit);
         assert!(s.feasible);
         assert!(s.x[0] + s.x[1] <= 4.0 + 1e-9);
         let full = opt(&p);
         assert!(s.objective <= full.objective + 1e-9);
-    }
-
-    #[test]
-    fn warm_start_reproduces_the_cold_optimum() {
-        let p = LpProblem::maximize(vec![3.0, 2.0])
-            .with(Constraint::le(vec![(0, 1.0), (1, 1.0)], 4.0))
-            .with(Constraint::le(vec![(0, 1.0)], 2.0));
-        let cold = opt(&p);
-        let basis = cold.basis.clone().expect("optimal basis");
-        // Same shape, nudged rhs: the old basis stays primal feasible.
-        let p2 = LpProblem::maximize(vec![3.0, 2.0])
-            .with(Constraint::le(vec![(0, 1.0), (1, 1.0)], 4.5))
-            .with(Constraint::le(vec![(0, 1.0)], 2.0));
-        let warm = solve_with(&p2, DEFAULT_MAX_PIVOTS, Some(&basis));
-        let cold2 = opt(&p2);
-        assert_eq!(warm.status, LpStatus::Optimal);
-        assert_close(warm.objective, cold2.objective);
-        // The warm path pays only the basis-restoration pivots.
-        assert!(warm.pivots <= cold2.pivots + basis.cols.len());
-    }
-
-    #[test]
-    fn infeasible_warm_basis_falls_back_to_cold_start() {
-        let p = LpProblem::maximize(vec![1.0]).with(Constraint::le(vec![(0, 1.0)], 2.0));
-        let cold = opt(&p);
-        let basis = cold.basis.clone().unwrap();
-        // Shape mismatch: two rows expected by the basis, one present.
-        let bad = Basis {
-            cols: vec![basis.cols[0], 0],
-        };
-        let s = solve_with(&p, DEFAULT_MAX_PIVOTS, Some(&bad));
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert_close(s.objective, 2.0);
     }
 }

@@ -32,7 +32,7 @@
 //! * [`solve_greedy`] — greedy marginal-gain opening (used as a primal
 //!   heuristic and as an extra baseline in ablation benches).
 
-use crate::bilp::{self, BilpProblem, SolveOptions, SolveStatus, WarmStart};
+use crate::bilp::{self, BilpProblem, SolveOptions, SolveStatus};
 use crate::simplex::{self, Constraint, LpStatus};
 use std::time::Instant;
 
@@ -189,10 +189,16 @@ impl WelfareProblem {
         x
     }
 
-    /// Splits the instance into connected components of the bipartite
-    /// facility/client graph. Returns per-component sub-problems with maps
-    /// back to original facility and client indices.
-    fn components(&self) -> Vec<Component> {
+    /// Splits the instance into the connected components of the
+    /// bipartite facility/client graph that serve at least one client,
+    /// each as its facilities' global indices and its sub-problem.
+    ///
+    /// Components come in ascending order of their lowest facility (the
+    /// DSU root); inside one, facilities and clients keep their global
+    /// order, and candidate lists use the component's local facility ids.
+    /// Every facility belongs to one component, so a single global→local
+    /// map serves them all and every buffer is `O(facilities + edges)`.
+    fn components(&self) -> Vec<(Vec<usize>, WelfareProblem)> {
         let nf = self.num_facilities();
         let mut dsu = Dsu::new(nf);
         for cands in &self.client_values {
@@ -202,62 +208,46 @@ impl WelfareProblem {
                 }
             }
         }
-        // Group facilities by root.
-        let mut groups: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
-        for f in 0..nf {
-            groups.entry(dsu.find(f)).or_default().push(f);
-        }
-        let mut comps: Vec<Component> = Vec::new();
-        let mut root_to_comp: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
-        let mut roots: Vec<usize> = groups.keys().copied().collect();
-        roots.sort_unstable();
-        for root in roots {
-            let facilities = groups.remove(&root).expect("root present");
-            root_to_comp.insert(root, comps.len());
-            let mut local = vec![usize::MAX; nf];
-            for (li, &f) in facilities.iter().enumerate() {
-                local[f] = li;
+        let mut served = vec![false; nf];
+        for cands in &self.client_values {
+            if let Some(&(f, _)) = cands.first() {
+                served[dsu.find(f)] = true;
             }
-            comps.push(Component {
-                facility_map: facilities,
-                local_facility: local,
-                clients: Vec::new(),
-                local_client_values: Vec::new(),
-            });
         }
-        let mut with_clients: Vec<(usize, Vec<(usize, f64)>)> = Vec::new();
-        for (l, cands) in self.client_values.iter().enumerate() {
-            if cands.is_empty() {
-                continue; // unservable client contributes nothing
+        // Visiting facilities in ascending order numbers each component
+        // at its lowest facility, so components come out in root order.
+        let mut comp_of_root = vec![usize::MAX; nf];
+        let mut local = vec![usize::MAX; nf];
+        let mut facilities: Vec<Vec<usize>> = Vec::new();
+        for (f, local_f) in local.iter_mut().enumerate() {
+            let root = dsu.find(f);
+            if !served[root] {
+                continue;
             }
-            let root = dsu.find(cands[0].0);
-            let ci = root_to_comp[&root];
-            with_clients.push((ci, cands.clone()));
-            comps[ci].clients.push(l);
+            if comp_of_root[root] == usize::MAX {
+                comp_of_root[root] = facilities.len();
+                facilities.push(Vec::new());
+            }
+            let members = &mut facilities[comp_of_root[root]];
+            *local_f = members.len();
+            members.push(f);
         }
-        for (ci, cands) in with_clients {
-            let local: Vec<(usize, f64)> = cands
-                .iter()
-                .map(|&(f, v)| (comps[ci].local_facility[f], v))
-                .collect();
-            comps[ci].local_client_values.push(local);
+        let mut clients: Vec<Vec<Vec<(usize, f64)>>> = vec![Vec::new(); facilities.len()];
+        for cands in &self.client_values {
+            if let Some(&(f, _)) = cands.first() {
+                let list = cands.iter().map(|&(f, v)| (local[f], v)).collect();
+                clients[comp_of_root[dsu.find(f)]].push(list);
+            }
         }
-        comps
+        facilities
+            .into_iter()
+            .zip(clients)
+            .map(|(members, client_values)| {
+                let cost = members.iter().map(|&f| self.facility_cost[f]).collect();
+                (members, WelfareProblem::new(cost, client_values))
+            })
+            .collect()
     }
-}
-
-#[derive(Debug, Default, Clone)]
-struct Component {
-    /// local facility index → global facility index
-    facility_map: Vec<usize>,
-    /// global facility index → local (usize::MAX when absent)
-    local_facility: Vec<usize>,
-    /// global client indices in this component
-    clients: Vec<usize>,
-    /// client candidate lists re-indexed to local facility ids
-    local_client_values: Vec<Vec<(usize, f64)>>,
 }
 
 /// Result of a facility-location solve.
@@ -536,16 +526,14 @@ impl<'a> LsState<'a> {
 /// decomposition, then the Eq. 9 BILP of each component handed to the
 /// best-bound branch-and-bound of [`crate::bilp`].
 ///
-/// The anytime contract: the Local Search and greedy solutions (plus
-/// `options.warm_start.incumbent`, interpreted as a **facility-space**
-/// open-set hint from a previous slot) seed every component's incumbent
-/// *before* any LP is solved, so a deadline- or budget-limited solve
-/// always returns a feasible open set at least as good as Local Search,
-/// with a status ([`SolveStatus::Feasible`] / [`SolveStatus::LimitReached`])
-/// that is never confusable with infeasibility. `options.max_nodes` and
-/// `options.deadline` are global across components;
-/// `options.warm_start.basis` is ignored here (component shapes vary
-/// from slot to slot — basis reuse lives at the [`crate::bilp`] level).
+/// The anytime contract: the better of the Local Search and greedy
+/// solutions seeds every component's incumbent *before* any LP is solved,
+/// so a deadline- or budget-limited solve always returns a feasible open
+/// set at least as good as Local Search, with a status
+/// ([`SolveStatus::Feasible`] / [`SolveStatus::LimitReached`]) that is
+/// never confusable with infeasibility. `options.max_nodes` and
+/// `options.deadline` are global across components, spent in the order
+/// the components come (ascending lowest facility).
 ///
 /// Components whose Eq. 9 BILP would exceed [`MAX_EXACT_VARS`] variables
 /// never touch the tableau: they keep the heuristic seed and a certified
@@ -553,120 +541,81 @@ impl<'a> LsState<'a> {
 /// [`SolveStatus::LimitReached`]. This is what keeps city-scale slots —
 /// where the facility/location graph collapses into one giant connected
 /// component — inside the per-slot time budget.
+///
+/// The reported `lp_bound` is the sum of the per-component bounds,
+/// unclamped: at default options it equals [`lp_relaxation_bound`] bit
+/// for bit.
 pub fn solve_exact(p: &WelfareProblem, options: &SolveOptions) -> WelfareSolution {
-    let nf = p.num_facilities();
-    let mut open = vec![false; nf];
+    let mut open = vec![false; p.num_facilities()];
     let mut lp_bound = 0.0f64;
     let mut nodes = 0usize;
     let mut any_limit = false;
     let mut any_unproven = false;
     let deadline_at = options.deadline.map(|d| Instant::now() + d);
-    let warm_hint = options
-        .warm_start
-        .incumbent
-        .as_ref()
-        .filter(|h| h.len() == nf);
 
-    for comp in p.components() {
-        if comp.clients.is_empty() {
+    for (facilities, sub) in p.components() {
+        // Fast path: one facility — the open/closed comparison is exact.
+        if sub.num_facilities() == 1 {
+            let gain = sub.welfare_of(&[true]);
+            open[facilities[0]] = gain > EPS;
+            lp_bound += gain.max(0.0);
             continue;
         }
-        let sub = WelfareProblem::new(
-            comp.facility_map
-                .iter()
-                .map(|&f| p.facility_cost[f])
-                .collect(),
-            comp.local_client_values.clone(),
-        );
 
-        // Seed: best of local search, greedy, and the warm open hint
-        // restricted to this component. Dead facilities are pruned, so
-        // the seed's welfare is the pruned Eq. 12 value.
+        // Seed: the better of local search and greedy. Dead facilities
+        // are pruned, so the seed's welfare is the pruned Eq. 12 value.
         let mut seed = solve_local_search(&sub, 0.01);
         let gr = solve_greedy(&sub);
         if gr.welfare > seed.welfare {
             seed = gr;
         }
-        if let Some(hint) = warm_hint {
-            let local: Vec<bool> = comp.facility_map.iter().map(|&f| hint[f]).collect();
-            let hinted = sub.solution_from_open(&local);
-            if hinted.welfare > seed.welfare {
-                seed = hinted;
-            }
-        }
 
-        // Fast path: one facility — the open/closed comparison is exact.
-        if sub.num_facilities() == 1 {
-            let gain = sub.welfare_of(&[true]);
-            let opened = gain > EPS;
-            if opened {
-                open[comp.facility_map[0]] = true;
+        // Out of time, or too big for the dense tableau: keep the
+        // heuristic seed and charge the O(edges) dual bound. A size
+        // strike is a limit (the search was cut short by size, not
+        // proven).
+        let expired = deadline_at.is_some_and(|at| Instant::now() >= at);
+        let sub_open = if expired || bilp_vars(&sub) > MAX_EXACT_VARS {
+            if expired {
+                any_unproven = true;
+            } else {
+                any_limit = true;
             }
-            lp_bound += gain.max(0.0);
-            continue;
-        }
-
-        // Out of time: keep the heuristic seed, charge the dual bound.
-        if deadline_at.is_some_and(|at| Instant::now() >= at) {
-            any_unproven = true;
             lp_bound += fast_dual_bound(&sub);
-            for (li, &gf) in comp.facility_map.iter().enumerate() {
-                if seed.open[li] {
-                    open[gf] = true;
-                }
-            }
-            continue;
-        }
-
-        // Component too big for the dense tableau: keep the heuristic
-        // seed, charge the O(edges) dual bound, and report the strike as
-        // a limit (the search was cut short by size, not proven).
-        if bilp_vars(&sub) > MAX_EXACT_VARS {
-            any_limit = true;
-            lp_bound += fast_dual_bound(&sub);
-            for (li, &gf) in comp.facility_map.iter().enumerate() {
-                if seed.open[li] {
-                    open[gf] = true;
-                }
-            }
-            continue;
-        }
-
-        let bp = sub.to_bilp();
-        let comp_opts = SolveOptions {
-            max_pivots: options.max_pivots,
-            max_nodes: options.max_nodes.saturating_sub(nodes),
-            deadline: deadline_at.map(|at| at.saturating_duration_since(Instant::now())),
-            int_tolerance: options.int_tolerance,
-            warm_start: WarmStart {
-                incumbent: Some(sub.bilp_point(&seed.open)),
-                basis: None,
-            },
-        };
-        let sol = bilp::solve(&bp, &comp_opts);
-        nodes += sol.nodes;
-        match sol.status {
-            SolveStatus::Optimal => {}
-            SolveStatus::Feasible => any_unproven = true,
-            // Infeasible/Unbounded cannot occur for Eq. 9 programs; treat
-            // them like a limit strike and keep the heuristic seed.
-            _ => any_limit = true,
-        }
-        lp_bound += if sol.lp_bound.is_finite() {
-            sol.lp_bound.max(0.0)
+            seed.open
         } else {
-            fast_dual_bound(&sub)
-        };
-        // The incumbent is always at least the seed (it was offered
-        // first); fall back to the seed defensively anyway.
-        let sub_open: Vec<bool> = match &sol.x {
-            Some(x) if sol.objective >= seed.welfare - 1e-9 => x[..sub.num_facilities()].to_vec(),
-            _ => seed.open.clone(),
-        };
-        for (li, &gf) in comp.facility_map.iter().enumerate() {
-            if sub_open[li] {
-                open[gf] = true;
+            let comp_opts = SolveOptions {
+                max_pivots: options.max_pivots,
+                max_nodes: options.max_nodes.saturating_sub(nodes),
+                deadline: deadline_at.map(|at| at.saturating_duration_since(Instant::now())),
+            };
+            let sol = bilp::solve(&sub.to_bilp(), &comp_opts, Some(sub.bilp_point(&seed.open)));
+            nodes += sol.nodes;
+            match sol.status {
+                SolveStatus::Optimal => {}
+                SolveStatus::Feasible => any_unproven = true,
+                // Infeasible/Unbounded cannot occur for Eq. 9 programs;
+                // treat them like a limit strike and keep the heuristic
+                // seed.
+                _ => any_limit = true,
             }
+            lp_bound += if sol.lp_bound.is_finite() {
+                sol.lp_bound.max(0.0)
+            } else {
+                fast_dual_bound(&sub)
+            };
+            // The incumbent is always at least the seed (it was offered
+            // first); fall back to the seed defensively anyway.
+            match sol.x {
+                Some(mut x) if sol.objective >= seed.welfare - 1e-9 => {
+                    x.truncate(sub.num_facilities());
+                    x
+                }
+                _ => seed.open,
+            }
+        };
+        for (&f, o) in facilities.iter().zip(sub_open) {
+            open[f] = o;
         }
     }
 
@@ -678,45 +627,30 @@ pub fn solve_exact(p: &WelfareProblem, options: &SolveOptions) -> WelfareSolutio
     } else {
         SolveStatus::Optimal
     };
-    // The bound is per-component-certified; clamp against the achieved
-    // welfare so reported gaps are never negative under float noise.
-    sol.lp_bound = Some(lp_bound.max(sol.welfare));
+    sol.lp_bound = Some(lp_bound);
     sol.nodes = nodes;
     sol
 }
 
 /// Certified upper bound on the optimal Eq. 12 welfare via the root LP
 /// relaxation of each component (no branching). Components past
-/// [`MAX_EXACT_VARS`], or whose LP hits `max_pivots`, fall back to an
-/// `O(edges)` dual-feasible bound (`fast_dual_bound`). Used to report
-/// `optimality_gap` for heuristic schedulers without running the full
-/// branch-and-bound.
-pub fn lp_relaxation_bound(p: &WelfareProblem, max_pivots: usize) -> f64 {
+/// [`MAX_EXACT_VARS`], or whose LP exhausts the default pivot budget,
+/// fall back to an `O(edges)` dual-feasible bound (`fast_dual_bound`).
+/// Used to report `optimality_gap` for heuristic schedulers without
+/// running the full branch-and-bound.
+pub fn lp_relaxation_bound(p: &WelfareProblem) -> f64 {
     let mut bound = 0.0f64;
-    for comp in p.components() {
-        if comp.clients.is_empty() {
-            continue;
-        }
-        let sub = WelfareProblem::new(
-            comp.facility_map
-                .iter()
-                .map(|&f| p.facility_cost[f])
-                .collect(),
-            comp.local_client_values.clone(),
-        );
-        if sub.num_facilities() == 1 {
-            bound += sub.welfare_of(&[true]).max(0.0);
-            continue;
-        }
-        if bilp_vars(&sub) > MAX_EXACT_VARS {
-            bound += fast_dual_bound(&sub);
-            continue;
-        }
-        let lp = sub.to_bilp().lp_relaxation();
-        let out = simplex::solve_with(&lp, max_pivots, None);
-        bound += match out.status {
-            LpStatus::Optimal => out.objective.max(0.0),
-            _ => fast_dual_bound(&sub),
+    for (_, sub) in p.components() {
+        bound += if sub.num_facilities() == 1 {
+            sub.welfare_of(&[true]).max(0.0)
+        } else if bilp_vars(&sub) > MAX_EXACT_VARS {
+            fast_dual_bound(&sub)
+        } else {
+            let out = simplex::solve(&sub.to_bilp().lp_relaxation());
+            match out.status {
+                LpStatus::Optimal => out.objective.max(0.0),
+                _ => fast_dual_bound(&sub),
+            }
         };
     }
     bound
@@ -996,21 +930,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn warm_open_hint_survives_limited_solve() {
-        let p = gap_triangle();
-        // Hint the optimum; even a zero-node solve must keep it.
-        let opts = SolveOptions {
-            warm_start: WarmStart {
-                incumbent: Some(vec![true, false, false]),
-                basis: None,
-            },
-            ..SolveOptions::default().with_max_nodes(0)
-        };
-        let sol = solve_exact(&p, &opts);
-        assert!((sol.welfare - 2.0).abs() < 1e-9);
-    }
-
     fn random_instance(rng: &mut StdRng, nf: usize, nc: usize) -> WelfareProblem {
         let costs: Vec<f64> = (0..nf).map(|_| rng.gen_range(2.0..12.0)).collect();
         let clients: Vec<Vec<(usize, f64)>> = (0..nc)
@@ -1025,6 +944,142 @@ mod tests {
             })
             .collect();
         WelfareProblem::new(costs, clients)
+    }
+
+    /// Clients draw 1–3 candidates inside one block of 4 facilities, and
+    /// only even blocks are ever drawn: many components, isolated
+    /// facilities, and single-facility components.
+    fn clustered_instance(rng: &mut StdRng, blocks: usize, nc: usize) -> WelfareProblem {
+        let costs: Vec<f64> = (0..4 * blocks).map(|_| rng.gen_range(2.0..12.0)).collect();
+        let clients: Vec<Vec<(usize, f64)>> = (0..nc)
+            .map(|_| {
+                let base = 8 * rng.gen_range(0..blocks / 2);
+                let mut list: Vec<(usize, f64)> = (0..rng.gen_range(1..=3usize))
+                    .map(|_| (base + rng.gen_range(0..4usize), rng.gen_range(0.5..9.0)))
+                    .collect();
+                list.sort_by_key(|&(f, _)| f);
+                list.dedup_by_key(|&mut (f, _)| f);
+                list
+            })
+            .collect();
+        WelfareProblem::new(costs, clients)
+    }
+
+    /// Capacity of every buffer `components()` hands back.
+    fn footprint(comps: &[(Vec<usize>, WelfareProblem)]) -> usize {
+        comps
+            .iter()
+            .map(|(members, sub)| {
+                members.capacity()
+                    + sub.facility_cost.capacity()
+                    + sub.client_values.capacity()
+                    + sub.client_values.iter().map(Vec::capacity).sum::<usize>()
+            })
+            .sum()
+    }
+
+    /// Most announced sensors serve no query: the decomposition returns
+    /// only the components that serve a client, and all it returns fits
+    /// in facilities + edges (one global→local map, not one per
+    /// component).
+    #[test]
+    fn components_return_only_served_facilities_in_linear_space() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut p = clustered_instance(&mut rng, 250, 60);
+        p.client_values.push(Vec::new()); // an unservable client
+        let nf = p.num_facilities();
+        let edges: usize = p.client_values.iter().map(Vec::len).sum();
+        let mut served = vec![false; nf];
+        for &(f, _) in p.client_values.iter().flatten() {
+            served[f] = true;
+        }
+        let served_count = served.iter().filter(|&&s| s).count();
+        assert!(2 * served_count < nf, "most facilities must be unserved");
+
+        let comps = p.components();
+        let mut members: Vec<usize> = comps.iter().flat_map(|(m, _)| m.clone()).collect();
+        members.sort_unstable();
+        let expected: Vec<usize> = (0..nf).filter(|&f| served[f]).collect();
+        assert_eq!(members, expected, "exactly the served facilities");
+        for (m, sub) in &comps {
+            assert!(
+                !sub.client_values.is_empty(),
+                "component {m:?} serves no client"
+            );
+            assert_eq!(sub.num_facilities(), m.len());
+        }
+        let returned_edges: usize = comps
+            .iter()
+            .map(|(_, sub)| sub.client_values.iter().map(Vec::len).sum::<usize>())
+            .sum();
+        assert_eq!(returned_edges, edges);
+        let size = footprint(&comps);
+        assert!(size <= nf + edges, "footprint {size} > {nf} + {edges}");
+    }
+
+    /// Components come in ascending lowest-facility order, facilities and
+    /// clients ascending inside each: the order the node budget, the
+    /// deadline and the bound's float sum follow.
+    #[test]
+    fn components_keep_ascending_order() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for trial in 0..10 {
+            let p = clustered_instance(&mut rng, 16, 24);
+            let comps = p.components();
+            assert!(comps.len() > 1, "trial {trial}: one component");
+            let lows: Vec<usize> = comps.iter().map(|(m, _)| m[0]).collect();
+            assert!(
+                lows.windows(2).all(|w| w[0] < w[1]),
+                "trial {trial}: {lows:?}"
+            );
+            let mut comp_of = vec![usize::MAX; p.num_facilities()];
+            for (c, (m, _)) in comps.iter().enumerate() {
+                assert!(m.windows(2).all(|w| w[0] < w[1]), "trial {trial}: {m:?}");
+                for &f in m {
+                    comp_of[f] = c;
+                }
+            }
+            // Handing the global clients out in order rebuilds every
+            // component's client list in order.
+            let mut want: Vec<Vec<Vec<(usize, f64)>>> = vec![Vec::new(); comps.len()];
+            for cands in p.client_values.iter().filter(|c| !c.is_empty()) {
+                want[comp_of[cands[0].0]].push(cands.clone());
+            }
+            for ((m, sub), want) in comps.iter().zip(want) {
+                let global: Vec<Vec<(usize, f64)>> = sub
+                    .client_values
+                    .iter()
+                    .map(|list| list.iter().map(|&(f, v)| (m[f], v)).collect())
+                    .collect();
+                assert_eq!(global, want, "trial {trial}");
+                let cost: Vec<f64> = m.iter().map(|&f| p.facility_cost[f]).collect();
+                assert_eq!(sub.facility_cost, cost, "trial {trial}");
+            }
+        }
+    }
+
+    /// The exact solve's bound is the sum of the same per-component
+    /// bounds `lp_relaxation_bound` takes, in the same order, unclamped.
+    #[test]
+    fn exact_bound_equals_lp_relaxation_bound_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(2013);
+        let (mut singles, mut isolated) = (0, 0);
+        for trial in 0..20 {
+            let p = clustered_instance(&mut rng, 12, 14);
+            let comps = p.components();
+            singles += comps.iter().filter(|(m, _)| m.len() == 1).count();
+            isolated += p.num_facilities() - comps.iter().map(|(m, _)| m.len()).sum::<usize>();
+            let exact = solve_exact(&p, &SolveOptions::default());
+            assert_eq!(
+                exact.lp_bound.map(f64::to_bits),
+                Some(lp_relaxation_bound(&p).to_bits()),
+                "trial {trial}"
+            );
+        }
+        assert!(
+            singles > 0 && isolated > 0,
+            "{singles} singles, {isolated} isolated"
+        );
     }
 
     #[test]
@@ -1056,7 +1111,7 @@ mod tests {
         for _ in 0..10 {
             let p = random_instance(&mut rng, 5, 6);
             let bp = p.to_bilp();
-            let bilp_sol = bilp::solve(&bp, &SolveOptions::default());
+            let bilp_sol = bilp::solve(&bp, &SolveOptions::default(), None);
             let ufl_sol = solve_exact(&p, &SolveOptions::default());
             assert!(
                 (bilp_sol.objective.max(0.0) - ufl_sol.welfare).abs() < 1e-6,
@@ -1130,7 +1185,7 @@ mod tests {
 
         // The standalone bound path takes the same shortcut and stays
         // consistent with the achieved welfare.
-        let bound = lp_relaxation_bound(&p, simplex::DEFAULT_MAX_PIVOTS);
+        let bound = lp_relaxation_bound(&p);
         assert!(sol.welfare <= bound + 1e-9);
     }
 
@@ -1139,7 +1194,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1234);
         for _ in 0..60 {
             let p = random_instance(&mut rng, 7, 9);
-            let bound = lp_relaxation_bound(&p, simplex::DEFAULT_MAX_PIVOTS);
+            let bound = lp_relaxation_bound(&p);
             let opt = solve_exhaustive(&p);
             assert!(
                 bound >= opt.welfare - 1e-7,
