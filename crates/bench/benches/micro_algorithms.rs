@@ -67,7 +67,7 @@ fn bench_schedulers(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("local_search", format!("{nf}s_{nc}l")),
             &problem,
-            |b, p| b.iter(|| black_box(ufl::solve_local_search(p, 0.01).welfare)),
+            |b, p| b.iter(|| black_box(ufl::solve_local_search(p).welfare)),
         );
         group.bench_with_input(
             BenchmarkId::new("greedy", format!("{nf}s_{nc}l")),

@@ -58,7 +58,6 @@ pub struct ClusterBuilder<'s> {
     quality: QualityModel,
     arena: Rect,
     g: usize,
-    halo: Option<f64>,
     threads: Threads,
     shard_threads: usize,
     configure: ConfigureFn<'s>,
@@ -66,11 +65,10 @@ pub struct ClusterBuilder<'s> {
 
 impl<'s> ClusterBuilder<'s> {
     /// Starts a builder for a `g × g` cluster over `arena`, every shard
-    /// running the Eq. 4 quality model. Defaults: halo =
-    /// `max(d_max, sensing range)`, cluster fork-join threads
-    /// auto-detected, one worker thread inside each shard engine, and
-    /// shard engines at [`AggregatorBuilder::new`]'s defaults (customize
-    /// with [`ClusterBuilder::configure_shards`]).
+    /// running the Eq. 4 quality model. Defaults: cluster fork-join
+    /// threads auto-detected, one worker thread inside each shard
+    /// engine, and shard engines at [`AggregatorBuilder::new`]'s defaults
+    /// (customize with [`ClusterBuilder::configure_shards`]).
     ///
     /// # Panics
     /// [`ClusterBuilder::build`] panics (via [`TileGrid::new`]) when `g`
@@ -81,21 +79,10 @@ impl<'s> ClusterBuilder<'s> {
             quality,
             arena,
             g,
-            halo: None,
             threads: Threads::default(),
             shard_threads: 1,
             configure: Box::new(|b| b),
         }
-    }
-
-    /// Overrides the halo width — the ring around each tile from which a
-    /// shard still receives sensor announcements. The default,
-    /// `max(d_max, sensing range)`, is the widest distance at which a
-    /// tile-interior query can value a sensor, which is what makes
-    /// tile-local workloads exact (see the [crate docs](crate)).
-    pub fn halo(mut self, h: f64) -> Self {
-        self.halo = Some(h.max(0.0));
-        self
     }
 
     /// Worker threads for stepping shards in parallel (`0` = available
@@ -129,7 +116,11 @@ impl<'s> ClusterBuilder<'s> {
     }
 
     /// Builds the cluster: `g²` engines, one per tile, each minting query
-    /// ids from its own [`SHARD_ID_BLOCK`].
+    /// ids from its own [`SHARD_ID_BLOCK`]. The halo — the ring around
+    /// each tile from which a shard still receives sensor announcements —
+    /// is `max(d_max, sensing range)`, the widest distance at which a
+    /// tile-interior query can value a sensor, which is what makes
+    /// tile-local workloads exact (see the [crate docs](crate)).
     #[must_use = "dropping the built cluster discards all the configuration"]
     pub fn build(self) -> ShardedAggregator<'s> {
         let grid = TileGrid::new(self.arena, self.g);
@@ -141,9 +132,7 @@ impl<'s> ClusterBuilder<'s> {
                     .build()
             })
             .collect();
-        let halo = self
-            .halo
-            .unwrap_or_else(|| self.quality.d_max.max(shards[0].sensing_range()));
+        let halo = self.quality.d_max.max(shards[0].sensing_range());
         ShardedAggregator {
             quality: self.quality,
             grid,
@@ -493,7 +482,7 @@ impl<'s> ShardedAggregator<'s> {
         for (k, mut rep) in reports.into_iter().enumerate() {
             if let Some(stats) = &rep.streaming {
                 streaming
-                    .get_or_insert_with(|| StreamStats::new(0))
+                    .get_or_insert_with(StreamStats::default)
                     .absorb(stats);
             }
             let map = &to_global[k];

@@ -97,13 +97,13 @@ use crate::valuation::SetValuation;
 use ps_geo::{Point, Rect, SensorIndex};
 use std::collections::{HashMap, HashSet};
 
-/// Announcements smaller than this skip the per-slot [`SensorIndex`]
+/// Batch slots announcing fewer sensors skip the per-slot [`SensorIndex`]
 /// even when [`AggregatorBuilder::spatial_index`] is on: at populations
-/// this small the index build costs more than the brute-force scans it
-/// replaces (the 100-sensor tier of `BENCH_slot_engine.json` measured a
-/// 0.96× *slowdown* with the index). Selections are identical either
-/// way — the index is a scaling device, never a correctness one — so
-/// the cutover is invisible except in wall-clock time.
+/// this small the build costs more than the brute-force scans it replaces
+/// (the 100-sensor tier of `BENCH_slot_engine.json` measured a 0.96×
+/// *slowdown* with the index). Online arrival matching always indexes.
+/// Selections are identical either way (the index is a scaling device,
+/// never a correctness one), so the cutover shows only in wall-clock time.
 pub const SPATIAL_INDEX_MIN_SENSORS: usize = 256;
 
 /// Intra-slot tick resolution of the streaming path: arrival ticks live
@@ -475,11 +475,12 @@ impl<'s> AggregatorBuilder<'s> {
     }
 
     /// Toggles the per-slot [`SensorIndex`] over sensor locations (on by
-    /// default). Every hot path — the joint Algorithm 1 selection, the
-    /// point schedulers, region-monitor planning, Eq. 18 cost weighting —
-    /// consults the index instead of scanning the full announcement;
-    /// selections are identical either way, so this knob exists for
-    /// benchmarking the brute-force paths, not for correctness.
+    /// default). Every batch hot path — the joint Algorithm 1 selection,
+    /// the point schedulers, region planning, Eq. 18 cost weighting —
+    /// consults it (from [`SPATIAL_INDEX_MIN_SENSORS`] sensors up) instead
+    /// of scanning the full announcement; online arrival matching always
+    /// indexes. Selections are identical either way, so this knob exists
+    /// for benchmarking the brute-force paths, not for correctness.
     pub fn spatial_index(mut self, on: bool) -> Self {
         self.spatial_index = on;
         self
@@ -563,14 +564,8 @@ impl<'s> Aggregator<'s> {
     /// Submits an end-user point query for the next slot.
     pub fn submit_point(&mut self, spec: PointSpec) -> QueryId {
         let id = self.mint();
-        self.pending_points.push(PointQuery {
-            id,
-            loc: spec.loc,
-            budget: spec.budget,
-            offset: 0.0,
-            theta_min: spec.theta_min,
-            origin: QueryOrigin::EndUser,
-        });
+        self.pending_points
+            .push(PointQuery::new(id, spec.loc, spec.budget, spec.theta_min));
         id
     }
 
@@ -740,7 +735,7 @@ impl<'s> Aggregator<'s> {
         // event order, hence the minted id sequence) and resolve
         // everything at the boundary.
         let tps = DEFAULT_TICKS_PER_SLOT;
-        let mut stats = StreamStats::new(tps);
+        let mut stats = StreamStats::default();
         let mut sensors: Vec<SensorSnapshot> = Vec::new();
         for ev in events {
             let tick = ev.tick.min(tps);
@@ -1213,8 +1208,10 @@ impl<'s> Aggregator<'s> {
     /// (value of quality minus the sensor's remaining price — the first
     /// buyer pays the announced cost, later queries reuse the buffered
     /// reading free), or joins a waiting book; an arriving sensor is
-    /// offered, in arrival order, to every waiting point whose surplus
-    /// with it is positive. Aggregates, monitors, and custom valuations
+    /// offered, in arrival order, to every waiting point in its `d_max`
+    /// disk whose surplus with it is positive. Both disks are answered by
+    /// the slot's two [`SensorIndex`]es, one over its sensors and one over
+    /// its point queries. Aggregates, monitors, and custom valuations
     /// wait for the slot boundary, where everything still open — plus
     /// the unmatched points — clears through the ordinary Algorithm 5
     /// batch with the online-bought sensors cost-discounted to 0 (their
@@ -1227,22 +1224,11 @@ impl<'s> Aggregator<'s> {
     /// cost-recovering (proptested in `tests/streaming_equivalence.rs`).
     fn step_online(&mut self, t: Slot, events: &[ArrivalEvent]) -> SlotReport {
         let tps = DEFAULT_TICKS_PER_SLOT;
-        // Cell grid over arrived sensors, cell side d_max: a point's
-        // candidates all live in the 3×3 neighborhood of its cell.
-        let cell = self.quality.d_max;
-        let cell_of =
-            |p: Point| -> (i64, i64) { ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64) };
-
-        // The announced sensors and their bought flags stay plain locals:
-        // kept inside `OnlineOutcome`, they made perfbench's city_online
-        // slot 1.8× slower.
-        let mut sensors: Vec<SensorSnapshot> = Vec::new();
-        let mut bought: Vec<bool> = Vec::new();
-        let mut grid: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
         let mut online = OnlineOutcome::default();
-        let mut waiting: Vec<Waiter> = Vec::new();
+        // One entry per point arrival: the waiter, until a sensor serves it.
+        let mut waiting: Vec<Option<Waiter>> = Vec::new();
         let mut aggregates: Vec<AggregateQuery> = Vec::new();
-        let mut stats = StreamStats::new(tps);
+        let mut stats = StreamStats::default();
 
         // Pending one-shot queries submitted before the slot started are
         // tick-0 arrivals preceding the event stream — this is what makes
@@ -1267,14 +1253,7 @@ impl<'s> Aggregator<'s> {
             let arrival = match &ev.payload {
                 ArrivalPayload::Point(spec) => {
                     let id = self.mint();
-                    Arrival::Point(PointQuery {
-                        id,
-                        loc: spec.loc,
-                        budget: spec.budget,
-                        offset: 0.0,
-                        theta_min: spec.theta_min,
-                        origin: QueryOrigin::EndUser,
-                    })
+                    Arrival::Point(PointQuery::new(id, spec.loc, spec.budget, spec.theta_min))
                 }
                 ArrivalPayload::Aggregate(spec) => {
                     let id = self.mint();
@@ -1298,6 +1277,25 @@ impl<'s> Aggregator<'s> {
             process.push((tick, arrival));
         }
 
+        // Every arrival is known up front: index the slot's sensors and
+        // its point queries, each numbered in arrival order, for the
+        // `d_max` disks below (Eq. 4 quality is 0 beyond `d_max`). The
+        // sensors and their bought flags stay plain locals: kept inside
+        // `OnlineOutcome`, they made perfbench's city_online slot 1.8×
+        // slower.
+        let (mut sensors, mut point_locs) = (Vec::new(), Vec::new());
+        for (_, arrival) in &process {
+            match arrival {
+                Arrival::Point(q) => point_locs.push(q.loc),
+                Arrival::Sensor(s) => sensors.push(*s),
+                _ => {}
+            }
+        }
+        let sensor_index = SensorIndex::build(&sensors.iter().map(|s| s.loc).collect::<Vec<_>>());
+        let point_index = SensorIndex::build(&point_locs);
+        let mut bought = vec![false; sensors.len()];
+        let mut near: Vec<usize> = Vec::new();
+
         for (tick, arrival) in process {
             match arrival {
                 Arrival::Point(q) => {
@@ -1310,21 +1308,12 @@ impl<'s> Aggregator<'s> {
                     online.results.push(None);
                     online.arrival_ticks.push(tick);
                     online.decisions.push(None);
-                    // Best-surplus match among the arrived sensors.
-                    let (cx, cy) = cell_of(q.loc);
-                    let mut cand: Vec<usize> = Vec::new();
-                    for dx in -1..=1 {
-                        for dy in -1..=1 {
-                            if let Some(v) = grid.get(&(cx + dx, cy + dy)) {
-                                cand.extend_from_slice(v);
-                            }
-                        }
-                    }
-                    // Ascending snapshot order + strict `>` ⇒ ties go to
-                    // the earliest-arrived sensor, deterministically.
-                    cand.sort_unstable();
+                    // Best-surplus match among the arrived sensors in the
+                    // disk: it is ascending, so they are a prefix, and
+                    // strict `>` gives ties to the earliest-arrived sensor.
+                    sensor_index.query_disk_into(q.loc, self.quality.d_max, &mut near);
                     let mut best: Option<(f64, usize, f64)> = None;
-                    for &si in &cand {
+                    for &si in near.iter().take_while(|&&si| si < stats.sensor_arrivals) {
                         let theta = self.quality.quality(&sensors[si], q.loc);
                         let value = q.value_of_quality(theta);
                         if value <= 0.0 {
@@ -1336,12 +1325,13 @@ impl<'s> Aggregator<'s> {
                             best = Some((surplus, si, theta));
                         }
                     }
-                    match best {
+                    waiting.push(match best {
                         Some((_, si, theta)) => {
-                            online.commit(&w, tick, si, &sensors[si], &mut bought[si], theta)
+                            online.commit(&w, tick, si, &sensors[si], &mut bought[si], theta);
+                            None
                         }
-                        None => waiting.push(w),
-                    }
+                        None => Some(w),
+                    });
                 }
                 Arrival::Aggregate(q) => {
                     stats.query_arrivals += 1;
@@ -1351,22 +1341,21 @@ impl<'s> Aggregator<'s> {
                 }
                 Arrival::Monitor => stats.query_arrivals += 1,
                 Arrival::Sensor(s) => {
+                    let si = stats.sensor_arrivals;
                     stats.sensor_arrivals += 1;
-                    let si = sensors.len();
-                    sensors.push(s);
-                    bought.push(false);
-                    grid.entry(cell_of(s.loc)).or_default().push(si);
-                    // Offer the new sensor to the waiting book in
-                    // arrival order; earlier waiters buy first (and
-                    // later ones then see the reading free).
-                    for w in std::mem::take(&mut waiting) {
-                        let theta = self.quality.quality(&s, w.query.loc);
-                        let value = w.query.value_of_quality(theta);
-                        let price = if bought[si] { 0.0 } else { s.cost };
-                        if value > 0.0 && value - price > 1e-9 {
-                            online.commit(&w, tick, si, &s, &mut bought[si], theta);
-                        } else {
-                            waiting.push(w);
+                    // Offer it to the arrived, still-waiting points in its
+                    // disk in arrival order; earlier waiters buy first
+                    // (and later ones then see the reading free).
+                    point_index.query_disk_into(s.loc, self.quality.d_max, &mut near);
+                    for &pi in &near {
+                        if let Some(Some(w)) = waiting.get(pi) {
+                            let theta = self.quality.quality(&s, w.query.loc);
+                            let value = w.query.value_of_quality(theta);
+                            let price = if bought[si] { 0.0 } else { s.cost };
+                            if value > 0.0 && value - price > 1e-9 {
+                                online.commit(w, tick, si, &s, &mut bought[si], theta);
+                                waiting[pi] = None;
+                            }
                         }
                     }
                 }
@@ -1374,12 +1363,13 @@ impl<'s> Aggregator<'s> {
         }
 
         // ── Boundary: everything still open clears through Algorithm 5
-        // with the online-bought sensors cost-discounted. ──────────────
+        // with the online-bought sensors cost-discounted; repricing moves
+        // no sensor, so the sensor index above serves this stage too. ──
         let customs = std::mem::take(&mut self.pending_customs);
         let mut sensors_used: Vec<usize> = (0..sensors.len()).filter(|&si| bought[si]).collect();
         let prebought: HashSet<usize> = sensors_used.iter().copied().collect();
         let boundary_sensors = priced_at_zero(&sensors, |si| bought[si]);
-        let index = self.build_index(&boundary_sensors);
+        let waiting: Vec<Waiter> = waiting.into_iter().flatten().collect();
         let leftover_points: Vec<PointQuery> = waiting.iter().map(|w| w.query).collect();
         let total_aggregates = aggregates.len();
         let mut report = self.step_alg5(
@@ -1388,7 +1378,7 @@ impl<'s> Aggregator<'s> {
             leftover_points,
             aggregates,
             customs,
-            index.as_ref(),
+            self.spatial_index.then_some(&sensor_index),
             &prebought,
         );
 
@@ -2141,7 +2131,6 @@ mod tests {
         ];
         let report = engine.step_streaming(0, &events);
         let stats = report.streaming.as_ref().expect("streaming entry point");
-        assert_eq!(stats.ticks_per_slot, DEFAULT_TICKS_PER_SLOT);
         assert_eq!(
             stats.decision_ticks,
             vec![DEFAULT_TICKS_PER_SLOT, DEFAULT_TICKS_PER_SLOT - 250, 0]
@@ -2168,7 +2157,6 @@ mod tests {
         ];
         let report = engine.step_streaming(0, &events);
         let stats = report.streaming.as_ref().expect("streaming entry point");
-        assert_eq!(stats.ticks_per_slot, DEFAULT_TICKS_PER_SLOT);
         assert_eq!(
             stats.decision_ticks,
             vec![200, 0, DEFAULT_TICKS_PER_SLOT - 600]

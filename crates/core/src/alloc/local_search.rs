@@ -14,23 +14,15 @@ use crate::valuation::quality::QualityModel;
 use ps_geo::SensorIndex;
 use ps_solver::ufl;
 
-/// The Local Search scheduler of §3.1.2.
-#[derive(Debug, Clone)]
-pub struct LocalSearchScheduler {
-    /// The ε of the `(1 + ε/n²)` improvement threshold.
-    pub epsilon: f64,
-}
-
-impl Default for LocalSearchScheduler {
-    fn default() -> Self {
-        Self { epsilon: 0.01 }
-    }
-}
+/// The Local Search scheduler of §3.1.2 (improvement threshold
+/// `1 + ε/n²` with ε = 0.01).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LocalSearchScheduler;
 
 impl LocalSearchScheduler {
-    /// Creates the scheduler with the default ε = 0.01.
+    /// Creates the scheduler.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -48,7 +40,7 @@ impl PointScheduler for LocalSearchScheduler {
         threads: Threads,
     ) -> PointAllocation {
         schedule_eq9(queries, sensors, quality, index, threads, |problem, _| {
-            ufl::solve_local_search(problem, self.epsilon)
+            ufl::solve_local_search(problem)
         })
     }
 }

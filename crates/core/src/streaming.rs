@@ -49,8 +49,9 @@ pub enum ArrivalPayload {
 /// One timestamped arrival within a slot.
 #[derive(Debug, Clone)]
 pub struct ArrivalEvent {
-    /// Intra-slot arrival time in `[0, ticks_per_slot)`; ticks at or
-    /// past the slot length are clamped to the boundary.
+    /// Intra-slot arrival time in `[0, DEFAULT_TICKS_PER_SLOT)` (see
+    /// [`DEFAULT_TICKS_PER_SLOT`](crate::aggregator::DEFAULT_TICKS_PER_SLOT));
+    /// ticks at or past the slot length are clamped to the boundary.
     pub tick: u64,
     /// The arriving query or sensor.
     pub payload: ArrivalPayload,
@@ -89,15 +90,13 @@ impl ArrivalEvent {
 /// A *decision tick* is the number of ticks between a one-shot query's
 /// arrival and the engine deciding its fate: 0 for a point matched the
 /// instant it arrived, `match_tick − arrival_tick` for a waiting point
-/// matched by a later sensor arrival, and `ticks_per_slot −
+/// matched by a later sensor arrival, and `DEFAULT_TICKS_PER_SLOT −
 /// arrival_tick` for anything resolved at the slot boundary (the batch
 /// fallback resolves *every* query at the boundary). Continuous
 /// monitors and custom valuations are counted as arrivals but get no
 /// decision tick — they live across slots.
 #[derive(Debug, Clone, Default)]
 pub struct StreamStats {
-    /// Slot length in ticks the latencies are measured against.
-    pub ticks_per_slot: u64,
     /// One-shot and continuous query submissions seen this slot.
     pub query_arrivals: usize,
     /// Sensor announcements seen this slot.
@@ -111,14 +110,6 @@ pub struct StreamStats {
 }
 
 impl StreamStats {
-    /// An empty record for a slot of the given length.
-    pub fn new(ticks_per_slot: u64) -> Self {
-        StreamStats {
-            ticks_per_slot,
-            ..StreamStats::default()
-        }
-    }
-
     /// The `p`-th percentile (nearest-rank on the sorted latencies) of
     /// the decision ticks, or `None` when no one-shot query arrived.
     pub fn percentile(&self, p: f64) -> Option<u64> {
@@ -142,12 +133,8 @@ impl StreamStats {
     }
 
     /// Merges another shard's statistics into this one (the federation
-    /// layer's shard-order merge). Latencies concatenate; the slot
-    /// length is taken from whichever record has one.
+    /// layer's shard-order merge). Latencies concatenate.
     pub fn absorb(&mut self, other: &StreamStats) {
-        if self.ticks_per_slot == 0 {
-            self.ticks_per_slot = other.ticks_per_slot;
-        }
         self.query_arrivals += other.query_arrivals;
         self.sensor_arrivals += other.sensor_arrivals;
         self.matched_at_arrival += other.matched_at_arrival;
@@ -161,8 +148,10 @@ mod tests {
 
     #[test]
     fn percentiles_use_nearest_rank() {
-        let mut s = StreamStats::new(100);
-        s.decision_ticks = (0..100).collect();
+        let s = StreamStats {
+            decision_ticks: (0..100).collect(),
+            ..StreamStats::default()
+        };
         assert_eq!(s.p50(), Some(50));
         assert_eq!(s.p99(), Some(98));
         assert_eq!(s.percentile(0.0), Some(0));
@@ -171,22 +160,22 @@ mod tests {
 
     #[test]
     fn empty_stats_have_no_percentiles() {
-        let s = StreamStats::new(100);
+        let s = StreamStats::default();
         assert_eq!(s.p50(), None);
         assert_eq!(s.p99(), None);
     }
 
     #[test]
     fn absorb_concatenates_and_sums() {
-        let mut a = StreamStats::new(0);
-        let mut b = StreamStats::new(100);
-        b.query_arrivals = 3;
-        b.sensor_arrivals = 2;
-        b.matched_at_arrival = 1;
-        b.decision_ticks = vec![5, 7];
+        let mut a = StreamStats::default();
+        let b = StreamStats {
+            query_arrivals: 3,
+            sensor_arrivals: 2,
+            matched_at_arrival: 1,
+            decision_ticks: vec![5, 7],
+        };
         a.absorb(&b);
         a.absorb(&b);
-        assert_eq!(a.ticks_per_slot, 100);
         assert_eq!(a.query_arrivals, 6);
         assert_eq!(a.sensor_arrivals, 4);
         assert_eq!(a.matched_at_arrival, 2);

@@ -70,7 +70,6 @@ pub fn run(scale: &Scale) -> (StreamingSummary, FigureTable) {
     let mut profile = StandingMixProfile::from_scale(scale);
     profile.burst_period = 4;
     profile.burst_factor = 1.5;
-    let ticks_per_slot = DEFAULT_TICKS_PER_SLOT;
 
     let quality = QualityModel::new(5.0);
     let mut online = engine_for(scale, &profile.arena, quality, |b| {
@@ -92,7 +91,7 @@ pub fn run(scale: &Scale) -> (StreamingSummary, FigureTable) {
     let kernel = SquaredExponential::new(2.0, 2.0);
     let mut rng = StdRng::seed_from_u64(scale.seed ^ 0x5a17);
 
-    let mut stats = StreamStats::new(ticks_per_slot);
+    let mut stats = StreamStats::default();
     let mut summary = StreamingSummary {
         slots: scale.slots,
         streaming_welfare: 0.0,
@@ -124,7 +123,7 @@ pub fn run(scale: &Scale) -> (StreamingSummary, FigureTable) {
         let events = profile.slot_events(
             &mut rng,
             t,
-            ticks_per_slot,
+            DEFAULT_TICKS_PER_SLOT,
             online.location_monitor_count(),
             online.region_monitor_count(),
             &ctx,

@@ -117,8 +117,6 @@ const INT_TOLERANCE: f64 = 1e-6;
 /// Resource limits for a solve.
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
-    /// Simplex pivot budget per LP relaxation solve.
-    pub max_pivots: usize,
     /// Branch-and-bound node budget (LP relaxations solved beyond the
     /// root). For [`crate::ufl::solve_exact`] this budget is global
     /// across all connected components.
@@ -132,7 +130,6 @@ pub struct SolveOptions {
 impl Default for SolveOptions {
     fn default() -> Self {
         Self {
-            max_pivots: simplex::DEFAULT_MAX_PIVOTS,
             max_nodes: 50_000,
             deadline: None,
         }
@@ -209,7 +206,6 @@ impl Ord for OpenNode {
 /// Shared mutable search state.
 struct Search<'p> {
     problem: &'p BilpProblem,
-    options: &'p SolveOptions,
     deadline_at: Option<Instant>,
     heap: BinaryHeap<OpenNode>,
     best: Option<(f64, Vec<bool>)>,
@@ -241,7 +237,7 @@ impl Search<'_> {
     fn process(&mut self, fixing: Vec<Option<bool>>) -> Option<LpNode> {
         self.nodes += 1;
         let lp = relax(self.problem, &fixing);
-        let out = simplex::solve_with(&lp, self.options.max_pivots);
+        let out = simplex::solve(&lp);
         self.pivots += out.pivots;
         match out.status {
             LpStatus::Infeasible => None,
@@ -305,7 +301,6 @@ pub fn solve(
     let deadline_at = options.deadline.map(|d| Instant::now() + d);
     let mut search = Search {
         problem,
-        options,
         deadline_at,
         heap: BinaryHeap::new(),
         best: None,

@@ -127,19 +127,19 @@ pub struct LpOutcome {
     pub pivots: usize,
 }
 
-/// Default per-solve pivot budget, ample for the small dense programs
-/// this crate builds (component relaxations of Eq. 9).
-pub const DEFAULT_MAX_PIVOTS: usize = 10_000;
+/// Per-solve pivot budget, ample for the small dense programs this
+/// crate builds (component relaxations of Eq. 9).
+const MAX_PIVOTS: usize = 10_000;
 
 const EPS: f64 = 1e-9;
 
-/// Solves the LP with the default pivot budget.
+/// Solves the LP within the crate's pivot budget.
 pub fn solve(problem: &LpProblem) -> LpOutcome {
-    solve_with(problem, DEFAULT_MAX_PIVOTS)
+    solve_with(problem, MAX_PIVOTS)
 }
 
 /// Solves the LP with an explicit pivot budget.
-pub fn solve_with(problem: &LpProblem, max_pivots: usize) -> LpOutcome {
+fn solve_with(problem: &LpProblem, max_pivots: usize) -> LpOutcome {
     Tableau::build(problem, max_pivots).run()
 }
 

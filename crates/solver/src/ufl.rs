@@ -338,10 +338,14 @@ pub fn solve_greedy(p: &WelfareProblem) -> WelfareSolution {
     p.solution_from_open(&open)
 }
 
+/// The ε of Local Search's `(1 + ε/n²)` improvement threshold.
+const LOCAL_SEARCH_EPSILON: f64 = 0.01;
+
 /// Specialized Feige-et-al. Local Search over Eq. 12 (see §3.1.2 of the
-/// paper): add/delete passes with a `(1 + ε/n²)` improvement threshold,
-/// returning the best of the local optimum, its complement, and ∅.
-pub fn solve_local_search(p: &WelfareProblem, epsilon: f64) -> WelfareSolution {
+/// paper): add/delete passes with a `(1 + ε/n²)` improvement threshold
+/// (ε = 0.01), returning the best of the local optimum, its complement,
+/// and ∅.
+pub fn solve_local_search(p: &WelfareProblem) -> WelfareSolution {
     let nf = p.num_facilities();
     if nf == 0 {
         return p.solution_from_open(&[]);
@@ -362,7 +366,7 @@ pub fn solve_local_search(p: &WelfareProblem, epsilon: f64) -> WelfareSolution {
     let (start, _) = best_single.expect("nf > 0");
     state.open_facility(start);
 
-    let factor = 1.0 + epsilon / ((nf * nf) as f64);
+    let factor = 1.0 + LOCAL_SEARCH_EPSILON / ((nf * nf) as f64);
     let threshold = |cur: f64| -> f64 {
         if cur > 0.0 {
             cur * factor
@@ -564,7 +568,7 @@ pub fn solve_exact(p: &WelfareProblem, options: &SolveOptions) -> WelfareSolutio
 
         // Seed: the better of local search and greedy. Dead facilities
         // are pruned, so the seed's welfare is the pruned Eq. 12 value.
-        let mut seed = solve_local_search(&sub, 0.01);
+        let mut seed = solve_local_search(&sub);
         let gr = solve_greedy(&sub);
         if gr.welfare > seed.welfare {
             seed = gr;
@@ -585,7 +589,6 @@ pub fn solve_exact(p: &WelfareProblem, options: &SolveOptions) -> WelfareSolutio
             seed.open
         } else {
             let comp_opts = SolveOptions {
-                max_pivots: options.max_pivots,
                 max_nodes: options.max_nodes.saturating_sub(nodes),
                 deadline: deadline_at.map(|at| at.saturating_duration_since(Instant::now())),
             };
@@ -634,7 +637,7 @@ pub fn solve_exact(p: &WelfareProblem, options: &SolveOptions) -> WelfareSolutio
 
 /// Certified upper bound on the optimal Eq. 12 welfare via the root LP
 /// relaxation of each component (no branching). Components past
-/// [`MAX_EXACT_VARS`], or whose LP exhausts the default pivot budget,
+/// [`MAX_EXACT_VARS`], or whose LP exhausts the pivot budget,
 /// fall back to an `O(edges)` dual-feasible bound (`fast_dual_bound`).
 /// Used to report `optimality_gap` for heuristic schedulers without
 /// running the full branch-and-bound.
@@ -813,7 +816,7 @@ mod tests {
     #[test]
     fn local_search_matches_optimum_on_tiny() {
         let p = tiny_instance();
-        let sol = solve_local_search(&p, 0.01);
+        let sol = solve_local_search(&p);
         assert_eq!(sol.welfare, 5.0);
     }
 
@@ -832,7 +835,7 @@ mod tests {
         let exact = solve_exact(&p, &SolveOptions::default());
         assert_eq!(exact.welfare, 0.0);
         assert!(exact.open.iter().all(|&o| !o));
-        let ls = solve_local_search(&p, 0.01);
+        let ls = solve_local_search(&p);
         assert_eq!(ls.welfare, 0.0);
     }
 
@@ -841,7 +844,7 @@ mod tests {
         // Facilities 0 and 1 serve the same client, facility 2 another:
         // the optimum opens one of {0, 1} plus 2 → 4 + 3 − 2·2 = 3.
         let p = WelfareProblem::new(vec![2.0; 3], vec![vec![(0, 4.0), (1, 4.0)], vec![(2, 3.0)]]);
-        for sol in [solve_greedy(&p), solve_local_search(&p, 0.01)] {
+        for sol in [solve_greedy(&p), solve_local_search(&p)] {
             assert!((sol.welfare - 3.0).abs() < 1e-9);
             assert_eq!(sol.open.iter().filter(|&&o| o).count(), 2);
             assert!(sol.open[2]);
@@ -917,7 +920,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2024);
         for _ in 0..10 {
             let p = random_instance(&mut rng, 10, 12);
-            let ls = solve_local_search(&p, 0.01);
+            let ls = solve_local_search(&p);
             let opts = SolveOptions::default().with_deadline(Duration::ZERO);
             let sol = solve_exact(&p, &opts);
             assert!(
@@ -1175,7 +1178,7 @@ mod tests {
         let sol = solve_exact(&p, &SolveOptions::default());
         let elapsed = start.elapsed();
         assert_eq!(sol.status, SolveStatus::LimitReached);
-        let ls = solve_local_search(&p, 0.01);
+        let ls = solve_local_search(&p);
         assert!(sol.welfare >= ls.welfare - 1e-9);
         assert!(sol.welfare <= sol.lp_bound.expect("bound present") + 1e-9);
         assert!(
@@ -1209,7 +1212,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5150);
         for _ in 0..30 {
             let p = random_instance(&mut rng, 10, 12);
-            let ls = solve_local_search(&p, 0.01);
+            let ls = solve_local_search(&p);
             let ex = solve_exact(&p, &SolveOptions::default());
             assert!(ls.welfare <= ex.welfare + 1e-7);
             assert!(ls.welfare >= 0.0);
@@ -1234,7 +1237,7 @@ mod tests {
         fn exact_at_least_local_search(seed in 0u64..1000) {
             let mut rng = StdRng::seed_from_u64(seed);
             let p = random_instance(&mut rng, 9, 11);
-            let ls = solve_local_search(&p, 0.01);
+            let ls = solve_local_search(&p);
             let ex = solve_exact(&p, &SolveOptions::default());
             prop_assert!(ex.welfare + 1e-7 >= ls.welfare);
             let brute = solve_exhaustive(&p);

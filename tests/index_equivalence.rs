@@ -1,12 +1,15 @@
 //! The spatial index is a pure accelerator: an `Aggregator` with
 //! `spatial_index(true)` and one with `spatial_index(false)` must produce
 //! **identical** `SlotReport`s — same welfare bits, same selections, same
-//! payments — on the same seeded mixed standing stream. The scheduled
-//! (§4.5/§4.6) path gets the same treatment.
+//! payments — on the same seeded mixed standing stream, under Algorithm 5
+//! and the online auction. The scheduled (§4.5/§4.6) path gets the same
+//! treatment.
 
 mod common;
 
-use ps_core::aggregator::{Aggregator, AggregatorBuilder, SlotReport, SPATIAL_INDEX_MIN_SENSORS};
+use ps_core::aggregator::{
+    Aggregator, AggregatorBuilder, MixStrategy, SlotReport, SPATIAL_INDEX_MIN_SENSORS,
+};
 use ps_core::valuation::monitoring::MonitoringContext;
 use ps_core::valuation::quality::QualityModel;
 use ps_gp::kernel::SquaredExponential;
@@ -118,16 +121,22 @@ fn assert_reports_identical(a: &[SlotReport], b: &[SlotReport], label: &str) {
 
 #[test]
 fn indexed_and_brute_force_steps_are_identical_on_a_mixed_stream() {
-    let mut indexed = AggregatorBuilder::new(QualityModel::new(5.0)).build();
-    let mut brute = AggregatorBuilder::new(QualityModel::new(5.0))
-        .spatial_index(false)
-        .build();
-    let a = run(&mut indexed, 6);
-    let b = run(&mut brute, 6);
-    assert_reports_identical(&a, &b, "alg5");
-    // The stream actually exercised the engine.
-    assert!(a.iter().any(|r| r.breakdown.point_satisfied > 0));
-    assert!(a.iter().any(|r| r.breakdown.monitor_samples > 0));
+    // The online auction matches arrivals on its indexes either way; the
+    // knob moves only its boundary Algorithm 5 clear.
+    for strategy in [MixStrategy::Alg5, MixStrategy::OnlineAuction] {
+        let build = |spatial: bool| {
+            AggregatorBuilder::new(QualityModel::new(5.0))
+                .strategy(strategy)
+                .spatial_index(spatial)
+                .build()
+        };
+        let a = run(&mut build(true), 6);
+        let b = run(&mut build(false), 6);
+        assert_reports_identical(&a, &b, &format!("{strategy:?}"));
+        // The stream actually exercised the engine.
+        assert!(a.iter().any(|r| r.breakdown.point_satisfied > 0));
+        assert!(a.iter().any(|r| r.breakdown.monitor_samples > 0));
+    }
 }
 
 #[test]

@@ -10,20 +10,28 @@
 //!   they never reach an engine — and the money that *does* flow stays
 //!   budget-balanced (payments = receipts) and cost-recovering (every
 //!   paid sensor recovers exactly its announced cost).
+//! * The online auction's arrival rule — an arriving point takes the
+//!   arrived sensor of highest surplus, an arriving sensor is offered to
+//!   the waiting points in arrival order — agrees with a brute-force
+//!   reference on every point.
 
 use proptest::prelude::*;
 use ps_cluster::{ClusterBuilder, SlotEngine};
-use ps_core::aggregator::{AggregatorBuilder, MixStrategy, SlotReport};
+use ps_core::aggregator::{
+    AggregatorBuilder, MixStrategy, PointSpec, SlotReport, DEFAULT_TICKS_PER_SLOT,
+};
 use ps_core::alloc::local_search::LocalSearchScheduler;
+use ps_core::model::{QueryId, SensorSnapshot};
+use ps_core::query::PointQuery;
 use ps_core::streaming::{ArrivalEvent, ArrivalPayload};
 use ps_core::valuation::quality::QualityModel;
-use ps_geo::Rect;
+use ps_geo::{Point, Rect};
 use ps_gp::kernel::SquaredExponential;
 use ps_intake::{Admission, AdmissionController, AdmissionPolicy};
 use ps_sim::config::Scale;
 use ps_sim::workload::{test_monitoring_ctx, StandingMixProfile};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Small but genuinely mixed: every query type participates.
 fn small_profile() -> StandingMixProfile {
@@ -378,4 +386,153 @@ fn retirement_matches_across_entry_points() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(false), run(true));
+}
+
+/// One slot of point queries and sensors for the arrival-rule reference,
+/// interleaved at random ticks. Locations are integer points of a
+/// 30 × 30 field, so many pairs sit exactly at `d_max` = 5, and about
+/// one sensor in five copies an earlier one's location and price, so
+/// co-located sensors tie.
+fn arrival_rule_stream(seed: u64) -> Vec<ArrivalEvent> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let at = |rng: &mut StdRng| {
+        Point::new(
+            rng.gen_range(0..=30u32) as f64,
+            rng.gen_range(0..=30u32) as f64,
+        )
+    };
+    let mut sensors: Vec<SensorSnapshot> = Vec::new();
+    let mut events = Vec::new();
+    for _ in 0..rng.gen_range(20..80usize) {
+        let tick = rng.gen_range(0..200u64);
+        if rng.gen_bool(0.5) {
+            let s = if !sensors.is_empty() && rng.gen_bool(0.2) {
+                SensorSnapshot {
+                    id: sensors.len(),
+                    ..sensors[rng.gen_range(0..sensors.len())]
+                }
+            } else {
+                SensorSnapshot {
+                    id: sensors.len(),
+                    loc: at(&mut rng),
+                    cost: rng.gen_range(1..=8u32) as f64,
+                    trust: if rng.gen_bool(0.5) { 1.0 } else { 0.6 },
+                    inaccuracy: if rng.gen_bool(0.5) { 0.0 } else { 0.2 },
+                }
+            };
+            sensors.push(s);
+            events.push(ArrivalEvent::sensor(tick, s));
+        } else {
+            let spec = PointSpec {
+                loc: at(&mut rng),
+                budget: rng.gen_range(2..=30u32) as f64,
+                theta_min: if rng.gen_bool(0.5) { 0.0 } else { 0.3 },
+            };
+            events.push(ArrivalEvent::point(tick, spec));
+        }
+    }
+    // Stable: events of one tick keep their random interleaving.
+    events.sort_by_key(|ev| ev.tick);
+    events
+}
+
+/// The online auction's arrival rule by brute force. An arriving point
+/// scans every arrived sensor for the highest surplus (value minus the
+/// price: the cost for the first buyer, 0 after), ties to the earliest;
+/// an arriving sensor scans every waiting point in arrival order. Per
+/// point: the serving sensor and payment, or `None` for a point left to
+/// the slot boundary, and the decision tick.
+fn arrival_rule_reference(
+    events: &[ArrivalEvent],
+    quality: &QualityModel,
+) -> Vec<(Option<(usize, f64)>, u64)> {
+    let surplus = |q: &PointQuery, s: &SensorSnapshot, bought: bool| {
+        let value = q.value_of_quality(quality.quality(s, q.loc));
+        let price = if bought { 0.0 } else { s.cost };
+        (value > 0.0 && value - price > 1e-9).then_some((value - price, price))
+    };
+    let mut sensors: Vec<(SensorSnapshot, bool)> = Vec::new();
+    let mut points: Vec<(PointQuery, u64)> = Vec::new();
+    let mut decided: Vec<(Option<(usize, f64)>, u64)> = Vec::new();
+    for ev in events {
+        match &ev.payload {
+            ArrivalPayload::Point(spec) => {
+                let q = PointQuery::new(QueryId(0), spec.loc, spec.budget, spec.theta_min);
+                let mut best: Option<(f64, usize, f64)> = None;
+                for (si, (s, bought)) in sensors.iter().enumerate() {
+                    if let Some((gain, price)) = surplus(&q, s, *bought) {
+                        if best.is_none_or(|(b, _, _)| gain > b) {
+                            best = Some((gain, si, price));
+                        }
+                    }
+                }
+                decided.push(match best {
+                    Some((_, si, price)) => {
+                        sensors[si].1 = true;
+                        (Some((si, price)), 0)
+                    }
+                    None => (None, DEFAULT_TICKS_PER_SLOT - ev.tick),
+                });
+                points.push((q, ev.tick));
+            }
+            ArrivalPayload::Sensor(s) => {
+                let si = sensors.len();
+                sensors.push((*s, false));
+                for (pi, (q, arrived)) in points.iter().enumerate() {
+                    if decided[pi].0.is_some() {
+                        continue;
+                    }
+                    if let Some((_, price)) = surplus(q, s, sensors[si].1) {
+                        sensors[si].1 = true;
+                        decided[pi] = (Some((si, price)), ev.tick - arrived);
+                    }
+                }
+            }
+            _ => unreachable!("the reference streams carry points and sensors only"),
+        }
+    }
+    decided
+}
+
+/// Every point's arrival-time decision — serving sensor, payment and
+/// decision tick — and the count matched before the boundary agree with
+/// the brute-force reference over 200 seeded streams.
+#[test]
+fn online_arrival_rule_matches_brute_force_reference() {
+    let quality = QualityModel::new(5.0);
+    let (mut at_once, mut later, mut free, mut boundary) = (0, 0, 0, 0);
+    for seed in 0..200 {
+        let events = arrival_rule_stream(seed);
+        let expected = arrival_rule_reference(&events, &quality);
+        let mut engine = AggregatorBuilder::new(quality)
+            .strategy(MixStrategy::OnlineAuction)
+            .build();
+        let report = engine.step_streaming(0, &events);
+        let stats = report.streaming.as_ref().expect("streaming entry point");
+        assert_eq!(report.point_results.len(), expected.len(), "seed {seed}");
+        for (pi, &(served, ticks)) in expected.iter().enumerate() {
+            let got = &report.point_results[pi];
+            let label = format!("seed {seed} point {pi}");
+            assert_eq!(stats.decision_ticks[pi], ticks, "{label}: decision tick");
+            let Some((si, paid)) = served else {
+                boundary += 1;
+                continue;
+            };
+            assert_eq!(got.sensor, Some(si), "{label}: sensor");
+            assert_eq!(got.paid, paid, "{label}: paid");
+            at_once += usize::from(ticks == 0);
+            later += usize::from(ticks > 0);
+            free += usize::from(paid == 0.0);
+        }
+        let matched = expected
+            .iter()
+            .filter(|(served, _)| served.is_some())
+            .count();
+        assert_eq!(
+            stats.matched_at_arrival, matched,
+            "seed {seed}: matched count"
+        );
+    }
+    // The streams exercise every branch of the rule.
+    assert!(at_once > 0 && later > 0 && free > 0 && boundary > 0);
 }
