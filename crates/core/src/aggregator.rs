@@ -97,15 +97,6 @@ use crate::valuation::SetValuation;
 use ps_geo::{Point, Rect, SensorIndex};
 use std::collections::{HashMap, HashSet};
 
-/// Batch slots announcing fewer sensors skip the per-slot [`SensorIndex`]
-/// even when [`AggregatorBuilder::spatial_index`] is on: at populations
-/// this small the build costs more than the brute-force scans it replaces
-/// (the 100-sensor tier of `BENCH_slot_engine.json` measured a 0.96×
-/// *slowdown* with the index). Online arrival matching always indexes.
-/// Selections are identical either way (the index is a scaling device,
-/// never a correctness one), so the cutover shows only in wall-clock time.
-pub const SPATIAL_INDEX_MIN_SENSORS: usize = 256;
-
 /// Intra-slot tick resolution of the streaming path: arrival ticks live
 /// in `[0, DEFAULT_TICKS_PER_SLOT)`, and a boundary decision is recorded
 /// at latency `DEFAULT_TICKS_PER_SLOT − arrival_tick`.
@@ -477,10 +468,10 @@ impl<'s> AggregatorBuilder<'s> {
     /// Toggles the per-slot [`SensorIndex`] over sensor locations (on by
     /// default). Every batch hot path — the joint Algorithm 1 selection,
     /// the point schedulers, region planning, Eq. 18 cost weighting —
-    /// consults it (from [`SPATIAL_INDEX_MIN_SENSORS`] sensors up) instead
-    /// of scanning the full announcement; online arrival matching always
-    /// indexes. Selections are identical either way, so this knob exists
-    /// for benchmarking the brute-force paths, not for correctness.
+    /// consults it instead of scanning the full announcement; online
+    /// arrival matching always indexes. Selections are identical either
+    /// way, so the brute-force scans this knob turns back on serve as the
+    /// oracle the index is tested and benchmarked against.
     pub fn spatial_index(mut self, on: bool) -> Self {
         self.spatial_index = on;
         self
@@ -767,11 +758,9 @@ impl<'s> Aggregator<'s> {
         report
     }
 
-    /// Builds the slot's shared [`SensorIndex`] — unless the knob is off
-    /// or the announcement is below [`SPATIAL_INDEX_MIN_SENSORS`], where
-    /// brute-force scans are cheaper than the build.
+    /// Builds the slot's shared [`SensorIndex`], unless the knob is off.
     fn build_index(&self, sensors: &[SensorSnapshot]) -> Option<SensorIndex> {
-        (self.spatial_index && sensors.len() >= SPATIAL_INDEX_MIN_SENSORS).then(|| {
+        self.spatial_index.then(|| {
             let positions: Vec<Point> = sensors.iter().map(|s| s.loc).collect();
             SensorIndex::build(&positions)
         })
@@ -924,10 +913,10 @@ impl<'s> Aggregator<'s> {
                 .collect::<Vec<RegionPlan>>()
         });
         let mut plans: Vec<RegionPlan> = shards.into_iter().flatten().collect();
-        for planned in plans.iter_mut().flat_map(|plan| &mut plan.queries) {
+        for query in plans.iter_mut().flat_map(|plan| &mut plan.queries) {
             self.next_query_id += 1;
-            planned.query.id = QueryId(self.next_query_id);
-            queries.push(planned.query);
+            query.id = QueryId(self.next_query_id);
+            queries.push(*query);
         }
         (queries, plans)
     }

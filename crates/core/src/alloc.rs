@@ -54,9 +54,9 @@ pub struct PointAllocation {
     /// Total cost paid out to sensors.
     pub total_sensor_cost: f64,
     /// Certified upper bound on the slot's optimal point welfare (LP
-    /// relaxation), when the scheduler computed one. `welfare ≤ lp_bound`
-    /// up to float noise, so `(lp_bound − welfare) / lp_bound` is the
-    /// slot's optimality gap.
+    /// relaxation), when the scheduler computed one. Reported raw, never
+    /// raised to `welfare`: `welfare ≤ lp_bound` up to float noise, so
+    /// `(lp_bound − welfare) / lp_bound` is the slot's optimality gap.
     pub lp_bound: Option<f64>,
     /// How the schedule was established: `Optimal` = proven by the exact
     /// solver; `Feasible` = a feasible point without proof (heuristics,
@@ -366,14 +366,13 @@ fn allocation_from_solution(
     // The bound belongs to the *problem*, not the open set, so the
     // original solution's bound stays valid for the post-drop allocation
     // (dropping cost-unrecoverable sensors only changes the achieved
-    // welfare). Clamp so reported gaps never go negative on float noise.
-    let welfare = total_value - total_sensor_cost;
+    // welfare). It is reported raw: a welfare above it is a finding.
     PointAllocation {
         assignments,
-        welfare,
+        welfare: total_value - total_sensor_cost,
         sensors_used,
         total_sensor_cost,
-        lp_bound: solution.lp_bound.map(|b| b.max(welfare)),
+        lp_bound: solution.lp_bound,
         solve_status: Some(solution.status),
     }
 }

@@ -150,8 +150,7 @@ impl<S: PointScheduler> PointScheduler for WithLpBound<S> {
         }
         let groups = group_by_location(queries);
         let problem = build_welfare_problem(queries, &groups, sensors, quality, index, threads);
-        let bound = ufl::lp_relaxation_bound(&problem);
-        alloc.lp_bound = Some(bound.max(alloc.welfare));
+        alloc.lp_bound = Some(ufl::lp_relaxation_bound(&problem));
         alloc
     }
 }

@@ -13,4 +13,4 @@ pub mod region;
 
 pub use event::{EventDetection, EventMonitor, EventQuerySpec};
 pub use location::LocationMonitor;
-pub use region::{sharing_weight, PlannedQuery, RegionMonitor, RegionPlan};
+pub use region::{sharing_weight, RegionMonitor, RegionPlan};

@@ -29,21 +29,12 @@ pub fn sharing_weight(k: usize) -> f64 {
     }
 }
 
-/// One planned point query of Algorithm 3, tied to the sensor whose
-/// location it requests.
-#[derive(Debug, Clone)]
-pub struct PlannedQuery {
-    /// The generated point query.
-    pub query: PointQuery,
-    /// Snapshot index of the targeted sensor.
-    pub sensor: usize,
-}
-
 /// Output of `CreatePointQueries` for one region monitor at one slot.
 #[derive(Debug, Clone)]
 pub struct RegionPlan {
-    /// Point queries to execute this slot.
-    pub queries: Vec<PlannedQuery>,
+    /// Point queries to execute this slot, each at the location of the
+    /// sensor its [`QueryOrigin::RegionMonitor`] names.
+    pub queries: Vec<PointQuery>,
     /// Expected spend `C_t` (weighted costs of the planned sensors).
     pub expected_cost: f64,
 }
@@ -288,19 +279,16 @@ impl RegionMonitor {
             }
             promised += vp;
             expected_cost += weighted_cost[si];
-            queries.push(PlannedQuery {
-                query: PointQuery {
-                    id: make_id(),
-                    loc: s.loc,
-                    budget: vp,
-                    offset: 0.0,
-                    theta_min: self.theta_min,
-                    origin: QueryOrigin::RegionMonitor {
-                        monitor: monitor_index,
-                        sensor: si,
-                    },
+            queries.push(PointQuery {
+                id: make_id(),
+                loc: s.loc,
+                budget: vp,
+                offset: 0.0,
+                theta_min: self.theta_min,
+                origin: QueryOrigin::RegionMonitor {
+                    monitor: monitor_index,
+                    sensor: si,
                 },
-                sensor: si,
             });
         }
         RegionPlan {
@@ -426,10 +414,13 @@ mod tests {
         ];
         let plan = plan_at_cost(&m, 0, &sensors, None);
         assert!(!plan.queries.is_empty());
-        for pq in &plan.queries {
-            assert_ne!(pq.sensor, 2, "outside sensor must not be planned");
-            assert!(m.region.contains(pq.query.loc));
-            assert!(pq.query.budget > 0.0);
+        for q in &plan.queries {
+            let QueryOrigin::RegionMonitor { sensor, .. } = q.origin else {
+                panic!("a planned query names its monitor and sensor");
+            };
+            assert_ne!(sensor, 2, "outside sensor must not be planned");
+            assert!(m.region.contains(q.loc));
+            assert!(q.budget > 0.0);
         }
     }
 

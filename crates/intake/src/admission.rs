@@ -6,7 +6,11 @@ use ps_core::model::Slot;
 use ps_core::streaming::{ArrivalEvent, ArrivalPayload};
 use ps_core::valuation::SetValuation;
 
-use crate::queue::{IntakeQueue, Ticket};
+/// Receipt for one submission, unique per [`AdmissionController`] for
+/// its whole lifetime. Tickets are how submitters look up their
+/// [`Admission`] outcome after the slot closes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Ticket(pub u64);
 
 /// Per-slot quotas the controller enforces on query arrivals. Sensor
 /// announcements are capacity, not load — they are always admitted and
@@ -43,7 +47,7 @@ pub enum Admission {
     /// The event entered this slot's admitted stream.
     Admitted,
     /// Over quota; the query retries in `until_slot` ahead of fresh
-    /// arrivals (effective tick 0, original submission order kept).
+    /// arrivals (effective tick 0, in the order it was deferred in).
     Deferred {
         /// Slot the query will re-enter admission in.
         until_slot: Slot,
@@ -85,8 +89,8 @@ pub struct AdmissionBatch {
     /// The slot these outcomes are for.
     pub slot: Slot,
     /// Admitted events in deterministic stream order: deferred
-    /// re-entrants first (original submission order, effective tick 0),
-    /// then fresh arrivals sorted by `(tick, submission sequence)`.
+    /// re-entrants first (in the order they were deferred, effective
+    /// tick 0), then fresh arrivals sorted by `(tick, ticket)`.
     pub admitted: Vec<ArrivalEvent>,
     outcomes: HashMap<Ticket, Admission>,
 }
@@ -119,15 +123,6 @@ impl AdmissionBatch {
     }
 }
 
-/// A deferred query carried across slots: the original ticket and
-/// event, plus how many slots it has waited so far.
-#[derive(Debug, Clone)]
-struct Carryover {
-    ticket: Ticket,
-    event: ArrivalEvent,
-    defers: usize,
-}
-
 /// Front door to the streaming engine: accepts timestamped submissions
 /// at any time, then [`admit_slot`](AdmissionController::admit_slot)
 /// closes one slot's intake and applies the quotas.
@@ -138,36 +133,39 @@ struct Carryover {
 #[derive(Debug)]
 pub struct AdmissionController {
     policy: AdmissionPolicy,
-    queue: IntakeQueue,
-    carryover: Vec<Carryover>,
+    /// Every submission waiting for the next slot, with the number of
+    /// times it was deferred: deferred queries (restamped to tick 0)
+    /// first, then fresh submissions in ticket order.
+    pending: Vec<(Ticket, ArrivalEvent, usize)>,
+    next_ticket: u64,
 }
 
 impl AdmissionController {
-    /// A controller enforcing `policy`, with nothing pending.
+    /// A controller enforcing `policy`, with nothing pending; the first
+    /// ticket issued is `Ticket(0)`.
     pub fn new(policy: AdmissionPolicy) -> Self {
         AdmissionController {
             policy,
-            queue: IntakeQueue::new(),
-            carryover: Vec::new(),
+            pending: Vec::new(),
+            next_ticket: 0,
         }
-    }
-
-    /// The enforced policy.
-    pub fn policy(&self) -> &AdmissionPolicy {
-        &self.policy
     }
 
     /// Submits one arrival for the next slot that closes; returns the
     /// ticket used to look up its outcome in that slot's
-    /// [`AdmissionBatch`].
+    /// [`AdmissionBatch`]. Tickets number submissions in order, and the
+    /// number breaks ties between events sharing a tick.
     pub fn submit(&mut self, event: ArrivalEvent) -> Ticket {
-        self.queue.push(event)
+        let ticket = Ticket(self.next_ticket);
+        self.next_ticket += 1;
+        self.pending.push((ticket, event, 0));
+        ticket
     }
 
     /// Number of submissions waiting for the next slot (fresh plus
     /// deferred).
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.carryover.len()
+        self.pending.len()
     }
 
     /// Closes intake for `slot`: every pending submission gets an
@@ -175,32 +173,22 @@ impl AdmissionController {
     /// back in deterministic stream order.
     ///
     /// Quota accounting walks queries in stream order (deferred
-    /// re-entrants first, then fresh arrivals by `(tick, sequence)`)
+    /// re-entrants first, then fresh arrivals by `(tick, ticket)`)
     /// and admits each query that keeps both the count and the budget
     /// totals within the policy. Sensor announcements are always
     /// admitted and skip the accounting entirely.
     pub fn admit_slot(&mut self, slot: Slot) -> AdmissionBatch {
+        // A stable sort by tick is the whole stream order: re-entrants
+        // sit at tick 0 ahead of every later submission, and the list
+        // holds fresh submissions in ticket order.
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_by_key(|(_, event, _)| event.tick);
         let mut admitted = Vec::new();
         let mut outcomes = HashMap::new();
         let mut queries = 0usize;
         let mut budget = 0.0f64;
 
-        // Deferred queries keep their original submission order and
-        // re-enter ahead of this slot's fresh arrivals at effective
-        // tick 0.
-        let carried = std::mem::take(&mut self.carryover);
-        let fresh = self.queue.drain_sorted();
-
-        let candidates = carried
-            .into_iter()
-            .map(|c| (c.ticket, c.event, c.defers, 0u64))
-            .chain(fresh.into_iter().map(|(ticket, event)| {
-                let tick = event.tick;
-                (ticket, event, 0, tick)
-            }));
-
-        for (ticket, mut event, defers, effective_tick) in candidates {
-            event.tick = effective_tick;
+        for (ticket, mut event, defers) in pending {
             let Some(cost) = query_budget(&event.payload) else {
                 // Sensors are capacity, not load.
                 admitted.push(event);
@@ -230,11 +218,9 @@ impl AdmissionController {
                         until_slot: slot + 1,
                     },
                 );
-                self.carryover.push(Carryover {
-                    ticket,
-                    event,
-                    defers: defers + 1,
-                });
+                // Re-enters the next slot at effective tick 0.
+                event.tick = 0;
+                self.pending.push((ticket, event, defers + 1));
             } else {
                 outcomes.insert(
                     ticket,
@@ -302,6 +288,32 @@ mod tests {
             max_budget_per_slot: max_budget,
             max_defer_slots: max_defers,
         }
+    }
+
+    #[test]
+    fn admits_by_tick_then_submission_order() {
+        let mut ctl = AdmissionController::new(AdmissionPolicy::unlimited());
+        ctl.submit(point(9, 1.0));
+        ctl.submit(point(3, 2.0));
+        ctl.submit(point(3, 3.0));
+        let batch = ctl.admit_slot(0);
+        let order: Vec<(u64, Option<f64>)> = batch
+            .admitted
+            .iter()
+            .map(|e| (e.tick, query_budget(&e.payload)))
+            .collect();
+        assert_eq!(order, [(3, Some(2.0)), (3, Some(3.0)), (9, Some(1.0))]);
+        assert_eq!(ctl.pending(), 0);
+    }
+
+    #[test]
+    fn tickets_stay_unique_across_slots() {
+        let mut ctl = AdmissionController::new(AdmissionPolicy::unlimited());
+        let a = ctl.submit(point(0, 1.0));
+        ctl.admit_slot(0);
+        let b = ctl.submit(point(0, 1.0));
+        assert_ne!(a, b);
+        assert_eq!(ctl.pending(), 1);
     }
 
     #[test]

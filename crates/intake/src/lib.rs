@@ -1,19 +1,20 @@
-//! Event-time intake for the streaming aggregator: a queue that accepts
-//! mid-slot query submissions and sensor announcements, and an
-//! admission controller that applies per-slot compute and budget quotas
+//! Event-time intake for the streaming aggregator: an admission
+//! controller that accepts mid-slot query submissions and sensor
+//! announcements, then applies per-slot compute and budget quotas
 //! *before* work reaches the engine.
 //!
 //! Production participatory-sensing traffic does not line up at slot
 //! boundaries: queries and sensors arrive continuously, and bursty load
-//! can exceed what one slot's selection pass should absorb. This crate
-//! supplies the two pieces in front of
+//! can exceed what one slot's selection pass should absorb.
+//! [`AdmissionController`] sits in front of
 //! [`Aggregator::step_streaming`](ps_core::aggregator::Aggregator::step_streaming):
 //!
-//! * [`IntakeQueue`] — timestamped arrivals with a deterministic total
-//!   order: events sort by `(tick, submission sequence)`, so replaying
-//!   the same (seeded) arrival process always produces the same stream.
-//! * [`AdmissionController`] — per-slot quotas on query count and
-//!   submitted budget, with explicit [`Admission`] outcomes. Over-quota
+//! * **Deterministic order.** Every submission gets a [`Ticket`] and
+//!   waits in one pending list. Closing a slot sorts it by tick, ties in
+//!   submission order, so replaying the same (seeded) arrival process
+//!   always produces the same stream.
+//! * **Quotas with explicit outcomes.** Per-slot caps on query count and
+//!   submitted budget, each ticket getting an [`Admission`]. Over-quota
 //!   work is **deferred** to the next slot (bounded retries) or
 //!   **rejected**, never silently delayed: backpressure is visible to
 //!   the submitter, and deferred or rejected queries pay nothing
@@ -46,9 +47,7 @@
 #![warn(missing_docs)]
 
 mod admission;
-mod queue;
 
 pub use admission::{
-    Admission, AdmissionBatch, AdmissionController, AdmissionPolicy, RejectReason,
+    Admission, AdmissionBatch, AdmissionController, AdmissionPolicy, RejectReason, Ticket,
 };
-pub use queue::{IntakeQueue, Ticket};

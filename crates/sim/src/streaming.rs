@@ -80,7 +80,7 @@ pub fn run(scale: &Scale) -> (StreamingSummary, FigureTable) {
     });
 
     // Quota at the base (non-burst) query arrival rate: burst slots
-    // overflow and defer, quiet slots drain the carryover.
+    // overflow and defer, quiet slots admit the deferred queries.
     let mut intake = AdmissionController::new(AdmissionPolicy {
         max_queries_per_slot: profile.standing_queries(),
         max_budget_per_slot: f64::INFINITY,

@@ -10,7 +10,7 @@
 //! |---|---|
 //! | [`core`] (`ps_core`) | Queries, valuations, scheduling algorithms, payments (the paper's §2–§3) |
 //! | [`cluster`] (`ps_cluster`) | Sharded federation: tiled multi-aggregator cluster, halo routing, settlement |
-//! | [`intake`] (`ps_intake`) | Event-time intake queue + per-slot admission control for mid-slot arrivals |
+//! | [`intake`] (`ps_intake`) | Event-time admission control for mid-slot arrivals: one pending list, per-slot quotas |
 //! | [`geo`] (`ps_geo`) | Grid geometry: points, rectangles, cells, trajectories, coverage |
 //! | [`sim`] (`ps_sim`) | Time-slotted simulator + one experiment driver per figure (§4) |
 //! | [`stats`] (`ps_stats`) | Regression, sampling-time selection, descriptive statistics |

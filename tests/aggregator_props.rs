@@ -208,6 +208,20 @@ fn check_ledger_invariants(
             &report.sensors_used
         );
         prop_assert!(report.welfare.is_finite());
+        // The scheduler's welfare never beats the certified LP bound,
+        // which is reported raw (not raised to the welfare).
+        let b = &report.breakdown;
+        if b.bound_known_slots > 0 {
+            let tolerance = 1e-9 * b.point_lp_bound.abs().max(1.0);
+            prop_assert!(
+                b.point_sched_welfare <= b.point_lp_bound + tolerance,
+                "{} slot {}: point welfare {} above the LP bound {}",
+                label,
+                slot,
+                b.point_sched_welfare,
+                b.point_lp_bound
+            );
+        }
     }
     Ok(())
 }
@@ -219,9 +233,10 @@ proptest! {
     /// balanced (receipts == payments, refunds included) and
     /// cost-recovering (each paid sensor receives exactly its announced
     /// cost), never charges an answered point query more than its value,
-    /// reports each query's ledger payment as its `paid`, and lists each
-    /// measuring sensor once — for every `MixStrategy` and every in-tree
-    /// point scheduler.
+    /// reports each query's ledger payment as its `paid`, lists each
+    /// measuring sensor once, and keeps a bound-carrying slot's point
+    /// welfare at or below its raw LP bound — for every `MixStrategy` and
+    /// every in-tree point scheduler.
     fn ledger_is_balanced_and_cost_recovering_every_slot(seed in 0u64..10_000, slots in 2usize..7) {
         for strategy in [MixStrategy::Alg5, MixStrategy::SequentialBaseline, MixStrategy::OnlineAuction] {
             check_ledger_invariants(&format!("{strategy:?}"), strategy, None, seed, slots)?;

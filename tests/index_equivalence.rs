@@ -7,9 +7,7 @@
 
 mod common;
 
-use ps_core::aggregator::{
-    Aggregator, AggregatorBuilder, MixStrategy, SlotReport, SPATIAL_INDEX_MIN_SENSORS,
-};
+use ps_core::aggregator::{Aggregator, AggregatorBuilder, MixStrategy, SlotReport};
 use ps_core::valuation::monitoring::MonitoringContext;
 use ps_core::valuation::quality::QualityModel;
 use ps_gp::kernel::SquaredExponential;
@@ -39,11 +37,8 @@ fn monitoring_ctx() -> Arc<MonitoringContext> {
 
 fn profile() -> StandingMixProfile {
     let mut p = StandingMixProfile::from_scale(&Scale::test());
-    // Small but genuinely mixed: every query type participates. The
-    // announcement must reach the engine's index cutover, or both
-    // engines would run the brute-force scans.
+    // Small but genuinely mixed: every query type participates.
     p.sensors = 400;
-    assert!(p.sensors >= SPATIAL_INDEX_MIN_SENSORS);
     p.points_per_slot = 40;
     p.aggregates_mean = 3;
     p.location_monitors = 6;

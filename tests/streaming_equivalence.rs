@@ -14,6 +14,10 @@
 //!   arrived sensor of highest surplus, an arriving sensor is offered to
 //!   the waiting points in arrival order — agrees with a brute-force
 //!   reference on every point.
+//! * The admission controller's stream order — deferred queries first,
+//!   in the order they were deferred, at tick 0, then fresh submissions
+//!   by `(tick, ticket)` — and every ticket's outcome agree with a
+//!   reference on random multi-slot submission sequences.
 
 use proptest::prelude::*;
 use ps_cluster::{ClusterBuilder, SlotEngine};
@@ -27,7 +31,7 @@ use ps_core::streaming::{ArrivalEvent, ArrivalPayload};
 use ps_core::valuation::quality::QualityModel;
 use ps_geo::{Point, Rect};
 use ps_gp::kernel::SquaredExponential;
-use ps_intake::{Admission, AdmissionController, AdmissionPolicy};
+use ps_intake::{Admission, AdmissionController, AdmissionPolicy, RejectReason, Ticket};
 use ps_sim::config::Scale;
 use ps_sim::workload::{test_monitoring_ctx, StandingMixProfile};
 use rand::rngs::StdRng;
@@ -535,4 +539,156 @@ fn online_arrival_rule_matches_brute_force_reference() {
     }
     // The streams exercise every branch of the rule.
     assert!(at_once > 0 && later > 0 && free > 0 && boundary > 0);
+}
+
+/// The admission rule kept apart from the controller: carried
+/// (deferred) queries re-enter first, in the order they were deferred,
+/// at tick 0; fresh submissions follow sorted by `(tick, ticket)`. The
+/// quotas are walked in that order.
+#[derive(Default)]
+struct ReferenceIntake {
+    carried: Vec<(Ticket, ArrivalEvent, usize)>,
+    fresh: Vec<(Ticket, ArrivalEvent)>,
+}
+
+impl ReferenceIntake {
+    /// The slot's admitted stream and the outcome of every ticket that
+    /// was pending, in stream order.
+    fn admit_slot(
+        &mut self,
+        policy: &AdmissionPolicy,
+        slot: usize,
+    ) -> (Vec<ArrivalEvent>, Vec<(Ticket, Admission)>) {
+        let mut fresh = std::mem::take(&mut self.fresh);
+        fresh.sort_by_key(|(ticket, event)| (event.tick, *ticket));
+        let mut carried = std::mem::take(&mut self.carried);
+        for (_, event, _) in &mut carried {
+            event.tick = 0;
+        }
+        let stream = carried
+            .into_iter()
+            .chain(fresh.into_iter().map(|(t, e)| (t, e, 0)));
+        let mut admitted = Vec::new();
+        let mut outcomes = Vec::new();
+        let mut queries = 0usize;
+        let mut budget = 0.0f64;
+        for (ticket, event, defers) in stream {
+            let cost = match &event.payload {
+                ArrivalPayload::Point(spec) => spec.budget,
+                ArrivalPayload::Sensor(_) => {
+                    admitted.push(event);
+                    outcomes.push((ticket, Admission::Admitted));
+                    continue;
+                }
+                other => unreachable!("the sequences hold points and sensors, not {other:?}"),
+            };
+            let outcome = if cost > policy.max_budget_per_slot {
+                Admission::Rejected {
+                    reason: RejectReason::BudgetExceedsSlotQuota,
+                }
+            } else if queries < policy.max_queries_per_slot
+                && budget + cost <= policy.max_budget_per_slot
+            {
+                queries += 1;
+                budget += cost;
+                admitted.push(event);
+                Admission::Admitted
+            } else if defers < policy.max_defer_slots {
+                self.carried.push((ticket, event, defers + 1));
+                Admission::Deferred {
+                    until_slot: slot + 1,
+                }
+            } else {
+                Admission::Rejected {
+                    reason: RejectReason::DeferralsExhausted,
+                }
+            };
+            outcomes.push((ticket, outcome));
+        }
+        (admitted, outcomes)
+    }
+}
+
+/// 200 seeded multi-slot submission sequences with ticks from a small
+/// range (ties are common), sensors mixed in, and quotas small enough
+/// to defer and reject: per slot, the controller's admitted stream
+/// (tick and payload), every ticket's outcome and its pending count
+/// match [`ReferenceIntake`], and tickets number the submissions.
+#[test]
+fn admission_order_matches_reference() {
+    let (mut deferred, mut rejected, mut re_admitted) = (0usize, 0usize, 0usize);
+    for seed in 0..200u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let policy = AdmissionPolicy {
+            max_queries_per_slot: rng.gen_range(0..6usize),
+            max_budget_per_slot: if rng.gen_bool(0.3) {
+                f64::INFINITY
+            } else {
+                rng.gen_range(5.0..40.0)
+            },
+            max_defer_slots: rng.gen_range(0..4usize),
+        };
+        let mut intake = AdmissionController::new(policy);
+        let mut reference = ReferenceIntake::default();
+        let mut submitted = 0u64;
+        for slot in 0..rng.gen_range(2..7usize) {
+            let carried = reference.carried.len();
+            for _ in 0..rng.gen_range(0..50usize) {
+                let tick = rng.gen_range(0..5u64);
+                // A distinct location or id per submission, so payloads
+                // tell the events apart.
+                let event = if rng.gen_bool(0.25) {
+                    ArrivalEvent::sensor(
+                        tick,
+                        SensorSnapshot {
+                            id: submitted as usize,
+                            loc: Point::new(0.0, 0.0),
+                            cost: 1.0,
+                            trust: 1.0,
+                            inaccuracy: 0.1,
+                        },
+                    )
+                } else {
+                    ArrivalEvent::point(
+                        tick,
+                        PointSpec {
+                            loc: Point::new(submitted as f64, 0.0),
+                            budget: rng.gen_range(1.0..12.0),
+                            theta_min: 0.2,
+                        },
+                    )
+                };
+                let ticket = intake.submit(event.clone());
+                assert_eq!(ticket, Ticket(submitted), "seed {seed}: ticket numbering");
+                submitted += 1;
+                reference.fresh.push((ticket, event));
+            }
+            let batch = intake.admit_slot(slot);
+            let (admitted, outcomes) = reference.admit_slot(&policy, slot);
+            let label = format!("seed {seed} slot {slot}");
+            let key = |e: &ArrivalEvent| format!("{} {:?}", e.tick, e.payload);
+            assert_eq!(
+                batch.admitted.iter().map(key).collect::<Vec<_>>(),
+                admitted.iter().map(key).collect::<Vec<_>>(),
+                "{label}: admitted stream"
+            );
+            assert_eq!(batch.outcomes().count(), outcomes.len(), "{label}");
+            for (ticket, outcome) in &outcomes {
+                assert_eq!(batch.outcome(*ticket), Some(outcome), "{label}: {ticket:?}");
+            }
+            assert_eq!(
+                intake.pending(),
+                reference.carried.len(),
+                "{label}: pending"
+            );
+            deferred += batch.deferred();
+            rejected += batch.rejected();
+            re_admitted += outcomes[..carried]
+                .iter()
+                .filter(|(_, o)| *o == Admission::Admitted)
+                .count();
+        }
+    }
+    // The sequences defer, re-admit and reject.
+    assert!(deferred > 0 && rejected > 0 && re_admitted > 0);
 }
