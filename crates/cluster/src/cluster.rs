@@ -357,15 +357,16 @@ impl<'s> ShardedAggregator<'s> {
     /// support-anchor rule as the `submit_*` methods, every sensor event
     /// goes to its home tile plus the halo ring (stamped with its global
     /// arrival ordinal for settlement), and each shard consumes its
-    /// sub-stream through [`Aggregator::step_streaming`]. Settlement is
-    /// the ordinary budget-balanced pass; the merged report carries the
-    /// shard-order concatenation of the per-shard latency statistics. A
-    /// stream whose events all carry tick 0 in submission order is
-    /// bit-identical to routing the submissions up front and calling
-    /// [`ShardedAggregator::step`].
+    /// sub-stream through [`Aggregator::step_streaming`]. A sub-stream
+    /// holds references into `events`, so routing copies no event.
+    /// Settlement is the ordinary budget-balanced pass; the merged report
+    /// carries the shard-order concatenation of the per-shard latency
+    /// statistics. A stream whose events all carry tick 0 in submission
+    /// order is bit-identical to routing the submissions up front and
+    /// calling [`ShardedAggregator::step`].
     pub fn step_streaming(&mut self, slot: Slot, events: &[ArrivalEvent]) -> SlotReport {
         let n = self.shards.len();
-        let mut local: Vec<Vec<ArrivalEvent>> = vec![Vec::new(); n];
+        let mut local: Vec<Vec<&ArrivalEvent>> = vec![Vec::new(); n];
         let mut to_global: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut sensors: Vec<SensorSnapshot> = Vec::new();
         for ev in events {
@@ -374,29 +375,30 @@ impl<'s> ShardedAggregator<'s> {
                     let gi = sensors.len();
                     sensors.push(*s);
                     for k in self.grid.tiles_seeing(s.loc, self.halo) {
-                        local[k].push(ev.clone());
+                        local[k].push(ev);
                         to_global[k].push(gi);
                     }
                 }
                 ArrivalPayload::Point(spec) => {
-                    local[self.shard_of_point(spec.loc)].push(ev.clone());
+                    local[self.shard_of_point(spec.loc)].push(ev);
                 }
                 ArrivalPayload::Aggregate(spec) => {
                     let k = self.shard_of(&SpatialSupport::Rect(spec.region));
-                    local[k].push(ev.clone());
+                    local[k].push(ev);
                 }
                 ArrivalPayload::LocationMonitor(spec) => {
-                    local[self.shard_of_point(spec.loc)].push(ev.clone());
+                    local[self.shard_of_point(spec.loc)].push(ev);
                 }
                 ArrivalPayload::RegionMonitor(spec) => {
                     let k = self.shard_of(&SpatialSupport::Rect(*spec.valuation.region()));
-                    local[k].push(ev.clone());
+                    local[k].push(ev);
                 }
             }
         }
 
-        let reports =
-            self.step_shards_with(&local, |shard, events| shard.step_streaming(slot, events));
+        let reports = self.step_shards_with(&local, |shard, events| {
+            shard.step_streaming(slot, events.iter().copied())
+        });
         self.settle(slot, &sensors, reports, &to_global)
     }
 

@@ -716,7 +716,15 @@ impl<'s> Aggregator<'s> {
     /// decision latencies. Either way [`SlotReport::streaming`] is
     /// populated, and a stream whose events all carry tick 0 in
     /// submission order is bit-identical to the batch [`Aggregator::step`].
-    pub fn step_streaming(&mut self, slot: Slot, events: &[ArrivalEvent]) -> SlotReport {
+    ///
+    /// The events are read by reference, in iteration order: a slice or
+    /// `&Vec` of events, or the references a router collected for this
+    /// engine without copying the events.
+    pub fn step_streaming<'e>(
+        &mut self,
+        slot: Slot,
+        events: impl IntoIterator<Item = &'e ArrivalEvent>,
+    ) -> SlotReport {
         if self.scheduler.is_none() && self.strategy == MixStrategy::OnlineAuction {
             let report = self.step_online(slot, events);
             return self.finalize(slot, report);
@@ -742,11 +750,11 @@ impl<'s> Aggregator<'s> {
                     stats.decision_ticks.push(tps - tick);
                 }
                 ArrivalPayload::LocationMonitor(spec) => {
-                    self.submit_location_monitor(spec.clone());
+                    self.submit_location_monitor((**spec).clone());
                     stats.query_arrivals += 1;
                 }
                 ArrivalPayload::RegionMonitor(spec) => {
-                    self.submit_region_monitor(spec.clone());
+                    self.submit_region_monitor((**spec).clone());
                     stats.query_arrivals += 1;
                 }
                 ArrivalPayload::Sensor(s) => sensors.push(*s),
@@ -1211,7 +1219,11 @@ impl<'s> Aggregator<'s> {
     /// those sensors at cost 0 and excludes them from region sharing,
     /// and the merged slot ledger is budget-balanced and
     /// cost-recovering (proptested in `tests/streaming_equivalence.rs`).
-    fn step_online(&mut self, t: Slot, events: &[ArrivalEvent]) -> SlotReport {
+    fn step_online<'e>(
+        &mut self,
+        t: Slot,
+        events: impl IntoIterator<Item = &'e ArrivalEvent>,
+    ) -> SlotReport {
         let tps = DEFAULT_TICKS_PER_SLOT;
         let mut online = OnlineOutcome::default();
         // One entry per point arrival: the waiter, until a sensor serves it.
@@ -1254,11 +1266,11 @@ impl<'s> Aggregator<'s> {
                     })
                 }
                 ArrivalPayload::LocationMonitor(spec) => {
-                    self.submit_location_monitor(spec.clone());
+                    self.submit_location_monitor((**spec).clone());
                     Arrival::Monitor
                 }
                 ArrivalPayload::RegionMonitor(spec) => {
-                    self.submit_region_monitor(spec.clone());
+                    self.submit_region_monitor((**spec).clone());
                     Arrival::Monitor
                 }
                 ArrivalPayload::Sensor(s) => Arrival::Sensor(*s),

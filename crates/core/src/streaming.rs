@@ -30,6 +30,11 @@ use crate::model::SensorSnapshot;
 /// take; the engine mints the [`QueryId`](crate::model::QueryId) when
 /// the event is processed, so replaying events in submission order
 /// reproduces the batch id sequence exactly.
+///
+/// The two monitor specs are boxed: they are rare in a stream and up to
+/// 208 bytes inline, while every event is moved through admission and
+/// sorted, so inline they would set the size of every sensor
+/// announcement too. Boxed, an [`ArrivalEvent`] is 64 bytes.
 #[derive(Debug, Clone)]
 pub enum ArrivalPayload {
     /// An end-user point query (§2.2.1).
@@ -38,9 +43,9 @@ pub enum ArrivalPayload {
     Aggregate(AggregateSpec),
     /// A location-monitoring query (§2.3.2); continuous queries activate
     /// on arrival and are driven at slot boundaries.
-    LocationMonitor(LocationMonitorSpec),
+    LocationMonitor(Box<LocationMonitorSpec>),
     /// A region-monitoring query (§2.3.1).
-    RegionMonitor(RegionMonitorSpec),
+    RegionMonitor(Box<RegionMonitorSpec>),
     /// A sensor announcing itself mid-slot: location, price, and trust
     /// become visible (and matchable) from this tick onward.
     Sensor(SensorSnapshot),
@@ -145,6 +150,18 @@ impl StreamStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every event is moved through admission, sorted and routed, so its
+    /// size is the size of every copy: a payload stored inline instead
+    /// of boxed fails here rather than silently tripling each one.
+    #[test]
+    fn arrival_event_fits_in_64_bytes() {
+        assert!(
+            std::mem::size_of::<ArrivalEvent>() <= 64,
+            "ArrivalEvent is {} bytes",
+            std::mem::size_of::<ArrivalEvent>()
+        );
+    }
 
     #[test]
     fn percentiles_use_nearest_rank() {

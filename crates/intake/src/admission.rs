@@ -1,7 +1,5 @@
 //! Per-slot admission control with explicit outcomes.
 
-use std::collections::HashMap;
-
 use ps_core::model::Slot;
 use ps_core::streaming::{ArrivalEvent, ArrivalPayload};
 use ps_core::valuation::SetValuation;
@@ -92,33 +90,37 @@ pub struct AdmissionBatch {
     /// re-entrants first (in the order they were deferred, effective
     /// tick 0), then fresh arrivals sorted by `(tick, ticket)`.
     pub admitted: Vec<ArrivalEvent>,
-    outcomes: HashMap<Ticket, Admission>,
+    /// Every pending ticket's outcome, in ascending ticket order (tickets
+    /// are unique, so a binary search finds one).
+    outcomes: Vec<(Ticket, Admission)>,
 }
 
 impl AdmissionBatch {
     /// The outcome for `ticket` in this slot, if it was pending here.
     pub fn outcome(&self, ticket: Ticket) -> Option<&Admission> {
-        self.outcomes.get(&ticket)
+        self.outcomes
+            .binary_search_by_key(&ticket, |(t, _)| *t)
+            .ok()
+            .map(|i| &self.outcomes[i].1)
     }
 
-    /// Iterates every `(ticket, outcome)` pair in this slot.
+    /// Iterates every `(ticket, outcome)` pair in this slot, in ascending
+    /// ticket order, so the sequence depends only on the submissions.
     pub fn outcomes(&self) -> impl Iterator<Item = (Ticket, &Admission)> {
         self.outcomes.iter().map(|(t, a)| (*t, a))
     }
 
     /// Number of queries deferred to a later slot.
     pub fn deferred(&self) -> usize {
-        self.outcomes
-            .values()
-            .filter(|a| matches!(a, Admission::Deferred { .. }))
+        self.outcomes()
+            .filter(|(_, a)| matches!(a, Admission::Deferred { .. }))
             .count()
     }
 
     /// Number of queries rejected outright.
     pub fn rejected(&self) -> usize {
-        self.outcomes
-            .values()
-            .filter(|a| matches!(a, Admission::Rejected { .. }))
+        self.outcomes()
+            .filter(|(_, a)| matches!(a, Admission::Rejected { .. }))
             .count()
     }
 }
@@ -184,7 +186,7 @@ impl AdmissionController {
         let mut pending = std::mem::take(&mut self.pending);
         pending.sort_by_key(|(_, event, _)| event.tick);
         let mut admitted = Vec::new();
-        let mut outcomes = HashMap::new();
+        let mut outcomes = Vec::new();
         let mut queries = 0usize;
         let mut budget = 0.0f64;
 
@@ -192,16 +194,16 @@ impl AdmissionController {
             let Some(cost) = query_budget(&event.payload) else {
                 // Sensors are capacity, not load.
                 admitted.push(event);
-                outcomes.insert(ticket, Admission::Admitted);
+                outcomes.push((ticket, Admission::Admitted));
                 continue;
             };
             if cost > self.policy.max_budget_per_slot {
-                outcomes.insert(
+                outcomes.push((
                     ticket,
                     Admission::Rejected {
                         reason: RejectReason::BudgetExceedsSlotQuota,
                     },
-                );
+                ));
                 continue;
             }
             let fits = queries < self.policy.max_queries_per_slot
@@ -210,26 +212,29 @@ impl AdmissionController {
                 queries += 1;
                 budget += cost;
                 admitted.push(event);
-                outcomes.insert(ticket, Admission::Admitted);
+                outcomes.push((ticket, Admission::Admitted));
             } else if defers < self.policy.max_defer_slots {
-                outcomes.insert(
+                outcomes.push((
                     ticket,
                     Admission::Deferred {
                         until_slot: slot + 1,
                     },
-                );
+                ));
                 // Re-enters the next slot at effective tick 0.
                 event.tick = 0;
                 self.pending.push((ticket, event, defers + 1));
             } else {
-                outcomes.insert(
+                outcomes.push((
                     ticket,
                     Admission::Rejected {
                         reason: RejectReason::DeferralsExhausted,
                     },
-                );
+                ));
             }
         }
+        // Stream order is ticket order whenever submissions came in tick
+        // order; the sort then finds one run in a single linear pass.
+        outcomes.sort_unstable_by_key(|(ticket, _)| *ticket);
 
         AdmissionBatch {
             slot,
@@ -404,6 +409,36 @@ mod tests {
             Some(&Admission::Deferred { until_slot: 2 })
         );
         assert_eq!(batch.admitted[0].tick, 0, "re-entrants run at tick 0");
+    }
+
+    #[test]
+    fn outcomes_iterate_in_ticket_order() {
+        let mut ctl = AdmissionController::new(policy(2, f64::INFINITY, 2));
+        let settled = ctl.submit(point(0, 1.0));
+        ctl.submit(point(5, 1.0));
+        ctl.submit(point(9, 1.0));
+        ctl.submit(point(7, 1.0));
+        // Two seats: tickets 0 and 1 settle; 3 (tick 7), then 2 (tick 9)
+        // are deferred and lead the next slot in that order.
+        ctl.admit_slot(0);
+
+        // Fresh submissions out of tick order, a sensor among them.
+        ctl.submit(point(8, 1.0));
+        ctl.submit(point(2, 1.0));
+        ctl.submit(sensor(4));
+        ctl.submit(point(1, 1.0));
+        assert_eq!(ctl.pending(), 6);
+        // The walk visits 3, 2, 7, 5, 6, 4.
+        let batch = ctl.admit_slot(1);
+        let tickets: Vec<u64> = batch.outcomes().map(|(t, _)| t.0).collect();
+        assert_eq!(tickets, [2, 3, 4, 5, 6, 7]);
+        assert_eq!(batch.outcome(Ticket(2)), Some(&Admission::Admitted));
+        assert_eq!(
+            batch.outcome(Ticket(7)),
+            Some(&Admission::Deferred { until_slot: 2 })
+        );
+        assert_eq!(batch.outcome(settled), None, "settled in slot 0");
+        assert_eq!(batch.outcome(Ticket(99)), None, "never issued");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * **Deterministic order.** Every submission gets a [`Ticket`] and
 //!   waits in one pending list. Closing a slot sorts it by tick, ties in
 //!   submission order, so replaying the same (seeded) arrival process
-//!   always produces the same stream.
+//!   always produces the same stream, and lists the slot's outcomes in
+//!   ticket order.
 //! * **Quotas with explicit outcomes.** Per-slot caps on query count and
 //!   submitted budget, each ticket getting an [`Admission`]. Over-quota
 //!   work is **deferred** to the next slot (bounded retries) or

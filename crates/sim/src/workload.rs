@@ -476,14 +476,14 @@ impl StandingMixProfile {
             let spec = self.location_monitor(rng, t, ctx);
             events.push(ArrivalEvent {
                 tick: 0,
-                payload: ArrivalPayload::LocationMonitor(spec),
+                payload: ArrivalPayload::LocationMonitor(Box::new(spec)),
             });
         }
         for _ in active_region_monitors..self.region_monitors {
             let spec = self.region_monitor(rng, t, kernel);
             events.push(ArrivalEvent {
                 tick: 0,
-                payload: ArrivalPayload::RegionMonitor(spec),
+                payload: ArrivalPayload::RegionMonitor(Box::new(spec)),
             });
         }
         events.sort_by_key(|e| e.tick);

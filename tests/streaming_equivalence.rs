@@ -18,17 +18,20 @@
 //!   in the order they were deferred, at tick 0, then fresh submissions
 //!   by `(tick, ticket)` — and every ticket's outcome agree with a
 //!   reference on random multi-slot submission sequences.
+//! * A federated online auction fed mid-slot arrivals answers as its
+//!   shards would alone on the sub-streams the routing rule gives them.
 
 use proptest::prelude::*;
-use ps_cluster::{ClusterBuilder, SlotEngine};
+use ps_cluster::{ClusterBuilder, ShardedAggregator, SlotEngine, SHARD_ID_BLOCK};
 use ps_core::aggregator::{
-    AggregatorBuilder, MixStrategy, PointSpec, SlotReport, DEFAULT_TICKS_PER_SLOT,
+    Aggregator, AggregatorBuilder, MixStrategy, PointSpec, SlotReport, DEFAULT_TICKS_PER_SLOT,
 };
 use ps_core::alloc::local_search::LocalSearchScheduler;
 use ps_core::model::{QueryId, SensorSnapshot};
 use ps_core::query::PointQuery;
 use ps_core::streaming::{ArrivalEvent, ArrivalPayload};
 use ps_core::valuation::quality::QualityModel;
+use ps_core::valuation::SpatialSupport;
 use ps_geo::{Point, Rect};
 use ps_gp::kernel::SquaredExponential;
 use ps_intake::{Admission, AdmissionController, AdmissionPolicy, RejectReason, Ticket};
@@ -84,10 +87,10 @@ fn replay_batch(engine: &mut dyn SlotEngine, t: usize, events: &[ArrivalEvent]) 
                 engine.submit_aggregate(spec.clone());
             }
             ArrivalPayload::LocationMonitor(spec) => {
-                engine.submit_location_monitor(spec.clone());
+                engine.submit_location_monitor((**spec).clone());
             }
             ArrivalPayload::RegionMonitor(spec) => {
-                engine.submit_region_monitor(spec.clone());
+                engine.submit_region_monitor((**spec).clone());
             }
             ArrivalPayload::Sensor(s) => sensors.push(*s),
         }
@@ -691,4 +694,98 @@ fn admission_order_matches_reference() {
     }
     // The sequences defer, re-admit and reject.
     assert!(deferred > 0 && rejected > 0 && re_admitted > 0);
+}
+
+/// The shards an event reaches under the cluster's routing rule: a
+/// sensor its home tile plus every tile whose halo ring holds it, a
+/// query the shard owning its support's anchor.
+fn routed_shards(cluster: &ShardedAggregator<'_>, ev: &ArrivalEvent, d_max: f64) -> Vec<usize> {
+    let disk = |center: Point| SpatialSupport::Disk {
+        center,
+        radius: d_max,
+    };
+    let support = match &ev.payload {
+        ArrivalPayload::Sensor(s) => {
+            return cluster.grid().tiles_seeing(s.loc, cluster.halo()).collect();
+        }
+        ArrivalPayload::Point(spec) => disk(spec.loc),
+        ArrivalPayload::Aggregate(spec) => SpatialSupport::Rect(spec.region),
+        ArrivalPayload::LocationMonitor(spec) => disk(spec.loc),
+        ArrivalPayload::RegionMonitor(spec) => SpatialSupport::Rect(*spec.valuation.region()),
+    };
+    vec![cluster.shard_of(&support)]
+}
+
+/// 50 seeded three-slot streams with sensors and queries interleaved at
+/// mid-slot ticks, through a 2×2 cluster of online-auction shards and,
+/// beside it, four standalone engines configured alike, each fed its
+/// routed sub-stream in stream order. Per slot, the cluster's welfare is
+/// the replicas' welfare summed in shard order plus the cost settlement
+/// restored, bit for bit, and its decision ticks are the replicas'
+/// concatenated in shard order.
+#[test]
+fn cluster_streaming_matches_standalone_shards() {
+    let profile = small_profile();
+    let quality = QualityModel::new(5.0);
+    let online = |b: AggregatorBuilder<'static>| b.strategy(MixStrategy::OnlineAuction);
+    let ctx = test_monitoring_ctx();
+    let kernel = SquaredExponential::new(2.0, 2.0);
+    let (mut duplicates, mut matched) = (0usize, 0usize);
+    for seed in 0..50u64 {
+        let mut cluster = ClusterBuilder::new(quality, profile.arena, 2)
+            .threads(2)
+            .configure_shards(online)
+            .build();
+        let mut replicas: Vec<Aggregator<'static>> = (0..cluster.shards().len())
+            .map(|k| {
+                online(AggregatorBuilder::new(quality))
+                    .threads(1)
+                    .next_query_id(k as u64 * SHARD_ID_BLOCK)
+                    .build()
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for t in 0..3 {
+            let events = profile.slot_events(
+                &mut rng,
+                t,
+                DEFAULT_TICKS_PER_SLOT,
+                cluster.location_monitor_count(),
+                cluster.region_monitor_count(),
+                &ctx,
+                &kernel,
+            );
+            let mut routed: Vec<Vec<&ArrivalEvent>> = vec![Vec::new(); replicas.len()];
+            for ev in &events {
+                for k in routed_shards(&cluster, ev, quality.d_max) {
+                    routed[k].push(ev);
+                }
+            }
+            let report = cluster.step_streaming(t, &events);
+            let mut welfare = 0.0;
+            let mut ticks = Vec::new();
+            for (replica, stream) in replicas.iter_mut().zip(&routed) {
+                let r = replica.step_streaming(t, stream.iter().copied());
+                welfare += r.welfare;
+                let stats = r.streaming.expect("streaming entry point");
+                matched += stats.matched_at_arrival;
+                ticks.extend(stats.decision_ticks);
+            }
+            let settlement = cluster.last_settlement();
+            welfare += settlement.cost_restored;
+            duplicates += settlement.duplicates;
+            let label = format!("seed {seed} slot {t}");
+            assert_eq!(
+                report.welfare.to_bits(),
+                welfare.to_bits(),
+                "{label}: welfare {} vs the shards' {welfare}",
+                report.welfare
+            );
+            let stats = report.streaming.expect("streaming entry point");
+            assert_eq!(stats.decision_ticks, ticks, "{label}: decision ticks");
+        }
+    }
+    // Halo sensors were bought twice and settled, and points matched at
+    // arrival, so both the routing and the auction did work.
+    assert!(duplicates > 0 && matched > 0);
 }
