@@ -16,7 +16,7 @@ use ps_core::query::{AggregateKind, AggregateQuery};
 use ps_core::valuation::aggregate::AggregateValuation;
 use ps_core::valuation::SetValuation;
 use ps_core::QueryId;
-use ps_geo::{Point, Rect};
+use ps_geo::{Point, Rect, SensorIndex};
 use ps_gp::kernel::SquaredExponential;
 use ps_gp::posterior::PosteriorField;
 use ps_solver::ufl::{self, WelfareProblem};
@@ -134,6 +134,8 @@ fn bench_algorithm_1(c: &mut Criterion) {
             inaccuracy: rng.gen_range(0.0..0.2),
         })
         .collect();
+    // Every sensor is a candidate, as in the paper's unindexed loop.
+    let scan = SensorIndex::scan_all(&sensors.iter().map(|s| s.loc).collect::<Vec<_>>());
     group.bench_function("20_aggregates_80_sensors", |b| {
         b.iter(|| {
             let mut vals_storage: Vec<AggregateValuation> = queries
@@ -144,7 +146,7 @@ fn bench_algorithm_1(c: &mut Criterion) {
                 .iter_mut()
                 .map(|v| v as &mut dyn SetValuation)
                 .collect();
-            black_box(greedy_select(&mut vals, &sensors, None, Threads::single()).welfare)
+            black_box(greedy_select(&mut vals, &sensors, &scan, Threads::single()).welfare)
         })
     });
     group.finish();

@@ -10,7 +10,7 @@
 //! | Grid | Engines per group | Aborts unless |
 //! |---|---|---|
 //! | `paper` | the plain engine at the paper's 80-sensor population, two query intensities (printed only) | — |
-//! | `scaling` | brute force, indexed — per sensor tier | welfare trajectories bit-identical |
+//! | `scaling` | brute force (`SensorIndex::scan_all`), indexed — per sensor tier | welfare trajectories bit-identical |
 //! | `threads` | 1 / 2 / 4 workers — per scale (city, metro) | welfare trajectories bit-identical to threads=1 |
 //! | `shards` | 1×1 / 2×2 `ps_cluster` federations — per scale | a tile-local workload is answered as by the plain engine |
 //! | `streaming` | batch Alg5, the online auction — both through `step_streaming` on the bursty stream, per scale | p99 decision latency ≤ one slot |

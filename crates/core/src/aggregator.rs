@@ -21,7 +21,7 @@
 //! | [`AggregatorBuilder::scheduler`] | §3.1 point schedulers (Eq. 9 exact / Local Search / baseline) for Algorithms 2–3 |
 //! | [`AggregatorBuilder::cost_weighting`] | Eq. 18 shared-cost weighting `w(k)` for region planning |
 //! | [`AggregatorBuilder::sensor_sharing`] | Algorithm 3's `A_{r,t}` free-riding on sensors bought by other queries |
-//! | [`AggregatorBuilder::spatial_index`] | per-slot [`SensorIndex`] over the announcement (scaling only — selections are identical with and without it) |
+//! | [`AggregatorBuilder::spatial_index`] | grid or [`SensorIndex::scan_all`] for every per-slot [`SensorIndex`] (scaling only — output is identical either way) |
 //! | [`AggregatorBuilder::threads`] | worker count for the parallel evaluate phases (scaling only — output is bit-identical for every count) |
 //!
 //! A batch slot takes one of two paths. Under [`MixStrategy::Alg5`] with
@@ -465,13 +465,14 @@ impl<'s> AggregatorBuilder<'s> {
         self
     }
 
-    /// Toggles the per-slot [`SensorIndex`] over sensor locations (on by
-    /// default). Every batch hot path — the joint Algorithm 1 selection,
-    /// the point schedulers, region planning, Eq. 18 cost weighting —
-    /// consults it instead of scanning the full announcement; online
-    /// arrival matching always indexes. Selections are identical either
-    /// way, so the brute-force scans this knob turns back on serve as the
-    /// oracle the index is tested and benchmarked against.
+    /// Chooses what every per-slot [`SensorIndex`] is: a bucket grid (on,
+    /// the default) or [`SensorIndex::scan_all`] (off). Every candidate
+    /// lookup — the joint Algorithm 1 selection, the point schedulers,
+    /// region planning, Eq. 18 cost weighting, and the online auction's
+    /// arrival matching — asks the slot's index and applies its own exact
+    /// predicate to the answer. Output is identical either way, so the
+    /// scans this knob turns on serve as the oracle the grid is tested
+    /// and benchmarked against.
     pub fn spatial_index(mut self, on: bool) -> Self {
         self.spatial_index = on;
         self
@@ -694,14 +695,13 @@ impl<'s> Aggregator<'s> {
         let customs = std::mem::take(&mut self.pending_customs);
 
         // One spatial index per slot, shared by every hot path below.
-        let index = self.build_index(sensors);
-        let index = index.as_ref();
+        let index = self.build_index(&sensors.iter().map(|s| s.loc).collect::<Vec<_>>());
 
         let report = if self.scheduler.is_none() && self.strategy == MixStrategy::Alg5 {
             let none = HashSet::new();
-            self.step_alg5(slot, sensors, points, aggregates, customs, index, &none)
+            self.step_alg5(slot, sensors, points, aggregates, customs, &index, &none)
         } else {
-            self.step_staged(slot, sensors, points, aggregates, customs, index)
+            self.step_staged(slot, sensors, points, aggregates, customs, &index)
         };
         self.finalize(slot, report)
     }
@@ -766,12 +766,15 @@ impl<'s> Aggregator<'s> {
         report
     }
 
-    /// Builds the slot's shared [`SensorIndex`], unless the knob is off.
-    fn build_index(&self, sensors: &[SensorSnapshot]) -> Option<SensorIndex> {
-        self.spatial_index.then(|| {
-            let positions: Vec<Point> = sensors.iter().map(|s| s.loc).collect();
-            SensorIndex::build(&positions)
-        })
+    /// Builds a [`SensorIndex`] over `points`: the grid when the
+    /// `spatial_index` knob is on, [`SensorIndex::scan_all`] when it is
+    /// off. Every index the engine queries comes from here.
+    fn build_index(&self, points: &[Point]) -> SensorIndex {
+        if self.spatial_index {
+            SensorIndex::build(points)
+        } else {
+            SensorIndex::scan_all(points)
+        }
     }
 
     /// Post-dispatch bookkeeping shared by the batch and streaming
@@ -804,68 +807,45 @@ impl<'s> Aggregator<'s> {
     }
 
     /// Eq. 18 weighted sensor costs for region planning (raw costs when
-    /// weighting is off or no region monitor is active). With an index,
-    /// the per-sensor sharing degree `k` is accumulated by rectangle
-    /// query per active monitor instead of scanning every sensor against
-    /// every monitor — the counts (and thus the weights) are identical.
+    /// weighting is off or no region monitor is active). The per-sensor
+    /// sharing degree `k` counts the active monitors whose region
+    /// contains the sensor: a rectangle query per monitor, filtered by
+    /// [`Rect::contains`].
     ///
-    /// Part of the parallel evaluate phase: the indexed path shards the
-    /// accumulation by monitor range (per-shard integer count vectors,
-    /// summed in shard order), the brute path by sensor range (weighted
-    /// chunks concatenated in range order). Counts are integers and each
-    /// weight is computed from the final count, so the result is
-    /// bit-identical for every thread count.
-    fn weighted_costs(
-        &self,
-        t: Slot,
-        sensors: &[SensorSnapshot],
-        index: Option<&SensorIndex>,
-    ) -> Vec<f64> {
+    /// Part of the parallel evaluate phase: the accumulation shards by
+    /// monitor range (per-shard integer count vectors, summed in shard
+    /// order). Counts are integers and each weight is computed from the
+    /// final count, so the result is bit-identical for every thread
+    /// count.
+    fn weighted_costs(&self, t: Slot, sensors: &[SensorSnapshot], index: &SensorIndex) -> Vec<f64> {
         if !self.use_cost_weighting || self.region_monitors.is_empty() {
             return sensors.iter().map(|s| s.cost).collect();
         }
         let monitors = &self.region_monitors;
-        match index {
-            Some(idx) => {
-                let shards = self.threads.map_ranges_min(monitors.len(), 8, |range| {
-                    let mut k = vec![0u32; sensors.len()];
-                    let mut buf: Vec<usize> = Vec::new();
-                    for m in monitors[range].iter().filter(|m| m.is_active(t)) {
-                        idx.query_rect_into(&m.region, &mut buf);
-                        for &si in &buf {
-                            k[si] += 1;
-                        }
-                    }
-                    k
-                });
-                let mut k = vec![0u32; sensors.len()];
-                for shard in shards {
-                    for (total, part) in k.iter_mut().zip(shard) {
-                        *total += part;
+        let shards = self.threads.map_ranges_min(monitors.len(), 8, |range| {
+            let mut k = vec![0u32; sensors.len()];
+            let mut buf: Vec<usize> = Vec::new();
+            for m in monitors[range].iter().filter(|m| m.is_active(t)) {
+                index.query_rect_into(&m.region, &mut buf);
+                for &si in &buf {
+                    if m.region.contains(sensors[si].loc) {
+                        k[si] += 1;
                     }
                 }
-                sensors
-                    .iter()
-                    .zip(&k)
-                    .map(|(s, &k)| s.cost * sharing_weight(k as usize))
-                    .collect()
             }
-            None => {
-                let shards = self.threads.map_ranges_min(sensors.len(), 256, |range| {
-                    sensors[range]
-                        .iter()
-                        .map(|s| {
-                            let k = monitors
-                                .iter()
-                                .filter(|m| m.is_active(t) && m.region.contains(s.loc))
-                                .count();
-                            s.cost * sharing_weight(k)
-                        })
-                        .collect::<Vec<f64>>()
-                });
-                shards.into_iter().flatten().collect()
+            k
+        });
+        let mut k = vec![0u32; sensors.len()];
+        for shard in shards {
+            for (total, part) in k.iter_mut().zip(shard) {
+                *total += part;
             }
         }
+        sensors
+            .iter()
+            .zip(&k)
+            .map(|(s, &k)| s.cost * sharing_weight(k as usize))
+            .collect()
     }
 
     /// Stage 1 of every batch slot: the slot's whole point workload, in
@@ -889,7 +869,7 @@ impl<'s> Aggregator<'s> {
         t: Slot,
         sensors: &[SensorSnapshot],
         mut queries: Vec<PointQuery>,
-        index: Option<&SensorIndex>,
+        index: &SensorIndex,
         desired_times_only: bool,
         weighted: bool,
     ) -> (Vec<PointQuery>, Vec<RegionPlan>) {
@@ -916,7 +896,7 @@ impl<'s> Aggregator<'s> {
                         local += 1;
                         QueryId(local)
                     };
-                    monitors[mi].plan_indexed(t, sensors, &costs, mi, &mut placeholder, index)
+                    monitors[mi].plan_indexed(t, sensors, &costs, mi, &mut placeholder, Some(index))
                 })
                 .collect::<Vec<RegionPlan>>()
         });
@@ -937,7 +917,7 @@ impl<'s> Aggregator<'s> {
         customs: &mut [(QueryId, Box<dyn SetValuation + 's>)],
         points: &mut [PointValuation],
         sensors: &[SensorSnapshot],
-        index: Option<&SensorIndex>,
+        index: &SensorIndex,
     ) -> GreedySelection {
         let mut vals: Vec<&mut dyn SetValuation> =
             Vec::with_capacity(aggregates.len() + customs.len() + points.len());
@@ -1107,7 +1087,7 @@ impl<'s> Aggregator<'s> {
         points: Vec<PointQuery>,
         aggregates: Vec<AggregateQuery>,
         mut customs: Vec<(QueryId, Box<dyn SetValuation + 's>)>,
-        index: Option<&SensorIndex>,
+        index: &SensorIndex,
         prebought: &HashSet<usize>,
     ) -> SlotReport {
         let mut report = SlotReport::blank(t, points.len(), aggregates.len());
@@ -1208,7 +1188,8 @@ impl<'s> Aggregator<'s> {
     /// offered, in arrival order, to every waiting point in its `d_max`
     /// disk whose surplus with it is positive. Both disks are answered by
     /// the slot's two [`SensorIndex`]es, one over its sensors and one over
-    /// its point queries. Aggregates, monitors, and custom valuations
+    /// its point queries; the Eq. 4 quality, zero past `d_max`, decides
+    /// which answers can match. Aggregates, monitors, and custom valuations
     /// wait for the slot boundary, where everything still open — plus
     /// the unmatched points — clears through the ordinary Algorithm 5
     /// batch with the online-bought sensors cost-discounted to 0 (their
@@ -1292,8 +1273,8 @@ impl<'s> Aggregator<'s> {
                 _ => {}
             }
         }
-        let sensor_index = SensorIndex::build(&sensors.iter().map(|s| s.loc).collect::<Vec<_>>());
-        let point_index = SensorIndex::build(&point_locs);
+        let sensor_index = self.build_index(&sensors.iter().map(|s| s.loc).collect::<Vec<_>>());
+        let point_index = self.build_index(&point_locs);
         let mut bought = vec![false; sensors.len()];
         let mut near: Vec<usize> = Vec::new();
 
@@ -1379,7 +1360,7 @@ impl<'s> Aggregator<'s> {
             leftover_points,
             aggregates,
             customs,
-            self.spatial_index.then_some(&sensor_index),
+            &sensor_index,
             &prebought,
         );
 
@@ -1431,7 +1412,7 @@ impl<'s> Aggregator<'s> {
         points: Vec<PointQuery>,
         aggregates: Vec<AggregateQuery>,
         mut customs: Vec<(QueryId, Box<dyn SetValuation + 's>)>,
-        index: Option<&SensorIndex>,
+        index: &SensorIndex,
     ) -> SlotReport {
         let baseline = self.scheduler.is_none();
         let mut report = SlotReport::blank(t, points.len(), aggregates.len());
@@ -1490,10 +1471,16 @@ impl<'s> Aggregator<'s> {
         // Sensor locations are unchanged by the discount, so the slot's
         // index stays valid for both branches.
         let alloc = if prebought.is_empty() {
-            scheduler.schedule_sharded(&queries, sensors, &self.quality, index, self.threads)
+            scheduler.schedule_sharded(&queries, sensors, &self.quality, Some(index), self.threads)
         } else {
             let discounted = priced_at_zero(sensors, |si| prebought.contains(&si));
-            scheduler.schedule_sharded(&queries, &discounted, &self.quality, index, self.threads)
+            scheduler.schedule_sharded(
+                &queries,
+                &discounted,
+                &self.quality,
+                Some(index),
+                self.threads,
+            )
         };
         report.welfare -= alloc.total_sensor_cost;
 

@@ -21,7 +21,7 @@ pub mod local_search;
 pub mod optimal;
 
 use crate::exec::Threads;
-use crate::model::SensorSnapshot;
+use crate::model::{index_or_scan_all, SensorSnapshot};
 use crate::query::PointQuery;
 use crate::valuation::quality::QualityModel;
 use ps_geo::SensorIndex;
@@ -93,7 +93,9 @@ impl PointAllocation {
 ///
 /// Implementations define [`PointScheduler::schedule_sharded`]; the
 /// other two methods are conveniences that call it without an index
-/// and on one thread.
+/// and on one thread. An implementation answers a `None` index through
+/// a [`SensorIndex::scan_all`] over the slice, so its candidate lookups
+/// take one path either way.
 ///
 /// `Send + Sync` is a supertrait because engines owning a scheduler cross
 /// thread boundaries in the federation layer (`ps_cluster` steps whole
@@ -197,19 +199,19 @@ pub(crate) fn group_by_location(queries: &[PointQuery]) -> LocationGroups {
 /// Builds the Eq. 9 welfare problem: clients are locations, facilities are
 /// sensors, `v_l(s) = Σ_{q∈Q_l} v_q(θ(s, l))`.
 ///
-/// With an index (built over the same snapshot slice), each location's
-/// candidate sensors come from the `d_max` disk around it — exactly the
-/// `in_range` predicate, in the same ascending order — so the problem is
-/// bit-identical to the brute-force build. The per-client evaluation is
-/// sharded across `threads` (contiguous client ranges, partials
-/// concatenated in range order), which also leaves the problem
+/// Each location's candidate sensors come from the `d_max` disk around it
+/// on `index` (built over the same snapshot slice), ascending, and pass
+/// the exact `in_range` predicate — so the grid and
+/// [`SensorIndex::scan_all`] build bit-identical problems. The per-client
+/// evaluation is sharded across `threads` (contiguous client ranges,
+/// partials concatenated in range order), which also leaves the problem
 /// bit-identical for every thread count.
 pub(crate) fn build_welfare_problem(
     queries: &[PointQuery],
     groups: &LocationGroups,
     sensors: &[SensorSnapshot],
     quality: &QualityModel,
-    index: Option<&SensorIndex>,
+    index: &SensorIndex,
     threads: Threads,
 ) -> WelfareProblem {
     let costs: Vec<f64> = sensors.iter().map(|s| s.cost).collect();
@@ -233,13 +235,8 @@ pub(crate) fn build_welfare_problem(
                         .sum();
                     (v > 0.0).then_some((si, v))
                 };
-                match index {
-                    Some(idx) => {
-                        idx.query_disk_into(loc, quality.d_max, &mut buf);
-                        buf.iter().filter_map(|&si| value_of(si)).collect()
-                    }
-                    None => (0..sensors.len()).filter_map(value_of).collect(),
-                }
+                index.query_disk_into(loc, quality.d_max, &mut buf);
+                buf.iter().filter_map(|&si| value_of(si)).collect()
             })
             .collect::<Vec<Vec<(usize, f64)>>>()
     });
@@ -249,9 +246,9 @@ pub(crate) fn build_welfare_problem(
 
 /// The Eq. 9 pipeline the facility-location schedulers share: group the
 /// queries by location, build the welfare problem (see
-/// [`build_welfare_problem`] for how `index` and `threads` are used),
-/// pick the open sensors with `solve`, and derive assignments and Eq. 11
-/// payments.
+/// [`build_welfare_problem`] for how `index` — resolved to a scan when
+/// `None` — and `threads` are used), pick the open sensors with `solve`,
+/// and derive assignments and Eq. 11 payments.
 pub(crate) fn schedule_eq9(
     queries: &[PointQuery],
     sensors: &[SensorSnapshot],
@@ -264,7 +261,8 @@ pub(crate) fn schedule_eq9(
         return PointAllocation::empty(queries.len());
     }
     let groups = group_by_location(queries);
-    let problem = build_welfare_problem(queries, &groups, sensors, quality, index, threads);
+    let index = index_or_scan_all(index, sensors);
+    let problem = build_welfare_problem(queries, &groups, sensors, quality, &index, threads);
     let solution = solve(&problem, &groups);
     allocation_from_solution(queries, &groups, sensors, quality, &problem, &solution)
 }
@@ -286,8 +284,9 @@ fn allocation_from_solution(
     solution: &WelfareSolution,
 ) -> PointAllocation {
     let mut open = solution.open.clone();
-    // Iteratively drop cost-unrecoverable sensors.
-    let final_solution = loop {
+    // Iteratively drop cost-unrecoverable sensors. The stable pass's
+    // per-sensor served values are the Eq. 11 denominators.
+    let (final_solution, served_value) = loop {
         let sol = problem.solution_from_open(&open);
         let mut served_value = vec![0.0f64; sensors.len()];
         for (client, assigned) in sol.assignment.iter().enumerate() {
@@ -313,23 +312,9 @@ fn allocation_from_solution(
             }
         }
         if !dropped {
-            break sol;
+            break (sol, served_value);
         }
     };
-
-    // Per-sensor served value for Eq. 11 denominators.
-    let mut served_value = vec![0.0f64; sensors.len()];
-    for (client, assigned) in final_solution.assignment.iter().enumerate() {
-        if let Some(f) = assigned {
-            let loc = queries[groups.groups[client][0]].loc;
-            let theta = quality.quality(&sensors[*f], loc);
-            let v: f64 = groups.groups[client]
-                .iter()
-                .map(|&qi| queries[qi].value_of_quality(theta))
-                .sum();
-            served_value[*f] += v;
-        }
-    }
 
     let mut assignments: Vec<Option<PointAssignment>> = vec![None; queries.len()];
     let mut total_value = 0.0;
@@ -380,7 +365,7 @@ fn allocation_from_solution(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::QueryId;
+    use crate::model::{scan_all, QueryId};
     use crate::query::QueryOrigin;
     use proptest::prelude::*;
     use ps_geo::Point;
@@ -432,7 +417,7 @@ mod tests {
             &groups,
             &sensors,
             &quality,
-            None,
+            &scan_all(&sensors),
             Threads::single(),
         );
         assert_eq!(p.num_clients(), 1);
@@ -451,7 +436,7 @@ mod tests {
             &groups,
             &sensors,
             &quality,
-            None,
+            &scan_all(&sensors),
             Threads::single(),
         );
         assert!(p.client_values[0].is_empty());
@@ -527,11 +512,12 @@ mod tests {
             let groups = group_by_location(&queries);
             prop_assert!(groups.groups.len() > 3 * 64);
             let index = SensorIndex::build(&sensors.iter().map(|s| s.loc).collect::<Vec<_>>());
+            let scan = scan_all(&sensors);
             let build = |index, threads| {
                 build_welfare_problem(&queries, &groups, &sensors, &quality, index, threads)
             };
-            let brute = build(None, Threads::single());
-            let fast = build(Some(&index), Threads::new(3));
+            let brute = build(&scan, Threads::single());
+            let fast = build(&index, Threads::new(3));
             prop_assert_eq!(format!("{brute:?}"), format!("{fast:?}"));
         }
     }

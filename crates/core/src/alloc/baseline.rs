@@ -14,7 +14,7 @@
 
 use crate::alloc::{PointAllocation, PointAssignment, PointScheduler};
 use crate::exec::Threads;
-use crate::model::SensorSnapshot;
+use crate::model::{index_or_scan_all, SensorSnapshot};
 use crate::query::PointQuery;
 use crate::valuation::quality::QualityModel;
 use crate::valuation::SetValuation;
@@ -24,10 +24,10 @@ use std::collections::BTreeMap;
 /// Baseline point scheduler (§4.3): execution on query arrival with data
 /// buffering within the slot.
 ///
-/// With a [`SensorIndex`] over the snapshot slice, per query only the
-/// sensors in the `d_max` disk around its location are examined (the
-/// exact `in_range` set, ascending), so the schedule is identical with
-/// and without the index.
+/// Per query, the sensors in the `d_max` disk around its location on the
+/// [`SensorIndex`] (a [`SensorIndex::scan_all`] when none is given) are
+/// examined, ascending, through the exact `in_range` filter, so the
+/// schedule is identical with and without a grid index.
 ///
 /// The candidate evaluation — disk query, Eq. 4 in-range filter and
 /// quality θ — shards across `threads`, per **distinct queried
@@ -64,6 +64,7 @@ impl PointScheduler for BaselinePointScheduler {
         index: Option<&SensorIndex>,
         threads: Threads,
     ) -> PointAllocation {
+        let index = index_or_scan_all(index, sensors);
         let mut selected = vec![false; sensors.len()];
         // State-free phase, per distinct location: the in-range sensors
         // as (sensor, θ), ascending by sensor.
@@ -85,27 +86,11 @@ impl PointScheduler for BaselinePointScheduler {
             locations[range]
                 .iter()
                 .map(|&loc| {
-                    let mut cands: Vec<(usize, f64)> = Vec::new();
-                    let mut consider = |si: usize| {
-                        let s = &sensors[si];
-                        if quality.in_range(s, loc) {
-                            cands.push((si, quality.quality(s, loc)));
-                        }
-                    };
-                    match index {
-                        Some(idx) => {
-                            idx.query_disk_into(loc, quality.d_max, &mut buf);
-                            for &si in &buf {
-                                consider(si);
-                            }
-                        }
-                        None => {
-                            for si in 0..sensors.len() {
-                                consider(si);
-                            }
-                        }
-                    }
-                    cands
+                    index.query_disk_into(loc, quality.d_max, &mut buf);
+                    buf.iter()
+                        .filter(|&&si| quality.in_range(&sensors[si], loc))
+                        .map(|&si| (si, quality.quality(&sensors[si], loc)))
+                        .collect::<Vec<(usize, f64)>>()
                 })
                 .collect::<Vec<_>>()
         });
@@ -202,24 +187,25 @@ pub struct BaselineSetOutcome {
 /// Free picks join the query's `sensors` but not its `newly_selected`,
 /// so no sensor is paid twice in one slot.
 ///
-/// With a [`SensorIndex`] over the snapshot slice, candidates come from
-/// the valuation's [`SetValuation::support`] region (then the exact
-/// `is_relevant` filter), so the outcome is identical with and without
-/// the index.
+/// `index` is a [`SensorIndex`] over the snapshot slice. Candidates come
+/// from the valuation's [`SetValuation::support`] region on it — every
+/// sensor for a valuation without a support — then the exact
+/// `is_relevant` filter, so the outcome is identical on the grid and on
+/// [`SensorIndex::scan_all`].
 pub fn baseline_select_for_query(
     valuation: &mut dyn SetValuation,
     sensors: &[SensorSnapshot],
     already_selected: &mut [bool],
-    index: Option<&SensorIndex>,
+    index: &SensorIndex,
 ) -> BaselineSetOutcome {
     assert_eq!(sensors.len(), already_selected.len());
-    let candidates: Vec<usize> = match (index, valuation.support()) {
-        (Some(idx), Some(support)) => {
+    let candidates: Vec<usize> = match valuation.support() {
+        Some(support) => {
             let mut out = Vec::new();
-            support.candidates_into(idx, &mut out);
+            support.candidates_into(index, &mut out);
             out
         }
-        _ => (0..sensors.len()).collect(),
+        None => (0..sensors.len()).collect(),
     };
     let mut picked = Vec::new();
     let mut newly_selected = Vec::new();
@@ -268,7 +254,7 @@ pub fn baseline_select_for_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::QueryId;
+    use crate::model::{scan_all, QueryId};
     use crate::query::{AggregateKind, AggregateQuery, QueryOrigin};
     use crate::valuation::aggregate::AggregateValuation;
     use ps_geo::{Point, Rect};
@@ -374,7 +360,7 @@ mod tests {
             },
         ];
         let mut already = vec![false; 2];
-        let out = baseline_select_for_query(&mut v, &sensors, &mut already, None);
+        let out = baseline_select_for_query(&mut v, &sensors, &mut already, &scan_all(&sensors));
         assert_eq!(out.newly_selected.len(), 2);
         assert!((out.cost - 20.0).abs() < 1e-12);
         assert!(out.value > out.cost);
@@ -398,7 +384,7 @@ mod tests {
             inaccuracy: 0.0,
         }];
         let mut already = vec![true; 1]; // …but already bought by another query
-        let out = baseline_select_for_query(&mut v, &sensors, &mut already, None);
+        let out = baseline_select_for_query(&mut v, &sensors, &mut already, &scan_all(&sensors));
         assert_eq!(out.sensors, vec![0]);
         assert!(
             out.newly_selected.is_empty(),

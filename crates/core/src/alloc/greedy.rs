@@ -16,12 +16,13 @@
 //! Three scale mechanisms keep the loop fast without altering its
 //! choices:
 //!
-//! * **Index-pruned relevance lists.** With a [`SensorIndex`] over the
-//!   slot's sensor locations, each valuation's candidate sensors come
-//!   from its [`SetValuation::support`] region instead of a full
-//!   `O(|Q||S|)` scan; the exact
-//!   [`SetValuation::is_relevant`] filter still runs on the candidates,
-//!   so the lists are identical to the brute-force ones.
+//! * **Index-pruned relevance lists.** Each valuation's candidate
+//!   sensors come from its [`SetValuation::support`] region on the
+//!   slot's [`SensorIndex`] instead of a full `O(|Q||S|)` scan (a
+//!   valuation without a support is tested against every sensor); the
+//!   exact [`SetValuation::is_relevant`] filter still runs on the
+//!   candidates, so the lists are identical on the grid and on
+//!   [`SensorIndex::scan_all`].
 //! * **Eager gain maintenance.** A sensor's gain only changes when one of
 //!   its relevant queries receives a commit, so after each selection the
 //!   loop recomputes gains for exactly the affected sensors and keeps all
@@ -91,26 +92,24 @@ impl Ord for Candidate {
 ///
 /// `valuations[q]` accumulates the committed set `S_q`; sensor costs are
 /// taken from the snapshots (callers wanting the Eq. 18 cost weighting
-/// pass pre-weighted snapshots). `index`, when given, is a
-/// [`SensorIndex`] built over the same snapshot slice
-/// (`index.len() == sensors.len()`), used to prune each valuation's
-/// candidate sensors through its [`SetValuation::support`]. The evaluate
-/// phases — per-query relevance lists and per-sensor initial gains —
-/// shard across `threads` scoped workers, merged in ascending range
-/// order; the adaptive greedy loop stays serial. Selections, payments,
-/// and welfare are **bit-identical** with and without the index and for
-/// every thread count (see the [module docs](self)).
+/// pass pre-weighted snapshots). `index` is a [`SensorIndex`] built over
+/// the same snapshot slice (`index.len() == sensors.len()`), used to
+/// prune each valuation's candidate sensors through its
+/// [`SetValuation::support`]. The evaluate phases — per-query relevance
+/// lists and per-sensor initial gains — shard across `threads` scoped
+/// workers, merged in ascending range order; the adaptive greedy loop
+/// stays serial. Selections, payments, and welfare are **bit-identical**
+/// on the grid and on [`SensorIndex::scan_all`] and for every thread
+/// count (see the [module docs](self)).
 pub fn greedy_select(
     valuations: &mut [&mut dyn SetValuation],
     sensors: &[SensorSnapshot],
-    index: Option<&SensorIndex>,
+    index: &SensorIndex,
     threads: Threads,
 ) -> GreedySelection {
     let nq = valuations.len();
     let ns = sensors.len();
-    if let Some(idx) = index {
-        debug_assert_eq!(idx.len(), ns, "index built over a different slot");
-    }
+    debug_assert_eq!(index.len(), ns, "index built over a different slot");
     // The CSR relevance lists below store u32 ids; fail loudly rather
     // than wrap into corrupted slices.
     assert!(
@@ -130,7 +129,7 @@ pub fn greedy_select(
     // query range, partial flats concatenated in range order — the same
     // pair sequence the serial loop produces); the counting-sort
     // inversion below visits queries in ascending order per sensor, so
-    // gain sums accumulate identically with and without the index.
+    // gain sums accumulate identically on the grid and on the scan.
     let views: Vec<&dyn SetValuation> = valuations.iter().map(|v| &**v as _).collect();
     // Floor: a relevance list costs one index query + a short filter
     // per query; don't spawn for fewer than 64 of them.
@@ -139,21 +138,16 @@ pub fn greedy_select(
         let mut ends: Vec<u32> = Vec::with_capacity(range.len());
         let mut buf: Vec<usize> = Vec::new();
         for v in &views[range] {
-            match (index, v.support()) {
-                (Some(idx), Some(support)) => {
-                    support.candidates_into(idx, &mut buf);
-                    for &si in &buf {
-                        if v.is_relevant(&sensors[si]) {
-                            flat.push(si as u32);
-                        }
-                    }
+            match v.support() {
+                Some(support) => support.candidates_into(index, &mut buf),
+                None => {
+                    buf.clear();
+                    buf.extend(0..ns);
                 }
-                _ => {
-                    for (si, s) in sensors.iter().enumerate() {
-                        if v.is_relevant(s) {
-                            flat.push(si as u32);
-                        }
-                    }
+            }
+            for &si in &buf {
+                if v.is_relevant(&sensors[si]) {
+                    flat.push(si as u32);
                 }
             }
             ends.push(flat.len() as u32);
@@ -320,7 +314,7 @@ pub fn greedy_select(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::QueryId;
+    use crate::model::{scan_all, QueryId};
     use crate::query::{AggregateKind, AggregateQuery, PointQuery, QueryOrigin};
     use crate::valuation::aggregate::AggregateValuation;
     use crate::valuation::point::PointValuation;
@@ -354,7 +348,7 @@ mod tests {
         let mut v = AggregateValuation::new(&q, 10.0);
         let sensors = vec![sensor(0, 2.0, 2.0, 10.0, 1.0)];
         let mut vals: Vec<&mut dyn SetValuation> = vec![&mut v];
-        let out = greedy_select(&mut vals, &sensors, None, Threads::single());
+        let out = greedy_select(&mut vals, &sensors, &scan_all(&sensors), Threads::single());
         assert!(out.selected.is_empty());
         assert_eq!(out.welfare, 0.0);
     }
@@ -369,7 +363,7 @@ mod tests {
         let mut vb = AggregateValuation::new(&qb, 10.0);
         let sensors = vec![sensor(0, 6.0, 6.0, 10.0, 1.0)];
         let mut vals: Vec<&mut dyn SetValuation> = vec![&mut va, &mut vb];
-        let out = greedy_select(&mut vals, &sensors, None, Threads::single());
+        let out = greedy_select(&mut vals, &sensors, &scan_all(&sensors), Threads::single());
         assert_eq!(out.selected, vec![0]);
         assert!(out.welfare > 0.0);
         // Payments split in proportion to marginal value and cover cost.
@@ -425,7 +419,7 @@ mod tests {
                 .iter_mut()
                 .map(|v| v as &mut dyn SetValuation)
                 .collect();
-            let out = greedy_select(&mut vals, &sensors, None, Threads::single());
+            let out = greedy_select(&mut vals, &sensors, &scan_all(&sensors), Threads::single());
 
             // Property 1 (via payments → they were derived from the δs,
             // and values must telescope): recomputed value equals the
@@ -499,7 +493,7 @@ mod tests {
             .iter_mut()
             .map(|v| v as &mut dyn SetValuation)
             .collect();
-        let out = greedy_select(&mut vals, &sensors, None, Threads::single());
+        let out = greedy_select(&mut vals, &sensors, &scan_all(&sensors), Threads::single());
         assert!(
             out.oracle_calls <= nq * ns * ns,
             "oracle calls {} exceed |Q||S|² = {}",
@@ -529,7 +523,7 @@ mod tests {
         let mut v1 = PointValuation::new(q1, quality);
         let sensors = vec![sensor(0, 0.5, 0.0, 10.0, 1.0)];
         let mut vals: Vec<&mut dyn SetValuation> = vec![&mut v0, &mut v1];
-        let out = greedy_select(&mut vals, &sensors, None, Threads::single());
+        let out = greedy_select(&mut vals, &sensors, &scan_all(&sensors), Threads::single());
         assert_eq!(out.selected, vec![0]);
         assert!(out.welfare > 0.0);
         assert!(v0.best_sensor().is_some());
@@ -581,7 +575,7 @@ mod tests {
                 .collect();
             let quality = QualityModel::new(5.0);
 
-            let run = |index: Option<&SensorIndex>| {
+            let run = |index: &SensorIndex| {
                 let mut aggs: Vec<AggregateValuation> = queries
                     .iter()
                     .map(|q| AggregateValuation::new(q, 4.0))
@@ -602,8 +596,8 @@ mod tests {
 
             let positions: Vec<Point> = sensors.iter().map(|s| s.loc).collect();
             let idx = SensorIndex::build(&positions);
-            let brute = run(None);
-            let indexed = run(Some(&idx));
+            let brute = run(&scan_all(&sensors));
+            let indexed = run(&idx);
             assert_eq!(brute.selected, indexed.selected, "trial {trial}");
             assert_eq!(brute.welfare, indexed.welfare, "trial {trial}");
             assert_eq!(brute.total_cost, indexed.total_cost, "trial {trial}");
@@ -639,7 +633,7 @@ mod tests {
         let mut va = AggregateValuation::new(&qa, 4.0);
         let mut vb = AggregateValuation::new(&qb, 4.0);
         let mut vals: Vec<&mut dyn SetValuation> = vec![&mut va, &mut vb];
-        let out = greedy_select(&mut vals, &sensors, None, Threads::single());
+        let out = greedy_select(&mut vals, &sensors, &scan_all(&sensors), Threads::single());
         assert_eq!(out.selected[0], expected_first);
     }
 }

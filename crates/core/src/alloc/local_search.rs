@@ -158,7 +158,7 @@ mod tests {
             &groups,
             &sensors,
             &quality,
-            None,
+            &crate::model::scan_all(&sensors),
             Threads::single(),
         );
         let f = |set: &[usize]| {

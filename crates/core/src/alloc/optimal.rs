@@ -18,7 +18,7 @@ use crate::alloc::{
     build_welfare_problem, group_by_location, schedule_eq9, PointAllocation, PointScheduler,
 };
 use crate::exec::Threads;
-use crate::model::SensorSnapshot;
+use crate::model::{index_or_scan_all, SensorSnapshot};
 use crate::query::PointQuery;
 use crate::valuation::quality::QualityModel;
 use ps_geo::SensorIndex;
@@ -149,7 +149,8 @@ impl<S: PointScheduler> PointScheduler for WithLpBound<S> {
             return alloc;
         }
         let groups = group_by_location(queries);
-        let problem = build_welfare_problem(queries, &groups, sensors, quality, index, threads);
+        let index = index_or_scan_all(index, sensors);
+        let problem = build_welfare_problem(queries, &groups, sensors, quality, &index, threads);
         alloc.lp_bound = Some(ufl::lp_relaxation_bound(&problem));
         alloc
     }

@@ -1,7 +1,8 @@
 //! Shared model types: sensors as the aggregator sees them each slot.
 
-use ps_geo::Point;
+use ps_geo::{Point, SensorIndex};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// A discrete time slot index (the paper discretizes the horizon `T` into
 /// fixed-length slots, e.g. 5 minutes).
@@ -35,6 +36,24 @@ impl SensorSnapshot {
     pub fn intrinsic_quality(&self) -> f64 {
         (1.0 - self.inaccuracy) * self.trust
     }
+}
+
+/// `index`, or a [`SensorIndex::scan_all`] over `sensors` when the caller
+/// passed none. The public entry points that still take an optional index
+/// resolve it here, so every candidate lookup behind them asks an index.
+pub(crate) fn index_or_scan_all<'a>(
+    index: Option<&'a SensorIndex>,
+    sensors: &[SensorSnapshot],
+) -> Cow<'a, SensorIndex> {
+    let scan = || SensorIndex::scan_all(&sensors.iter().map(|s| s.loc).collect::<Vec<_>>());
+    index.map_or_else(|| Cow::Owned(scan()), Cow::Borrowed)
+}
+
+/// The brute-force index over `sensors`, for unit tests of the entry
+/// points that take a `&SensorIndex`.
+#[cfg(test)]
+pub(crate) fn scan_all(sensors: &[SensorSnapshot]) -> SensorIndex {
+    index_or_scan_all(None, sensors).into_owned()
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! prints `w(k) = 11 − k (k < 10)` while defining `w` as a `[0, 1]`-valued
 //! *reduction* factor, so we read it as `(11 − k)/10` — see DESIGN.md §3.
 
-use crate::model::{QueryId, SensorSnapshot, Slot};
+use crate::model::{index_or_scan_all, QueryId, SensorSnapshot, Slot};
 use crate::query::{PointQuery, QueryOrigin};
 use crate::valuation::region::RegionValuation;
 use crate::valuation::SetValuation;
@@ -138,11 +138,11 @@ impl RegionMonitor {
     /// `sensors` is the full snapshot slice; `weighted_cost[i]` is each
     /// sensor's cost after Eq. 18 weighting (callers pass plain costs when
     /// no sharing applies). `make_id` mints identifiers for the generated
-    /// point queries; `monitor_index` routes results back. With a
-    /// [`SensorIndex`] over the snapshot slice, the `S_{r,t}` candidate
-    /// set comes from a rectangle query instead of a full scan; the index
-    /// returns exactly the in-region sensors in ascending order, so the
-    /// plan is identical with and without it.
+    /// point queries; `monitor_index` routes results back. The `S_{r,t}`
+    /// candidate set is a rectangle query on `index`, a [`SensorIndex`]
+    /// over the snapshot slice (a [`SensorIndex::scan_all`] when `None`),
+    /// filtered by [`Rect::contains`] and kept in ascending order, so the
+    /// plan is identical with and without a grid index.
     pub fn plan_indexed(
         &self,
         t: Slot,
@@ -162,12 +162,11 @@ impl RegionMonitor {
         }
 
         // Candidates: sensors inside the region (S_{r,t}).
-        let candidates: Vec<usize> = match index {
-            Some(idx) => idx.query_rect(&self.region),
-            None => (0..sensors.len())
-                .filter(|&i| self.region.contains(sensors[i].loc))
-                .collect(),
-        };
+        let candidates: Vec<usize> = index_or_scan_all(index, sensors)
+            .query_rect(&self.region)
+            .into_iter()
+            .filter(|&i| self.region.contains(sensors[i].loc))
+            .collect();
         if candidates.is_empty() {
             return RegionPlan::empty();
         }

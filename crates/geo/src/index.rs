@@ -11,13 +11,14 @@
 //! bucket grid, O(n)), then queried per predicate in
 //! O(buckets touched + candidates).
 //!
-//! Queries are **exact**: `query_disk` returns precisely the points with
-//! `distance² ≤ radius²` and `query_rect` precisely the points the
+//! Grid queries are **exact**: `query_disk` returns precisely the points
+//! with `distance² ≤ radius²` and `query_rect` precisely the points the
 //! rectangle [`Rect::contains`] — the same inclusive predicates the
 //! brute-force scans use — and both return indices in ascending order.
 //! Downstream code can therefore substitute an index query for a scan
 //! without changing any selection, which the property tests below pin
-//! down.
+//! down. [`SensorIndex::scan_all`] puts the scan itself behind the same
+//! interface: every query returns every index.
 
 use crate::{Point, Rect};
 
@@ -25,7 +26,10 @@ use crate::{Point, Rect};
 ///
 /// Point indices returned by queries refer to positions in the slice the
 /// index was built from, so they can be used directly as snapshot
-/// indices.
+/// indices. Only the grid ([`SensorIndex::build`],
+/// [`SensorIndex::with_cell_size`]) answers a query with exactly the
+/// brute-force set; [`SensorIndex::scan_all`] answers with a superset
+/// (all indices), which callers narrow with their own predicate.
 ///
 /// Every query takes `&self` and the struct holds plain owned data, so
 /// one index built per slot is shared freely across the engine's scoped
@@ -82,6 +86,8 @@ pub struct SensorIndex {
     entries: Vec<u32>,
     /// Copy of the indexed locations, for exact predicate evaluation.
     points: Vec<Point>,
+    /// Built by [`SensorIndex::scan_all`]: every query answers `0..len`.
+    scan_all: bool,
 }
 
 impl SensorIndex {
@@ -172,6 +178,19 @@ impl SensorIndex {
             starts,
             entries,
             points: points.to_vec(),
+            scan_all: false,
+        }
+    }
+
+    /// An index whose every disk and rectangle query returns all indices
+    /// `0..len` in ascending order, whatever the query or the points: a
+    /// caller's own exact predicate then decides alone, as in a linear
+    /// scan. This is the brute-force oracle the grid is checked against.
+    pub fn scan_all(points: &[Point]) -> Self {
+        Self {
+            scan_all: true,
+            // One bucket holding every point.
+            ..Self::with_cell_size(points, f64::MAX)
         }
     }
 
@@ -220,11 +239,16 @@ impl SensorIndex {
     }
 
     /// Appends to `out` the indices of all points with
-    /// `distance²(center) ≤ radius²`, in ascending order. `out` is
-    /// cleared first, so a caller-owned buffer can be reused across
-    /// queries without reallocating.
+    /// `distance²(center) ≤ radius²` (of all points, on
+    /// [`SensorIndex::scan_all`]), in ascending order. `out` is cleared
+    /// first, so a caller-owned buffer can be reused across queries
+    /// without reallocating.
     pub fn query_disk_into(&self, center: Point, radius: f64, out: &mut Vec<usize>) {
         out.clear();
+        if self.scan_all {
+            out.extend(0..self.len());
+            return;
+        }
         if radius < 0.0 {
             return;
         }
@@ -251,7 +275,8 @@ impl SensorIndex {
     }
 
     /// The indices of all points with `distance²(center) ≤ radius²`, in
-    /// ascending order — exactly the brute-force candidate set.
+    /// ascending order — on the grid, exactly the brute-force candidate
+    /// set.
     pub fn query_disk(&self, center: Point, radius: f64) -> Vec<usize> {
         let mut out = Vec::new();
         self.query_disk_into(center, radius, &mut out);
@@ -259,10 +284,15 @@ impl SensorIndex {
     }
 
     /// Appends to `out` the indices of all points `rect` contains
-    /// (inclusive bounds, matching [`Rect::contains`]), in ascending
-    /// order. `out` is cleared first.
+    /// (inclusive bounds, matching [`Rect::contains`]; all points, on
+    /// [`SensorIndex::scan_all`]), in ascending order. `out` is cleared
+    /// first.
     pub fn query_rect_into(&self, rect: &Rect, out: &mut Vec<usize>) {
         out.clear();
+        if self.scan_all {
+            out.extend(0..self.len());
+            return;
+        }
         let Some((cx0, cy0, cx1, cy1)) =
             self.bucket_range(rect.min_x, rect.min_y, rect.max_x, rect.max_y)
         else {
@@ -281,8 +311,8 @@ impl SensorIndex {
         out.sort_unstable();
     }
 
-    /// The indices of all points `rect` contains, in ascending order —
-    /// exactly the brute-force candidate set.
+    /// The indices of all points `rect` contains, in ascending order — on
+    /// the grid, exactly the brute-force candidate set.
     pub fn query_rect(&self, rect: &Rect) -> Vec<usize> {
         let mut out = Vec::new();
         self.query_rect_into(rect, &mut out);
@@ -475,6 +505,35 @@ mod tests {
             "cell {} too small",
             idx.cell_size()
         );
+    }
+
+    /// `scan_all` leaves every decision to the caller: each disk and
+    /// rectangle query returns `0..len` in ascending order, for a
+    /// negative radius, a rectangle that misses every point, and
+    /// non-finite points alike.
+    #[test]
+    fn scan_all_answers_every_query_with_every_index() {
+        let points = vec![
+            Point::new(0.0, 0.0),
+            Point::new(f64::INFINITY, 5.0),
+            Point::new(f64::NAN, f64::NAN),
+            Point::new(3.0, 4.0),
+            Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+        ];
+        let idx = SensorIndex::scan_all(&points);
+        let all: Vec<usize> = (0..points.len()).collect();
+        assert_eq!(idx.len(), points.len());
+        assert_eq!(idx.query_disk(Point::ORIGIN, -1.0), all);
+        assert_eq!(idx.query_disk(Point::new(f64::NAN, 0.0), 1.0), all);
+        assert_eq!(idx.query_rect(&Rect::new(50.0, 50.0, 60.0, 60.0)), all);
+        let mut buf = vec![9];
+        idx.query_disk_into(Point::new(1.0e9, 1.0e9), 0.0, &mut buf);
+        assert_eq!(buf, all);
+        idx.query_rect_into(&Rect::new(-9.0, -9.0, -8.0, -8.0), &mut buf);
+        assert_eq!(buf, all);
+        assert!(SensorIndex::scan_all(&[])
+            .query_disk(Point::ORIGIN, 1.0)
+            .is_empty());
     }
 
     proptest! {

@@ -297,45 +297,23 @@ pub const MAX_EXACT_VARS: usize = 600;
 
 /// Greedy marginal-gain facility opening (test baseline + primal warm
 /// start): repeatedly open the facility with the best welfare gain while
-/// positive.
+/// positive, ties to the lowest index. Gains come from the Local Search
+/// state's incremental per-client bests.
 pub fn solve_greedy(p: &WelfareProblem) -> WelfareSolution {
-    let nf = p.num_facilities();
-    let mut open = vec![false; nf];
-    let mut best_val = vec![0.0f64; p.num_clients()];
-    // facility → (client, value) adjacency.
     let fac_clients = facility_adjacency(p);
-
+    let mut state = LsState::new(p, &fac_clients);
     loop {
         let mut best: Option<(usize, f64)> = None;
-        for f in 0..nf {
-            if open[f] {
-                continue;
-            }
-            let gain: f64 = fac_clients[f]
-                .iter()
-                .map(|&(l, v)| (v - best_val[l]).max(0.0))
-                .sum::<f64>()
-                - p.facility_cost[f];
-            if gain > EPS {
-                match best {
-                    Some((_, g)) if g >= gain => {}
-                    _ => best = Some((f, gain)),
-                }
+        for f in (0..p.num_facilities()).filter(|&f| !state.open[f]) {
+            let gain = state.add_gain(f);
+            if gain > EPS && best.is_none_or(|(_, g)| gain > g) {
+                best = Some((f, gain));
             }
         }
-        match best {
-            Some((f, _)) => {
-                open[f] = true;
-                for &(l, v) in &fac_clients[f] {
-                    if v > best_val[l] {
-                        best_val[l] = v;
-                    }
-                }
-            }
-            None => break,
-        }
+        let Some((f, _)) = best else { break };
+        state.open_facility(f);
     }
-    p.solution_from_open(&open)
+    p.solution_from_open(&state.open)
 }
 
 /// The ε of Local Search's `(1 + ε/n²)` improvement threshold.

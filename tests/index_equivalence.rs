@@ -1,39 +1,20 @@
 //! The spatial index is a pure accelerator: an `Aggregator` with
-//! `spatial_index(true)` and one with `spatial_index(false)` must produce
-//! **identical** `SlotReport`s — same welfare bits, same selections, same
-//! payments — on the same seeded mixed standing stream, under Algorithm 5
+//! `spatial_index(true)` (bucket grids) and one with `spatial_index(false)`
+//! (`SensorIndex::scan_all`) must produce **identical** `SlotReport`s —
+//! same welfare bits, same selections, same payments — on the same seeded
+//! mixed standing stream, under Algorithm 5, the §4.7 sequential baseline
 //! and the online auction. The scheduled (§4.5/§4.6) path gets the same
 //! treatment.
 
 mod common;
 
 use ps_core::aggregator::{Aggregator, AggregatorBuilder, MixStrategy, SlotReport};
-use ps_core::valuation::monitoring::MonitoringContext;
 use ps_core::valuation::quality::QualityModel;
 use ps_gp::kernel::SquaredExponential;
 use ps_sim::config::Scale;
-use ps_sim::workload::StandingMixProfile;
-use ps_stats::regression::DiurnalBasis;
-use ps_stats::TimeSeries;
+use ps_sim::workload::{test_monitoring_ctx, StandingMixProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
-
-fn monitoring_ctx() -> Arc<MonitoringContext> {
-    let times: Vec<f64> = (0..120).map(|i| i as f64 - 120.0).collect();
-    let values: Vec<f64> = times
-        .iter()
-        .map(|&t| 20.0 + 5.0 * (std::f64::consts::TAU * t / 50.0).sin())
-        .collect();
-    Arc::new(MonitoringContext {
-        basis: DiurnalBasis {
-            period: 50.0,
-            harmonics: 1,
-        },
-        history: TimeSeries::new(times, values),
-        fold: None,
-    })
-}
 
 fn profile() -> StandingMixProfile {
     let mut p = StandingMixProfile::from_scale(&Scale::test());
@@ -49,7 +30,7 @@ fn profile() -> StandingMixProfile {
 /// Drives `slots` slots through an engine, collecting every report.
 fn run(engine: &mut Aggregator<'_>, slots: usize) -> Vec<SlotReport> {
     let p = profile();
-    let ctx = monitoring_ctx();
+    let ctx = test_monitoring_ctx();
     let kernel = SquaredExponential::new(2.0, 2.0);
     let mut rng = StdRng::seed_from_u64(42);
     (0..slots)
@@ -116,9 +97,14 @@ fn assert_reports_identical(a: &[SlotReport], b: &[SlotReport], label: &str) {
 
 #[test]
 fn indexed_and_brute_force_steps_are_identical_on_a_mixed_stream() {
-    // The online auction matches arrivals on its indexes either way; the
-    // knob moves only its boundary Algorithm 5 clear.
-    for strategy in [MixStrategy::Alg5, MixStrategy::OnlineAuction] {
+    // The knob picks every index the engine queries: the batch slot's,
+    // and the online auction's arrival-matching pair. The sequential
+    // baseline is the only path through `baseline_select_for_query`.
+    for strategy in [
+        MixStrategy::Alg5,
+        MixStrategy::SequentialBaseline,
+        MixStrategy::OnlineAuction,
+    ] {
         let build = |spatial: bool| {
             AggregatorBuilder::new(QualityModel::new(5.0))
                 .strategy(strategy)
@@ -130,6 +116,7 @@ fn indexed_and_brute_force_steps_are_identical_on_a_mixed_stream() {
         assert_reports_identical(&a, &b, &format!("{strategy:?}"));
         // The stream actually exercised the engine.
         assert!(a.iter().any(|r| r.breakdown.point_satisfied > 0));
+        assert!(a.iter().any(|r| r.breakdown.aggregate_answered > 0));
         assert!(a.iter().any(|r| r.breakdown.monitor_samples > 0));
     }
 }

@@ -503,23 +503,26 @@ fn arrival_rule_reference(
 
 /// Every point's arrival-time decision — serving sensor, payment and
 /// decision tick — and the count matched before the boundary agree with
-/// the brute-force reference over 200 seeded streams.
+/// the brute-force reference over 200 seeded streams, matched on the
+/// grid indexes and on `SensorIndex::scan_all` alike.
 #[test]
 fn online_arrival_rule_matches_brute_force_reference() {
     let quality = QualityModel::new(5.0);
     let (mut at_once, mut later, mut free, mut boundary) = (0, 0, 0, 0);
-    for seed in 0..200 {
+    for (seed, spatial) in (0..200).flat_map(|seed| [(seed, true), (seed, false)]) {
         let events = arrival_rule_stream(seed);
         let expected = arrival_rule_reference(&events, &quality);
         let mut engine = AggregatorBuilder::new(quality)
             .strategy(MixStrategy::OnlineAuction)
+            .spatial_index(spatial)
             .build();
         let report = engine.step_streaming(0, &events);
         let stats = report.streaming.as_ref().expect("streaming entry point");
-        assert_eq!(report.point_results.len(), expected.len(), "seed {seed}");
+        let case = format!("seed {seed}, spatial_index({spatial})");
+        assert_eq!(report.point_results.len(), expected.len(), "{case}");
         for (pi, &(served, ticks)) in expected.iter().enumerate() {
             let got = &report.point_results[pi];
-            let label = format!("seed {seed} point {pi}");
+            let label = format!("{case} point {pi}");
             assert_eq!(stats.decision_ticks[pi], ticks, "{label}: decision tick");
             let Some((si, paid)) = served else {
                 boundary += 1;
@@ -535,10 +538,7 @@ fn online_arrival_rule_matches_brute_force_reference() {
             .iter()
             .filter(|(served, _)| served.is_some())
             .count();
-        assert_eq!(
-            stats.matched_at_arrival, matched,
-            "seed {seed}: matched count"
-        );
+        assert_eq!(stats.matched_at_arrival, matched, "{case}: matched count");
     }
     // The streams exercise every branch of the rule.
     assert!(at_once > 0 && later > 0 && free > 0 && boundary > 0);
