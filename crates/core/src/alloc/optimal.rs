@@ -86,6 +86,12 @@ impl PointScheduler for OptimalScheduler {
 /// point scheduler: repeatedly opens the sensor with the largest welfare
 /// gain. Cheaper and weaker than Local Search; its role is the ablation
 /// axis "how much does search buy over pure greed" in the solver grid.
+///
+/// Greedy runs on each connected component of the slot's Eq. 9 problem
+/// (`WelfareProblem::components`), so an open rescans only its own
+/// component. The merged open set is the one greedy opens on the whole
+/// problem: a gain never depends on another component's opens, and local
+/// ids keep the global order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyPointScheduler;
 
@@ -106,7 +112,13 @@ impl PointScheduler for GreedyPointScheduler {
         threads: Threads,
     ) -> PointAllocation {
         schedule_eq9(queries, sensors, quality, index, threads, |problem, _| {
-            ufl::solve_greedy(problem)
+            let mut open = vec![false; problem.num_facilities()];
+            for (facilities, sub) in problem.components() {
+                for (&f, o) in facilities.iter().zip(ufl::solve_greedy(&sub).open) {
+                    open[f] = o;
+                }
+            }
+            problem.solution_from_open(&open)
         })
     }
 }

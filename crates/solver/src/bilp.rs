@@ -79,6 +79,13 @@ impl BilpProblem {
     /// The LP relaxation at the root (no fixings): the same program over
     /// `0 ≤ x ≤ 1`. Solving it with [`crate::simplex`] yields the
     /// `lp_bound` reported by [`solve`].
+    ///
+    /// The feasible region is exactly `{0 ≤ x ≤ 1}` intersected with the
+    /// constraints, but the box row `x_j ≤ 1` is omitted where a
+    /// constraint already implies it: a `≤` row whose coefficients are all
+    /// non-negative and whose right-hand side lies in `[0, a_j]` bounds
+    /// `a_j·x_j` by `a_j`. For Eq. 9 that drops the box row of every
+    /// assignment variable (`Σ_e y_{l,e} ≤ 1`) and keeps the opens'.
     pub fn lp_relaxation(&self) -> LpProblem {
         relax(self, &vec![None; self.num_vars()])
     }
@@ -451,18 +458,43 @@ fn integral(x: &[f64], fixing: &[Option<bool>], tol: f64) -> Option<Vec<bool>> {
 }
 
 /// Builds the LP relaxation with the 0/1 box and current fixings:
-/// the original constraints first, then one box/fixing row per variable.
+/// the original constraints first, then one fixing row per fixed variable
+/// and one box row per free variable whose `x_j ≤ 1` the constraints do
+/// not already imply (see [`BilpProblem::lp_relaxation`]).
 fn relax(problem: &BilpProblem, fixing: &[Option<bool>]) -> LpProblem {
+    let implied = implied_unit_bounds(problem);
     let mut lp = LpProblem::maximize(problem.objective.clone());
     lp.constraints = problem.constraints.clone();
     for (j, fix) in fixing.iter().enumerate() {
         match fix {
+            None if implied[j] => {}
             None => lp.constraints.push(Constraint::le(vec![(j, 1.0)], 1.0)),
             Some(true) => lp.constraints.push(Constraint::eq(vec![(j, 1.0)], 1.0)),
             Some(false) => lp.constraints.push(Constraint::eq(vec![(j, 1.0)], 0.0)),
         }
     }
     lp
+}
+
+/// Marks each variable whose `x_j ≤ 1` follows from one constraint: a
+/// `≤` row with only non-negative coefficients and `0 ≤ rhs ≤ a_j`, where
+/// `a_j > 0` is the variable's coefficient, gives `a_j·x_j ≤ rhs ≤ a_j` at
+/// every non-negative point that satisfies it.
+fn implied_unit_bounds(problem: &BilpProblem) -> Vec<bool> {
+    let mut implied = vec![false; problem.num_vars()];
+    for c in &problem.constraints {
+        let bounds =
+            c.op == ConstraintOp::Le && c.rhs >= 0.0 && c.coeffs.iter().all(|&(_, a)| a >= 0.0);
+        if bounds {
+            for &(j, a) in &c.coeffs {
+                // An out-of-range `j` is left to the tableau's assert.
+                if a > 0.0 && c.rhs <= a && j < implied.len() {
+                    implied[j] = true;
+                }
+            }
+        }
+    }
+    implied
 }
 
 /// Exhaustively solves a small BILP (≤ ~20 vars) — the test oracle.
@@ -646,6 +678,91 @@ mod tests {
             );
             assert!(bb.lp_bound >= ex.0 - 1e-7, "trial {trial}: bound invalid");
         }
+    }
+
+    /// The variables whose `x_j ≤ 1` box row `lp_relaxation` appends,
+    /// after checking that it keeps the problem's own rows first and
+    /// appends nothing else.
+    fn box_rows(p: &BilpProblem) -> Vec<usize> {
+        let lp = p.lp_relaxation();
+        assert_eq!(lp.objective, p.objective);
+        let (own, appended) = lp.constraints.split_at(p.constraints.len());
+        for (a, b) in own.iter().zip(&p.constraints) {
+            assert_eq!((&a.coeffs, a.op, a.rhs), (&b.coeffs, b.op, b.rhs));
+        }
+        appended
+            .iter()
+            .map(|c| {
+                assert_eq!((c.coeffs.len(), c.coeffs[0].1), (1, 1.0));
+                assert_eq!((c.op, c.rhs), (ConstraintOp::Le, 1.0));
+                c.coeffs[0].0
+            })
+            .collect()
+    }
+
+    /// A `≤` row with non-negative coefficients and `0 ≤ rhs ≤ a_j`
+    /// implies `x_j ≤ 1`; anything else keeps the box row.
+    #[test]
+    fn lp_relaxation_omits_only_implied_box_rows() {
+        let implied = |n| {
+            BilpProblem::maximize(vec![1.0; n])
+                .with(Constraint::le(vec![(0, 1.0), (1, 1.0)], 1.0))
+                .with(Constraint::le(vec![(2, 1.0)], 1.0))
+        };
+        assert_eq!(box_rows(&implied(3)), Vec::<usize>::new());
+        // 2·x3 ≤ 3 allows x3 = 1.5; x4 − x5 ≤ 0 has a negative
+        // coefficient; x6 appears in no row.
+        let p = implied(7)
+            .with(Constraint::le(vec![(3, 2.0)], 3.0))
+            .with(Constraint::le(vec![(4, 1.0), (5, -1.0)], 0.0));
+        assert_eq!(box_rows(&p), vec![3, 4, 5, 6]);
+    }
+
+    /// `p` with `x_j ≤ 1` among its own constraints for every variable:
+    /// its root relaxation lists every box row after `p`'s rows, in
+    /// variable order, and `relax` appends none of its own.
+    fn with_every_box_row(p: &BilpProblem) -> BilpProblem {
+        let mut full = p.clone();
+        full.constraints
+            .extend((0..p.num_vars()).map(|j| Constraint::le(vec![(j, 1.0)], 1.0)));
+        full
+    }
+
+    /// Omitting implied box rows leaves the root bound and the integer
+    /// solve of seeded Eq. 9 instances (random and clustered) unchanged.
+    #[test]
+    fn implied_box_rows_change_no_eq9_bound_or_solve() {
+        use crate::ufl::tests::{clustered_instance, random_instance};
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut instances: Vec<BilpProblem> = (0..60)
+            .map(|k| random_instance(&mut rng, 6 + k % 4, 8 + k % 6).to_bilp())
+            .collect();
+        instances.extend((0..20).map(|_| clustered_instance(&mut rng, 8, 12).to_bilp()));
+        let mut branched = 0;
+        for (k, p) in instances.iter().enumerate() {
+            let full = with_every_box_row(p);
+            let lean = simplex::solve(&p.lp_relaxation());
+            let every = simplex::solve(&full.lp_relaxation());
+            assert_eq!(lean.status, LpStatus::Optimal, "instance {k}");
+            assert_eq!(every.status, LpStatus::Optimal, "instance {k}");
+            assert!(
+                (lean.objective - every.objective).abs() <= 1e-9,
+                "instance {k}: {} vs {}",
+                lean.objective,
+                every.objective
+            );
+            let lean = solve_default(p);
+            let every = solve_default(&full);
+            branched += usize::from(lean.nodes > 0);
+            assert_eq!(lean.status, every.status, "instance {k}");
+            assert!(
+                (lean.objective - every.objective).abs() <= 1e-9,
+                "instance {k}: {} vs {}",
+                lean.objective,
+                every.objective
+            );
+        }
+        assert!(branched >= 5, "{branched} instances branched");
     }
 
     proptest! {

@@ -11,6 +11,16 @@
 //! ```text
 //! [ decision vars | slack/surplus | artificials | rhs ]
 //! ```
+//!
+//! Each row is first normalised to a non-negative right-hand side. Then
+//! every `≤` and `≥` row gets a slack or surplus column, and only `≥` and
+//! `=` rows get an artificial column. A program whose rows are all `≤`
+//! with `rhs ≥ 0` has no artificial column and skips phase I; the root
+//! relaxation of Eq. 9 is such a program.
+//!
+//! Pricing sweeps the tableau row by row, accumulating every reduced cost
+//! into one buffer, and skips basic columns through a per-column flag
+//! that each pivot keeps current.
 
 /// Relational operator of a linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,6 +161,8 @@ struct Tableau {
     objective: Vec<f64>,
     /// Basis variable per row.
     basis: Vec<usize>,
+    /// Whether each column (rhs excluded) is in `basis`.
+    is_basic: Vec<bool>,
     num_decision: usize,
     num_structural: usize, // decision + slack/surplus
     cols: usize,           // total columns incl. rhs
@@ -171,17 +183,21 @@ impl Tableau {
         let n = problem.num_vars();
         let m = problem.constraints.len();
 
-        // Count slack (Le/Ge) columns; artificials get one column per
-        // row in the worst case.
-        let mut num_slack = 0;
+        // One slack/surplus column per Le/Ge row and one artificial
+        // column per Ge/Eq row, after rhs normalisation.
+        let (mut num_slack, mut num_artificial) = (0, 0);
         for c in &problem.constraints {
             match effective_op(c) {
-                ConstraintOp::Le | ConstraintOp::Ge => num_slack += 1,
-                ConstraintOp::Eq => {}
+                ConstraintOp::Le => num_slack += 1,
+                ConstraintOp::Ge => {
+                    num_slack += 1;
+                    num_artificial += 1;
+                }
+                ConstraintOp::Eq => num_artificial += 1,
             }
         }
         let num_structural = n + num_slack;
-        let cols = num_structural + m + 1;
+        let cols = num_structural + num_artificial + 1;
         let artificial_start = num_structural;
 
         let mut rows = vec![vec![0.0; cols]; m];
@@ -222,11 +238,16 @@ impl Tableau {
 
         let mut objective = vec![0.0; cols - 1];
         objective[..n].copy_from_slice(&problem.objective);
+        let mut is_basic = vec![false; cols - 1];
+        for &b in &basis {
+            is_basic[b] = true;
+        }
 
         Tableau {
             rows,
             objective,
             basis,
+            is_basic,
             num_decision: n,
             num_structural,
             cols,
@@ -240,10 +261,10 @@ impl Tableau {
     /// artificials, then phase II.
     fn run(mut self) -> LpOutcome {
         let m = self.rows.len();
-        let has_artificials = self.basis.iter().any(|&b| b >= self.artificial_start);
 
+        // Every artificial column starts basic.
         #[allow(clippy::needless_range_loop)]
-        if has_artificials {
+        if self.artificial_start < self.cols - 1 {
             // Phase I: minimize the artificial sum == maximize -(sum).
             let mut phase1 = vec![0.0; self.cols - 1];
             for j in self.artificial_start..(self.cols - 1) {
@@ -320,24 +341,32 @@ impl Tableau {
     /// columns `< col_limit`.
     fn optimize(&mut self, obj: &[f64], col_limit: usize) -> Phase {
         let m = self.rows.len();
-        let bland_after = 50 * (m + self.cols);
+        // Bland's rule takes over after 50 · (rows + columns) of a
+        // tableau with an artificial column per row, so the switch point
+        // does not depend on how many artificial columns a program needs.
+        let bland_after = 50 * (2 * m + self.num_structural + 1);
         let mut iter = 0usize;
+        let mut reduced = vec![0.0; col_limit];
 
         loop {
             let use_bland = iter > bland_after;
             iter += 1;
-            // Pricing: reduced cost r_j = c_j - c_B · column_j.
-            let mut entering: Option<(usize, f64)> = None;
-            for j in 0..col_limit {
-                if self.basis.contains(&j) {
-                    continue;
-                }
-                let mut r = obj[j];
-                for i in 0..m {
-                    let cb = obj[self.basis[i]];
-                    if cb != 0.0 {
-                        r -= cb * self.rows[i][j];
+            // Pricing: reduced cost r_j = c_j - c_B · column_j, summed row
+            // by row; each column sees the same subtractions in the same
+            // order as a column-by-column sum.
+            reduced.copy_from_slice(&obj[..col_limit]);
+            for (row, &b) in self.rows.iter().zip(&self.basis) {
+                let cb = obj[b];
+                if cb != 0.0 {
+                    for (r, &a) in reduced.iter_mut().zip(row) {
+                        *r -= cb * a;
                     }
+                }
+            }
+            let mut entering: Option<(usize, f64)> = None;
+            for (j, &r) in reduced.iter().enumerate() {
+                if self.is_basic[j] {
+                    continue;
                 }
                 if r > EPS {
                     if use_bland {
@@ -413,6 +442,8 @@ impl Tableau {
             // Clean numerical dust on the pivot column.
             target_row[col] = 0.0;
         }
+        self.is_basic[self.basis[row]] = false;
+        self.is_basic[col] = true;
         self.basis[row] = col;
         self.pivots += 1;
     }
@@ -436,6 +467,8 @@ fn effective_op_raw(op: ConstraintOp, flipped: bool) -> ConstraintOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
@@ -568,5 +601,96 @@ mod tests {
         assert!(s.x[0] + s.x[1] <= 4.0 + 1e-9);
         let full = opt(&p);
         assert!(s.objective <= full.objective + 1e-9);
+    }
+
+    /// FNV-1a over the little-endian bytes of `word`.
+    fn fnv1a(hash: u64, word: u64) -> u64 {
+        word.to_le_bytes().iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// A small LP mixing `≤`, `≥` and `=` rows whose right-hand sides
+    /// take both signs, so most programs start with artificials in the
+    /// basis. Rows are drawn around a random non-negative point, so most
+    /// programs are feasible; one in eight shifts a right-hand side at
+    /// random instead. Most programs get a `Σ x ≤ 10` cap, the rest may
+    /// be unbounded. Every third program repeats one of its rows as an
+    /// equality scaled by 2, which leaves an artificial basic at zero
+    /// after phase I for the pivot-out to handle.
+    fn mixed_lp(rng: &mut StdRng) -> LpProblem {
+        let n = rng.gen_range(2..=7usize);
+        let objective = (0..n).map(|_| rng.gen_range(-4.0..4.0)).collect();
+        let point: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..2.0)).collect();
+        let mut p = LpProblem::maximize(objective);
+        for _ in 0..rng.gen_range(1..=6usize) {
+            let mut coeffs = Vec::new();
+            for j in 0..n {
+                if rng.gen_bool(0.6) {
+                    coeffs.push((j, rng.gen_range(-3.0..3.0)));
+                }
+            }
+            let at_point: f64 = coeffs.iter().map(|&(j, a)| a * point[j]).sum();
+            let shift = if rng.gen_range(0..8u32) == 0 {
+                rng.gen_range(-4.0..4.0)
+            } else {
+                0.0
+            };
+            let slack = rng.gen_range(0.0..2.0);
+            p.constraints.push(match rng.gen_range(0..3u32) {
+                0 => Constraint::le(coeffs, at_point + slack + shift),
+                1 => Constraint::ge(coeffs, at_point - slack + shift),
+                _ => Constraint::eq(coeffs, at_point + shift),
+            });
+        }
+        if rng.gen_bool(0.7) {
+            p.constraints
+                .push(Constraint::le((0..n).map(|j| (j, 1.0)).collect(), 10.0));
+        }
+        if rng.gen_range(0..3u32) == 0 {
+            let c = &p.constraints[rng.gen_range(0..p.constraints.len())];
+            let coeffs = c.coeffs.iter().map(|&(j, a)| (j, 2.0 * a)).collect();
+            let doubled = Constraint::eq(coeffs, 2.0 * c.rhs);
+            p.constraints.push(doubled);
+        }
+        p
+    }
+
+    /// Pins every pivot of the two-phase path: 200 seeded mixed programs
+    /// (phase I, the artificial pivot-out, phase II, and a pivot budget
+    /// on every fifth) hash their status, objective, `x` and pivot count
+    /// bit for bit. A change to the tableau's layout or pricing that is
+    /// meant to keep each pivot must keep this hash.
+    #[test]
+    fn mixed_programs_keep_every_pivot() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut seen = [0usize; 4];
+        for k in 0..200 {
+            let p = mixed_lp(&mut rng);
+            let out = if k % 5 == 4 {
+                solve_with(&p, k % 7)
+            } else {
+                solve(&p)
+            };
+            let status = match out.status {
+                LpStatus::Optimal => 0,
+                LpStatus::Infeasible => 1,
+                LpStatus::Unbounded => 2,
+                LpStatus::PivotLimit => 3,
+            };
+            seen[status] += 1;
+            hash = fnv1a(hash, status as u64);
+            hash = fnv1a(hash, out.objective.to_bits());
+            for v in &out.x {
+                hash = fnv1a(hash, v.to_bits());
+            }
+            hash = fnv1a(hash, out.pivots as u64);
+        }
+        assert!(seen.iter().all(|&s| s > 0), "statuses seen {seen:?}");
+        assert_eq!(
+            hash, 0xb577_954f_7af0_b0da,
+            "hash {hash:#018x}, statuses {seen:?}"
+        );
     }
 }

@@ -191,14 +191,25 @@ impl WelfareProblem {
 
     /// Splits the instance into the connected components of the
     /// bipartite facility/client graph that serve at least one client,
-    /// each as its facilities' global indices and its sub-problem.
+    /// each as its facilities' global indices and its sub-problem. A
+    /// facility that serves no client is in no component, and a client
+    /// with no candidate is dropped.
     ///
     /// Components come in ascending order of their lowest facility (the
     /// DSU root); inside one, facilities and clients keep their global
     /// order, and candidate lists use the component's local facility ids.
-    /// Every facility belongs to one component, so a single global→local
-    /// map serves them all and every buffer is `O(facilities + edges)`.
-    fn components(&self) -> Vec<(Vec<usize>, WelfareProblem)> {
+    /// A facility belongs to at most one component, so a single
+    /// global→local map serves them all and every buffer is
+    /// `O(facilities + edges)`.
+    ///
+    /// Eq. 12 welfare is the sum of the components' welfares, and a
+    /// facility's gain depends only on opens in its own component. So a
+    /// solver whose choices depend only on gains and index order, such
+    /// as [`solve_greedy`], opens the same set when run on each component
+    /// and merged back through the global indices as when run on the
+    /// whole instance. [`solve_exact`] and [`lp_relaxation_bound`] also
+    /// decompose this way.
+    pub fn components(&self) -> Vec<(Vec<usize>, WelfareProblem)> {
         let nf = self.num_facilities();
         let mut dsu = Dsu::new(nf);
         for cands in &self.client_values {
@@ -290,9 +301,16 @@ const EPS: f64 = 1e-9;
 /// would allocate billions of cells. Components past this threshold keep
 /// their heuristic seed, charge the `O(edges)` dual-feasible bound
 /// (`fast_dual_bound`), and surface [`SolveStatus::LimitReached`] so
-/// callers know optimality was not proven. 600 variables keeps the
-/// worst-case tableau around a few megabytes and a component solve in
-/// the low milliseconds.
+/// callers know optimality was not proven.
+///
+/// At 600 variables (`F` opens plus `E` assignment edges, `F ≥ 2`) the
+/// root relaxation has at most `E + L + F ≈ 1 200` rows for `L ≤ E`
+/// locations, because only the opens keep a box row, and
+/// `F + E + rows + 1 ≈ 1 800` columns, because an all-`≤` program needs
+/// no artificial column: about 2.2 M cells, 17 MB. A branch-and-bound
+/// node adds one `=` row and its artificial column per fixed assignment
+/// variable, so the deepest node stays under 1 800 × 2 400 cells
+/// (34 MB).
 pub const MAX_EXACT_VARS: usize = 600;
 
 /// Greedy marginal-gain facility opening (test baseline + primal warm
@@ -740,7 +758,7 @@ pub fn solve_exhaustive(p: &WelfareProblem) -> WelfareSolution {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -911,7 +929,7 @@ mod tests {
         }
     }
 
-    fn random_instance(rng: &mut StdRng, nf: usize, nc: usize) -> WelfareProblem {
+    pub(crate) fn random_instance(rng: &mut StdRng, nf: usize, nc: usize) -> WelfareProblem {
         let costs: Vec<f64> = (0..nf).map(|_| rng.gen_range(2.0..12.0)).collect();
         let clients: Vec<Vec<(usize, f64)>> = (0..nc)
             .map(|_| {
@@ -930,7 +948,7 @@ mod tests {
     /// Clients draw 1–3 candidates inside one block of 4 facilities, and
     /// only even blocks are ever drawn: many components, isolated
     /// facilities, and single-facility components.
-    fn clustered_instance(rng: &mut StdRng, blocks: usize, nc: usize) -> WelfareProblem {
+    pub(crate) fn clustered_instance(rng: &mut StdRng, blocks: usize, nc: usize) -> WelfareProblem {
         let costs: Vec<f64> = (0..4 * blocks).map(|_| rng.gen_range(2.0..12.0)).collect();
         let clients: Vec<Vec<(usize, f64)>> = (0..nc)
             .map(|_| {
@@ -996,6 +1014,40 @@ mod tests {
         assert_eq!(returned_edges, edges);
         let size = footprint(&comps);
         assert!(size <= nf + edges, "footprint {size} > {nf} + {edges}");
+    }
+
+    /// Greedy run per component and merged through the global indices
+    /// opens exactly what greedy opens on the whole instance: a gain never
+    /// depends on another component's opens, and local ids keep the
+    /// global order, so the lowest-index tie-break and every float sum
+    /// are the same.
+    #[test]
+    fn greedy_per_component_matches_whole_problem_greedy() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut components_with_opens = 0;
+        for trial in 0..20 {
+            let p = clustered_instance(&mut rng, 16, 30);
+            let comps = p.components();
+            assert!(comps.len() > 1, "trial {trial}: one component");
+            let mut open = vec![false; p.num_facilities()];
+            for (facilities, sub) in &comps {
+                let sub_open = solve_greedy(sub).open;
+                components_with_opens += usize::from(sub_open.contains(&true));
+                for (&f, o) in facilities.iter().zip(sub_open) {
+                    open[f] = o;
+                }
+            }
+            let whole = solve_greedy(&p);
+            assert_eq!(open, whole.open, "trial {trial}");
+            let merged = p.solution_from_open(&open);
+            assert_eq!(merged.assignment, whole.assignment, "trial {trial}");
+            assert_eq!(
+                merged.welfare.to_bits(),
+                whole.welfare.to_bits(),
+                "trial {trial}"
+            );
+        }
+        assert!(components_with_opens > 100, "{components_with_opens}");
     }
 
     /// Components come in ascending lowest-facility order, facilities and
