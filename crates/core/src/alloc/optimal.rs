@@ -3,9 +3,10 @@
 //! Builds the facility-location welfare problem (sensors = facilities,
 //! queried locations = clients) and solves it with the two-phase
 //! simplex + branch-and-bound core of `ps_solver` — best-bound search
-//! over LP relaxations per connected component, with Local Search and
-//! greedy solutions seeding the incumbent so every solve is *anytime*.
-//! Payments follow the proportionate cost allocation of Eq. 11.
+//! over LP relaxations per connected component, components spread over
+//! the engine's worker threads, with Local Search and greedy solutions
+//! seeding the incumbent so every solve is *anytime*. Payments follow
+//! the proportionate cost allocation of Eq. 11.
 //!
 //! This module also hosts two companions built on the same problem
 //! construction: [`GreedyPointScheduler`] (the marginal-gain opener as a
@@ -47,7 +48,9 @@ impl OptimalScheduler {
         Self::default()
     }
 
-    /// Sets the global branch-and-bound node budget per slot.
+    /// Sets the branch-and-bound node budget of each connected component
+    /// of a slot's problem (components do not share it, so the schedule
+    /// does not depend on the order in which workers solve them).
     pub fn max_nodes(mut self, nodes: usize) -> Self {
         self.options.max_nodes = nodes;
         self
@@ -65,8 +68,10 @@ impl OptimalScheduler {
 
 impl PointScheduler for OptimalScheduler {
     /// The Eq. 9 problem build (per-location candidate collection and
-    /// value sums) shards across `threads`; the branch-and-bound solve
-    /// and Eq. 11 payments stay serial on the identical problem, so the
+    /// value sums) shards across `threads`, and so does the solve: the
+    /// problem's connected components go to the same number of workers
+    /// (`ufl::solve_exact`), each under its own node budget, and merge
+    /// back in component order. Eq. 11 payments stay serial, so the
     /// schedule is bit-identical for every thread count.
     fn schedule_sharded(
         &self,
@@ -77,7 +82,7 @@ impl PointScheduler for OptimalScheduler {
         threads: Threads,
     ) -> PointAllocation {
         schedule_eq9(queries, sensors, quality, index, threads, |problem, _| {
-            ufl::solve_exact(problem, &self.options)
+            ufl::solve_exact(problem, &self.options, threads.get())
         })
     }
 }
@@ -89,9 +94,10 @@ impl PointScheduler for OptimalScheduler {
 ///
 /// Greedy runs on each connected component of the slot's Eq. 9 problem
 /// (`WelfareProblem::components`), so an open rescans only its own
-/// component. The merged open set is the one greedy opens on the whole
-/// problem: a gain never depends on another component's opens, and local
-/// ids keep the global order.
+/// component, and the components spread over `threads`
+/// (`ufl::map_components`). The merged open set is the one greedy opens
+/// on the whole problem: a gain never depends on another component's
+/// opens, and local ids keep the global order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyPointScheduler;
 
@@ -112,9 +118,13 @@ impl PointScheduler for GreedyPointScheduler {
         threads: Threads,
     ) -> PointAllocation {
         schedule_eq9(queries, sensors, quality, index, threads, |problem, _| {
+            let components = problem.components();
+            let opens = ufl::map_components(&components, threads.get(), |sub| {
+                ufl::solve_greedy(sub).open
+            });
             let mut open = vec![false; problem.num_facilities()];
-            for (facilities, sub) in problem.components() {
-                for (&f, o) in facilities.iter().zip(ufl::solve_greedy(&sub).open) {
+            for ((facilities, _), sub_open) in components.iter().zip(opens) {
+                for (&f, o) in facilities.iter().zip(sub_open) {
                     open[f] = o;
                 }
             }
@@ -131,7 +141,7 @@ impl PointScheduler for GreedyPointScheduler {
 /// [`PointAllocation::lp_bound`], which is set to
 /// `ufl::lp_relaxation_bound` of the slot's Eq. 9 problem (the same
 /// problem the scheduler solved — built again here, which costs one
-/// extra pass over candidates plus the root LPs).
+/// extra pass over candidates plus the root LPs, spread over `threads`).
 #[derive(Debug, Clone, Default)]
 pub struct WithLpBound<S> {
     /// The scheduler producing the actual allocation.
@@ -163,7 +173,7 @@ impl<S: PointScheduler> PointScheduler for WithLpBound<S> {
         let groups = group_by_location(queries);
         let index = index_or_scan_all(index, sensors);
         let problem = build_welfare_problem(queries, &groups, sensors, quality, &index, threads);
-        alloc.lp_bound = Some(ufl::lp_relaxation_bound(&problem));
+        alloc.lp_bound = Some(ufl::lp_relaxation_bound(&problem, threads.get()));
         alloc
     }
 }
@@ -338,6 +348,68 @@ mod tests {
         scheduler.schedule(&slot_b.0, &slot_b.1, &quality);
         assert_eq!(first, run(&scheduler));
         assert_eq!(first, run(&scheduler.clone()));
+    }
+
+    /// `n` gap triangles 20 apart: three queried locations at the
+    /// corners of an equilateral triangle of side 6 and a cost-4 sensor
+    /// at each side's midpoint. A sensor serves the two ends of its side
+    /// at θ = 0.4, worth 3 to a budget-7.5 query, so each triangle's root
+    /// LP opens every sensor by half (welfare 3), above the integer
+    /// optimum of 2 (one sensor).
+    fn gap_triangles(n: usize) -> (Vec<PointQuery>, Vec<SensorSnapshot>) {
+        let height = 3.0 * 3f64.sqrt();
+        let (mut queries, mut sensors) = (Vec::new(), Vec::new());
+        for k in 0..n {
+            let x = 20.0 * k as f64;
+            let corners = [
+                Point::new(x, 0.0),
+                Point::new(x + 6.0, 0.0),
+                Point::new(x + 3.0, height),
+            ];
+            for (i, &loc) in corners.iter().enumerate() {
+                let id = 3 * k + i;
+                queries.push(PointQuery {
+                    loc,
+                    ..pq(id as u64, 0.0, 7.5)
+                });
+                let next = corners[(i + 1) % 3];
+                sensors.push(SensorSnapshot {
+                    loc: Point::new((loc.x + next.x) / 2.0, (loc.y + next.y) / 2.0),
+                    ..sensor(id, 0.0, 4.0)
+                });
+            }
+        }
+        (queries, sensors)
+    }
+
+    /// A one-node budget belongs to each component: every one of 70 gap
+    /// triangles branches once and closes its gap, and the schedule at 4
+    /// threads, where the triangles spread over two workers, is the one
+    /// at 1 thread. A budget shared by the slot would leave all but the
+    /// first triangle `LimitReached`.
+    #[test]
+    fn node_budget_binds_per_component_at_every_thread_count() {
+        let triangles = 70;
+        assert!(triangles >= 2 * ufl::MIN_COMPONENTS_PER_WORKER);
+        let (queries, sensors) = gap_triangles(triangles);
+        let quality = QualityModel::new(5.0);
+        let scheduler = OptimalScheduler::new().max_nodes(1);
+        let schedule = |threads| {
+            let alloc = scheduler.schedule_sharded(
+                &queries,
+                &sensors,
+                &quality,
+                None,
+                Threads::new(threads),
+            );
+            format!("{alloc:?}")
+        };
+        let serial = scheduler.schedule(&queries, &sensors, &quality);
+        assert_eq!(serial.solve_status, Some(SolveStatus::Optimal));
+        assert!((serial.welfare - 2.0 * triangles as f64).abs() < 1e-9);
+        assert!((serial.lp_bound.unwrap() - 3.0 * triangles as f64).abs() < 1e-9);
+        assert_eq!(schedule(1), format!("{serial:?}"));
+        assert_eq!(schedule(4), format!("{serial:?}"));
     }
 
     #[test]

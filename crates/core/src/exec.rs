@@ -1,6 +1,6 @@
 //! Deterministic fork-join execution for the slot pipeline.
 //!
-//! The engine's parallel phases all follow one shape: a read-only input
+//! Most of the engine's parallel phases follow one shape: a read-only input
 //! slice is split into **contiguous shards**, each shard is mapped to a
 //! partial result on its own scoped worker thread, and the partials are
 //! folded back **in shard order** by a single-threaded merge. Because
@@ -12,6 +12,13 @@
 //! [`crate::aggregator::Aggregator`] exposes through its
 //! [`threads`](crate::aggregator::AggregatorBuilder::threads) knob, and
 //! property tests assert it end to end (`tests/parallel_determinism.rs`).
+//!
+//! One phase takes its work differently: the Eq. 9 schedulers hand a
+//! slot's connected components to `threads.get()` workers through
+//! `ps_solver::ufl::map_components`, which deals them out one at a time
+//! from an atomic counter (their costs differ too widely for contiguous
+//! shards) and puts the results back in component order before the
+//! merge, so the same contract holds.
 //!
 //! Workers come from [`std::thread::scope`] — no thread pool, no extra
 //! dependencies, no `'static` bounds. Spawning a handful of OS threads

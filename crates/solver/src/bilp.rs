@@ -125,12 +125,15 @@ const INT_TOLERANCE: f64 = 1e-6;
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
     /// Branch-and-bound node budget (LP relaxations solved beyond the
-    /// root). For [`crate::ufl::solve_exact`] this budget is global
-    /// across all connected components.
+    /// root). [`crate::ufl::solve_exact`] gives every connected component
+    /// this budget of its own, so the order in which components are
+    /// solved cannot change what any of them spends.
     pub max_nodes: usize,
     /// Wall-clock budget for the whole solve; `None` runs to the node
     /// and pivot limits. Deadline-limited solves return the incumbent
     /// with [`SolveStatus::Feasible`] — the anytime contract.
+    /// [`crate::ufl::solve_exact`] shares one deadline across all
+    /// components.
     pub deadline: Option<Duration>,
 }
 
@@ -296,13 +299,19 @@ enum LpNode {
 /// Solves the BILP by best-bound branch-and-bound over the simplex
 /// relaxation. See the module docs for the anytime contract.
 ///
-/// `incumbent` seeds the search with a known 0/1 point, so pruning starts
-/// before the first integral relaxation; it is ignored unless it has one
-/// entry per variable and satisfies every constraint.
+/// `incumbent` yields a known 0/1 point that seeds the search, so pruning
+/// starts before the first integral relaxation; a point is ignored unless
+/// it has one entry per variable and satisfies every constraint. It is
+/// called at most once, right after the root relaxation, and only when
+/// that relaxation leaves the search open (fractional, infeasible,
+/// unbounded, or cut short by the pivot budget): an optimal integral root
+/// is the answer without it. An integral root point (possible under a
+/// pivot-budget strike) is offered first, so the seed replaces it only
+/// when strictly better.
 pub fn solve(
     problem: &BilpProblem,
     options: &SolveOptions,
-    incumbent: Option<Vec<bool>>,
+    incumbent: impl FnOnce() -> Option<Vec<bool>>,
 ) -> BilpSolution {
     let n = problem.num_vars();
     let deadline_at = options.deadline.map(|d| Instant::now() + d);
@@ -317,13 +326,17 @@ pub fn solve(
         limit_hit: false,
     };
 
-    if let Some(seed) = incumbent.filter(|x| x.len() == n && problem.is_feasible(x)) {
-        search.offer_incumbent(seed);
-    }
-
     // Root relaxation (not counted against `max_nodes`).
     let root = search.process(vec![None; n]);
     search.nodes -= 1;
+    // Only an optimal integral root leaves a point, no open node and no
+    // limit strike.
+    let closed = search.heap.is_empty() && search.best.is_some() && !search.limit_hit;
+    if !closed {
+        if let Some(seed) = incumbent().filter(|x| x.len() == n && problem.is_feasible(x)) {
+            search.offer_incumbent(seed);
+        }
+    }
     let lp_bound = match root {
         Some(LpNode::Solved(bound)) => bound,
         Some(LpNode::Unbounded) => {
@@ -523,7 +536,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn solve_default(p: &BilpProblem) -> BilpSolution {
-        solve(p, &SolveOptions::default(), None)
+        solve(p, &SolveOptions::default(), || None)
     }
 
     /// max 10a + 13b + 7c  s.t.  3a + 4b + 2c <= 6: the root relaxation
@@ -589,12 +602,12 @@ mod tests {
     fn node_limit_with_incumbent_is_distinguishable_from_infeasible() {
         let p = fractional_knapsack();
         let opts = SolveOptions::default().with_max_nodes(0);
-        let s = solve(&p, &opts, None);
+        let s = solve(&p, &opts, || None);
         assert_eq!(s.status, SolveStatus::LimitReached);
         // A feasible point is never visited with zero nodes; seed one and
         // the limited solve must surface it (or something at least as
         // good).
-        let s = solve(&p, &opts, Some(vec![false, true, false]));
+        let s = solve(&p, &opts, || Some(vec![false, true, false]));
         assert_eq!(s.status, SolveStatus::LimitReached);
         let x = s.x.expect("incumbent must survive the node limit");
         assert!(p.is_feasible(&x));
@@ -606,7 +619,7 @@ mod tests {
     fn zero_deadline_returns_feasible_incumbent() {
         let p = fractional_knapsack();
         let opts = SolveOptions::default().with_deadline(Duration::ZERO);
-        let s = solve(&p, &opts, Some(vec![true, false, false]));
+        let s = solve(&p, &opts, || Some(vec![true, false, false]));
         // Deadline already expired when the loop starts: the seeded
         // incumbent (possibly improved by the root LP) comes back with a
         // non-Infeasible status.
@@ -633,11 +646,40 @@ mod tests {
             vec![false, true, false, true],
             overweight,
         ] {
-            let s = solve(&p, &opts, Some(seed.clone()));
+            let s = solve(&p, &opts, || Some(seed.clone()));
             assert_eq!(s.status, SolveStatus::LimitReached, "seed {seed:?}");
             assert_eq!(s.x, None, "seed {seed:?} was accepted");
             assert_eq!(s.objective, f64::NEG_INFINITY);
         }
+    }
+
+    /// The seed is built only when the root relaxation leaves the search
+    /// open, and an optimal integral root is the answer even where the
+    /// seed would tie it (both points below are worth 2).
+    #[test]
+    fn seed_is_built_only_when_the_root_leaves_the_search_open() {
+        let calls = std::cell::Cell::new(0);
+        let counted = |x: Vec<bool>| {
+            let calls = &calls;
+            move || {
+                calls.set(calls.get() + 1);
+                Some(x)
+            }
+        };
+        let opts = SolveOptions::default();
+        let s = solve(
+            &fractional_knapsack(),
+            &opts,
+            counted(vec![false, true, false]),
+        );
+        assert_eq!((calls.get(), s.status), (1, SolveStatus::Optimal));
+        let s = solve(
+            &BilpProblem::maximize(vec![2.0, 0.0]),
+            &opts,
+            counted(vec![true, true]),
+        );
+        assert_eq!((calls.get(), s.status), (1, SolveStatus::Optimal));
+        assert_eq!(s.x, Some(vec![true, false]));
     }
 
     fn random_instance(rng: &mut StdRng, n: usize, m: usize) -> BilpProblem {

@@ -12,7 +12,8 @@
 //!    branch-and-bound over its LP relaxations (most-fractional
 //!    branching, incumbent tracking, so every solve is *anytime*); and
 //!    [`ufl`] specializes both to Eq. 9 via connected-component
-//!    decomposition with heuristic incumbent seeding.
+//!    decomposition, with the components spread over worker threads
+//!    and heuristic incumbent seeding.
 //! 2. **The Local Search approximation of Feige, Mirrokni & Vondrák
 //!    (FOCS'07)** for non-monotone submodular maximization, which the paper
 //!    uses as its scalable heuristic for point-query scheduling
@@ -31,7 +32,8 @@
 //! infeasible" from "ran out of budget with a usable incumbent".
 //!
 //! Everything here is deterministic at default options: ties break on the
-//! lowest index, so simulations are reproducible bit-for-bit.
+//! lowest index, and parallel solves merge in component order, so
+//! simulations are reproducible bit-for-bit at any worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,13 +19,17 @@
 //!   the sensor/location bipartite graph (sensors only interact through
 //!   shared locations, so components solve independently), handed to the
 //!   best-bound branch-and-bound of [`crate::bilp`] with the Local
-//!   Search / greedy solutions seeding the incumbent. Node budgets and
-//!   the wall-clock deadline are **global across components**, so the
-//!   whole solve honours [`SolveOptions`] and is anytime: a limited solve
-//!   still returns a feasible open set at least as good as Local Search.
+//!   Search / greedy solutions seeding the incumbent. The node budget
+//!   applies **per component** and the wall-clock deadline is shared, so
+//!   the whole solve honours [`SolveOptions`] and is anytime: a limited
+//!   solve still returns a feasible open set at least as good as Local
+//!   Search.
 //! * [`lp_relaxation_bound`] — the root LP-relaxation value, a certified
 //!   upper bound on Eq. 12 welfare (used for `optimality_gap` reporting
 //!   against heuristic schedulers).
+//! * [`map_components`] — the work queue both of them run on: components
+//!   go to worker threads one at a time and come back in component
+//!   order, so every result is the same for every worker count.
 //! * [`solve_local_search`] — the Feige-et-al. Local Search of §3.1.2,
 //!   specialized with incremental best/second-best bookkeeping so that a
 //!   full add-pass costs `O(edges)` instead of `O(n · oracle)`.
@@ -34,6 +38,7 @@
 
 use crate::bilp::{self, BilpProblem, SolveOptions, SolveStatus};
 use crate::simplex::{self, Constraint, LpStatus};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// A welfare-maximization facility-location instance.
@@ -310,8 +315,68 @@ const EPS: f64 = 1e-9;
 /// no artificial column: about 2.2 M cells, 17 MB. A branch-and-bound
 /// node adds one `=` row and its artificial column per fixed assignment
 /// variable, so the deepest node stays under 1 800 × 2 400 cells
-/// (34 MB).
+/// (34 MB). Each worker of [`solve_exact`] holds one tableau at a time,
+/// so a parallel solve peaks at up to `workers × ~34 MB`.
 pub const MAX_EXACT_VARS: usize = 600;
+
+/// Fewest components each worker of [`map_components`] must get. A
+/// slot with fewer than twice this many runs inline on the calling
+/// thread: a paper-scale slot's solves take less time than spawning a
+/// thread. A city slot has ~780 components.
+pub const MIN_COMPONENTS_PER_WORKER: usize = 32;
+
+/// Maps `f` over the sub-problems of `components` (as
+/// [`WelfareProblem::components`] returns them) on up to `workers`
+/// threads and returns the results in component order, so a caller that
+/// merges them in that order gets the same bits for every worker count.
+///
+/// Workers draw the next component from one shared counter, and the
+/// calling thread is one of them, so at most `workers − 1` scoped
+/// threads are spawned. Components differ widely in cost (a single
+/// facility next to a hundred-variable LP), so fixed contiguous shares
+/// would leave one worker idle while the other finishes. Each worker
+/// must get [`MIN_COMPONENTS_PER_WORKER`] components; `workers = 0`
+/// counts as 1.
+pub fn map_components<R, F>(
+    components: &[(Vec<usize>, WelfareProblem)],
+    workers: usize,
+    f: F,
+) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&WelfareProblem) -> R + Sync,
+{
+    let workers = workers
+        .min(components.len() / MIN_COMPONENTS_PER_WORKER)
+        .max(1);
+    if workers == 1 {
+        return components.iter().map(|(_, sub)| f(sub)).collect();
+    }
+    // `Relaxed` suffices: the counter publishes nothing but the index it
+    // hands out. The components are read-only for the whole scope, and
+    // the results come back through `join`.
+    let next = AtomicUsize::new(0);
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            let Some((_, sub)) = components.get(c) else {
+                break done;
+            };
+            done.push((c, f(sub)));
+        }
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mut done = drain();
+        for helper in helpers {
+            done.extend(helper.join().expect("component worker panicked"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(c, _)| c);
+    done.into_iter().map(|(_, r)| r).collect()
+}
 
 /// Greedy marginal-gain facility opening (test baseline + primal warm
 /// start): repeatedly open the facility with the best welfare gain while
@@ -524,16 +589,19 @@ impl<'a> LsState<'a> {
 
 /// Exact solve through the new solver core: connected-component
 /// decomposition, then the Eq. 9 BILP of each component handed to the
-/// best-bound branch-and-bound of [`crate::bilp`].
+/// best-bound branch-and-bound of [`crate::bilp`], on up to `workers`
+/// threads ([`map_components`]).
 ///
 /// The anytime contract: the better of the Local Search and greedy
-/// solutions seeds every component's incumbent *before* any LP is solved,
-/// so a deadline- or budget-limited solve always returns a feasible open
-/// set at least as good as Local Search, with a status
+/// solutions seeds a component's incumbent whenever its root LP leaves
+/// the search open, so a deadline- or budget-limited solve always returns
+/// a feasible open set at least as good as Local Search, with a status
 /// ([`SolveStatus::Feasible`] / [`SolveStatus::LimitReached`]) that is
-/// never confusable with infeasibility. `options.max_nodes` and
-/// `options.deadline` are global across components, spent in the order
-/// the components come (ascending lowest facility).
+/// never confusable with infeasibility. A component whose root LP is
+/// optimal and integral returns the LP's open set without building the
+/// seed. `options.max_nodes` is a budget per component and
+/// `options.deadline` one instant for the whole solve, so no component's
+/// result depends on the order in which components are solved.
 ///
 /// Components whose Eq. 9 BILP would exceed [`MAX_EXACT_VARS`] variables
 /// never touch the tableau: they keep the heuristic seed and a certified
@@ -542,80 +610,31 @@ impl<'a> LsState<'a> {
 /// where the facility/location graph collapses into one giant connected
 /// component — inside the per-slot time budget.
 ///
-/// The reported `lp_bound` is the sum of the per-component bounds,
-/// unclamped: at default options it equals [`lp_relaxation_bound`] bit
-/// for bit.
-pub fn solve_exact(p: &WelfareProblem, options: &SolveOptions) -> WelfareSolution {
+/// Components are merged in component order, and the reported `lp_bound`
+/// is the sum of their bounds in that order, unclamped: at default
+/// options it equals [`lp_relaxation_bound`] bit for bit. Without a
+/// deadline the whole result (open set, assignment, welfare, bound,
+/// nodes and status) is the same for every worker count.
+pub fn solve_exact(p: &WelfareProblem, options: &SolveOptions, workers: usize) -> WelfareSolution {
+    let deadline_at = options.deadline.map(|d| Instant::now() + d);
+    let components = p.components();
+    let solved = map_components(&components, workers, |sub| {
+        solve_component(sub, options.max_nodes, deadline_at)
+    });
+
     let mut open = vec![false; p.num_facilities()];
     let mut lp_bound = 0.0f64;
     let mut nodes = 0usize;
     let mut any_limit = false;
     let mut any_unproven = false;
-    let deadline_at = options.deadline.map(|d| Instant::now() + d);
-
-    for (facilities, sub) in p.components() {
-        // Fast path: one facility — the open/closed comparison is exact.
-        if sub.num_facilities() == 1 {
-            let gain = sub.welfare_of(&[true]);
-            open[facilities[0]] = gain > EPS;
-            lp_bound += gain.max(0.0);
-            continue;
-        }
-
-        // Seed: the better of local search and greedy. Dead facilities
-        // are pruned, so the seed's welfare is the pruned Eq. 12 value.
-        let mut seed = solve_local_search(&sub);
-        let gr = solve_greedy(&sub);
-        if gr.welfare > seed.welfare {
-            seed = gr;
-        }
-
-        // Out of time, or too big for the dense tableau: keep the
-        // heuristic seed and charge the O(edges) dual bound. A size
-        // strike is a limit (the search was cut short by size, not
-        // proven).
-        let expired = deadline_at.is_some_and(|at| Instant::now() >= at);
-        let sub_open = if expired || bilp_vars(&sub) > MAX_EXACT_VARS {
-            if expired {
-                any_unproven = true;
-            } else {
-                any_limit = true;
-            }
-            lp_bound += fast_dual_bound(&sub);
-            seed.open
-        } else {
-            let comp_opts = SolveOptions {
-                max_nodes: options.max_nodes.saturating_sub(nodes),
-                deadline: deadline_at.map(|at| at.saturating_duration_since(Instant::now())),
-            };
-            let sol = bilp::solve(&sub.to_bilp(), &comp_opts, Some(sub.bilp_point(&seed.open)));
-            nodes += sol.nodes;
-            match sol.status {
-                SolveStatus::Optimal => {}
-                SolveStatus::Feasible => any_unproven = true,
-                // Infeasible/Unbounded cannot occur for Eq. 9 programs;
-                // treat them like a limit strike and keep the heuristic
-                // seed.
-                _ => any_limit = true,
-            }
-            lp_bound += if sol.lp_bound.is_finite() {
-                sol.lp_bound.max(0.0)
-            } else {
-                fast_dual_bound(&sub)
-            };
-            // The incumbent is always at least the seed (it was offered
-            // first); fall back to the seed defensively anyway.
-            match sol.x {
-                Some(mut x) if sol.objective >= seed.welfare - 1e-9 => {
-                    x.truncate(sub.num_facilities());
-                    x
-                }
-                _ => seed.open,
-            }
-        };
-        for (&f, o) in facilities.iter().zip(sub_open) {
+    for ((facilities, _), part) in components.iter().zip(solved) {
+        for (&f, o) in facilities.iter().zip(part.open) {
             open[f] = o;
         }
+        lp_bound += part.bound;
+        nodes += part.nodes;
+        any_limit |= part.status == SolveStatus::LimitReached;
+        any_unproven |= part.status == SolveStatus::Feasible;
     }
 
     let mut sol = p.solution_from_open(&open);
@@ -631,28 +650,127 @@ pub fn solve_exact(p: &WelfareProblem, options: &SolveOptions) -> WelfareSolutio
     sol
 }
 
+/// One component's share of [`solve_exact`].
+struct ComponentSolution {
+    /// Open set in the component's local facility ids.
+    open: Vec<bool>,
+    /// Certified upper bound on the component's welfare.
+    bound: f64,
+    /// Branch-and-bound nodes spent.
+    nodes: usize,
+    /// `Optimal`, `Feasible` (deadline) or `LimitReached` (budget, size,
+    /// or a status an Eq. 9 program cannot produce).
+    status: SolveStatus,
+}
+
+/// Solves one component under its own node budget and the solve's
+/// shared deadline.
+fn solve_component(
+    sub: &WelfareProblem,
+    max_nodes: usize,
+    deadline_at: Option<Instant>,
+) -> ComponentSolution {
+    // Fast path: one facility — the open/closed comparison is exact.
+    if sub.num_facilities() == 1 {
+        let gain = sub.welfare_of(&[true]);
+        return ComponentSolution {
+            open: vec![gain > EPS],
+            bound: gain.max(0.0),
+            nodes: 0,
+            status: SolveStatus::Optimal,
+        };
+    }
+
+    // Out of time, or too big for the dense tableau: keep the heuristic
+    // seed and charge the O(edges) dual bound. A size strike is a limit
+    // (the search was cut short by size, not proven).
+    let expired = deadline_at.is_some_and(|at| Instant::now() >= at);
+    if expired || bilp_vars(sub) > MAX_EXACT_VARS {
+        return ComponentSolution {
+            open: heuristic_seed(sub).open,
+            bound: fast_dual_bound(sub),
+            nodes: 0,
+            status: if expired {
+                SolveStatus::Feasible
+            } else {
+                SolveStatus::LimitReached
+            },
+        };
+    }
+
+    let options = SolveOptions {
+        max_nodes,
+        deadline: deadline_at.map(|at| at.saturating_duration_since(Instant::now())),
+    };
+    let sol = bilp::solve(&sub.to_bilp(), &options, || {
+        Some(sub.bilp_point(&heuristic_seed(sub).open))
+    });
+    let bound = if sol.lp_bound.is_finite() {
+        sol.lp_bound.max(0.0)
+    } else {
+        fast_dual_bound(sub)
+    };
+    let status = match sol.status {
+        SolveStatus::Optimal | SolveStatus::Feasible => sol.status,
+        // Infeasible/Unbounded cannot occur for Eq. 9 programs; treat
+        // them like a limit strike.
+        _ => SolveStatus::LimitReached,
+    };
+    // The search returns the optimal integral root, or an incumbent at
+    // least as good as the seed it was offered. An Eq. 9 program always
+    // has one (opening nothing is feasible); fall back to the seed
+    // defensively anyway.
+    let open = match sol.x {
+        Some(mut x) => {
+            x.truncate(sub.num_facilities());
+            x
+        }
+        None => heuristic_seed(sub).open,
+    };
+    ComponentSolution {
+        open,
+        bound,
+        nodes: sol.nodes,
+        status,
+    }
+}
+
+/// The incumbent seed: the better of Local Search and greedy, Local
+/// Search on ties. Dead facilities are pruned, so its welfare is the
+/// pruned Eq. 12 value.
+fn heuristic_seed(sub: &WelfareProblem) -> WelfareSolution {
+    let ls = solve_local_search(sub);
+    let gr = solve_greedy(sub);
+    if gr.welfare > ls.welfare {
+        gr
+    } else {
+        ls
+    }
+}
+
 /// Certified upper bound on the optimal Eq. 12 welfare via the root LP
-/// relaxation of each component (no branching). Components past
+/// relaxation of each component (no branching), on up to `workers`
+/// threads ([`map_components`]) and summed in component order, so the
+/// bits are the same for every worker count. Components past
 /// [`MAX_EXACT_VARS`], or whose LP exhausts the pivot budget,
 /// fall back to an `O(edges)` dual-feasible bound (`fast_dual_bound`).
 /// Used to report `optimality_gap` for heuristic schedulers without
 /// running the full branch-and-bound.
-pub fn lp_relaxation_bound(p: &WelfareProblem) -> f64 {
-    let mut bound = 0.0f64;
-    for (_, sub) in p.components() {
-        bound += if sub.num_facilities() == 1 {
+pub fn lp_relaxation_bound(p: &WelfareProblem, workers: usize) -> f64 {
+    let bounds = map_components(&p.components(), workers, |sub| {
+        if sub.num_facilities() == 1 {
             sub.welfare_of(&[true]).max(0.0)
-        } else if bilp_vars(&sub) > MAX_EXACT_VARS {
-            fast_dual_bound(&sub)
+        } else if bilp_vars(sub) > MAX_EXACT_VARS {
+            fast_dual_bound(sub)
         } else {
             let out = simplex::solve(&sub.to_bilp().lp_relaxation());
             match out.status {
                 LpStatus::Optimal => out.objective.max(0.0),
-                _ => fast_dual_bound(&sub),
+                _ => fast_dual_bound(sub),
             }
-        };
-    }
-    bound
+        }
+    });
+    bounds.into_iter().fold(0.0, |sum, b| sum + b)
 }
 
 /// Number of variables the Eq. 9 BILP of [`WelfareProblem::to_bilp`]
@@ -800,7 +918,7 @@ pub(crate) mod tests {
     #[test]
     fn exact_solves_tiny_instance() {
         let p = tiny_instance();
-        let sol = solve_exact(&p, &SolveOptions::default());
+        let sol = solve_exact(&p, &SolveOptions::default(), 1);
         assert!(sol.proven_optimal());
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert_eq!(sol.welfare, 5.0);
@@ -828,7 +946,7 @@ pub(crate) mod tests {
         // All values below cost → best is to select nothing (the paper's
         // baseline observation at budgets 7–10 with C_s = 10).
         let p = WelfareProblem::new(vec![10.0, 10.0], vec![vec![(0, 6.0)], vec![(1, 7.0)]]);
-        let exact = solve_exact(&p, &SolveOptions::default());
+        let exact = solve_exact(&p, &SolveOptions::default(), 1);
         assert_eq!(exact.welfare, 0.0);
         assert!(exact.open.iter().all(|&o| !o));
         let ls = solve_local_search(&p);
@@ -851,7 +969,7 @@ pub(crate) mod tests {
     fn sharing_makes_unaffordable_sensors_affordable() {
         // Two clients, each worth 6 < cost 10, but together 12 > 10.
         let p = WelfareProblem::new(vec![10.0], vec![vec![(0, 6.0)], vec![(0, 6.0)]]);
-        let exact = solve_exact(&p, &SolveOptions::default());
+        let exact = solve_exact(&p, &SolveOptions::default(), 1);
         assert_eq!(exact.welfare, 2.0);
         assert_eq!(exact.open, vec![true]);
     }
@@ -877,7 +995,7 @@ pub(crate) mod tests {
                 vec![(2, 1.0), (3, 4.0)],
             ],
         );
-        let sol = solve_exact(&p, &SolveOptions::default());
+        let sol = solve_exact(&p, &SolveOptions::default(), 1);
         assert!(sol.proven_optimal());
         assert_eq!(sol.welfare, 10.0);
         assert_eq!(sol.open, vec![false, true, false, true]);
@@ -889,7 +1007,7 @@ pub(crate) mod tests {
     #[test]
     fn node_limited_solve_keeps_heuristic_incumbent() {
         let p = gap_triangle();
-        let sol = solve_exact(&p, &SolveOptions::default().with_max_nodes(0));
+        let sol = solve_exact(&p, &SolveOptions::default().with_max_nodes(0), 1);
         assert_eq!(sol.status, SolveStatus::LimitReached);
         assert!(!sol.proven_optimal());
         // Local search already finds the single-facility optimum (2.0);
@@ -904,7 +1022,7 @@ pub(crate) mod tests {
     #[test]
     fn full_budget_closes_the_gap_triangle() {
         let p = gap_triangle();
-        let sol = solve_exact(&p, &SolveOptions::default());
+        let sol = solve_exact(&p, &SolveOptions::default(), 1);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.welfare - 2.0).abs() < 1e-9);
     }
@@ -918,7 +1036,7 @@ pub(crate) mod tests {
             let p = random_instance(&mut rng, 10, 12);
             let ls = solve_local_search(&p);
             let opts = SolveOptions::default().with_deadline(Duration::ZERO);
-            let sol = solve_exact(&p, &opts);
+            let sol = solve_exact(&p, &opts, 1);
             assert!(
                 matches!(sol.status, SolveStatus::Feasible | SolveStatus::Optimal),
                 "status {:?}",
@@ -1102,10 +1220,10 @@ pub(crate) mod tests {
             let comps = p.components();
             singles += comps.iter().filter(|(m, _)| m.len() == 1).count();
             isolated += p.num_facilities() - comps.iter().map(|(m, _)| m.len()).sum::<usize>();
-            let exact = solve_exact(&p, &SolveOptions::default());
+            let exact = solve_exact(&p, &SolveOptions::default(), 1);
             assert_eq!(
                 exact.lp_bound.map(f64::to_bits),
-                Some(lp_relaxation_bound(&p).to_bits()),
+                Some(lp_relaxation_bound(&p, 1).to_bits()),
                 "trial {trial}"
             );
         }
@@ -1115,13 +1233,120 @@ pub(crate) mod tests {
         );
     }
 
+    /// Results come back in component order even when workers finish
+    /// them out of order: the worker holding component 0 waits until
+    /// component 1 is done.
+    #[test]
+    fn map_components_keeps_component_order_whatever_finishes_first() {
+        use std::sync::{mpsc, Mutex};
+        // Component c: facility c, of cost c, serving one client.
+        let n = 2 * MIN_COMPONENTS_PER_WORKER;
+        let costs = (0..n).map(|c| c as f64).collect();
+        let comps =
+            WelfareProblem::new(costs, (0..n).map(|c| vec![(c, 1.0)]).collect()).components();
+        assert_eq!(comps.len(), n);
+        let (one_done, wait_for_one) = mpsc::channel();
+        let wait_for_one = Mutex::new(wait_for_one);
+        let finished = Mutex::new(Vec::new());
+        let ids = map_components(&comps, 2, |sub| {
+            let c = sub.facility_cost[0] as usize;
+            match c {
+                0 => wait_for_one.lock().unwrap().recv().unwrap(),
+                1 => one_done.send(()).unwrap(),
+                _ => {}
+            }
+            finished.lock().unwrap().push(c);
+            c
+        });
+        assert_eq!(ids, (0..n).collect::<Vec<_>>());
+        let finished = finished.into_inner().unwrap();
+        let at = |c| finished.iter().position(|&x| x == c);
+        assert!(at(1) < at(0), "{finished:?}");
+    }
+
+    /// Every field of a solve, floats as bits.
+    fn solve_bits(sol: &WelfareSolution) -> impl PartialEq + std::fmt::Debug {
+        (
+            sol.open.clone(),
+            sol.assignment.clone(),
+            sol.welfare.to_bits(),
+            sol.lp_bound.map(f64::to_bits),
+            sol.nodes,
+            sol.status,
+        )
+    }
+
+    /// `p` followed by two disjoint copies of [`gap_triangle`], so two
+    /// of its components have a fractional root.
+    fn with_two_gap_triangles(mut p: WelfareProblem) -> WelfareProblem {
+        for _ in 0..2 {
+            let offset = p.num_facilities();
+            let triangle = gap_triangle();
+            p.facility_cost.extend(triangle.facility_cost);
+            p.client_values.extend(
+                triangle
+                    .client_values
+                    .into_iter()
+                    .map(|list| list.into_iter().map(|(f, v)| (f + offset, v)).collect()),
+            );
+        }
+        p
+    }
+
+    /// Instances with enough components to run on more than one worker
+    /// give the same solve and bound at 1, 2 and 7 workers, under the
+    /// default budget and under a binding one. The binding budget is per
+    /// component: the whole solve spends exactly the nodes its components
+    /// spend when each is solved alone, which a budget shared between the
+    /// two branching triangles would not.
+    #[test]
+    fn exact_solve_is_worker_count_invariant() {
+        let mut rng = StdRng::seed_from_u64(2027);
+        for trial in 0..20 {
+            let p = with_two_gap_triangles(clustered_instance(&mut rng, 200, 300));
+            let comps = p.components();
+            assert!(
+                comps.len() >= 2 * MIN_COMPONENTS_PER_WORKER,
+                "trial {trial}: {} components run inline",
+                comps.len()
+            );
+            for options in [
+                SolveOptions::default(),
+                SolveOptions::default().with_max_nodes(1),
+            ] {
+                let serial = solve_exact(&p, &options, 1);
+                let alone: Vec<usize> = comps
+                    .iter()
+                    .map(|(_, sub)| solve_exact(sub, &options, 1).nodes)
+                    .collect();
+                assert_eq!(serial.nodes, alone.iter().sum::<usize>(), "trial {trial}");
+                assert!(
+                    alone.iter().filter(|&&n| n > 0).count() >= 2,
+                    "trial {trial}"
+                );
+                for workers in [2, 7] {
+                    assert_eq!(
+                        solve_bits(&solve_exact(&p, &options, workers)),
+                        solve_bits(&serial),
+                        "trial {trial}, {workers} workers, {} nodes",
+                        options.max_nodes
+                    );
+                }
+            }
+            let bound = lp_relaxation_bound(&p, 1).to_bits();
+            for workers in [2, 7] {
+                assert_eq!(lp_relaxation_bound(&p, workers).to_bits(), bound);
+            }
+        }
+    }
+
     #[test]
     fn exact_matches_exhaustive_on_random_instances() {
         let mut rng = StdRng::seed_from_u64(99);
         for trial in 0..40 {
             let p = random_instance(&mut rng, 8, 10);
             let ex = solve_exhaustive(&p);
-            let bb = solve_exact(&p, &SolveOptions::default());
+            let bb = solve_exact(&p, &SolveOptions::default(), 1);
             assert!(bb.proven_optimal(), "trial {trial} not proven");
             assert!(
                 (bb.welfare - ex.welfare).abs() < 1e-7,
@@ -1144,8 +1369,8 @@ pub(crate) mod tests {
         for _ in 0..10 {
             let p = random_instance(&mut rng, 5, 6);
             let bp = p.to_bilp();
-            let bilp_sol = bilp::solve(&bp, &SolveOptions::default(), None);
-            let ufl_sol = solve_exact(&p, &SolveOptions::default());
+            let bilp_sol = bilp::solve(&bp, &SolveOptions::default(), || None);
+            let ufl_sol = solve_exact(&p, &SolveOptions::default(), 1);
             assert!(
                 (bilp_sol.objective.max(0.0) - ufl_sol.welfare).abs() < 1e-6,
                 "bilp={} ufl={}",
@@ -1205,7 +1430,7 @@ pub(crate) mod tests {
         assert!(bilp_vars(&p) > MAX_EXACT_VARS, "instance not oversized");
 
         let start = Instant::now();
-        let sol = solve_exact(&p, &SolveOptions::default());
+        let sol = solve_exact(&p, &SolveOptions::default(), 1);
         let elapsed = start.elapsed();
         assert_eq!(sol.status, SolveStatus::LimitReached);
         let ls = solve_local_search(&p);
@@ -1218,7 +1443,7 @@ pub(crate) mod tests {
 
         // The standalone bound path takes the same shortcut and stays
         // consistent with the achieved welfare.
-        let bound = lp_relaxation_bound(&p);
+        let bound = lp_relaxation_bound(&p, 1);
         assert!(sol.welfare <= bound + 1e-9);
     }
 
@@ -1227,7 +1452,7 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(1234);
         for _ in 0..60 {
             let p = random_instance(&mut rng, 7, 9);
-            let bound = lp_relaxation_bound(&p);
+            let bound = lp_relaxation_bound(&p, 1);
             let opt = solve_exhaustive(&p);
             assert!(
                 bound >= opt.welfare - 1e-7,
@@ -1243,7 +1468,7 @@ pub(crate) mod tests {
         for _ in 0..30 {
             let p = random_instance(&mut rng, 10, 12);
             let ls = solve_local_search(&p);
-            let ex = solve_exact(&p, &SolveOptions::default());
+            let ex = solve_exact(&p, &SolveOptions::default(), 1);
             assert!(ls.welfare <= ex.welfare + 1e-7);
             assert!(ls.welfare >= 0.0);
         }
@@ -1253,7 +1478,7 @@ pub(crate) mod tests {
     fn assignments_point_to_open_facilities() {
         let mut rng = StdRng::seed_from_u64(31337);
         let p = random_instance(&mut rng, 12, 15);
-        let sol = solve_exact(&p, &SolveOptions::default());
+        let sol = solve_exact(&p, &SolveOptions::default(), 1);
         for (l, a) in sol.assignment.iter().enumerate() {
             if let Some(f) = a {
                 assert!(sol.open[*f], "client {l} assigned to closed facility");
@@ -1268,7 +1493,7 @@ pub(crate) mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let p = random_instance(&mut rng, 9, 11);
             let ls = solve_local_search(&p);
-            let ex = solve_exact(&p, &SolveOptions::default());
+            let ex = solve_exact(&p, &SolveOptions::default(), 1);
             prop_assert!(ex.welfare + 1e-7 >= ls.welfare);
             let brute = solve_exhaustive(&p);
             prop_assert!((ex.welfare - brute.welfare).abs() < 1e-6);

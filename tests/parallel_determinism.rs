@@ -10,12 +10,21 @@ mod common;
 
 use proptest::prelude::*;
 use ps_core::aggregator::{Aggregator, AggregatorBuilder, SlotReport};
+use ps_core::alloc::optimal::OptimalScheduler;
+use ps_core::alloc::{PointAllocation, PointScheduler};
+use ps_core::exec::Threads;
+use ps_core::model::SensorSnapshot;
+use ps_core::query::PointQuery;
 use ps_core::valuation::quality::QualityModel;
+use ps_geo::{Rect, SensorIndex};
 use ps_gp::kernel::SquaredExponential;
 use ps_sim::config::Scale;
 use ps_sim::workload::{test_monitoring_ctx, StandingMixProfile};
+use ps_solver::ufl::{self, WelfareProblem};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// Small but genuinely mixed: every query type participates, bursts on.
 fn small_profile() -> StandingMixProfile {
@@ -35,17 +44,66 @@ fn small_profile() -> StandingMixProfile {
 /// than twice this many, every thread count runs the serial code.
 const LOCATIONS_PER_SHARD: usize = 64;
 
-/// [`small_profile`] grown until the per-location phases of the
-/// scheduled paths actually shard: point locations are unit-cell centres
-/// of the arena, at least ten cells per point, so nearly every point is
-/// a distinct location and a slot clears `3 × LOCATIONS_PER_SHARD`.
+/// [`small_profile`] grown until the scheduled paths actually shard.
+/// - Per location: point locations are unit-cell centres of the arena,
+///   at least ten cells per point, so nearly every point is a distinct
+///   location and a slot clears `3 × LOCATIONS_PER_SHARD`.
+/// - Per Eq. 9 component: 72 cells per point and half the paper's
+///   sensor density (635 sensors on 80 × 80) split a slot's
+///   facility/location graph into 117–136 components, past the work
+///   floor of `ufl::map_components` at three workers (checked by
+///   [`scheduled_paths_are_thread_count_invariant`]).
 fn sharding_profile() -> StandingMixProfile {
     let mut p = small_profile();
-    p.sensors = 400;
+    p.arena = Rect::with_size(120.0, 120.0);
+    p.sensors = 700;
     p.points_per_slot = 200;
     assert!(p.points_per_slot >= 3 * LOCATIONS_PER_SHARD);
     assert!(p.arena.area() >= 10.0 * p.points_per_slot as f64);
     p
+}
+
+/// The exact scheduler, recording how many connected components each
+/// slot's Eq. 9 problem has. It builds the problem again from the
+/// scheduler's input: one client per distinct queried location, an edge
+/// to each sensor in range that the location's queries value.
+struct CountComponents(Mutex<Vec<usize>>);
+
+impl PointScheduler for CountComponents {
+    fn schedule_sharded(
+        &self,
+        queries: &[PointQuery],
+        sensors: &[SensorSnapshot],
+        quality: &QualityModel,
+        index: Option<&SensorIndex>,
+        threads: Threads,
+    ) -> PointAllocation {
+        let mut at: BTreeMap<(u64, u64), Vec<&PointQuery>> = BTreeMap::new();
+        for q in queries {
+            at.entry((q.loc.x.to_bits(), q.loc.y.to_bits()))
+                .or_default()
+                .push(q);
+        }
+        let clients = at
+            .values()
+            .map(|qs| {
+                let loc = qs[0].loc;
+                sensors
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| quality.in_range(s, loc))
+                    .map(|(i, s)| {
+                        let theta = quality.quality(s, loc);
+                        (i, qs.iter().map(|q| q.value_of_quality(theta)).sum())
+                    })
+                    .collect()
+            })
+            .collect();
+        let costs = sensors.iter().map(|s| s.cost).collect();
+        let components = WelfareProblem::new(costs, clients).components().len();
+        self.0.lock().unwrap().push(components);
+        OptimalScheduler::new().schedule_sharded(queries, sensors, quality, index, threads)
+    }
 }
 
 /// Everything one run produced, cumulative state included.
@@ -181,8 +239,29 @@ proptest! {
 #[test]
 fn scheduled_paths_are_thread_count_invariant() {
     // The §4.5/§4.6 dedicated-scheduler paths shard the Eq. 9 problem
-    // build and the baseline candidate evaluation; both must stay exact.
+    // build and the baseline candidate evaluation, and spread the Eq. 9
+    // components (exact solve, LP bound, greedy) over the workers; all
+    // must stay exact.
     let profile = sharding_profile();
+    // Below the component floor every thread count would run the serial
+    // solve, and the comparison would test nothing.
+    let counter = CountComponents(Mutex::new(Vec::new()));
+    run(
+        &mut AggregatorBuilder::new(QualityModel::new(5.0))
+            .scheduler(&counter)
+            .build(),
+        &profile,
+        42,
+        3,
+    );
+    let components = counter.0.into_inner().unwrap();
+    assert_eq!(components.len(), 3);
+    assert!(
+        components
+            .iter()
+            .all(|&n| n >= 2 * ufl::MIN_COMPONENTS_PER_WORKER),
+        "components per slot: {components:?}"
+    );
     for (label, scheduler) in common::all_schedulers() {
         let build = |threads: usize| {
             AggregatorBuilder::new(QualityModel::new(5.0))

@@ -107,7 +107,7 @@ fn deadline_limited_solves_stay_between_greedy_and_lp_bound() {
     for seed in 0..20 {
         let problem = random_welfare(24, 60, seed);
         let options = SolveOptions::default().with_deadline(Duration::ZERO);
-        let solution = ufl::solve_exact(&problem, &options);
+        let solution = ufl::solve_exact(&problem, &options, 1);
         assert_ne!(
             solution.status,
             SolveStatus::Infeasible,
@@ -139,7 +139,7 @@ fn node_limited_solves_never_report_bogus_infeasible() {
     for seed in 100..120 {
         let problem = random_welfare(24, 60, seed);
         let options = SolveOptions::default().with_max_nodes(0);
-        let solution = ufl::solve_exact(&problem, &options);
+        let solution = ufl::solve_exact(&problem, &options, 1);
         assert!(
             matches!(
                 solution.status,
