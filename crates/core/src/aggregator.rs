@@ -46,9 +46,10 @@
 //!    queries (Algorithm 2).
 //! 2. **evaluate** *(parallel)* — the per-query, read-only work: Eq. 18
 //!    weighted-cost accumulation, per-monitor region planning
-//!    (Algorithms 3–4), Algorithm 1 relevance lists and initial gains,
-//!    and the point schedulers' candidate/value evaluation. Shards cover
-//!    contiguous ranges; partials merge in ascending range order.
+//!    (Algorithms 3–4), Algorithm 1 relevance lists and initial
+//!    per-pair marginals, and the point schedulers' candidate/value
+//!    evaluation. Shards cover contiguous ranges; partials merge in
+//!    ascending range order.
 //! 3. **select** *(serial)* — the adaptive greedy selection (Algorithm 1
 //!    / the configured [`PointScheduler`] argmax), where each pick
 //!    conditions the next.
@@ -822,7 +823,9 @@ impl<'s> Aggregator<'s> {
             return sensors.iter().map(|s| s.cost).collect();
         }
         let monitors = &self.region_monitors;
-        let shards = self.threads.map_ranges_min(monitors.len(), 8, |range| {
+        // Floor: one rectangle query + a short filter per monitor; don't
+        // spawn for fewer than 64 of them.
+        let shards = self.threads.map_ranges_min(monitors.len(), 64, |range| {
             let mut k = vec![0u32; sensors.len()];
             let mut buf: Vec<usize> = Vec::new();
             for m in monitors[range].iter().filter(|m| m.is_active(t)) {
@@ -1128,31 +1131,21 @@ impl<'s> Aggregator<'s> {
             }
         }
 
-        // Stable-id → snapshot-index map, built once per slot. Sorted
-        // pairs + binary search: at city scale, hashing every announced
-        // sensor cost more than the whole index build.
-        let id_to_index: Vec<(usize, usize)> = {
-            let mut m: Vec<(usize, usize)> =
-                sensors.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
-            m.sort_unstable();
-            m
-        };
-        let index_of = |stable: usize| -> usize {
-            let k = id_to_index
-                .binary_search_by_key(&stable, |&(id, _)| id)
-                .expect("serving sensor was announced this slot");
-            id_to_index[k].1
-        };
-        let answers = point_vals
-            .iter()
-            .zip(point_payments)
-            .map(|(v, payments)| PointResult {
+        // Algorithm 1 commits a point query only with a positive
+        // marginal, and every such commit raises its value, so the last
+        // payment entry (a 0 one for a pre-bought sensor) names the
+        // serving sensor's snapshot index.
+        let answers = point_vals.iter().zip(point_payments).map(|(v, payments)| {
+            let sensor = payments.last().map(|&(si, _)| si);
+            debug_assert_eq!(sensor.map(|si| sensors[si].id), v.best_sensor());
+            PointResult {
                 id: v.query().id,
                 value: v.current_value(),
                 paid: payments.iter().map(|&(_, p)| p).sum(),
                 quality: v.best_quality(),
-                sensor: v.best_sensor().map(index_of),
-            });
+                sensor,
+            }
+        });
         let rm_satisfied = self.route_points(t, sensors, &queries, answers, &mut report);
 
         let selected_snapshots: Vec<SensorSnapshot> = selection

@@ -47,7 +47,20 @@ impl PointScheduler for EgalitarianScheduler {
 /// maximizing (#newly served queries) / cost among sensors whose served
 /// value covers their cost (individual rationality must survive Eq. 11
 /// payments).
+///
+/// Each sensor's clients are listed once up front, in ascending client
+/// order with the client's first candidate entry for that sensor, so a
+/// step walks every candidate edge once and sums values in the same
+/// client order as a scan over all clients would.
 fn solve_by_count(problem: &WelfareProblem, groups: &LocationGroups) -> WelfareSolution {
+    let mut clients_of: Vec<Vec<(usize, f64)>> = vec![Vec::new(); problem.num_facilities()];
+    for (client, cands) in problem.client_values.iter().enumerate() {
+        for &(f, v) in cands {
+            if clients_of[f].last().map(|&(c, _)| c) != Some(client) {
+                clients_of[f].push((client, v));
+            }
+        }
+    }
     let mut open = vec![false; problem.num_facilities()];
     let mut served = vec![false; problem.num_clients()];
     loop {
@@ -58,11 +71,8 @@ fn solve_by_count(problem: &WelfareProblem, groups: &LocationGroups) -> WelfareS
             }
             let mut new_queries = 0usize;
             let mut value = 0.0;
-            for (client, cands) in problem.client_values.iter().enumerate() {
-                if served[client] {
-                    continue;
-                }
-                if let Some(&(_, v)) = cands.iter().find(|&&(cf, _)| cf == f) {
+            for &(client, v) in &clients_of[f] {
+                if !served[client] {
                     new_queries += groups.groups[client].len();
                     value += v;
                 }
@@ -78,10 +88,8 @@ fn solve_by_count(problem: &WelfareProblem, groups: &LocationGroups) -> WelfareS
         }
         let Some((f, _)) = best else { break };
         open[f] = true;
-        for (client, cands) in problem.client_values.iter().enumerate() {
-            if !served[client] && cands.iter().any(|&(cf, _)| cf == f) {
-                served[client] = true;
-            }
+        for &(client, _) in &clients_of[f] {
+            served[client] = true;
         }
     }
     problem.solution_from_open(&open)

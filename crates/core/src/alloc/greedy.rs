@@ -23,19 +23,24 @@
 //!   exact [`SetValuation::is_relevant`] filter still runs on the
 //!   candidates, so the lists are identical on the grid and on
 //!   [`SensorIndex::scan_all`].
-//! * **Eager gain maintenance.** A sensor's gain only changes when one of
-//!   its relevant queries receives a commit, so after each selection the
-//!   loop recomputes gains for exactly the affected sensors and keeps all
-//!   candidates in a max-heap (stale entries are version-stamped and
-//!   discarded on pop). Every pop therefore sees current gains — the same
-//!   argmax, with the same smallest-index tie-break, as a full rescan.
+//! * **A cached marginal per pair.** A marginal `δv_{q,s}` only changes
+//!   when query `q` receives a commit, so the loop caches one marginal
+//!   per relevant (sensor, query) pair, sensor-major, with a map from
+//!   each query-major pair to its slot. After each selection it
+//!   re-evaluates only the pairs of the queries it committed to, then
+//!   re-sums each touched sensor's gain from its cached row in ascending
+//!   query order — the order a full evaluation adds them in — and keeps
+//!   all candidates in a max-heap (stale entries are version-stamped and
+//!   discarded on pop). Every pop therefore sees current gains, to the
+//!   bit — the same argmax, with the same smallest-index tie-break, as a
+//!   full rescan (`matches_literal_algorithm_1_bit_for_bit`).
 //! * **Sharded evaluation.** The two read-only phases — per-query
-//!   relevance lists and per-sensor initial gains — shard across a
+//!   relevance lists and the initial per-pair marginals — shard across a
 //!   [`Threads`] scoped worker pool; each shard covers a contiguous
-//!   range and partials merge in range order, so lists, gain sums, and
-//!   heap contents are bit-identical to the
-//!   serial build. The adaptive selection loop itself stays serial: each
-//!   pick conditions the next, and its per-pick refresh set is small.
+//!   range and partials merge in range order, so lists, marginals, and
+//!   heap contents are bit-identical to the serial build. The adaptive
+//!   selection loop itself stays serial: each pick conditions the next,
+//!   and its per-pick refresh set is small.
 
 use crate::exec::Threads;
 use crate::model::SensorSnapshot;
@@ -56,7 +61,9 @@ pub struct GreedySelection {
     pub welfare: f64,
     /// Total cost of the selected sensors.
     pub total_cost: f64,
-    /// Number of valuation-oracle calls made (Theorem 1 property 4).
+    /// Number of valuation-oracle (`marginal`) calls made: one per
+    /// relevant pair up front, then one per pair of a query each pick
+    /// committed to (Theorem 1 property 4 bounds it by `|Q||S|²`).
     pub oracle_calls: usize,
 }
 
@@ -96,9 +103,9 @@ impl Ord for Candidate {
 /// the same snapshot slice (`index.len() == sensors.len()`), used to
 /// prune each valuation's candidate sensors through its
 /// [`SetValuation::support`]. The evaluate phases — per-query relevance
-/// lists and per-sensor initial gains — shard across `threads` scoped
-/// workers, merged in ascending range order; the adaptive greedy loop
-/// stays serial. Selections, payments, and welfare are **bit-identical**
+/// lists and the initial per-pair marginals — shard across `threads`
+/// scoped workers, merged in ascending range order; the adaptive greedy
+/// loop stays serial. Selections, payments, and welfare are **bit-identical**
 /// on the grid and on [`SensorIndex::scan_all`] and for every thread
 /// count (see the [module docs](self)).
 pub fn greedy_select(
@@ -166,9 +173,6 @@ pub fn greedy_select(
         q_off.extend(ends.iter().map(|&e| base as u32 + e));
         q_flat.extend_from_slice(&flat);
     }
-    let query_sensors =
-        |qi: usize| -> &[u32] { &q_flat[q_off[qi] as usize..q_off[qi + 1] as usize] };
-
     let mut s_off = vec![0u32; ns + 1];
     for &si in &q_flat {
         s_off[si as usize + 1] += 1;
@@ -177,124 +181,114 @@ pub fn greedy_select(
         s_off[i + 1] += s_off[i];
     }
     let mut s_flat = vec![0u32; q_flat.len()];
+    // Each query-major pair's sensor-major slot, where its marginal is
+    // cached.
+    let mut slot_of = vec![0u32; q_flat.len()];
     let mut cursor: Vec<u32> = s_off[..ns].to_vec();
     for qi in 0..nq {
-        for &si in &q_flat[q_off[qi] as usize..q_off[qi + 1] as usize] {
-            s_flat[cursor[si as usize] as usize] = qi as u32;
-            cursor[si as usize] += 1;
+        for p in q_off[qi] as usize..q_off[qi + 1] as usize {
+            let si = q_flat[p] as usize;
+            s_flat[cursor[si] as usize] = qi as u32;
+            slot_of[p] = cursor[si];
+            cursor[si] += 1;
         }
     }
-    let relevant = |si: usize| -> &[u32] { &s_flat[s_off[si] as usize..s_off[si + 1] as usize] };
+    let row = |si: usize| s_off[si] as usize..s_off[si + 1] as usize;
 
-    // Cached gain and positive per-query marginals per sensor; `stamp`
-    // versions the cache so stale heap entries are discarded on pop.
-    let mut gains: Vec<f64> = vec![0.0; ns];
-    let mut positives: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ns];
-    let mut stamp: Vec<u64> = vec![0; ns];
-    let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
-
-    // Initial gains, sharded by contiguous sensor range: each sensor's
-    // gain is a pure function of the (still unmutated) valuations, and
-    // within a sensor the per-query deltas accumulate in ascending query
-    // order exactly as the serial pass did. Sensors with no relevant
-    // query have gain −cost ≤ 0 and can never be selected, so they never
-    // enter the heap; the heap is filled serially in ascending sensor
-    // order afterwards.
-    let init = threads.map_ranges_min(ns, 256, |range| {
-        let mut out: Vec<(f64, Vec<(usize, f64)>)> = Vec::with_capacity(range.len());
-        let mut calls = 0usize;
+    // One cached marginal δv_{q,s} per relevant pair, sensor-major. The
+    // initial ones shard by contiguous sensor range: each is a pure
+    // function of the (still unmutated) valuations, and the shards'
+    // slots concatenate in range order.
+    let shards = threads.map_ranges_min(ns, 256, |range| {
+        let mut out: Vec<f64> =
+            Vec::with_capacity((s_off[range.end] - s_off[range.start]) as usize);
         for si in range {
-            let rel = relevant(si);
-            let mut gain = -sensors[si].cost;
-            let mut pos = Vec::new();
-            for &qi in rel {
-                let delta = views[qi as usize].marginal(&sensors[si]);
-                calls += 1;
-                if delta > 1e-12 {
-                    pos.push((qi as usize, delta));
-                    gain += delta;
-                }
+            for &qi in &s_flat[row(si)] {
+                out.push(views[qi as usize].marginal(&sensors[si]));
             }
-            out.push((gain, pos));
         }
-        (out, calls)
+        out
     });
     drop(views);
-    let mut si = 0usize;
-    for (shard, calls) in init {
-        oracle_calls += calls;
-        for (gain, pos) in shard {
-            if !relevant(si).is_empty() {
-                gains[si] = gain;
-                positives[si] = pos;
-                if gain > 1e-9 {
-                    heap.push(Candidate {
-                        gain,
-                        si,
-                        stamp: stamp[si],
-                    });
-                }
-            }
-            si += 1;
+    let mut shards = shards.into_iter();
+    let mut marginals: Vec<f64> = shards.next().unwrap_or_default();
+    for shard in shards {
+        marginals.extend_from_slice(&shard);
+    }
+    oracle_calls += marginals.len();
+
+    // Sensors with no relevant query have gain −cost ≤ 0 and can never
+    // be selected, so they never enter the heap; `stamp` versions each
+    // sensor's gain so stale heap entries are discarded on pop.
+    let mut stamp: Vec<u64> = vec![0; ns];
+    let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
+    for (si, s) in sensors.iter().enumerate() {
+        let rel = row(si);
+        if rel.is_empty() {
+            continue;
+        }
+        let gain = gain(s.cost, &marginals[rel]);
+        if gain > 1e-9 {
+            heap.push(Candidate { gain, si, stamp: 0 });
         }
     }
 
-    macro_rules! refresh {
-        ($si:expr) => {{
-            let si = $si;
-            let mut gain = -sensors[si].cost;
-            let pos = &mut positives[si];
-            pos.clear();
-            for &qi in relevant(si) {
-                let delta = valuations[qi as usize].marginal(&sensors[si]);
-                oracle_calls += 1;
-                if delta > 1e-12 {
-                    pos.push((qi as usize, delta));
-                    gain += delta;
-                }
-            }
-            gains[si] = gain;
-        }};
-    }
-
+    let mut committed: Vec<usize> = Vec::new();
     let mut touched: Vec<u64> = vec![0; ns];
+    let mut touched_list: Vec<usize> = Vec::new();
     let mut round = 0u64;
     while let Some(top) = heap.pop() {
         let si = top.si;
         if !remaining[si] || top.stamp != stamp[si] {
             continue; // superseded by a later refresh, or already selected
         }
-        let pos = std::mem::take(&mut positives[si]);
-        let delta_sum: f64 = pos.iter().map(|&(_, d)| d).sum();
-        debug_assert!(delta_sum > sensors[si].cost);
-        for &(qi, delta) in &pos {
-            valuations[qi].commit(&sensors[si]);
-            let payment = delta * sensors[si].cost / delta_sum;
-            per_query_payments[qi].push((si, payment));
+        let cost = sensors[si].cost;
+        let delta_sum: f64 = marginals[row(si)].iter().filter(|&&d| d > 1e-12).sum();
+        debug_assert!(delta_sum > cost);
+        committed.clear();
+        for p in row(si) {
+            let delta = marginals[p];
+            if delta > 1e-12 {
+                let qi = s_flat[p] as usize;
+                valuations[qi].commit(&sensors[si]);
+                per_query_payments[qi].push((si, delta * cost / delta_sum));
+                committed.push(qi);
+            }
         }
         remaining[si] = false;
         selected.push(si);
-        total_cost += sensors[si].cost;
+        total_cost += cost;
 
-        // Gains change only for sensors sharing a just-committed query:
-        // recompute those now so the heap always holds current values.
+        // A marginal changes only when its query receives a commit:
+        // re-evaluate the pairs of the just-committed queries, then
+        // re-sum the gains of the sensors they touch, so the heap
+        // always holds current values.
         round += 1;
-        for &(qi, _) in &pos {
-            for &sj in query_sensors(qi) {
-                let sj = sj as usize;
-                if !remaining[sj] || touched[sj] == round {
+        touched_list.clear();
+        for &qi in &committed {
+            let v = &*valuations[qi];
+            for p in q_off[qi] as usize..q_off[qi + 1] as usize {
+                let sj = q_flat[p] as usize;
+                if !remaining[sj] {
                     continue;
                 }
-                touched[sj] = round;
-                refresh!(sj);
-                stamp[sj] += 1;
-                if gains[sj] > 1e-9 {
-                    heap.push(Candidate {
-                        gain: gains[sj],
-                        si: sj,
-                        stamp: stamp[sj],
-                    });
+                marginals[slot_of[p] as usize] = v.marginal(&sensors[sj]);
+                oracle_calls += 1;
+                if touched[sj] != round {
+                    touched[sj] = round;
+                    touched_list.push(sj);
                 }
+            }
+        }
+        for &sj in &touched_list {
+            stamp[sj] += 1;
+            let gain = gain(sensors[sj].cost, &marginals[row(sj)]);
+            if gain > 1e-9 {
+                heap.push(Candidate {
+                    gain,
+                    si: sj,
+                    stamp: stamp[sj],
+                });
             }
         }
     }
@@ -311,6 +305,19 @@ pub fn greedy_select(
     }
 }
 
+/// A sensor's Algorithm 1 gain `Σ_q δv_{q,s} − c_s` from its cached
+/// marginals in ascending query order, counting only those above the
+/// `1e-12` noise floor.
+fn gain(cost: f64, marginals: &[f64]) -> f64 {
+    let mut gain = -cost;
+    for &delta in marginals {
+        if delta > 1e-12 {
+            gain += delta;
+        }
+    }
+    gain
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,6 +326,7 @@ mod tests {
     use crate::valuation::aggregate::AggregateValuation;
     use crate::valuation::point::PointValuation;
     use crate::valuation::quality::QualityModel;
+    use crate::valuation::FnValuation;
     use ps_geo::{Point, Rect};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -635,5 +643,231 @@ mod tests {
         let mut vals: Vec<&mut dyn SetValuation> = vec![&mut va, &mut vb];
         let out = greedy_select(&mut vals, &sensors, &scan_all(&sensors), Threads::single());
         assert_eq!(out.selected[0], expected_first);
+    }
+
+    /// Algorithm 1 as the paper states it: every round rescans every
+    /// remaining sensor over every relevant query (line 5) with the
+    /// production noise floors, lets the first maximum win, and charges
+    /// the Eq. 11 payments.
+    fn literal_greedy(
+        valuations: &mut [&mut dyn SetValuation],
+        sensors: &[SensorSnapshot],
+    ) -> GreedySelection {
+        let mut remaining = vec![true; sensors.len()];
+        let mut selected = Vec::new();
+        let mut per_query_payments: Vec<Vec<(usize, f64)>> = vec![Vec::new(); valuations.len()];
+        let mut total_cost = 0.0;
+        let mut oracle_calls = 0;
+        loop {
+            let mut best: Option<(usize, f64)> = None;
+            let mut best_pos: Vec<(usize, f64)> = Vec::new();
+            for (si, s) in sensors.iter().enumerate() {
+                if !remaining[si] {
+                    continue;
+                }
+                let mut gain = -s.cost;
+                let mut pos = Vec::new();
+                for (qi, v) in valuations.iter().enumerate() {
+                    if v.is_relevant(s) {
+                        let delta = v.marginal(s);
+                        oracle_calls += 1;
+                        if delta > 1e-12 {
+                            pos.push((qi, delta));
+                            gain += delta;
+                        }
+                    }
+                }
+                if gain > 1e-9 && best.is_none_or(|(_, b)| gain > b) {
+                    best = Some((si, gain));
+                    best_pos = pos;
+                }
+            }
+            let Some((si, _)) = best else { break };
+            let delta_sum: f64 = best_pos.iter().map(|&(_, d)| d).sum();
+            for &(qi, delta) in &best_pos {
+                valuations[qi].commit(&sensors[si]);
+                per_query_payments[qi].push((si, delta * sensors[si].cost / delta_sum));
+            }
+            remaining[si] = false;
+            selected.push(si);
+            total_cost += sensors[si].cost;
+        }
+        let per_query_value: Vec<f64> = valuations.iter().map(|v| v.current_value()).collect();
+        let total_value: f64 = per_query_value.iter().sum();
+        GreedySelection {
+            selected,
+            per_query_value,
+            per_query_payments,
+            welfare: total_value - total_cost,
+            total_cost,
+            oracle_calls,
+        }
+    }
+
+    /// A selection's outputs as raw bits, for exact comparison.
+    type Bits = (Vec<usize>, Vec<Vec<(usize, u64)>>, Vec<u64>, u64);
+
+    fn bits(out: &GreedySelection) -> Bits {
+        (
+            out.selected.clone(),
+            out.per_query_payments
+                .iter()
+                .map(|pays| pays.iter().map(|&(si, p)| (si, p.to_bits())).collect())
+                .collect(),
+            out.per_query_value.iter().map(|v| v.to_bits()).collect(),
+            out.welfare.to_bits(),
+        )
+    }
+
+    /// A random slot: aggregates, one non-submodular custom valuation,
+    /// then points — the engine's valuation order.
+    struct Mix {
+        aggregates: Vec<AggregateQuery>,
+        custom: (Point, f64),
+        points: Vec<PointQuery>,
+        sensors: Vec<SensorSnapshot>,
+    }
+
+    impl Mix {
+        /// Every 13th seed is large enough (≥ 512 sensors, ≥ 128
+        /// queries) for both evaluate phases to shard at 4 threads.
+        fn random(seed: u64) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let large = seed.is_multiple_of(13);
+            let (side, ns, nagg, npts) = if large {
+                (
+                    70.0,
+                    rng.gen_range(520..600),
+                    rng.gen_range(3..7),
+                    rng.gen_range(130..150),
+                )
+            } else {
+                (
+                    30.0,
+                    rng.gen_range(8..80),
+                    rng.gen_range(0..6),
+                    rng.gen_range(0..25),
+                )
+            };
+            let aggregates = (0..nagg)
+                .map(|i| {
+                    let x = rng.gen_range(0.0..side - 6.0);
+                    let y = rng.gen_range(0.0..side - 6.0);
+                    let w = rng.gen_range(2.0..10.0);
+                    let h = rng.gen_range(2.0..10.0);
+                    agg(i, Rect::new(x, y, x + w, y + h), rng.gen_range(10.0..80.0))
+                })
+                .collect();
+            let custom = (
+                Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)),
+                rng.gen_range(10.0..60.0),
+            );
+            // Integer locations make some points share a spot.
+            let points = (0..npts)
+                .map(|i| PointQuery {
+                    id: QueryId(100 + i as u64),
+                    loc: Point::new(
+                        rng.gen_range(0.0..side).floor(),
+                        rng.gen_range(0.0..side).floor(),
+                    ),
+                    budget: rng.gen_range(6.0..30.0),
+                    offset: 0.0,
+                    theta_min: 0.2,
+                    origin: QueryOrigin::EndUser,
+                })
+                .collect();
+            // A few free sensors, as the online boundary pre-buys them.
+            let sensors = (0..ns)
+                .map(|id| SensorSnapshot {
+                    id,
+                    loc: Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)),
+                    cost: if rng.gen_bool(0.05) {
+                        0.0
+                    } else {
+                        rng.gen_range(2.0..15.0)
+                    },
+                    trust: rng.gen_range(0.4..1.0),
+                    inaccuracy: rng.gen_range(0.0..0.2),
+                })
+                .collect();
+            Mix {
+                aggregates,
+                custom,
+                points,
+                sensors,
+            }
+        }
+
+        /// Runs `select` over fresh valuations.
+        fn run(
+            &self,
+            select: impl FnOnce(&mut [&mut dyn SetValuation], &[SensorSnapshot]) -> GreedySelection,
+        ) -> GreedySelection {
+            let quality = QualityModel::new(5.0);
+            let mut aggs: Vec<AggregateValuation> = self
+                .aggregates
+                .iter()
+                .map(|q| AggregateValuation::new(q, 4.0))
+                .collect();
+            // Non-submodular: the square of the summed trust within 6
+            // units of the centre, so a second nearby sensor adds more
+            // than the first did.
+            let (centre, budget) = self.custom;
+            let mut custom = FnValuation::new(
+                move |set: &[SensorSnapshot]| {
+                    let near: f64 = set
+                        .iter()
+                        .filter(|s| s.loc.distance(centre) <= 6.0)
+                        .map(|s| s.trust)
+                        .sum();
+                    budget * (near * near / 4.0).min(1.0)
+                },
+                budget,
+            );
+            let mut pts: Vec<PointValuation> = self
+                .points
+                .iter()
+                .map(|q| PointValuation::new(*q, quality))
+                .collect();
+            let mut vals: Vec<&mut dyn SetValuation> = Vec::new();
+            for v in &mut aggs {
+                vals.push(v);
+            }
+            vals.push(&mut custom);
+            for v in &mut pts {
+                vals.push(v);
+            }
+            select(&mut vals, &self.sensors)
+        }
+    }
+
+    /// The cached per-pair marginals must reproduce the literal
+    /// algorithm bit for bit — selection order, payments, values and
+    /// welfare — at 1 and 4 threads, on the grid and on `scan_all`.
+    #[test]
+    fn matches_literal_algorithm_1_bit_for_bit() {
+        let mut selections = 0;
+        for seed in 0..52u64 {
+            let mix = Mix::random(seed);
+            let reference = mix.run(literal_greedy);
+            selections += reference.selected.len();
+            let positions: Vec<Point> = mix.sensors.iter().map(|s| s.loc).collect();
+            let grid = SensorIndex::build(&positions);
+            let scan = scan_all(&mix.sensors);
+            for index in [&grid, &scan] {
+                for threads in [Threads::single(), Threads::new(4)] {
+                    let out = mix.run(|vals, sensors| greedy_select(vals, sensors, index, threads));
+                    assert_eq!(
+                        bits(&out),
+                        bits(&reference),
+                        "seed {seed}, {} threads, scan_all: {}",
+                        threads.get(),
+                        std::ptr::eq(index, &scan)
+                    );
+                    assert!(out.oracle_calls <= reference.oracle_calls, "seed {seed}");
+                }
+            }
+        }
+        assert!(selections > 200, "mixes selected only {selections} sensors");
     }
 }

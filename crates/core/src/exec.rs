@@ -2,7 +2,7 @@
 //!
 //! Most of the engine's parallel phases follow one shape: a read-only input
 //! slice is split into **contiguous shards**, each shard is mapped to a
-//! partial result on its own scoped worker thread, and the partials are
+//! partial result by one of the scoped worker threads, and the partials are
 //! folded back **in shard order** by a single-threaded merge. Because
 //! every shard covers a contiguous index range and the merge concatenates
 //! (or scatters) in ascending range order, the combined result is
@@ -21,13 +21,18 @@
 //! merge, so the same contract holds.
 //!
 //! Workers come from [`std::thread::scope`] — no thread pool, no extra
-//! dependencies, no `'static` bounds. Spawning a handful of OS threads
-//! costs a few microseconds, which is noise against the multi-millisecond
-//! slots the engine shards; `threads = 1` (or a shard count of 1) skips
+//! dependencies, no `'static` bounds. A new thread can take a while to
+//! start: on a 2-vCPU virtual machine, 0.1–0.45 ms from spawn to its first
+//! shard (10th to 90th percentile; at times several ms) in `city_exact`'s
+//! sharded phases, about as long as a shard's work. So the calling thread
+//! is a worker too, and every worker claims the next unmapped shard from
+//! one counter: a shard whose worker has not started yet goes to the
+//! first worker that is free. `threads = 1` (or a shard count of 1) skips
 //! spawning entirely and runs the exact serial code path.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A resolved worker-thread count for the slot pipeline (always ≥ 1).
 ///
@@ -82,9 +87,10 @@ impl Threads {
         out
     }
 
-    /// Maps each shard range of `0..len` through `f` on its own scoped
-    /// worker thread and returns the partial results **in shard order**
-    /// (ascending index ranges). With one worker — or an input too small
+    /// Maps each shard range of `0..len` through `f` on the scoped
+    /// workers, the calling thread among them, and returns the partial
+    /// results **in shard order** (ascending index ranges), whichever
+    /// worker mapped each range. With one worker — or an input too small
     /// to split — `f` runs inline on the calling thread over `0..len`,
     /// so the serial path is literally the unsharded computation.
     ///
@@ -102,12 +108,12 @@ impl Threads {
     /// [`Threads::map_ranges`] with a work floor: the shard count is
     /// additionally capped at `len / min_per_shard`, so no worker is
     /// spawned for fewer than `min_per_shard` items and inputs smaller
-    /// than `2 × min_per_shard` run inline. Spawning an OS thread costs
-    /// tens of microseconds; callers whose per-item work is cheap pass a
-    /// floor so paper-scale slots (tens of sensors) never pay fork-join
-    /// overhead. Shard *boundaries* never influence a merged result
-    /// (merges concatenate or scatter by absolute index), so the floor —
-    /// like the thread count itself — cannot change any output.
+    /// than `2 × min_per_shard` run inline. Starting an OS thread takes
+    /// about 0.1 ms (see the [module docs](self)); callers whose per-item
+    /// work is cheap pass a floor so paper-scale slots (tens of sensors)
+    /// never pay fork-join overhead. Shard *boundaries* never influence a
+    /// merged result (merges concatenate or scatter by absolute index), so
+    /// the floor — like the thread count itself — cannot change any output.
     pub fn map_ranges_min<R, F>(self, len: usize, min_per_shard: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -119,17 +125,30 @@ impl Threads {
         if ranges.len() <= 1 {
             return ranges.into_iter().map(f).collect();
         }
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| scope.spawn(move || f(range)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
+        // Every worker, the caller first, claims the next unmapped range
+        // from one counter, so a helper that has not started by the time
+        // the caller runs out of work leaves its range to the caller
+        // instead of holding up the phase by a whole range's work.
+        // `Relaxed` suffices: the counter publishes nothing but the index
+        // it hands out, and the partials come back through `join`.
+        let next = AtomicUsize::new(0);
+        let drain = || {
+            let mut done = Vec::new();
+            while let Some(range) = ranges.get(next.fetch_add(1, Ordering::Relaxed)) {
+                done.push((range.start, f(range.clone())));
+            }
+            done
+        };
+        let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..ranges.len()).map(|_| scope.spawn(drain)).collect();
+            let mut done = drain();
+            for helper in helpers {
+                done.extend(helper.join().expect("shard worker panicked"));
+            }
+            done
+        });
+        done.sort_unstable_by_key(|&(start, _)| start);
+        done.into_iter().map(|(_, partial)| partial).collect()
     }
 }
 
@@ -184,6 +203,27 @@ mod tests {
             let flat: Vec<usize> = partials.into_iter().flatten().collect();
             assert_eq!(flat, (0..100).collect::<Vec<_>>(), "{threads} threads");
         }
+    }
+
+    /// Partials come back in shard order even when the shards finish out
+    /// of order: the worker holding the first range waits until the
+    /// second is done.
+    #[test]
+    fn map_ranges_keeps_shard_order_whatever_finishes_first() {
+        use std::sync::{mpsc, Mutex};
+        let (second_done, wait_for_second) = mpsc::channel();
+        let wait_for_second = Mutex::new(wait_for_second);
+        let finished = Mutex::new(Vec::new());
+        let partials = Threads::new(2).map_ranges(10, |r| {
+            match r.start {
+                0 => wait_for_second.lock().unwrap().recv().unwrap(),
+                _ => second_done.send(()).unwrap(),
+            }
+            finished.lock().unwrap().push(r.start);
+            r
+        });
+        assert_eq!(partials, vec![0..5, 5..10]);
+        assert_eq!(finished.into_inner().unwrap(), vec![5, 0]);
     }
 
     #[test]
