@@ -338,18 +338,19 @@ impl<'s> ShardedAggregator<'s> {
     pub fn step(&mut self, slot: Slot, sensors: &[SensorSnapshot]) -> SlotReport {
         let n = self.shards.len();
         // Route the announcement: per-shard snapshot slices plus the
-        // local-index → global-index maps settlement needs later.
+        // local-index → (global index, snapshot) maps settlement needs
+        // later.
         let mut local: Vec<Vec<SensorSnapshot>> = vec![Vec::new(); n];
-        let mut to_global: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut to_global: Vec<Vec<(usize, &SensorSnapshot)>> = vec![Vec::new(); n];
         for (gi, s) in sensors.iter().enumerate() {
             for k in self.grid.tiles_seeing(s.loc, self.halo) {
                 local[k].push(*s);
-                to_global[k].push(gi);
+                to_global[k].push((gi, s));
             }
         }
 
         let reports = self.step_shards_with(&local, |shard, sensors| shard.step(slot, sensors));
-        self.settle(slot, sensors, reports, &to_global)
+        self.settle(slot, reports, &to_global)
     }
 
     /// Runs one time slot against a stream of intra-slot
@@ -358,7 +359,8 @@ impl<'s> ShardedAggregator<'s> {
     /// goes to its home tile plus the halo ring (stamped with its global
     /// arrival ordinal for settlement), and each shard consumes its
     /// sub-stream through [`Aggregator::step_streaming`]. A sub-stream
-    /// holds references into `events`, so routing copies no event.
+    /// holds references into `events`, and so do settlement's index maps,
+    /// so routing copies no event and no snapshot.
     /// Settlement is the ordinary budget-balanced pass; the merged report
     /// carries the shard-order concatenation of the per-shard latency
     /// statistics. A stream whose events all carry tick 0 in submission
@@ -367,17 +369,16 @@ impl<'s> ShardedAggregator<'s> {
     pub fn step_streaming(&mut self, slot: Slot, events: &[ArrivalEvent]) -> SlotReport {
         let n = self.shards.len();
         let mut local: Vec<Vec<&ArrivalEvent>> = vec![Vec::new(); n];
-        let mut to_global: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut sensors: Vec<SensorSnapshot> = Vec::new();
+        let mut to_global: Vec<Vec<(usize, &SensorSnapshot)>> = vec![Vec::new(); n];
+        let mut gi = 0;
         for ev in events {
             match &ev.payload {
                 ArrivalPayload::Sensor(s) => {
-                    let gi = sensors.len();
-                    sensors.push(*s);
                     for k in self.grid.tiles_seeing(s.loc, self.halo) {
                         local[k].push(ev);
-                        to_global[k].push(gi);
+                        to_global[k].push((gi, s));
                     }
+                    gi += 1;
                 }
                 ArrivalPayload::Point(spec) => {
                     local[self.shard_of_point(spec.loc)].push(ev);
@@ -399,7 +400,7 @@ impl<'s> ShardedAggregator<'s> {
         let reports = self.step_shards_with(&local, |shard, events| {
             shard.step_streaming(slot, events.iter().copied())
         });
-        self.settle(slot, &sensors, reports, &to_global)
+        self.settle(slot, reports, &to_global)
     }
 
     /// The shared fork-join skeleton behind [`ShardedAggregator::step`]
@@ -451,18 +452,19 @@ impl<'s> ShardedAggregator<'s> {
 
     /// The tail of every cluster slot: the global settlement pass, then
     /// the cluster's totals. Settlement remaps every per-shard result to
-    /// global snapshot indices, merges reports (and any decision-latency
-    /// statistics) in shard order, and resolves halo sensors selected by
-    /// multiple shards — the lowest shard id keeps the purchase, each
-    /// losing shard's ledger refunds its payers ([`Ledger::strip_sensor`])
-    /// and the duplicate's cost returns to welfare, so the merged ledger
-    /// pays every measurement exactly once.
+    /// global snapshot indices through `to_global` (shard `k`'s local
+    /// index → the global index and the routed snapshot), merges reports
+    /// (and any decision-latency statistics) in shard order, and
+    /// resolves halo sensors selected by multiple shards — the lowest
+    /// shard id keeps the purchase, each losing shard's ledger refunds
+    /// its payers ([`Ledger::strip_sensor`]) and the duplicate's cost
+    /// returns to welfare, so the merged ledger pays every measurement
+    /// exactly once.
     fn settle(
         &mut self,
         slot: Slot,
-        sensors: &[SensorSnapshot],
         reports: Vec<SlotReport>,
-        to_global: &[Vec<usize>],
+        to_global: &[Vec<(usize, &SensorSnapshot)>],
     ) -> SlotReport {
         for (k, shard) in self.shards.iter().enumerate() {
             assert!(
@@ -489,33 +491,31 @@ impl<'s> ShardedAggregator<'s> {
             }
             let map = &to_global[k];
             for r in &mut rep.point_results {
-                r.sensor = r.sensor.map(|si| map[si]);
+                r.sensor = r.sensor.map(|si| map[si].0);
             }
             for r in &mut rep.aggregate_results {
                 for si in &mut r.sensors {
-                    *si = map[*si];
+                    *si = map[*si].0;
                 }
             }
             for r in &mut rep.custom_results {
                 for si in &mut r.sensors {
-                    *si = map[*si];
+                    *si = map[*si].0;
                 }
-            }
-            for si in &mut rep.sensors_used {
-                *si = map[*si];
             }
 
             let mut refunds: Vec<(QueryId, f64)> = Vec::new();
-            for &gi in &rep.sensors_used {
+            for &si in &rep.sensors_used {
+                let (gi, s) = map[si];
                 if claimed.insert(gi) {
                     sensors_used.push(gi);
                 } else {
                     // A lower shard already owns this measurement: undo
                     // this shard's purchase.
                     settlement.duplicates += 1;
-                    settlement.cost_restored += sensors[gi].cost;
-                    refunds.extend(rep.ledger.sensor_payers(sensors[gi].id));
-                    settlement.refunded += rep.ledger.strip_sensor(sensors[gi].id);
+                    settlement.cost_restored += s.cost;
+                    refunds.extend(rep.ledger.sensor_payers(s.id));
+                    settlement.refunded += rep.ledger.strip_sensor(s.id);
                 }
             }
             // Keep the per-query `paid` fields consistent with the

@@ -784,23 +784,15 @@ impl<'s> Aggregator<'s> {
     fn finalize(&mut self, slot: Slot, report: SlotReport) -> SlotReport {
         self.totals.absorb_report(&report);
 
-        // Retire monitors that can never be active again.
-        let retired = &mut self.retired;
-        let before = retired.len();
-        self.location_monitors.retain(|m| {
-            let live = m.t2 > slot;
-            if !live {
-                retired.push(RetiredMonitor::Location(Box::new(m.clone())));
-            }
-            live
-        });
-        self.region_monitors.retain(|m| {
-            let live = m.t2 > slot;
-            if !live {
-                retired.push(RetiredMonitor::Region(Box::new(m.clone())));
-            }
-            live
-        });
+        // Retire monitors that can never be active again, moved out in
+        // ascending order: location monitors first, then region monitors.
+        let before = self.retired.len();
+        let location = self.location_monitors.extract_if(.., |m| m.t2 <= slot);
+        self.retired
+            .extend(location.map(|m| RetiredMonitor::Location(Box::new(m))));
+        let region = self.region_monitors.extract_if(.., |m| m.t2 <= slot);
+        self.retired
+            .extend(region.map(|m| RetiredMonitor::Region(Box::new(m))));
         // Increment rather than read `retired.len()`: `clear_retired`
         // drops the retained state but must not reset the running count.
         self.totals.monitors_retired += self.retired.len() - before;

@@ -12,10 +12,24 @@ use crate::{Point, Rect};
 
 /// A g×g partition of an arena rectangle into equal tiles, numbered
 /// row-major from the arena's min corner: tile `i = row · g + col`.
+///
+/// A coordinate's tile column is `((x − min_x) / w) as usize`, clamped to
+/// `g − 1`, with the tile width `w` divided out once at construction
+/// (rows alike). The saturating float-to-integer cast truncates toward
+/// zero, sends NaN and every negative value to 0, and sends +∞ and
+/// anything past `usize::MAX` to `usize::MAX`; so for every `f64`,
+/// ±0.0, NaN, ±∞ and values beyond 2⁵³ included, it gives the same
+/// index as `floor`, then `max(0.0)`, then the cast. On baseline x86-64
+/// (SSE2 without SSE4.1's `roundsd`) `f64::floor` is a library call, and
+/// the cast saves four of them per routed sensor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TileGrid {
     arena: Rect,
     g: usize,
+    /// Tile width, `arena.width() / g`.
+    w: f64,
+    /// Tile height, `arena.height() / g`.
+    h: f64,
 }
 
 impl TileGrid {
@@ -30,7 +44,12 @@ impl TileGrid {
             g == 1 || (arena.width() > 0.0 && arena.height() > 0.0),
             "cannot tile a degenerate arena into {g}x{g}"
         );
-        Self { arena, g }
+        Self {
+            arena,
+            g,
+            w: arena.width() / g as f64,
+            h: arena.height() / g as f64,
+        }
     }
 
     /// The arena being tiled.
@@ -55,24 +74,21 @@ impl TileGrid {
     }
 
     /// Column of the tile owning `x`, clamping coordinates outside the
-    /// arena to the nearest edge tile.
+    /// arena to the nearest edge tile (the cast is `floor` for every
+    /// `f64`; see [`TileGrid`]).
     fn col_of(&self, x: f64) -> usize {
-        let w = self.arena.width() / self.g as f64;
-        if w <= 0.0 {
+        if self.w <= 0.0 {
             return 0;
         }
-        let c = ((x - self.arena.min_x) / w).floor();
-        (c.max(0.0) as usize).min(self.g - 1)
+        (((x - self.arena.min_x) / self.w) as usize).min(self.g - 1)
     }
 
     /// Row of the tile owning `y` (clamped like [`TileGrid::col_of`]).
     fn row_of(&self, y: f64) -> usize {
-        let h = self.arena.height() / self.g as f64;
-        if h <= 0.0 {
+        if self.h <= 0.0 {
             return 0;
         }
-        let r = ((y - self.arena.min_y) / h).floor();
-        (r.max(0.0) as usize).min(self.g - 1)
+        (((y - self.arena.min_y) / self.h) as usize).min(self.g - 1)
     }
 
     /// Index of the tile owning `p` (row-major). Points outside the arena
@@ -88,13 +104,11 @@ impl TileGrid {
     pub fn tile_rect(&self, i: usize) -> Rect {
         assert!(i < self.len(), "tile {i} out of range");
         let (row, col) = (i / self.g, i % self.g);
-        let w = self.arena.width() / self.g as f64;
-        let h = self.arena.height() / self.g as f64;
         Rect::new(
-            self.arena.min_x + col as f64 * w,
-            self.arena.min_y + row as f64 * h,
-            self.arena.min_x + (col + 1) as f64 * w,
-            self.arena.min_y + (row + 1) as f64 * h,
+            self.arena.min_x + col as f64 * self.w,
+            self.arena.min_y + row as f64 * self.h,
+            self.arena.min_x + (col + 1) as f64 * self.w,
+            self.arena.min_y + (row + 1) as f64 * self.h,
         )
     }
 
@@ -117,11 +131,13 @@ impl TileGrid {
     /// (row-major) order; always contains `tile_of(p)`.
     pub fn tiles_seeing(&self, p: Point, halo: f64) -> impl Iterator<Item = usize> + '_ {
         let g = self.g;
-        let col_lo = self.col_of(p.x + halo).min(self.col_of(p.x - halo));
-        let col_hi = self.col_of(p.x + halo).max(self.col_of(p.x - halo));
-        let row_lo = self.row_of(p.y + halo).min(self.row_of(p.y - halo));
-        let row_hi = self.row_of(p.y + halo).max(self.row_of(p.y - halo));
-        (row_lo..=row_hi).flat_map(move |row| (col_lo..=col_hi).map(move |col| row * g + col))
+        let (c0, c1) = (self.col_of(p.x - halo), self.col_of(p.x + halo));
+        let (r0, r1) = (self.row_of(p.y - halo), self.row_of(p.y + halo));
+        // Half-open ranges: a `RangeInclusive` inside `flat_map` carries an
+        // exhaustion flag through every step. Both ends are at most
+        // `g - 1`, so `+ 1` cannot overflow.
+        let cols = c0.min(c1)..c0.max(c1) + 1;
+        (r0.min(r1)..r0.max(r1) + 1).flat_map(move |row| cols.clone().map(move |col| row * g + col))
     }
 }
 
@@ -198,6 +214,124 @@ mod tests {
         let seen: Vec<usize> = g.tiles_seeing(p, 5.0).collect();
         assert_eq!(seen, vec![g.tile_of(p)]);
         assert_eq!(g.tile_of(p), 3);
+    }
+
+    /// The `floor`-based lookup the grid used before the cast, kept
+    /// verbatim (`floor`, `max(0.0)`, a `RangeInclusive` per axis) as the
+    /// reference the cast-based lookup must reproduce.
+    mod floor_reference {
+        use crate::{Point, Rect};
+
+        fn col_of(arena: &Rect, g: usize, x: f64) -> usize {
+            let w = arena.width() / g as f64;
+            if w <= 0.0 {
+                return 0;
+            }
+            let c = ((x - arena.min_x) / w).floor();
+            (c.max(0.0) as usize).min(g - 1)
+        }
+
+        fn row_of(arena: &Rect, g: usize, y: f64) -> usize {
+            let h = arena.height() / g as f64;
+            if h <= 0.0 {
+                return 0;
+            }
+            let r = ((y - arena.min_y) / h).floor();
+            (r.max(0.0) as usize).min(g - 1)
+        }
+
+        pub fn tile_of(arena: &Rect, g: usize, p: Point) -> usize {
+            row_of(arena, g, p.y) * g + col_of(arena, g, p.x)
+        }
+
+        pub fn tiles_seeing(arena: &Rect, g: usize, p: Point, halo: f64) -> Vec<usize> {
+            let col_lo = col_of(arena, g, p.x + halo).min(col_of(arena, g, p.x - halo));
+            let col_hi = col_of(arena, g, p.x + halo).max(col_of(arena, g, p.x - halo));
+            let row_lo = row_of(arena, g, p.y + halo).min(row_of(arena, g, p.y - halo));
+            let row_hi = row_of(arena, g, p.y + halo).max(row_of(arena, g, p.y - halo));
+            (row_lo..=row_hi)
+                .flat_map(move |row| (col_lo..=col_hi).map(move |col| row * g + col))
+                .collect()
+        }
+    }
+
+    /// SplitMix64: a seeded stream of test coordinates without an RNG
+    /// dependency.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Coordinates on one axis that stress the lookup: every seam
+    /// `lo + k·w`, its `next_up`/`next_down` neighbours, each of those
+    /// shifted by ±`halo`, and the non-finite and huge values.
+    fn seam_coordinates(lo: f64, w: f64, g: usize, halo: f64) -> Vec<f64> {
+        let mut out = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e300,
+        ];
+        for k in 0..=g {
+            let seam = lo + k as f64 * w;
+            for v in [seam.next_down(), seam, seam.next_up()] {
+                out.extend([v, v - halo, v + halo]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn cast_lookup_matches_the_floor_reference_bit_for_bit() {
+        let mut rng = 0x5eed_u64;
+        let mut checked = 0usize;
+        // The last arena is one subnormal wide: for g > 1 its tile width
+        // rounds to zero, where both lookups send everything to tile 0.
+        for arena in [
+            Rect::with_size(80.0, 80.0),
+            Rect::new(-3.0, 2.0, 97.0, 55.5),
+            Rect::with_size(5e-324, 5e-324),
+        ] {
+            for g in [1usize, 2, 3, 7] {
+                let grid = TileGrid::new(arena, g);
+                let (w, h) = (arena.width() / g as f64, arena.height() / g as f64);
+                let wider = 2.0 * arena.width().max(arena.height()) + 1.0;
+                for halo in [0.0, 5.0, w, wider] {
+                    let xs = seam_coordinates(arena.min_x, w, g, halo);
+                    let ys = seam_coordinates(arena.min_y, h, g, halo);
+                    let mut points: Vec<Point> = xs
+                        .iter()
+                        .flat_map(|&x| ys.iter().map(move |&y| Point::new(x, y)))
+                        .collect();
+                    // Seeded points over the arena widened by half its
+                    // size on every side, so some fall outside it.
+                    let unit = |rng: &mut u64| (splitmix(rng) >> 11) as f64 / (1u64 << 53) as f64;
+                    for _ in 0..2_000 {
+                        let x = arena.min_x + (2.0 * unit(&mut rng) - 0.5) * arena.width();
+                        let y = arena.min_y + (2.0 * unit(&mut rng) - 0.5) * arena.height();
+                        points.push(Point::new(x, y));
+                    }
+                    for p in points {
+                        let seen: Vec<usize> = grid.tiles_seeing(p, halo).collect();
+                        let expect = floor_reference::tiles_seeing(&arena, g, p, halo);
+                        assert_eq!(seen, expect, "g {g} halo {halo} arena {arena:?} at {p:?}");
+                        assert_eq!(
+                            grid.tile_of(p),
+                            floor_reference::tile_of(&arena, g, p),
+                            "g {g} arena {arena:?} at {p:?}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 50_000, "only {checked} points checked");
     }
 
     #[test]

@@ -1250,12 +1250,15 @@ pub(crate) mod tests {
         let finished = Mutex::new(Vec::new());
         let ids = map_components(&comps, 2, |sub| {
             let c = sub.facility_cost[0] as usize;
-            match c {
-                0 => wait_for_one.lock().unwrap().recv().unwrap(),
-                1 => one_done.send(()).unwrap(),
-                _ => {}
+            if c == 0 {
+                wait_for_one.lock().unwrap().recv().unwrap();
             }
             finished.lock().unwrap().push(c);
+            // Signal only once recorded: a preempted sender must not
+            // let component 0 record first.
+            if c == 1 {
+                one_done.send(()).unwrap();
+            }
             c
         });
         assert_eq!(ids, (0..n).collect::<Vec<_>>());

@@ -22,7 +22,7 @@
 //!   shards would alone on the sub-streams the routing rule gives them.
 
 use proptest::prelude::*;
-use ps_cluster::{ClusterBuilder, ShardedAggregator, SlotEngine, SHARD_ID_BLOCK};
+use ps_cluster::{ClusterBuilder, Settlement, ShardedAggregator, SlotEngine, SHARD_ID_BLOCK};
 use ps_core::aggregator::{
     Aggregator, AggregatorBuilder, MixStrategy, PointSpec, SlotReport, DEFAULT_TICKS_PER_SLOT,
 };
@@ -716,13 +716,45 @@ fn routed_shards(cluster: &ShardedAggregator<'_>, ev: &ArrivalEvent, d_max: f64)
     vec![cluster.shard_of(&support)]
 }
 
+/// A streaming report's values as bits: welfare, selections, every
+/// point and aggregate result, the ledger's totals and the decision
+/// ticks. Two runs agree bit for bit when these compare equal.
+fn report_bits(r: &SlotReport) -> impl PartialEq + std::fmt::Debug {
+    let points: Vec<_> = r
+        .point_results
+        .iter()
+        .map(|p| {
+            let bits = (p.value.to_bits(), p.paid.to_bits(), p.quality.to_bits());
+            (p.id, bits, p.sensor)
+        })
+        .collect();
+    let aggregates: Vec<_> = r
+        .aggregate_results
+        .iter()
+        .map(|a| (a.id, a.value.to_bits(), a.paid.to_bits(), a.sensors.clone()))
+        .collect();
+    (
+        r.welfare.to_bits(),
+        r.sensors_used.clone(),
+        points,
+        aggregates,
+        (
+            r.ledger.total_payments().to_bits(),
+            r.ledger.total_receipts().to_bits(),
+        ),
+        r.streaming.as_ref().map(|s| s.decision_ticks.clone()),
+    )
+}
+
 /// 50 seeded three-slot streams with sensors and queries interleaved at
 /// mid-slot ticks, through a 2×2 cluster of online-auction shards and,
 /// beside it, four standalone engines configured alike, each fed its
 /// routed sub-stream in stream order. Per slot, the cluster's welfare is
 /// the replicas' welfare summed in shard order plus the cost settlement
 /// restored, bit for bit, and its decision ticks are the replicas'
-/// concatenated in shard order.
+/// concatenated in shard order. The cluster runs at fork-join widths 1,
+/// 2 and 3 (three workers split the four shards unevenly), and every
+/// width gives the same report and settlement, bit for bit.
 #[test]
 fn cluster_streaming_matches_standalone_shards() {
     let profile = small_profile();
@@ -730,13 +762,19 @@ fn cluster_streaming_matches_standalone_shards() {
     let online = |b: AggregatorBuilder<'static>| b.strategy(MixStrategy::OnlineAuction);
     let ctx = test_monitoring_ctx();
     let kernel = SquaredExponential::new(2.0, 2.0);
+    let widths = [1usize, 2, 3];
     let (mut duplicates, mut matched) = (0usize, 0usize);
     for seed in 0..50u64 {
-        let mut cluster = ClusterBuilder::new(quality, profile.arena, 2)
-            .threads(2)
-            .configure_shards(online)
-            .build();
-        let mut replicas: Vec<Aggregator<'static>> = (0..cluster.shards().len())
+        let mut clusters: Vec<ShardedAggregator<'static>> = widths
+            .iter()
+            .map(|&threads| {
+                ClusterBuilder::new(quality, profile.arena, 2)
+                    .threads(threads)
+                    .configure_shards(online)
+                    .build()
+            })
+            .collect();
+        let mut replicas: Vec<Aggregator<'static>> = (0..clusters[0].shards().len())
             .map(|k| {
                 online(AggregatorBuilder::new(quality))
                     .threads(1)
@@ -750,18 +788,22 @@ fn cluster_streaming_matches_standalone_shards() {
                 &mut rng,
                 t,
                 DEFAULT_TICKS_PER_SLOT,
-                cluster.location_monitor_count(),
-                cluster.region_monitor_count(),
+                clusters[0].location_monitor_count(),
+                clusters[0].region_monitor_count(),
                 &ctx,
                 &kernel,
             );
             let mut routed: Vec<Vec<&ArrivalEvent>> = vec![Vec::new(); replicas.len()];
             for ev in &events {
-                for k in routed_shards(&cluster, ev, quality.d_max) {
+                for k in routed_shards(&clusters[0], ev, quality.d_max) {
                     routed[k].push(ev);
                 }
             }
-            let report = cluster.step_streaming(t, &events);
+            let reports: Vec<SlotReport> = clusters
+                .iter_mut()
+                .map(|c| c.step_streaming(t, &events))
+                .collect();
+            let report = &reports[0];
             let mut welfare = 0.0;
             let mut ticks = Vec::new();
             for (replica, stream) in replicas.iter_mut().zip(&routed) {
@@ -771,7 +813,7 @@ fn cluster_streaming_matches_standalone_shards() {
                 matched += stats.matched_at_arrival;
                 ticks.extend(stats.decision_ticks);
             }
-            let settlement = cluster.last_settlement();
+            let settlement = clusters[0].last_settlement();
             welfare += settlement.cost_restored;
             duplicates += settlement.duplicates;
             let label = format!("seed {seed} slot {t}");
@@ -781,8 +823,28 @@ fn cluster_streaming_matches_standalone_shards() {
                 "{label}: welfare {} vs the shards' {welfare}",
                 report.welfare
             );
-            let stats = report.streaming.expect("streaming entry point");
+            let stats = report.streaming.as_ref().expect("streaming entry point");
             assert_eq!(stats.decision_ticks, ticks, "{label}: decision ticks");
+
+            let settled = |s: Settlement| {
+                (
+                    s.duplicates,
+                    s.cost_restored.to_bits(),
+                    s.refunded.to_bits(),
+                )
+            };
+            for ((c, r), threads) in clusters.iter().zip(&reports).zip(widths).skip(1) {
+                assert_eq!(
+                    report_bits(r),
+                    report_bits(report),
+                    "{label}: threads {threads} vs 1"
+                );
+                assert_eq!(
+                    settled(c.last_settlement()),
+                    settled(settlement),
+                    "{label}: settlement at threads {threads} vs 1"
+                );
+            }
         }
     }
     // Halo sensors were bought twice and settled, and points matched at
