@@ -57,12 +57,15 @@ fn bench_schedulers(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("exact", format!("{nf}s_{nc}l")),
             &problem,
-            |b, p| b.iter(|| black_box(ufl::solve_exact(p, &SolveOptions::default(), 1).welfare)),
+            |b, p| {
+                let options = SolveOptions::default();
+                b.iter(|| black_box(ufl::solve_exact(p, &options, Threads::single()).welfare))
+            },
         );
         group.bench_with_input(
             BenchmarkId::new("lp_bound", format!("{nf}s_{nc}l")),
             &problem,
-            |b, p| b.iter(|| black_box(ufl::lp_relaxation_bound(p, 1))),
+            |b, p| b.iter(|| black_box(ufl::lp_relaxation_bound(p, Threads::single()))),
         );
         group.bench_with_input(
             BenchmarkId::new("local_search", format!("{nf}s_{nc}l")),

@@ -14,7 +14,7 @@ use ps_core::streaming::{ArrivalEvent, ArrivalPayload, StreamStats};
 use ps_core::valuation::quality::QualityModel;
 use ps_core::valuation::{SetValuation, SpatialSupport};
 use ps_geo::{Point, Rect, TileGrid};
-use std::collections::HashSet;
+use std::{collections::HashSet, sync::Mutex};
 
 /// Size of each shard's query-id block: shard `k` mints ids in
 /// `[k · 2⁴⁰, (k + 1) · 2⁴⁰)`, so ids stay globally unique without any
@@ -403,51 +403,33 @@ impl<'s> ShardedAggregator<'s> {
         self.settle(slot, reports, &to_global)
     }
 
-    /// The shared fork-join skeleton behind [`ShardedAggregator::step`]
-    /// and [`ShardedAggregator::step_streaming`]: applies `f` to every
-    /// (shard, routed input) pair — serially below two worker ranges,
-    /// otherwise on scoped threads over contiguous shard chunks — and
-    /// returns the reports in ascending shard order either way, which is
-    /// the whole determinism argument: settlement never observes
-    /// scheduling.
+    /// Applies `f` to every (shard, routed input) pair, behind
+    /// [`ShardedAggregator::step`] and
+    /// [`ShardedAggregator::step_streaming`]. Contiguous shard ranges go
+    /// through [`Threads::map_ranges`], the calling thread stepping one of
+    /// them, and the reports come back in ascending shard order whichever
+    /// worker stepped each shard. That is the whole determinism argument:
+    /// settlement never observes scheduling. Each shard sits behind its
+    /// own lock, taken once by the worker its range goes to.
     fn step_shards_with<I: Sync>(
         &mut self,
         local: &[Vec<I>],
         f: impl Fn(&mut Aggregator<'s>, &[I]) -> SlotReport + Sync,
     ) -> Vec<SlotReport> {
-        let n = self.shards.len();
-        let ranges = Threads::new(self.threads.get().min(n)).shard_ranges(n);
-        if ranges.len() <= 1 {
-            return self
-                .shards
-                .iter_mut()
-                .zip(local)
-                .map(|(shard, inputs)| f(shard, inputs))
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let f = &f;
-            let mut handles = Vec::with_capacity(ranges.len());
-            let mut shard_rest: &mut [Aggregator<'s>] = &mut self.shards;
-            let mut local_rest: &[Vec<I>] = local;
-            for range in &ranges {
-                let (chunk, rest) = shard_rest.split_at_mut(range.len());
-                shard_rest = rest;
-                let (inputs, lrest) = local_rest.split_at(range.len());
-                local_rest = lrest;
-                handles.push(scope.spawn(move || {
-                    chunk
-                        .iter_mut()
-                        .zip(inputs)
-                        .map(|(shard, inputs)| f(shard, inputs))
-                        .collect::<Vec<SlotReport>>()
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
+        let shards: Vec<Mutex<&mut Aggregator<'s>>> =
+            self.shards.iter_mut().map(Mutex::new).collect();
+        self.threads
+            .map_ranges(shards.len(), |range| {
+                range
+                    .map(|k| {
+                        let mut shard = shards[k].lock().expect("a shard is locked only once");
+                        f(&mut shard, &local[k])
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// The tail of every cluster slot: the global settlement pass, then
@@ -568,20 +550,20 @@ const _: fn() = || {
 };
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ps_core::aggregator::MixStrategy;
     use ps_geo::Rect;
 
-    fn quality() -> QualityModel {
+    pub(crate) fn quality() -> QualityModel {
         QualityModel::new(5.0)
     }
 
-    fn arena() -> Rect {
+    pub(crate) fn arena() -> Rect {
         Rect::with_size(100.0, 100.0)
     }
 
-    fn sensor(id: usize, x: f64, y: f64) -> SensorSnapshot {
+    pub(crate) fn sensor(id: usize, x: f64, y: f64) -> SensorSnapshot {
         SensorSnapshot {
             id,
             loc: Point::new(x, y),
@@ -591,11 +573,55 @@ mod tests {
         }
     }
 
-    fn point_spec(x: f64, y: f64, budget: f64) -> PointSpec {
+    pub(crate) fn point_spec(x: f64, y: f64, budget: f64) -> PointSpec {
         PointSpec {
             loc: Point::new(x, y),
             budget,
             theta_min: 0.2,
+        }
+    }
+
+    /// A location monitor at `(x, y)` over slots `0..=t2` with a 40-unit
+    /// budget, fitted to a sinusoidal 50-slot history.
+    pub(crate) fn location_monitor(x: f64, y: f64, t2: Slot) -> LocationMonitorSpec {
+        use ps_core::valuation::monitoring::{MonitoringContext, MonitoringValuation};
+        use ps_stats::regression::DiurnalBasis;
+        use ps_stats::TimeSeries;
+        use std::sync::Arc;
+
+        let times: Vec<f64> = (0..100).map(|i| i as f64 - 100.0).collect();
+        let values = times
+            .iter()
+            .map(|&t| 20.0 + 5.0 * (std::f64::consts::TAU * t / 50.0).sin())
+            .collect();
+        let ctx = Arc::new(MonitoringContext {
+            basis: DiurnalBasis {
+                period: 50.0,
+                harmonics: 1,
+            },
+            history: TimeSeries::new(times, values),
+            fold: None,
+        });
+        LocationMonitorSpec {
+            loc: Point::new(x, y),
+            t1: 0,
+            t2,
+            alpha: 0.5,
+            theta_min: 0.2,
+            valuation: MonitoringValuation::new(ctx, 40.0, vec![0.0, 1.0]),
+        }
+    }
+
+    /// A region monitor over `region` for slots `0..=t2`.
+    pub(crate) fn region_monitor(region: Rect, t2: Slot) -> RegionMonitorSpec {
+        use ps_core::valuation::region::RegionValuation;
+        use ps_gp::kernel::SquaredExponential;
+        RegionMonitorSpec {
+            t1: 0,
+            t2,
+            alpha: 0.5,
+            theta_min: 0.2,
+            valuation: RegionValuation::new(60.0, region, &SquaredExponential::new(2.0, 2.0), 0.1),
         }
     }
 
@@ -755,37 +781,12 @@ mod tests {
 
     #[test]
     fn totals_are_the_settled_reports_summed() {
-        use ps_core::valuation::monitoring::{MonitoringContext, MonitoringValuation};
-        use ps_stats::regression::DiurnalBasis;
-        use ps_stats::TimeSeries;
-        use std::sync::Arc;
-
         // The seam layout of `halo_duplicates_settle_to_one_payment` for
         // three slots, so every slot settles a duplicate, plus a location
         // monitor in tile 0 whose window ends at slot 1.
-        let times: Vec<f64> = (0..100).map(|i| i as f64 - 100.0).collect();
-        let values = times
-            .iter()
-            .map(|&t| 20.0 + 5.0 * (std::f64::consts::TAU * t / 50.0).sin())
-            .collect();
-        let ctx = Arc::new(MonitoringContext {
-            basis: DiurnalBasis {
-                period: 50.0,
-                harmonics: 1,
-            },
-            history: TimeSeries::new(times, values),
-            fold: None,
-        });
         let sensors = vec![sensor(7, 50.0, 50.0)];
         let mut cluster = ClusterBuilder::new(quality(), arena(), 2).build();
-        cluster.submit_location_monitor(LocationMonitorSpec {
-            loc: Point::new(47.0, 47.0),
-            t1: 0,
-            t2: 1,
-            alpha: 0.5,
-            theta_min: 0.2,
-            valuation: MonitoringValuation::new(ctx, 40.0, vec![0.0, 1.0]),
-        });
+        cluster.submit_location_monitor(location_monitor(47.0, 47.0, 1));
         let mut welfare = 0.0;
         let (mut point_total, mut point_satisfied) = (0, 0);
         for t in 0..3 {
@@ -830,5 +831,143 @@ mod tests {
         use ps_core::valuation::FnValuation;
         let mut cluster = ClusterBuilder::new(quality(), arena(), 2).build();
         cluster.submit_valuation(FnValuation::new(|_: &[SensorSnapshot]| 0.0, 1.0));
+    }
+
+    /// Every tile sees only its own sensor, so each shard serves its query
+    /// with local index 0; the merged report names the global snapshot
+    /// indices, in shard order, at every fork-join width.
+    #[test]
+    fn reports_carry_global_snapshot_indices() {
+        let sensors = vec![
+            sensor(0, 90.0, 90.0), // tile 3
+            sensor(1, 10.0, 90.0), // tile 2
+            sensor(2, 10.0, 10.0), // tile 0
+            sensor(3, 90.0, 10.0), // tile 1
+        ];
+        for threads in [1, 4] {
+            let mut cluster = ClusterBuilder::new(quality(), arena(), 2)
+                .threads(threads)
+                .build();
+            for s in &sensors {
+                cluster.submit_point(point_spec(s.loc.x, s.loc.y, 30.0));
+            }
+            let report = cluster.step(0, &sensors);
+            let served: Vec<_> = report.point_results.iter().map(|r| r.sensor).collect();
+            assert_eq!(
+                served,
+                [Some(2), Some(3), Some(1), Some(0)],
+                "{threads} threads"
+            );
+            assert_eq!(report.sensors_used, [2, 3, 1, 0], "{threads} threads");
+            assert_eq!(cluster.last_settlement(), Settlement::default());
+        }
+    }
+
+    #[test]
+    fn monitors_collate_in_shard_order() {
+        let mut cluster = ClusterBuilder::new(quality(), arena(), 2).build();
+        let in_tile_3 = cluster.submit_location_monitor(location_monitor(80.0, 80.0, 5));
+        let in_tile_0 = cluster.submit_location_monitor(location_monitor(20.0, 20.0, 5));
+        let region =
+            cluster.submit_region_monitor(region_monitor(Rect::new(60.0, 10.0, 70.0, 20.0), 5));
+        assert_eq!(cluster.location_monitor_count(), 2);
+        assert_eq!(cluster.region_monitor_count(), 1);
+        let ids: Vec<QueryId> = cluster.location_monitors().iter().map(|m| m.id).collect();
+        assert_eq!(ids, [in_tile_0, in_tile_3]);
+        assert_eq!(cluster.region_monitors()[0].id, region);
+        assert_eq!(
+            cluster.shard_of(&SpatialSupport::Rect(cluster.region_monitors()[0].region)),
+            1
+        );
+    }
+
+    #[test]
+    fn clear_retired_empties_every_shard() {
+        let sensors = vec![sensor(0, 20.0, 20.0), sensor(1, 80.0, 80.0)];
+        let mut cluster = ClusterBuilder::new(quality(), arena(), 2).build();
+        let early = cluster.submit_location_monitor(location_monitor(80.0, 80.0, 0));
+        let late = cluster.submit_location_monitor(location_monitor(20.0, 20.0, 0));
+        cluster.step(0, &sensors);
+        cluster.step(1, &sensors);
+        assert_eq!(cluster.location_monitor_count(), 0);
+        let retired: Vec<QueryId> = cluster.retired_monitors().iter().map(|m| m.id()).collect();
+        assert_eq!(retired, [late, early], "shard order");
+        cluster.clear_retired();
+        assert!(cluster.retired_monitors().is_empty());
+        assert!(cluster
+            .shards()
+            .iter()
+            .all(|s| s.retired_monitors().is_empty()));
+        assert_eq!(
+            cluster.totals().monitors_retired,
+            2,
+            "the count is cumulative"
+        );
+    }
+
+    /// The halo is the widest distance at which a tile-interior query can
+    /// value a sensor: `d_max` for point queries, the sensing range for
+    /// aggregates.
+    #[test]
+    fn halo_is_the_wider_of_d_max_and_the_sensing_range() {
+        let halo = |range: f64| {
+            ClusterBuilder::new(quality(), arena(), 2)
+                .configure_shards(move |b| b.sensing_range(range))
+                .build()
+                .halo()
+        };
+        assert_eq!(halo(2.0), 5.0);
+        assert_eq!(halo(12.0), 12.0);
+        let default = ClusterBuilder::new(quality(), arena(), 2).build();
+        assert_eq!(default.halo(), default.shards()[0].sensing_range().max(5.0));
+    }
+
+    /// Per-shard decision latencies concatenate in shard order, not in
+    /// arrival order, and every arrival is counted once.
+    #[test]
+    fn streaming_statistics_merge_in_shard_order() {
+        use ps_core::aggregator::DEFAULT_TICKS_PER_SLOT;
+        let events = [
+            ArrivalEvent::sensor(0, sensor(0, 20.0, 20.0)),
+            ArrivalEvent::point(10, point_spec(80.0, 80.0, 30.0)), // tile 3
+            ArrivalEvent::point(20, point_spec(20.0, 20.0, 30.0)), // tile 0
+        ];
+        for threads in [1, 4] {
+            let mut cluster = ClusterBuilder::new(quality(), arena(), 2)
+                .threads(threads)
+                .build();
+            let report = cluster.step_streaming(0, &events);
+            let stats = report
+                .streaming
+                .expect("a streaming slot reports latencies");
+            assert_eq!(stats.query_arrivals, 2);
+            assert_eq!(stats.sensor_arrivals, 1);
+            assert_eq!(
+                stats.decision_ticks,
+                [DEFAULT_TICKS_PER_SLOT - 20, DEFAULT_TICKS_PER_SLOT - 10],
+                "{threads} threads"
+            );
+            assert_eq!(report.breakdown.point_satisfied, 1);
+        }
+    }
+
+    #[test]
+    fn an_empty_slot_settles_to_an_empty_report() {
+        let mut cluster = ClusterBuilder::new(quality(), arena(), 3)
+            .threads(4)
+            .build();
+        let report = cluster.step(0, &[]);
+        assert_eq!(report.welfare, 0.0);
+        assert!(report.sensors_used.is_empty());
+        assert!(report.point_results.is_empty());
+        assert_eq!(report.ledger.total_payments(), 0.0);
+        assert!(report.streaming.is_none());
+        let report = cluster.step_streaming(1, &[]);
+        let stats = report
+            .streaming
+            .expect("a streaming slot reports latencies");
+        assert_eq!((stats.query_arrivals, stats.sensor_arrivals), (0, 0));
+        assert_eq!(cluster.totals().slots, 2);
+        assert_eq!(cluster.total_settlement(), Settlement::default());
     }
 }

@@ -178,3 +178,85 @@ impl<'s> SlotEngine for ShardedAggregator<'s> {
         ShardedAggregator::clear_retired(self)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::tests::{
+        arena, location_monitor, point_spec, quality, region_monitor, sensor,
+    };
+    use crate::ClusterBuilder;
+    use ps_core::query::AggregateKind;
+    use ps_geo::Rect;
+
+    /// One workload driven through a `dyn SlotEngine` and through the
+    /// cluster's own methods gets the same ids, reports, monitor views and
+    /// totals: every trait method reaches its namesake.
+    #[test]
+    fn trait_calls_reach_the_clusters_own_methods() {
+        let build = || ClusterBuilder::new(quality(), arena(), 2).build();
+        let mut direct = build();
+        let mut boxed: Box<dyn SlotEngine> = Box::new(build());
+        let aggregate = AggregateSpec {
+            region: Rect::new(10.0, 10.0, 30.0, 30.0),
+            budget: 40.0,
+            kind: AggregateKind::Average,
+        };
+        let region = Rect::new(60.0, 10.0, 70.0, 20.0);
+        let ids = [
+            (
+                direct.submit_point(point_spec(20.0, 20.0, 30.0)),
+                boxed.submit_point(point_spec(20.0, 20.0, 30.0)),
+            ),
+            (
+                direct.submit_aggregate(aggregate.clone()),
+                boxed.submit_aggregate(aggregate),
+            ),
+            (
+                direct.submit_location_monitor(location_monitor(80.0, 80.0, 0)),
+                boxed.submit_location_monitor(location_monitor(80.0, 80.0, 0)),
+            ),
+            (
+                direct.submit_region_monitor(region_monitor(region, 0)),
+                boxed.submit_region_monitor(region_monitor(region, 0)),
+            ),
+        ];
+        for (a, b) in ids {
+            assert_eq!(a, b);
+        }
+        assert_eq!(boxed.location_monitor_count(), 1);
+        assert_eq!(boxed.region_monitor_count(), 1);
+        assert_eq!(boxed.location_monitors()[0].id, ids[2].0);
+        assert_eq!(boxed.region_monitors()[0].id, ids[3].0);
+
+        let sensors = [sensor(0, 20.0, 20.0), sensor(1, 80.0, 80.0)];
+        let (a, b) = (direct.step(0, &sensors), boxed.step(0, &sensors));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let events = [
+            ArrivalEvent::sensor(0, sensors[0]),
+            ArrivalEvent::point(5, point_spec(20.0, 20.0, 30.0)),
+        ];
+        let (a, b) = (
+            direct.step_streaming(1, &events),
+            boxed.step_streaming(1, &events),
+        );
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+
+        let retired: Vec<QueryId> = boxed.retired_monitors().iter().map(|m| m.id()).collect();
+        assert_eq!(
+            retired,
+            [ids[3].0, ids[2].0],
+            "tile 1's region monitor, then tile 3's"
+        );
+        boxed.clear_retired();
+        assert!(boxed.retired_monitors().is_empty());
+        assert_eq!(
+            (boxed.location_monitor_count(), boxed.region_monitor_count()),
+            (0, 0)
+        );
+        assert_eq!(
+            format!("{:?}", boxed.totals()),
+            format!("{:?}", direct.totals())
+        );
+    }
+}

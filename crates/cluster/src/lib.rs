@@ -16,7 +16,9 @@
 //!   owning its [`SpatialSupport`](ps_core::valuation::SpatialSupport)
 //!   anchor, announces each slot's sensors to their home tile **plus a
 //!   halo ring** so boundary queries still see their full candidate set,
-//!   steps all shards in parallel on a fork-join pool, and runs a global
+//!   steps contiguous ranges of shards in parallel through
+//!   [`Threads::map_ranges`](ps_core::exec::Threads::map_ranges), the
+//!   calling thread stepping one of them, and runs a global
 //!   **settlement** pass: per-shard reports and ledgers merge in shard
 //!   order, and a halo sensor bought by several shards is resolved
 //!   deterministically — the lowest shard id keeps it, every losing

@@ -201,6 +201,39 @@ mod tests {
         assert!(ega_welfare <= opt_welfare + 1e-7);
     }
 
+    /// A slot with enough distinct locations to split the sharded Eq. 9
+    /// build gets the serial schedule at 3 threads.
+    #[test]
+    fn schedule_is_thread_count_invariant() {
+        let mut rng = StdRng::seed_from_u64(47);
+        let queries: Vec<PointQuery> = (0..300)
+            .map(|i| {
+                pq(
+                    i,
+                    rng.gen_range(0.0..20.0f64).floor() + 0.5,
+                    rng.gen_range(0.0..20.0f64).floor() + 0.5,
+                    rng.gen_range(11.0..30.0),
+                )
+            })
+            .collect();
+        let sensors: Vec<SensorSnapshot> = (0..60)
+            .map(|id| sensor(id, rng.gen_range(0.0..20.0), rng.gen_range(0.0..20.0)))
+            .collect();
+        assert!(crate::alloc::group_by_location(&queries).groups.len() >= 2 * 64);
+        let quality = QualityModel::new(5.0);
+        let schedule = |threads| {
+            let alloc = EgalitarianScheduler::new().schedule_sharded(
+                &queries,
+                &sensors,
+                &quality,
+                None,
+                Threads::new(threads),
+            );
+            format!("{alloc:?}")
+        };
+        assert_eq!(schedule(3), schedule(1));
+    }
+
     #[test]
     fn payments_still_respect_individual_rationality() {
         let queries = vec![pq(0, 0.0, 0.0, 15.0), pq(1, 0.0, 0.0, 12.0)];

@@ -121,6 +121,28 @@ mod tests {
         );
     }
 
+    /// The sharded Eq. 9 build leaves the walk's input, and so the
+    /// schedule, bit-identical: a slot with enough distinct locations to
+    /// split the build gets the serial schedule at 3 threads.
+    #[test]
+    fn schedule_is_thread_count_invariant() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let quality = QualityModel::new(5.0);
+        let (queries, sensors) = random_instance(&mut rng, 300, 60);
+        assert!(crate::alloc::group_by_location(&queries).groups.len() >= 2 * 64);
+        let schedule = |threads| {
+            let alloc = LocalSearchScheduler::new().schedule_sharded(
+                &queries,
+                &sensors,
+                &quality,
+                None,
+                Threads::new(threads),
+            );
+            format!("{alloc:?}")
+        };
+        assert_eq!(schedule(3), schedule(1));
+    }
+
     #[test]
     fn payments_respect_individual_rationality() {
         let mut rng = StdRng::seed_from_u64(99);

@@ -82,7 +82,7 @@ impl PointScheduler for OptimalScheduler {
         threads: Threads,
     ) -> PointAllocation {
         schedule_eq9(queries, sensors, quality, index, threads, |problem, _| {
-            ufl::solve_exact(problem, &self.options, threads.get())
+            ufl::solve_exact(problem, &self.options, threads)
         })
     }
 }
@@ -119,9 +119,8 @@ impl PointScheduler for GreedyPointScheduler {
     ) -> PointAllocation {
         schedule_eq9(queries, sensors, quality, index, threads, |problem, _| {
             let components = problem.components();
-            let opens = ufl::map_components(&components, threads.get(), |sub| {
-                ufl::solve_greedy(sub).open
-            });
+            let opens =
+                ufl::map_components(&components, threads, |sub| ufl::solve_greedy(sub).open);
             let mut open = vec![false; problem.num_facilities()];
             for ((facilities, _), sub_open) in components.iter().zip(opens) {
                 for (&f, o) in facilities.iter().zip(sub_open) {
@@ -173,7 +172,7 @@ impl<S: PointScheduler> PointScheduler for WithLpBound<S> {
         let groups = group_by_location(queries);
         let index = index_or_scan_all(index, sensors);
         let problem = build_welfare_problem(queries, &groups, sensors, quality, &index, threads);
-        alloc.lp_bound = Some(ufl::lp_relaxation_bound(&problem, threads.get()));
+        alloc.lp_bound = Some(ufl::lp_relaxation_bound(&problem, threads));
         alloc
     }
 }
@@ -410,6 +409,48 @@ mod tests {
         assert!((serial.lp_bound.unwrap() - 3.0 * triangles as f64).abs() < 1e-9);
         assert_eq!(schedule(1), format!("{serial:?}"));
         assert_eq!(schedule(4), format!("{serial:?}"));
+    }
+
+    /// The greedy scheduler maps its components over the worker threads:
+    /// on 70 gap triangles it opens one sensor per triangle (a second one
+    /// gains 3 for a cost of 4) at 1 and at 4 threads alike.
+    #[test]
+    fn greedy_scheduler_is_thread_count_invariant() {
+        let triangles = 70;
+        assert!(triangles >= 2 * ufl::MIN_COMPONENTS_PER_WORKER);
+        let (queries, sensors) = gap_triangles(triangles);
+        let quality = QualityModel::new(5.0);
+        let schedule = |threads| {
+            GreedyPointScheduler::new().schedule_sharded(
+                &queries,
+                &sensors,
+                &quality,
+                None,
+                Threads::new(threads),
+            )
+        };
+        let serial = schedule(1);
+        assert_eq!(serial.sensors_used.len(), triangles);
+        assert!((serial.welfare - 2.0 * triangles as f64).abs() < 1e-9);
+        assert_eq!(format!("{:?}", schedule(4)), format!("{serial:?}"));
+    }
+
+    /// The LP bound is summed over components in component order, so the
+    /// wrapper attaches the same bits at every thread count.
+    #[test]
+    fn lp_bound_wrapper_is_thread_count_invariant() {
+        let triangles = 70;
+        let (queries, sensors) = gap_triangles(triangles);
+        let quality = QualityModel::new(5.0);
+        let bound = |threads| {
+            WithLpBound::new(LocalSearchScheduler::new())
+                .schedule_sharded(&queries, &sensors, &quality, None, Threads::new(threads))
+                .lp_bound
+                .expect("wrapper attaches the bound")
+        };
+        let serial = bound(1);
+        assert!((serial - 3.0 * triangles as f64).abs() < 1e-9);
+        assert_eq!(bound(4).to_bits(), serial.to_bits());
     }
 
     #[test]

@@ -43,7 +43,6 @@
 pub mod aggregator;
 pub mod alloc;
 pub mod cost;
-pub mod exec;
 pub mod model;
 pub mod monitor;
 pub mod payment;
@@ -54,6 +53,7 @@ pub mod valuation;
 pub use aggregator::{Aggregator, AggregatorBuilder, MixStrategy, SlotReport};
 pub use exec::Threads;
 pub use model::{QueryId, SensorSnapshot, Slot};
+pub use ps_solver::exec;
 pub use query::{AggregateQuery, PointQuery, QueryOrigin, TrajectoryQuery};
 pub use streaming::{ArrivalEvent, ArrivalPayload, StreamStats};
 pub use valuation::quality::QualityModel;

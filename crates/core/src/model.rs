@@ -83,4 +83,24 @@ mod tests {
         };
         assert_eq!(s.intrinsic_quality(), 1.0);
     }
+
+    #[test]
+    fn index_or_scan_all_borrows_a_given_index_and_scans_otherwise() {
+        let sensors: Vec<SensorSnapshot> = (0..4)
+            .map(|id| SensorSnapshot {
+                id,
+                loc: Point::new(id as f64, 0.0),
+                cost: 10.0,
+                trust: 1.0,
+                inaccuracy: 0.0,
+            })
+            .collect();
+        let given = SensorIndex::build(&[Point::ORIGIN]);
+        let borrowed = index_or_scan_all(Some(&given), &sensors);
+        assert!(matches!(borrowed, Cow::Borrowed(index) if std::ptr::eq(index, &given)));
+        let scanned = index_or_scan_all(None, &sensors);
+        assert!(matches!(scanned, Cow::Owned(_)));
+        // A scan-all index lists every sensor, however far the query is.
+        assert_eq!(scanned.query_disk(Point::new(1e6, 1e6), 0.0), [0, 1, 2, 3]);
+    }
 }

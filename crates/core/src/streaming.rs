@@ -175,6 +175,20 @@ mod tests {
         assert_eq!(s.percentile(100.0), Some(99));
     }
 
+    /// Latencies are kept in arrival order; a percentile ranks a sorted
+    /// copy.
+    #[test]
+    fn percentiles_do_not_depend_on_arrival_order() {
+        let s = StreamStats {
+            decision_ticks: vec![900, 0, 40, 7, 300],
+            ..StreamStats::default()
+        };
+        assert_eq!(s.p50(), Some(40));
+        assert_eq!(s.percentile(0.0), Some(0));
+        assert_eq!(s.p99(), Some(900));
+        assert_eq!(s.decision_ticks, [900, 0, 40, 7, 300]);
+    }
+
     #[test]
     fn empty_stats_have_no_percentiles() {
         let s = StreamStats::default();

@@ -202,4 +202,100 @@ mod tests {
         assert_eq!(val.current_value(), 2.0);
         assert_eq!(val.max_value(), 2.0);
     }
+
+    #[test]
+    fn fn_valuation_is_relevant_everywhere_without_a_support() {
+        let mut val = FnValuation::new(|set: &[SensorSnapshot]| set.len() as f64, 5.0);
+        assert!(val.support().is_none());
+        assert!(val.is_relevant(&snap(0, 1e6)));
+        val.commit(&snap(3, 1.0));
+        val.commit(&snap(1, 2.0));
+        let ids: Vec<usize> = val.committed().iter().map(|s| s.id).collect();
+        assert_eq!(ids, [3, 1], "commit order");
+        assert_eq!(val.current_value(), 2.0);
+    }
+
+    #[test]
+    fn supports_anchor_at_the_disk_centre_and_the_rect_centroid() {
+        let disk = SpatialSupport::Disk {
+            center: Point::new(3.0, 4.0),
+            radius: 5.0,
+        };
+        assert_eq!(disk.anchor(), Point::new(3.0, 4.0));
+        let rect = SpatialSupport::Rect(Rect::new(0.0, 10.0, 4.0, 30.0));
+        assert_eq!(rect.anchor(), Point::new(2.0, 20.0));
+    }
+
+    #[test]
+    fn disk_support_fits_only_when_the_whole_disk_is_inside() {
+        let tile = Rect::new(0.0, 0.0, 10.0, 10.0);
+        let disk = |x, y, radius| SpatialSupport::Disk {
+            center: Point::new(x, y),
+            radius,
+        };
+        assert!(
+            disk(5.0, 5.0, 5.0).fits_within(&tile),
+            "touching every side"
+        );
+        assert!(!disk(5.0, 5.0, 5.5).fits_within(&tile));
+        assert!(
+            !disk(1.0, 5.0, 2.0).fits_within(&tile),
+            "crosses the left side"
+        );
+        assert!(
+            !disk(9.0, 5.0, 2.0).fits_within(&tile),
+            "crosses the right side"
+        );
+        assert!(
+            !disk(5.0, 1.0, 2.0).fits_within(&tile),
+            "crosses the bottom side"
+        );
+        assert!(
+            !disk(5.0, 9.0, 2.0).fits_within(&tile),
+            "crosses the top side"
+        );
+        assert!(!disk(12.0, 5.0, 1.0).fits_within(&tile), "centre outside");
+    }
+
+    #[test]
+    fn rect_support_fits_within_a_containing_rect_only() {
+        let tile = Rect::new(0.0, 0.0, 10.0, 10.0);
+        let rect = |x0, y0, x1, y1| SpatialSupport::Rect(Rect::new(x0, y0, x1, y1));
+        assert!(rect(0.0, 0.0, 10.0, 10.0).fits_within(&tile));
+        assert!(rect(2.0, 2.0, 8.0, 8.0).fits_within(&tile));
+        assert!(
+            !rect(8.0, 2.0, 12.0, 8.0).fits_within(&tile),
+            "overlaps the side"
+        );
+        assert!(
+            !rect(-5.0, -5.0, 15.0, 15.0).fits_within(&tile),
+            "contains the tile"
+        );
+        assert!(!rect(20.0, 20.0, 30.0, 30.0).fits_within(&tile), "disjoint");
+    }
+
+    /// A grid index answers a support with exactly the sensors inside it,
+    /// ascending, in place of whatever `out` held.
+    #[test]
+    fn candidates_into_lists_the_sensors_inside_the_support() {
+        let points: Vec<Point> = (0..50)
+            .map(|i| Point::new((i % 10) as f64 * 3.0, (i / 10) as f64 * 3.0))
+            .collect();
+        let index = SensorIndex::build(&points);
+        let inside = |keep: &dyn Fn(Point) -> bool| -> Vec<usize> {
+            (0..points.len()).filter(|&i| keep(points[i])).collect()
+        };
+        let mut out = vec![999, 998];
+        let center = Point::new(9.0, 6.0);
+        SpatialSupport::Disk {
+            center,
+            radius: 4.0,
+        }
+        .candidates_into(&index, &mut out);
+        assert_eq!(out, inside(&|p| p.distance(center) <= 4.0));
+        let region = Rect::new(0.0, 0.0, 6.0, 3.0);
+        SpatialSupport::Rect(region).candidates_into(&index, &mut out);
+        assert_eq!(out, inside(&|p| region.contains(p)));
+        assert_eq!(out.len(), 6);
+    }
 }

@@ -442,6 +442,42 @@ mod tests {
     }
 
     #[test]
+    fn zero_deferrals_reject_over_quota_queries_at_once() {
+        let mut ctl = AdmissionController::new(policy(1, f64::INFINITY, 0));
+        let first = ctl.submit(point(0, 1.0));
+        let second = ctl.submit(point(1, 1.0));
+        let batch = ctl.admit_slot(0);
+        assert_eq!(batch.outcome(first), Some(&Admission::Admitted));
+        assert_eq!(
+            batch.outcome(second),
+            Some(&Admission::Rejected {
+                reason: RejectReason::DeferralsExhausted
+            })
+        );
+        assert_eq!((batch.deferred(), batch.rejected()), (0, 1));
+        assert_eq!(ctl.pending(), 0, "nothing carries over");
+    }
+
+    /// The quota walk does not stop at the first query that misses: a
+    /// later, smaller one still takes the budget that is left.
+    #[test]
+    fn a_smaller_later_query_fills_the_budget_left() {
+        let mut ctl = AdmissionController::new(policy(10, 15.0, 1));
+        let a = ctl.submit(point(0, 10.0));
+        let b = ctl.submit(point(1, 10.0));
+        let c = ctl.submit(point(2, 5.0));
+        let batch = ctl.admit_slot(0);
+        assert_eq!(batch.outcome(a), Some(&Admission::Admitted));
+        assert_eq!(
+            batch.outcome(b),
+            Some(&Admission::Deferred { until_slot: 1 })
+        );
+        assert_eq!(batch.outcome(c), Some(&Admission::Admitted));
+        let ticks: Vec<u64> = batch.admitted.iter().map(|e| e.tick).collect();
+        assert_eq!(ticks, [0, 2]);
+    }
+
+    #[test]
     fn unlimited_policy_admits_everything() {
         let mut ctl = AdmissionController::new(AdmissionPolicy::unlimited());
         let tickets: Vec<Ticket> = (0..20).map(|i| ctl.submit(point(i, 50.0))).collect();

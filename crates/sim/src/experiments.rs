@@ -28,6 +28,7 @@ pub use point_queries::{fig2, fig3, fig4, fig5, fig6, trust};
 
 use crate::config::Scale;
 use crate::metrics::FigureTable;
+use ps_core::exec::Threads;
 
 /// Identifier of a runnable experiment (CLI surface of the repro binary).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,31 +139,26 @@ impl ExperimentId {
     }
 }
 
-/// Runs `run(row, xi, x)` for every cell of a (row × x) grid, one scoped
-/// thread per cell, and returns the results as `[row][x]`. The drivers
-/// derive every seed from the cell, never from the thread schedule, so
-/// the grid is the same however its threads interleave.
+/// Runs `run(row, xi, x)` for every cell of a (row × x) grid, one worker
+/// per cell ([`Threads::map_tasks`]), and returns the results as
+/// `[row][x]`. The drivers derive every seed from the cell, never from
+/// the thread schedule, so the grid is the same however its workers
+/// interleave.
 fn sweep<A: Sync, R: Send>(
     rows: &[A],
     xs: &[f64],
     run: impl Fn(&A, usize, f64) -> R + Sync,
 ) -> Vec<Vec<R>> {
-    let run = &run;
-    std::thread::scope(|s| {
-        let handles: Vec<Vec<_>> = rows
-            .iter()
-            .map(|row| {
-                xs.iter()
-                    .enumerate()
-                    .map(|(xi, &x)| s.spawn(move || run(row, xi, x)))
-                    .collect()
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|row| row.into_iter().map(|h| h.join().expect("worker")).collect())
-            .collect()
-    })
+    let cells = rows.len() * xs.len();
+    let mut results = Threads::new(cells.max(1))
+        .map_tasks(cells, |cell| {
+            let xi = cell % xs.len();
+            run(&rows[cell / xs.len()], xi, xs[xi])
+        })
+        .into_iter();
+    rows.iter()
+        .map(|_| results.by_ref().take(xs.len()).collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -176,5 +172,60 @@ mod tests {
         }
         assert_eq!(ExperimentId::parse("nope"), None);
         assert_eq!(ExperimentId::parse("FIG2"), Some(ExperimentId::Fig2));
+    }
+
+    #[test]
+    fn sweep_returns_rows_of_cells_in_x_order() {
+        let rows = ["a", "b", "c"];
+        let xs = [7.0, 10.0, 15.0, 20.0];
+        let grid = sweep(&rows, &xs, |row, xi, x| format!("{row}{xi}:{x}"));
+        let expected: Vec<Vec<String>> = rows
+            .iter()
+            .map(|row| {
+                xs.iter()
+                    .enumerate()
+                    .map(|(xi, x)| format!("{row}{xi}:{x}"))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(grid, expected);
+    }
+
+    #[test]
+    fn sweep_of_an_empty_grid_runs_nothing() {
+        let no_xs = sweep(&["a", "b"], &[], |_, xi, _| -> usize {
+            panic!("cell {xi} ran")
+        });
+        assert_eq!(no_xs, vec![Vec::<usize>::new(); 2]);
+        let no_rows = sweep(&[] as &[&str], &[1.0, 2.0], |row, _, _| -> usize {
+            panic!("row {row} ran")
+        });
+        assert!(no_rows.is_empty());
+    }
+
+    /// One worker per cell: six cells that each wait for all six to start
+    /// finish only if all six run at once.
+    #[test]
+    fn sweep_gives_every_cell_its_own_worker() {
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+        let started = (Mutex::new(0), Condvar::new());
+        let grid = sweep(&[0, 1], &[1.0, 2.0, 3.0], |_, _, _| {
+            let (count, all_in) = &started;
+            let mut count = count.lock().unwrap();
+            *count += 1;
+            all_in.notify_all();
+            let (count, timeout) = all_in
+                .wait_timeout_while(count, Duration::from_secs(10), |count| *count < 6)
+                .unwrap();
+            assert!(
+                !timeout.timed_out(),
+                "only {} of 6 cells ran at once",
+                *count
+            );
+            std::thread::current().id()
+        });
+        let ids: std::collections::HashSet<_> = grid.iter().flatten().collect();
+        assert_eq!(ids.len(), 6);
     }
 }

@@ -110,6 +110,21 @@ mod tests {
     }
 
     #[test]
+    fn a_missing_series_neither_dominates_nor_is_dominated() {
+        let t = table();
+        assert!(!t.dominates("Nope", "Baseline", 1e9));
+        assert!(!t.dominates("Optimal", "Nope", 1e9));
+    }
+
+    #[test]
+    fn dominance_slack_forgives_shortfalls_up_to_it() {
+        let mut t = table();
+        t.push_series("Almost", vec![9.5, 20.0, 30.0]);
+        assert!(!t.dominates("Almost", "Optimal", 0.25));
+        assert!(t.dominates("Almost", "Optimal", 0.5));
+    }
+
+    #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_series_rejected() {
         let mut t = table();

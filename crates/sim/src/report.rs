@@ -82,6 +82,17 @@ mod tests {
         assert_eq!(lines[1], "7,1.5,0");
     }
 
+    /// A comma inside a label would shift every column after it.
+    #[test]
+    fn csv_header_keeps_commas_out_of_labels() {
+        let mut t = FigureTable::new("fig0b", "demo", "budget, $", "utility", vec![7.0]);
+        t.push_series("Optimal, LP", vec![1.5]);
+        let csv = to_csv(&t);
+        let header = csv.lines().next().unwrap();
+        assert_eq!(header, "budget; $,Optimal; LP");
+        assert!(csv.lines().all(|line| line.split(',').count() == 2));
+    }
+
     #[test]
     fn csv_roundtrip_to_disk() {
         let dir = std::env::temp_dir().join("ps_sim_report_test");

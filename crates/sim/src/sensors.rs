@@ -271,6 +271,40 @@ mod tests {
         );
     }
 
+    /// A pool is a pure function of its config: the same seed draws the
+    /// same sensors, another seed different ones.
+    #[test]
+    fn same_seed_draws_the_same_pool() {
+        let region = Rect::new(0.0, 0.0, 20.0, 20.0);
+        let t = trace();
+        let draw = |seed| {
+            let cfg = SensorPoolConfig {
+                trust: TrustAssignment::Uniform { lo: 0.2, hi: 1.0 },
+                ..SensorPoolConfig::privacy_energy(10, seed)
+            };
+            SensorPool::new(30, &cfg).snapshots(0, &t, &region)
+        };
+        assert_eq!(draw(5), draw(5));
+        assert_ne!(draw(5), draw(6));
+    }
+
+    /// Snapshot ids are agent indices, ascending, each at the agent's
+    /// trace position for the slot.
+    #[test]
+    fn snapshots_place_agents_at_their_trace_positions() {
+        let pool = SensorPool::new(30, &SensorPoolConfig::paper_default(10, 1));
+        let region = Rect::new(0.0, 0.0, 20.0, 20.0);
+        let t = trace();
+        for slot in [0, 4, 9] {
+            let snaps = pool.snapshots(slot, &t, &region);
+            assert_eq!(snaps.len(), t.count_in(slot, &region));
+            assert!(snaps.windows(2).all(|w| w[0].id < w[1].id));
+            for s in &snaps {
+                assert_eq!(t.position(slot, s.id), Some(s.loc));
+            }
+        }
+    }
+
     #[test]
     fn trust_assignment_uniform_band() {
         let cfg = SensorPoolConfig {

@@ -197,4 +197,20 @@ mod tests {
         // The burst slot overflows the base-rate quota.
         assert!(summary.deferred > 0, "burst overflow should defer");
     }
+
+    /// The federated stream steps its shards on the cluster's fork-join;
+    /// its summary and table are the same at every width.
+    #[test]
+    fn federated_run_is_thread_count_invariant() {
+        let run_at = |threads| {
+            let mut scale = Scale::smoke();
+            scale.slots = 5;
+            scale.shards = 2;
+            scale.threads = threads;
+            let (summary, table) = run(&scale);
+            assert!(summary.query_arrivals > 0, "queries must reach the shards");
+            format!("{summary:?} {table:?}")
+        };
+        assert_eq!(run_at(4), run_at(1));
+    }
 }

@@ -33,12 +33,16 @@
 //!
 //! Everything here is deterministic at default options: ties break on the
 //! lowest index, and parallel solves merge in component order, so
-//! simulations are reproducible bit-for-bit at any worker count.
+//! simulations are reproducible bit-for-bit at any worker count. They
+//! fork through [`exec::Threads`], the one fork-join of the workspace:
+//! this is the lowest crate that forks work, and `ps_core::exec`
+//! re-exports the module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bilp;
+pub mod exec;
 pub mod simplex;
 pub mod submodular;
 pub mod ufl;

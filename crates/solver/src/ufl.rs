@@ -27,8 +27,8 @@
 //! * [`lp_relaxation_bound`] — the root LP-relaxation value, a certified
 //!   upper bound on Eq. 12 welfare (used for `optimality_gap` reporting
 //!   against heuristic schedulers).
-//! * [`map_components`] — the work queue both of them run on: components
-//!   go to worker threads one at a time and come back in component
+//! * [`map_components`] — the work floor both of them run on: one
+//!   [`Threads::map_tasks`] task per component, results in component
 //!   order, so every result is the same for every worker count.
 //! * [`solve_local_search`] — the Feige-et-al. Local Search of §3.1.2,
 //!   specialized with incremental best/second-best bookkeeping so that a
@@ -37,8 +37,8 @@
 //!   heuristic and as an extra baseline in ablation benches).
 
 use crate::bilp::{self, BilpProblem, SolveOptions, SolveStatus};
+use crate::exec::Threads;
 use crate::simplex::{self, Constraint, LpStatus};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// A welfare-maximization facility-location instance.
@@ -326,56 +326,28 @@ pub const MAX_EXACT_VARS: usize = 600;
 pub const MIN_COMPONENTS_PER_WORKER: usize = 32;
 
 /// Maps `f` over the sub-problems of `components` (as
-/// [`WelfareProblem::components`] returns them) on up to `workers`
-/// threads and returns the results in component order, so a caller that
-/// merges them in that order gets the same bits for every worker count.
-///
-/// Workers draw the next component from one shared counter, and the
-/// calling thread is one of them, so at most `workers − 1` scoped
-/// threads are spawned. Components differ widely in cost (a single
-/// facility next to a hundred-variable LP), so fixed contiguous shares
-/// would leave one worker idle while the other finishes. Each worker
-/// must get [`MIN_COMPONENTS_PER_WORKER`] components; `workers = 0`
-/// counts as 1.
+/// [`WelfareProblem::components`] returns them), one task per component
+/// on up to `threads` workers ([`Threads::map_tasks`]), and returns the
+/// results in component order, so a caller that merges them in that
+/// order gets the same bits for every worker count. Components differ
+/// widely in cost (a single facility next to a hundred-variable LP), so
+/// fixed contiguous shares would leave one worker idle while the other
+/// finishes. Each worker must get [`MIN_COMPONENTS_PER_WORKER`]
+/// components.
 pub fn map_components<R, F>(
     components: &[(Vec<usize>, WelfareProblem)],
-    workers: usize,
+    threads: Threads,
     f: F,
 ) -> Vec<R>
 where
     R: Send,
     F: Fn(&WelfareProblem) -> R + Sync,
 {
-    let workers = workers
+    let workers = threads
+        .get()
         .min(components.len() / MIN_COMPONENTS_PER_WORKER)
         .max(1);
-    if workers == 1 {
-        return components.iter().map(|(_, sub)| f(sub)).collect();
-    }
-    // `Relaxed` suffices: the counter publishes nothing but the index it
-    // hands out. The components are read-only for the whole scope, and
-    // the results come back through `join`.
-    let next = AtomicUsize::new(0);
-    let drain = || {
-        let mut done = Vec::new();
-        loop {
-            let c = next.fetch_add(1, Ordering::Relaxed);
-            let Some((_, sub)) = components.get(c) else {
-                break done;
-            };
-            done.push((c, f(sub)));
-        }
-    };
-    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
-        let mut done = drain();
-        for helper in helpers {
-            done.extend(helper.join().expect("component worker panicked"));
-        }
-        done
-    });
-    done.sort_unstable_by_key(|&(c, _)| c);
-    done.into_iter().map(|(_, r)| r).collect()
+    Threads::new(workers).map_tasks(components.len(), |c| f(&components[c].1))
 }
 
 /// Greedy marginal-gain facility opening (test baseline + primal warm
@@ -589,8 +561,8 @@ impl<'a> LsState<'a> {
 
 /// Exact solve through the new solver core: connected-component
 /// decomposition, then the Eq. 9 BILP of each component handed to the
-/// best-bound branch-and-bound of [`crate::bilp`], on up to `workers`
-/// threads ([`map_components`]).
+/// best-bound branch-and-bound of [`crate::bilp`], on up to `threads`
+/// workers ([`map_components`]).
 ///
 /// The anytime contract: the better of the Local Search and greedy
 /// solutions seeds a component's incumbent whenever its root LP leaves
@@ -615,10 +587,14 @@ impl<'a> LsState<'a> {
 /// options it equals [`lp_relaxation_bound`] bit for bit. Without a
 /// deadline the whole result (open set, assignment, welfare, bound,
 /// nodes and status) is the same for every worker count.
-pub fn solve_exact(p: &WelfareProblem, options: &SolveOptions, workers: usize) -> WelfareSolution {
+pub fn solve_exact(
+    p: &WelfareProblem,
+    options: &SolveOptions,
+    threads: Threads,
+) -> WelfareSolution {
     let deadline_at = options.deadline.map(|d| Instant::now() + d);
     let components = p.components();
-    let solved = map_components(&components, workers, |sub| {
+    let solved = map_components(&components, threads, |sub| {
         solve_component(sub, options.max_nodes, deadline_at)
     });
 
@@ -749,15 +725,15 @@ fn heuristic_seed(sub: &WelfareProblem) -> WelfareSolution {
 }
 
 /// Certified upper bound on the optimal Eq. 12 welfare via the root LP
-/// relaxation of each component (no branching), on up to `workers`
-/// threads ([`map_components`]) and summed in component order, so the
+/// relaxation of each component (no branching), on up to `threads`
+/// workers ([`map_components`]) and summed in component order, so the
 /// bits are the same for every worker count. Components past
 /// [`MAX_EXACT_VARS`], or whose LP exhausts the pivot budget,
 /// fall back to an `O(edges)` dual-feasible bound (`fast_dual_bound`).
 /// Used to report `optimality_gap` for heuristic schedulers without
 /// running the full branch-and-bound.
-pub fn lp_relaxation_bound(p: &WelfareProblem, workers: usize) -> f64 {
-    let bounds = map_components(&p.components(), workers, |sub| {
+pub fn lp_relaxation_bound(p: &WelfareProblem, threads: Threads) -> f64 {
+    let bounds = map_components(&p.components(), threads, |sub| {
         if sub.num_facilities() == 1 {
             sub.welfare_of(&[true]).max(0.0)
         } else if bilp_vars(sub) > MAX_EXACT_VARS {
@@ -918,7 +894,7 @@ pub(crate) mod tests {
     #[test]
     fn exact_solves_tiny_instance() {
         let p = tiny_instance();
-        let sol = solve_exact(&p, &SolveOptions::default(), 1);
+        let sol = solve_exact(&p, &SolveOptions::default(), Threads::single());
         assert!(sol.proven_optimal());
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert_eq!(sol.welfare, 5.0);
@@ -946,7 +922,7 @@ pub(crate) mod tests {
         // All values below cost → best is to select nothing (the paper's
         // baseline observation at budgets 7–10 with C_s = 10).
         let p = WelfareProblem::new(vec![10.0, 10.0], vec![vec![(0, 6.0)], vec![(1, 7.0)]]);
-        let exact = solve_exact(&p, &SolveOptions::default(), 1);
+        let exact = solve_exact(&p, &SolveOptions::default(), Threads::single());
         assert_eq!(exact.welfare, 0.0);
         assert!(exact.open.iter().all(|&o| !o));
         let ls = solve_local_search(&p);
@@ -969,7 +945,7 @@ pub(crate) mod tests {
     fn sharing_makes_unaffordable_sensors_affordable() {
         // Two clients, each worth 6 < cost 10, but together 12 > 10.
         let p = WelfareProblem::new(vec![10.0], vec![vec![(0, 6.0)], vec![(0, 6.0)]]);
-        let exact = solve_exact(&p, &SolveOptions::default(), 1);
+        let exact = solve_exact(&p, &SolveOptions::default(), Threads::single());
         assert_eq!(exact.welfare, 2.0);
         assert_eq!(exact.open, vec![true]);
     }
@@ -995,7 +971,7 @@ pub(crate) mod tests {
                 vec![(2, 1.0), (3, 4.0)],
             ],
         );
-        let sol = solve_exact(&p, &SolveOptions::default(), 1);
+        let sol = solve_exact(&p, &SolveOptions::default(), Threads::single());
         assert!(sol.proven_optimal());
         assert_eq!(sol.welfare, 10.0);
         assert_eq!(sol.open, vec![false, true, false, true]);
@@ -1007,7 +983,11 @@ pub(crate) mod tests {
     #[test]
     fn node_limited_solve_keeps_heuristic_incumbent() {
         let p = gap_triangle();
-        let sol = solve_exact(&p, &SolveOptions::default().with_max_nodes(0), 1);
+        let sol = solve_exact(
+            &p,
+            &SolveOptions::default().with_max_nodes(0),
+            Threads::single(),
+        );
         assert_eq!(sol.status, SolveStatus::LimitReached);
         assert!(!sol.proven_optimal());
         // Local search already finds the single-facility optimum (2.0);
@@ -1022,7 +1002,7 @@ pub(crate) mod tests {
     #[test]
     fn full_budget_closes_the_gap_triangle() {
         let p = gap_triangle();
-        let sol = solve_exact(&p, &SolveOptions::default(), 1);
+        let sol = solve_exact(&p, &SolveOptions::default(), Threads::single());
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.welfare - 2.0).abs() < 1e-9);
     }
@@ -1036,7 +1016,7 @@ pub(crate) mod tests {
             let p = random_instance(&mut rng, 10, 12);
             let ls = solve_local_search(&p);
             let opts = SolveOptions::default().with_deadline(Duration::ZERO);
-            let sol = solve_exact(&p, &opts, 1);
+            let sol = solve_exact(&p, &opts, Threads::single());
             assert!(
                 matches!(sol.status, SolveStatus::Feasible | SolveStatus::Optimal),
                 "status {:?}",
@@ -1220,10 +1200,10 @@ pub(crate) mod tests {
             let comps = p.components();
             singles += comps.iter().filter(|(m, _)| m.len() == 1).count();
             isolated += p.num_facilities() - comps.iter().map(|(m, _)| m.len()).sum::<usize>();
-            let exact = solve_exact(&p, &SolveOptions::default(), 1);
+            let exact = solve_exact(&p, &SolveOptions::default(), Threads::single());
             assert_eq!(
                 exact.lp_bound.map(f64::to_bits),
-                Some(lp_relaxation_bound(&p, 1).to_bits()),
+                Some(lp_relaxation_bound(&p, Threads::single()).to_bits()),
                 "trial {trial}"
             );
         }
@@ -1231,40 +1211,6 @@ pub(crate) mod tests {
             singles > 0 && isolated > 0,
             "{singles} singles, {isolated} isolated"
         );
-    }
-
-    /// Results come back in component order even when workers finish
-    /// them out of order: the worker holding component 0 waits until
-    /// component 1 is done.
-    #[test]
-    fn map_components_keeps_component_order_whatever_finishes_first() {
-        use std::sync::{mpsc, Mutex};
-        // Component c: facility c, of cost c, serving one client.
-        let n = 2 * MIN_COMPONENTS_PER_WORKER;
-        let costs = (0..n).map(|c| c as f64).collect();
-        let comps =
-            WelfareProblem::new(costs, (0..n).map(|c| vec![(c, 1.0)]).collect()).components();
-        assert_eq!(comps.len(), n);
-        let (one_done, wait_for_one) = mpsc::channel();
-        let wait_for_one = Mutex::new(wait_for_one);
-        let finished = Mutex::new(Vec::new());
-        let ids = map_components(&comps, 2, |sub| {
-            let c = sub.facility_cost[0] as usize;
-            if c == 0 {
-                wait_for_one.lock().unwrap().recv().unwrap();
-            }
-            finished.lock().unwrap().push(c);
-            // Signal only once recorded: a preempted sender must not
-            // let component 0 record first.
-            if c == 1 {
-                one_done.send(()).unwrap();
-            }
-            c
-        });
-        assert_eq!(ids, (0..n).collect::<Vec<_>>());
-        let finished = finished.into_inner().unwrap();
-        let at = |c| finished.iter().position(|&x| x == c);
-        assert!(at(1) < at(0), "{finished:?}");
     }
 
     /// Every field of a solve, floats as bits.
@@ -1317,10 +1263,10 @@ pub(crate) mod tests {
                 SolveOptions::default(),
                 SolveOptions::default().with_max_nodes(1),
             ] {
-                let serial = solve_exact(&p, &options, 1);
+                let serial = solve_exact(&p, &options, Threads::single());
                 let alone: Vec<usize> = comps
                     .iter()
-                    .map(|(_, sub)| solve_exact(sub, &options, 1).nodes)
+                    .map(|(_, sub)| solve_exact(sub, &options, Threads::single()).nodes)
                     .collect();
                 assert_eq!(serial.nodes, alone.iter().sum::<usize>(), "trial {trial}");
                 assert!(
@@ -1329,18 +1275,63 @@ pub(crate) mod tests {
                 );
                 for workers in [2, 7] {
                     assert_eq!(
-                        solve_bits(&solve_exact(&p, &options, workers)),
+                        solve_bits(&solve_exact(&p, &options, Threads::new(workers))),
                         solve_bits(&serial),
                         "trial {trial}, {workers} workers, {} nodes",
                         options.max_nodes
                     );
                 }
             }
-            let bound = lp_relaxation_bound(&p, 1).to_bits();
+            let bound = lp_relaxation_bound(&p, Threads::single()).to_bits();
             for workers in [2, 7] {
-                assert_eq!(lp_relaxation_bound(&p, workers).to_bits(), bound);
+                assert_eq!(
+                    lp_relaxation_bound(&p, Threads::new(workers)).to_bits(),
+                    bound
+                );
             }
         }
+    }
+
+    /// `n` one-facility components: facility `i` costs `i + 1` and serves
+    /// client `i` alone.
+    fn lone_facilities(n: usize) -> Vec<(Vec<usize>, WelfareProblem)> {
+        let costs = (0..n).map(|i| i as f64 + 1.0).collect();
+        let clients = (0..n).map(|i| vec![(i, 1000.0)]).collect();
+        let comps = WelfareProblem::new(costs, clients).components();
+        assert_eq!(comps.len(), n);
+        comps
+    }
+
+    /// The thread running a component that takes a millisecond: slow
+    /// enough that every worker started claims some.
+    fn slow_worker_id(_: &WelfareProblem) -> std::thread::ThreadId {
+        std::thread::sleep(Duration::from_millis(1));
+        std::thread::current().id()
+    }
+
+    #[test]
+    fn map_components_below_twice_the_floor_runs_inline() {
+        let comps = lone_facilities(2 * MIN_COMPONENTS_PER_WORKER - 1);
+        let caller = std::thread::current().id();
+        let seen = map_components(&comps, Threads::new(8), slow_worker_id);
+        assert!(seen.iter().all(|&id| id == caller));
+    }
+
+    /// Above the floor the results still come back in component order,
+    /// on at most one worker per `MIN_COMPONENTS_PER_WORKER` components:
+    /// 100 components use at most 3.
+    #[test]
+    fn map_components_returns_results_in_component_order() {
+        let comps = lone_facilities(100);
+        let costs = map_components(&comps, Threads::new(8), |sub| sub.facility_cost[0]);
+        let expected: Vec<f64> = (0..100).map(|i| i as f64 + 1.0).collect();
+        assert_eq!(costs, expected);
+        let ids = map_components(&comps, Threads::new(8), slow_worker_id);
+        let workers = ids.iter().collect::<std::collections::HashSet<_>>().len();
+        assert!(
+            workers <= 100 / MIN_COMPONENTS_PER_WORKER,
+            "{workers} workers"
+        );
     }
 
     #[test]
@@ -1349,7 +1340,7 @@ pub(crate) mod tests {
         for trial in 0..40 {
             let p = random_instance(&mut rng, 8, 10);
             let ex = solve_exhaustive(&p);
-            let bb = solve_exact(&p, &SolveOptions::default(), 1);
+            let bb = solve_exact(&p, &SolveOptions::default(), Threads::single());
             assert!(bb.proven_optimal(), "trial {trial} not proven");
             assert!(
                 (bb.welfare - ex.welfare).abs() < 1e-7,
@@ -1373,7 +1364,7 @@ pub(crate) mod tests {
             let p = random_instance(&mut rng, 5, 6);
             let bp = p.to_bilp();
             let bilp_sol = bilp::solve(&bp, &SolveOptions::default(), || None);
-            let ufl_sol = solve_exact(&p, &SolveOptions::default(), 1);
+            let ufl_sol = solve_exact(&p, &SolveOptions::default(), Threads::single());
             assert!(
                 (bilp_sol.objective.max(0.0) - ufl_sol.welfare).abs() < 1e-6,
                 "bilp={} ufl={}",
@@ -1433,7 +1424,7 @@ pub(crate) mod tests {
         assert!(bilp_vars(&p) > MAX_EXACT_VARS, "instance not oversized");
 
         let start = Instant::now();
-        let sol = solve_exact(&p, &SolveOptions::default(), 1);
+        let sol = solve_exact(&p, &SolveOptions::default(), Threads::single());
         let elapsed = start.elapsed();
         assert_eq!(sol.status, SolveStatus::LimitReached);
         let ls = solve_local_search(&p);
@@ -1446,7 +1437,7 @@ pub(crate) mod tests {
 
         // The standalone bound path takes the same shortcut and stays
         // consistent with the achieved welfare.
-        let bound = lp_relaxation_bound(&p, 1);
+        let bound = lp_relaxation_bound(&p, Threads::single());
         assert!(sol.welfare <= bound + 1e-9);
     }
 
@@ -1455,7 +1446,7 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(1234);
         for _ in 0..60 {
             let p = random_instance(&mut rng, 7, 9);
-            let bound = lp_relaxation_bound(&p, 1);
+            let bound = lp_relaxation_bound(&p, Threads::single());
             let opt = solve_exhaustive(&p);
             assert!(
                 bound >= opt.welfare - 1e-7,
@@ -1471,7 +1462,7 @@ pub(crate) mod tests {
         for _ in 0..30 {
             let p = random_instance(&mut rng, 10, 12);
             let ls = solve_local_search(&p);
-            let ex = solve_exact(&p, &SolveOptions::default(), 1);
+            let ex = solve_exact(&p, &SolveOptions::default(), Threads::single());
             assert!(ls.welfare <= ex.welfare + 1e-7);
             assert!(ls.welfare >= 0.0);
         }
@@ -1481,7 +1472,7 @@ pub(crate) mod tests {
     fn assignments_point_to_open_facilities() {
         let mut rng = StdRng::seed_from_u64(31337);
         let p = random_instance(&mut rng, 12, 15);
-        let sol = solve_exact(&p, &SolveOptions::default(), 1);
+        let sol = solve_exact(&p, &SolveOptions::default(), Threads::single());
         for (l, a) in sol.assignment.iter().enumerate() {
             if let Some(f) = a {
                 assert!(sol.open[*f], "client {l} assigned to closed facility");
@@ -1496,7 +1487,7 @@ pub(crate) mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let p = random_instance(&mut rng, 9, 11);
             let ls = solve_local_search(&p);
-            let ex = solve_exact(&p, &SolveOptions::default(), 1);
+            let ex = solve_exact(&p, &SolveOptions::default(), Threads::single());
             prop_assert!(ex.welfare + 1e-7 >= ls.welfare);
             let brute = solve_exhaustive(&p);
             prop_assert!((ex.welfare - brute.welfare).abs() < 1e-6);

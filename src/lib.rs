@@ -15,7 +15,7 @@
 //! | [`sim`] (`ps_sim`) | Time-slotted simulator + one experiment driver per figure (§4) |
 //! | [`stats`] (`ps_stats`) | Regression, sampling-time selection, descriptive statistics |
 //! | [`gp`] (`ps_gp`) | Gaussian processes: kernels, posterior variance fields, hyperfitting |
-//! | [`solver`] (`ps_solver`) | Exact BILP/UFL branch-and-bound, Local Search, greedy engines |
+//! | [`solver`] (`ps_solver`) | Exact BILP/UFL branch-and-bound, Local Search, greedy engines; the deterministic fork-join (`exec`) every parallel phase runs on |
 //! | [`mobility`] (`ps_mobility`) | RWM, synthetic campaign, and stationary mobility models |
 //! | [`linalg`] (`ps_linalg`) | Dense matrices, Cholesky, linear solves |
 //! | [`data`] (`ps_data`) | Synthetic stand-ins for the Intel-Lab and OpenSense ozone traces |

@@ -237,6 +237,7 @@ proptest! {
     /// measuring sensor once, and keeps a bound-carrying slot's point
     /// welfare at or below its raw LP bound — for every `MixStrategy` and
     /// every in-tree point scheduler.
+    #[test]
     fn ledger_is_balanced_and_cost_recovering_every_slot(seed in 0u64..10_000, slots in 2usize..7) {
         for strategy in [MixStrategy::Alg5, MixStrategy::SequentialBaseline, MixStrategy::OnlineAuction] {
             check_ledger_invariants(&format!("{strategy:?}"), strategy, None, seed, slots)?;
@@ -250,6 +251,7 @@ proptest! {
     /// welfare is at least the sequential baseline engine's. (Monitors
     /// evolve statefully across slots, so per-run dominance is not a
     /// theorem — the paper's Fig. 10 gap is ~70%; allow a small slack.)
+    #[test]
     fn alg5_engine_dominates_baseline_engine(seed in 0u64..10_000, slots in 2usize..6) {
         let ctx = monitoring_ctx();
         let run = |strategy: MixStrategy| -> f64 {

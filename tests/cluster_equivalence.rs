@@ -168,6 +168,7 @@ proptest! {
 
     /// ISSUE 5's exactness contract: a tile-local workload is answered
     /// identically by the g×g cluster and the plain engine.
+    #[test]
     fn tile_local_workloads_match_the_plain_engine(
         seed in 0u64..10_000,
         g in 2usize..4,
@@ -202,6 +203,7 @@ proptest! {
 
     /// For a fixed grid, the fork-join width can never change anything:
     /// threads ∈ {1, 2, 7} are bit-identical.
+    #[test]
     fn shard_grid_is_deterministic_across_thread_counts(
         seed in 0u64..10_000,
         g in 1usize..4,

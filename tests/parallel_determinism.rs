@@ -224,6 +224,7 @@ proptest! {
     /// ISSUE 4's contract: identical seeded `StandingMixProfile` streams
     /// at `threads ∈ {1, 2, 7}` yield equal `SlotReport`s, ledgers, and
     /// retired-monitor stats — bit for bit.
+    #[test]
     fn threads_1_2_7_are_bit_identical(seed in 0u64..10_000, slots in 2usize..5) {
         let profile = small_profile();
         let serial = run_at_threads(&profile, 1, seed, slots);

@@ -12,6 +12,7 @@ use ps_core::aggregator::{AggregatorBuilder, PointSpec, SlotReport};
 use ps_core::alloc::baseline::BaselinePointScheduler;
 use ps_core::alloc::optimal::OptimalScheduler;
 use ps_core::alloc::PointScheduler;
+use ps_core::exec::Threads;
 use ps_core::model::SensorSnapshot;
 use ps_core::valuation::quality::QualityModel;
 use ps_geo::Point;
@@ -107,7 +108,7 @@ fn deadline_limited_solves_stay_between_greedy_and_lp_bound() {
     for seed in 0..20 {
         let problem = random_welfare(24, 60, seed);
         let options = SolveOptions::default().with_deadline(Duration::ZERO);
-        let solution = ufl::solve_exact(&problem, &options, 1);
+        let solution = ufl::solve_exact(&problem, &options, Threads::single());
         assert_ne!(
             solution.status,
             SolveStatus::Infeasible,
@@ -139,7 +140,7 @@ fn node_limited_solves_never_report_bogus_infeasible() {
     for seed in 100..120 {
         let problem = random_welfare(24, 60, seed);
         let options = SolveOptions::default().with_max_nodes(0);
-        let solution = ufl::solve_exact(&problem, &options, 1);
+        let solution = ufl::solve_exact(&problem, &options, Threads::single());
         assert!(
             matches!(
                 solution.status,

@@ -247,6 +247,7 @@ proptest! {
     /// The tentpole contract: an all-arrivals-at-slot-start stream is
     /// bit-identical to the batch `step` — for every strategy and for a
     /// configured scheduler, across the threads grid and the federation.
+    #[test]
     fn tick0_streaming_is_bit_identical_to_batch(seed in 0u64..10_000, slots in 2usize..4) {
         let configs = [
             Config::strategy(MixStrategy::Alg5),
@@ -267,6 +268,7 @@ proptest! {
     /// Money conservation through admission control: deferred and
     /// rejected queries pay nothing (they never reach the engine), and
     /// the admitted flows stay budget-balanced and cost-recovering.
+    #[test]
     fn admission_outcomes_conserve_money(
         seed in 0u64..10_000,
         max_queries in 1usize..6,
