@@ -340,8 +340,8 @@ impl<'s> ShardedAggregator<'s> {
         // Route the announcement: per-shard snapshot slices plus the
         // local-index → (global index, snapshot) maps settlement needs
         // later.
-        let mut local: Vec<Vec<SensorSnapshot>> = vec![Vec::new(); n];
-        let mut to_global: Vec<Vec<(usize, &SensorSnapshot)>> = vec![Vec::new(); n];
+        let mut local: Vec<Vec<SensorSnapshot>> = routing_buffers(n, sensors.len());
+        let mut to_global: Vec<Vec<(usize, &SensorSnapshot)>> = routing_buffers(n, sensors.len());
         for (gi, s) in sensors.iter().enumerate() {
             for k in self.grid.tiles_seeing(s.loc, self.halo) {
                 local[k].push(*s);
@@ -368,8 +368,8 @@ impl<'s> ShardedAggregator<'s> {
     /// calling [`ShardedAggregator::step`].
     pub fn step_streaming(&mut self, slot: Slot, events: &[ArrivalEvent]) -> SlotReport {
         let n = self.shards.len();
-        let mut local: Vec<Vec<&ArrivalEvent>> = vec![Vec::new(); n];
-        let mut to_global: Vec<Vec<(usize, &SensorSnapshot)>> = vec![Vec::new(); n];
+        let mut local: Vec<Vec<&ArrivalEvent>> = routing_buffers(n, events.len());
+        let mut to_global: Vec<Vec<(usize, &SensorSnapshot)>> = routing_buffers(n, events.len());
         let mut gi = 0;
         for ev in events {
             match &ev.payload {
@@ -540,6 +540,17 @@ impl<'s> ShardedAggregator<'s> {
     }
 }
 
+/// One routing buffer per shard, each pre-sized for an even share of
+/// `items` plus a quarter of slack for the halo copies (a sensor near a
+/// tile edge is routed to every tile whose halo contains it), so a slot's
+/// routing pass does not grow them by doubling from empty.
+fn routing_buffers<T>(shards: usize, items: usize) -> Vec<Vec<T>> {
+    let share = items / shards.max(1);
+    (0..shards)
+        .map(|_| Vec::with_capacity(share + share / 4))
+        .collect()
+}
+
 // The cluster's whole reason to exist is stepping engines on worker
 // threads; if `Aggregator` ever stops being `Send`, fail loudly at
 // compile time rather than in a trait bound three layers up.
@@ -594,14 +605,14 @@ pub(crate) mod tests {
             .iter()
             .map(|&t| 20.0 + 5.0 * (std::f64::consts::TAU * t / 50.0).sin())
             .collect();
-        let ctx = Arc::new(MonitoringContext {
-            basis: DiurnalBasis {
+        let ctx = Arc::new(MonitoringContext::new(
+            DiurnalBasis {
                 period: 50.0,
                 harmonics: 1,
             },
-            history: TimeSeries::new(times, values),
-            fold: None,
-        });
+            TimeSeries::new(times, values),
+            None,
+        ));
         LocationMonitorSpec {
             loc: Point::new(x, y),
             t1: 0,

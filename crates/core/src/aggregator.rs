@@ -853,12 +853,14 @@ impl<'s> Aggregator<'s> {
     /// desired times (the §4.7 baseline); `weighted` plans regions at
     /// Eq. 18 weighted costs rather than raw ones.
     ///
-    /// Region planning shards by contiguous monitor range — each
-    /// monitor's plan is a pure function of its own state and the slot
-    /// inputs. Workers mint *placeholder* ids from a per-monitor counter;
-    /// the serial pass below then assigns real ids in monitor-then-query
-    /// order, which is exactly the order a serial loop mints them in, so
-    /// plans are bit-identical for every thread count.
+    /// Region planning runs one task per monitor, claimed by the workers
+    /// from a shared counter, since plan costs vary widely between
+    /// monitors; each monitor's plan is a pure function of its own state
+    /// and the slot inputs. Workers mint *placeholder* ids from a
+    /// per-monitor counter; the serial pass below then assigns real ids
+    /// in monitor-then-query order, which is exactly the order a serial
+    /// loop mints them in, so plans are bit-identical for every thread
+    /// count.
     fn point_workload(
         &mut self,
         t: Slot,
@@ -883,19 +885,14 @@ impl<'s> Aggregator<'s> {
             sensors.iter().map(|s| s.cost).collect()
         };
         let monitors = &self.region_monitors;
-        let shards = self.threads.map_ranges(monitors.len(), |range| {
-            range
-                .map(|mi| {
-                    let mut local = 0u64;
-                    let mut placeholder = || {
-                        local += 1;
-                        QueryId(local)
-                    };
-                    monitors[mi].plan_indexed(t, sensors, &costs, mi, &mut placeholder, Some(index))
-                })
-                .collect::<Vec<RegionPlan>>()
+        let mut plans: Vec<RegionPlan> = self.threads.map_tasks(monitors.len(), |mi| {
+            let mut local = 0u64;
+            let mut placeholder = || {
+                local += 1;
+                QueryId(local)
+            };
+            monitors[mi].plan_indexed(t, sensors, &costs, mi, &mut placeholder, Some(index))
         });
-        let mut plans: Vec<RegionPlan> = shards.into_iter().flatten().collect();
         for query in plans.iter_mut().flat_map(|plan| &mut plan.queries) {
             self.next_query_id += 1;
             query.id = QueryId(self.next_query_id);
@@ -1758,14 +1755,14 @@ mod tests {
             .iter()
             .map(|&t| 20.0 + 5.0 * (std::f64::consts::TAU * t / 50.0).sin())
             .collect();
-        Arc::new(MonitoringContext {
-            basis: DiurnalBasis {
+        Arc::new(MonitoringContext::new(
+            DiurnalBasis {
                 period: 50.0,
                 harmonics: 1,
             },
-            history: TimeSeries::new(times, values),
-            fold: None,
-        })
+            TimeSeries::new(times, values),
+            None,
+        ))
     }
 
     fn location_spec(loc: Point, budget: f64) -> LocationMonitorSpec {

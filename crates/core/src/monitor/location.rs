@@ -102,10 +102,15 @@ impl LocationMonitor {
         self.value() - self.spent
     }
 
-    /// Quality-of-results metric for Fig. 8(b): `v_q(T',Θ)/B_q`.
+    /// Quality-of-results metric for Fig. 8(b): `v_q(T',Θ)/B_q`, read
+    /// off the cached value.
     pub fn quality_of_results(&self) -> f64 {
-        self.valuation
-            .quality_of_results(&self.sampled_times, &self.qualities)
+        let b = self.budget();
+        if b <= 0.0 {
+            0.0
+        } else {
+            self.cached_value / b
+        }
     }
 
     /// The query's total budget.
@@ -253,7 +258,7 @@ impl LocationMonitor {
         self.qualities.push(quality);
         self.spent += payment;
         self.cached_g = self.valuation.g(&self.sampled_times);
-        self.cached_value = self.valuation.value(&self.sampled_times, &self.qualities);
+        self.cached_value = self.valuation.value_with_g(self.cached_g, &self.qualities);
         // Advance nst past every desired time ≤ t (lst ← t implicitly).
         let desired = self.valuation.desired_times();
         while self.nst_idx < desired.len() && desired[self.nst_idx] <= t as f64 {
@@ -276,14 +281,14 @@ mod tests {
             .iter()
             .map(|&t| 30.0 + 8.0 * (std::f64::consts::TAU * t / 50.0).sin())
             .collect();
-        Arc::new(MonitoringContext {
-            basis: DiurnalBasis {
+        Arc::new(MonitoringContext::new(
+            DiurnalBasis {
                 period: 50.0,
                 harmonics: 1,
             },
-            history: TimeSeries::new(times, values),
-            fold: None,
-        })
+            TimeSeries::new(times, values),
+            None,
+        ))
     }
 
     fn monitor(desired: Vec<f64>, budget: f64, alpha: f64) -> LocationMonitor {
@@ -411,6 +416,37 @@ mod tests {
         assert!(m.create_point_query_baseline(6, QueryId(9), 0).is_none());
         assert!(m.create_point_query_baseline(14, QueryId(9), 0).is_none());
         assert!(m.create_point_query_baseline(15, QueryId(9), 0).is_some());
+    }
+
+    #[test]
+    fn cached_value_matches_the_valuation_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..4 {
+            let mut m = monitor(vec![3.0, 9.0, 14.0, 22.0], rng.gen_range(20.0..200.0), 0.5);
+            let mut samples = 0;
+            for t in 0..=30 {
+                let asked = m.create_point_query(t, QueryId(t as u64), 0);
+                let result = asked.filter(|_| rng.gen_bool(0.8)).map(|pq| {
+                    (
+                        rng.gen_range(0.3..1.0),
+                        pq.max_value() * rng.gen_range(0.1..1.0),
+                    )
+                });
+                samples += usize::from(result.is_some());
+                m.apply_result(t, result);
+                let reference = m.valuation.value(&m.sampled_times, &m.qualities);
+                assert_eq!(m.value().to_bits(), reference.to_bits(), "slot {t}");
+                assert_eq!(
+                    m.quality_of_results().to_bits(),
+                    m.valuation
+                        .quality_of_results(&m.sampled_times, &m.qualities)
+                        .to_bits()
+                );
+            }
+            assert!(samples >= 4, "only {samples} samples landed");
+        }
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //!
 //! The Eq. 18 cost weighting lives here as [`sharing_weight`]; the paper
 //! prints `w(k) = 11 − k (k < 10)` while defining `w` as a `[0, 1]`-valued
-//! *reduction* factor, so we read it as `(11 − k)/10` — see DESIGN.md §3.
+//! *reduction* factor, so we read it as `(11 − k)/10`: a sensor no other
+//! monitor could share keeps its full cost, and each further monitor that
+//! could share it takes a tenth off, down to the 0.1 floor at `k ≥ 10`.
 
 use crate::model::{index_or_scan_all, QueryId, SensorSnapshot, Slot};
 use crate::query::{PointQuery, QueryOrigin};
-use crate::valuation::region::RegionValuation;
+use crate::valuation::region::{RegionValuation, RegionWhatIf};
 use crate::valuation::SetValuation;
 use ps_geo::{Rect, SensorIndex};
 
@@ -66,7 +68,7 @@ pub struct RegionMonitor {
     pub theta_min: f64,
     /// Accumulated Eq. 7 valuation (observed sensors condition the GP).
     valuation: RegionValuation,
-    /// Pristine prior for Algorithm 4's per-call fresh fields.
+    /// Pristine prior that Algorithm 4's per-τ what-if fields start from.
     prior: RegionValuation,
     spent: f64,
 }
@@ -171,53 +173,56 @@ impl RegionMonitor {
             return RegionPlan::empty();
         }
 
+        // Each candidate's cell and quality θ, resolved once per plan.
+        let cells: Vec<Option<usize>> = candidates
+            .iter()
+            .map(|&si| self.valuation.cell_index_of(sensors[si].loc))
+            .collect();
+        let thetas: Vec<f64> = candidates
+            .iter()
+            .map(|&si| sensors[si].intrinsic_quality())
+            .collect();
+
         // Algorithm 4: greedy (sensor, time) selection under the budget,
         // assuming current locations persist. One fresh-prior field per
-        // future time τ, created lazily; the discount
-        // (t2 − τ)/(t2 − t1) biases selections toward the present.
+        // future time τ; the discount (t2 − τ)/(t2 − t1) biases
+        // selections toward the present.
         //
         // Committing into τ* only changes that field, so each τ's
         // per-candidate marginals are cached and recomputed only after a
-        // commit into it — the same GP values the full rescan produced,
-        // at O(candidates) instead of O(candidates × horizon) marginal
-        // evaluations per iteration. Fields are materialized (an
-        // O(cells²) covariance clone) only for the τ that actually
-        // receive a commit: an untouched field *is* the prior, so its
-        // marginals come from one shared prior evaluation.
+        // commit into it. A τ's field exists only once it receives a
+        // commit, as a what-if over the prior that copies no covariance;
+        // an untouched field *is* the prior, so every untouched τ reads
+        // the one shared prior gain vector.
         let horizon = self.t2 - t + 1;
-        let mut fields: Vec<Option<RegionValuation>> = vec![None; horizon];
-        let mut chosen: Vec<Vec<usize>> = vec![Vec::new(); horizon]; // per τ-offset
-        let mut gains: Vec<Option<Vec<f64>>> = vec![None; horizon]; // per τ-offset
-        let mut prior_gains: Option<Vec<f64>> = None;
+        let prior_gains: Vec<f64> = (0..candidates.len())
+            .map(|k| self.prior.marginal_at(cells[k], thetas[k]))
+            .collect();
+        let mut fields: Vec<Option<RegionWhatIf<'_>>> = (0..horizon).map(|_| None).collect();
+        // A committed τ's gains; `None` until refreshed after a commit.
+        let mut gains: Vec<Option<Vec<f64>>> = vec![None; horizon];
+        // Picked candidate positions per τ-offset.
+        let mut chosen: Vec<Vec<usize>> = vec![Vec::new(); horizon];
         let duration = (self.t2 - self.t1).max(1) as f64;
         let mut committed_cost = 0.0;
 
         while committed_cost < budget {
-            for tau_off in 0..horizon {
-                if gains[tau_off].is_none() {
-                    gains[tau_off] = Some(match &fields[tau_off] {
-                        Some(field) => candidates
-                            .iter()
-                            .map(|&si| field.marginal(&sensors[si]))
+            for (field, gains) in fields.iter().zip(&mut gains) {
+                if let (Some(field), None) = (field, &gains) {
+                    *gains = Some(
+                        (0..candidates.len())
+                            .map(|k| field.marginal_at(cells[k], thetas[k]))
                             .collect(),
-                        None => prior_gains
-                            .get_or_insert_with(|| {
-                                candidates
-                                    .iter()
-                                    .map(|&si| self.prior.marginal(&sensors[si]))
-                                    .collect()
-                            })
-                            .clone(),
-                    });
+                    );
                 }
             }
             let mut best: Option<(usize, usize, f64)> = None; // (cand, τ_off, δ)
-            for (k, &si) in candidates.iter().enumerate() {
+            for k in 0..candidates.len() {
                 for tau_off in 0..horizon {
-                    if chosen[tau_off].contains(&si) {
+                    if chosen[tau_off].contains(&k) {
                         continue;
                     }
-                    let gain = gains[tau_off].as_ref().expect("refreshed above")[k];
+                    let gain = gains[tau_off].as_deref().unwrap_or(&prior_gains)[k];
                     if gain <= 0.0 {
                         continue;
                     }
@@ -230,43 +235,46 @@ impl RegionMonitor {
                     let delta = gain * discount;
                     match best {
                         Some((_, _, b)) if b >= delta => {}
-                        _ => best = Some((si, tau_off, delta)),
+                        _ => best = Some((k, tau_off, delta)),
                     }
                 }
             }
-            let Some((si, tau_off, _delta)) = best else {
+            let Some((k, tau_off, _delta)) = best else {
                 break;
             };
-            let field = fields[tau_off].get_or_insert_with(|| self.prior.clone());
-            field.commit(&sensors[si]);
-            chosen[tau_off].push(si);
+            fields[tau_off]
+                .get_or_insert_with(|| self.prior.what_if())
+                .commit_at(cells[k], thetas[k]);
+            chosen[tau_off].push(k);
             gains[tau_off] = None;
-            committed_cost += weighted_cost[si];
+            committed_cost += weighted_cost[candidates[k]];
         }
 
         // Point queries for the *current* slot's selections (S_tc), valued
         // at each sensor's marginal contribution within the chosen set,
-        // evaluated against the query's accumulated state.
+        // evaluated against the query's accumulated state. Both sides of
+        // each difference are what-ifs over that state.
         let current = &chosen[0];
         let mut queries = Vec::new();
         let mut expected_cost = 0.0;
         let mut promised = 0.0;
         // v_q(S_t) is the same for every s — build it once.
         let v_all = {
-            let mut with_all = self.valuation.clone();
-            for &sj in current {
-                with_all.commit(&sensors[sj]);
+            let mut with_all = self.valuation.what_if();
+            for &j in current {
+                with_all.commit_at(cells[j], thetas[j]);
             }
             with_all.current_value()
         };
-        for &si in current {
+        for &k in current {
+            let si = candidates[k];
             let s = &sensors[si];
-            // v_pq = v_q(S_t) − v_q(S_t \ {s}): recompute with the
-            // accumulated valuation, committing all of S_t except s.
-            let mut without = self.valuation.clone();
-            for &sj in current {
-                if sj != si {
-                    without.commit(&sensors[sj]);
+            // v_pq = v_q(S_t) − v_q(S_t \ {s}): the accumulated valuation
+            // with all of S_t committed except s.
+            let mut without = self.valuation.what_if();
+            for &j in current {
+                if j != k {
+                    without.commit_at(cells[j], thetas[j]);
                 }
             }
             let vp = (v_all - without.current_value()).max(0.0);
@@ -387,6 +395,245 @@ mod tests {
             QueryId(next_id)
         };
         m.plan_indexed(t, sensors, &costs, 0, &mut make_id, index)
+    }
+
+    /// `plan_indexed` as it was before the what-if overlays, verbatim:
+    /// per-τ fields cloned from the prior, prior gains cloned per τ, and
+    /// `v_q(S_t)` and each `v_q(S_t ∖ {s})` committed into clones of
+    /// the accumulated valuation.
+    fn plan_reference(
+        m: &RegionMonitor,
+        t: Slot,
+        sensors: &[SensorSnapshot],
+        weighted_cost: &[f64],
+        monitor_index: usize,
+        make_id: &mut dyn FnMut() -> QueryId,
+        index: Option<&SensorIndex>,
+    ) -> RegionPlan {
+        assert_eq!(sensors.len(), weighted_cost.len());
+        if !m.is_active(t) {
+            return RegionPlan::empty();
+        }
+        let budget = m.remaining_budget();
+        if budget <= 1e-9 {
+            return RegionPlan::empty();
+        }
+
+        // Candidates: sensors inside the region (S_{r,t}).
+        let candidates: Vec<usize> = index_or_scan_all(index, sensors)
+            .query_rect(&m.region)
+            .into_iter()
+            .filter(|&i| m.region.contains(sensors[i].loc))
+            .collect();
+        if candidates.is_empty() {
+            return RegionPlan::empty();
+        }
+
+        // Algorithm 4: greedy (sensor, time) selection under the budget,
+        // assuming current locations persist. One fresh-prior field per
+        // future time τ, created lazily; the discount
+        // (t2 − τ)/(t2 − t1) biases selections toward the present.
+        //
+        // Committing into τ* only changes that field, so each τ's
+        // per-candidate marginals are cached and recomputed only after a
+        // commit into it — the same GP values the full rescan produced,
+        // at O(candidates) instead of O(candidates × horizon) marginal
+        // evaluations per iteration. Fields are materialized (an
+        // O(cells²) covariance clone) only for the τ that actually
+        // receive a commit: an untouched field *is* the prior, so its
+        // marginals come from one shared prior evaluation.
+        let horizon = m.t2 - t + 1;
+        let mut fields: Vec<Option<RegionValuation>> = vec![None; horizon];
+        let mut chosen: Vec<Vec<usize>> = vec![Vec::new(); horizon]; // per τ-offset
+        let mut gains: Vec<Option<Vec<f64>>> = vec![None; horizon]; // per τ-offset
+        let mut prior_gains: Option<Vec<f64>> = None;
+        let duration = (m.t2 - m.t1).max(1) as f64;
+        let mut committed_cost = 0.0;
+
+        while committed_cost < budget {
+            for tau_off in 0..horizon {
+                if gains[tau_off].is_none() {
+                    gains[tau_off] = Some(match &fields[tau_off] {
+                        Some(field) => candidates
+                            .iter()
+                            .map(|&si| field.marginal(&sensors[si]))
+                            .collect(),
+                        None => prior_gains
+                            .get_or_insert_with(|| {
+                                candidates
+                                    .iter()
+                                    .map(|&si| m.prior.marginal(&sensors[si]))
+                                    .collect()
+                            })
+                            .clone(),
+                    });
+                }
+            }
+            let mut best: Option<(usize, usize, f64)> = None; // (cand, τ_off, δ)
+            for (k, &si) in candidates.iter().enumerate() {
+                for tau_off in 0..horizon {
+                    if chosen[tau_off].contains(&si) {
+                        continue;
+                    }
+                    let gain = gains[tau_off].as_ref().expect("refreshed above")[k];
+                    if gain <= 0.0 {
+                        continue;
+                    }
+                    let tau = t + tau_off;
+                    // Algorithm 4 line 7: δ = ΔF · θ_s · (t2 − τ)/(t2 − t1);
+                    // our `marginal` already folds θ in, so only the time
+                    // discount remains. For τ = t2 the discount is 0 —
+                    // keep a tiny floor so current-slot picks still win.
+                    let discount = ((m.t2 - tau) as f64 / duration).max(1e-6);
+                    let delta = gain * discount;
+                    match best {
+                        Some((_, _, b)) if b >= delta => {}
+                        _ => best = Some((si, tau_off, delta)),
+                    }
+                }
+            }
+            let Some((si, tau_off, _delta)) = best else {
+                break;
+            };
+            let field = fields[tau_off].get_or_insert_with(|| m.prior.clone());
+            field.commit(&sensors[si]);
+            chosen[tau_off].push(si);
+            gains[tau_off] = None;
+            committed_cost += weighted_cost[si];
+        }
+
+        // Point queries for the *current* slot's selections (S_tc), valued
+        // at each sensor's marginal contribution within the chosen set,
+        // evaluated against the query's accumulated state.
+        let current = &chosen[0];
+        let mut queries = Vec::new();
+        let mut expected_cost = 0.0;
+        let mut promised = 0.0;
+        // v_q(S_t) is the same for every s — build it once.
+        let v_all = {
+            let mut with_all = m.valuation.clone();
+            for &sj in current {
+                with_all.commit(&sensors[sj]);
+            }
+            with_all.current_value()
+        };
+        for &si in current {
+            let s = &sensors[si];
+            // v_pq = v_q(S_t) − v_q(S_t \ {s}): recompute with the
+            // accumulated valuation, committing all of S_t except s.
+            let mut without = m.valuation.clone();
+            for &sj in current {
+                if sj != si {
+                    without.commit(&sensors[sj]);
+                }
+            }
+            let vp = (v_all - without.current_value()).max(0.0);
+            // Promised point-query budgets are upper bounds on payments;
+            // never promise beyond the remaining hard budget.
+            let vp = vp.min((m.remaining_budget() - promised).max(0.0));
+            if vp <= 1e-9 {
+                continue;
+            }
+            promised += vp;
+            expected_cost += weighted_cost[si];
+            queries.push(PointQuery {
+                id: make_id(),
+                loc: s.loc,
+                budget: vp,
+                offset: 0.0,
+                theta_min: m.theta_min,
+                origin: QueryOrigin::RegionMonitor {
+                    monitor: monitor_index,
+                    sensor: si,
+                },
+            });
+        }
+        RegionPlan {
+            queries,
+            expected_cost,
+        }
+    }
+
+    #[test]
+    fn plan_matches_the_clone_based_planner_across_slots() {
+        let mut rng = StdRng::seed_from_u64(2013);
+        let mut largest_plan = 0;
+        for round in 0..6 {
+            let (x, y) = (rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0));
+            let region = Rect::new(
+                x,
+                y,
+                x + rng.gen_range(4.0..10.0),
+                y + rng.gen_range(4.0..10.0),
+            );
+            let valuation = RegionValuation::new(
+                rng.gen_range(20.0..120.0),
+                region,
+                &SquaredExponential::new(rng.gen_range(1.0..3.0), rng.gen_range(1.0..3.0)),
+                0.1,
+            );
+            let t2 = rng.gen_range(3..12);
+            let mut m = RegionMonitor::new(QueryId(3), 0, t2, 0.5, 0.2, valuation);
+            let mut planned = 0;
+            for t in 0..=t2 {
+                let sensors: Vec<SensorSnapshot> = (0..rng.gen_range(5..40))
+                    .map(|i| SensorSnapshot {
+                        id: 1000 * t + i,
+                        loc: Point::new(
+                            rng.gen_range(x - 2.0..x + 12.0),
+                            rng.gen_range(y - 2.0..y + 12.0),
+                        ),
+                        cost: rng.gen_range(2.0..15.0),
+                        trust: rng.gen_range(0.4..1.0),
+                        inaccuracy: rng.gen_range(0.0..0.3),
+                    })
+                    .collect();
+                let costs: Vec<f64> = sensors
+                    .iter()
+                    .map(|s| s.cost * rng.gen_range(0.1..1.0))
+                    .collect();
+                let index = (round % 2 == 0).then(|| {
+                    SensorIndex::build(&sensors.iter().map(|s| s.loc).collect::<Vec<_>>())
+                });
+                let plan = m.plan_indexed(t, &sensors, &costs, 0, &mut ids(), index.as_ref());
+                let reference =
+                    plan_reference(&m, t, &sensors, &costs, 0, &mut ids(), index.as_ref());
+                assert_eq!(format!("{plan:?}"), format!("{reference:?}"), "slot {t}");
+                planned += plan.queries.len();
+                largest_plan = largest_plan.max(plan.queries.len());
+                // Commit a random part of the plan, and share some other
+                // in-region sensors, so later slots plan over an
+                // accumulated state.
+                let mut satisfied: Vec<(SensorSnapshot, f64)> = Vec::new();
+                for q in &plan.queries {
+                    let QueryOrigin::RegionMonitor { sensor, .. } = q.origin else {
+                        unreachable!("a region plan names its sensor")
+                    };
+                    if rng.gen_bool(0.7) {
+                        satisfied.push((sensors[sensor], q.budget * rng.gen_range(0.2..1.0)));
+                    }
+                }
+                let shared: Vec<SensorSnapshot> = sensors
+                    .iter()
+                    .filter(|s| m.region.contains(s.loc) && rng.gen_bool(0.2))
+                    .copied()
+                    .collect();
+                m.apply_results(&satisfied, &plan, &shared);
+            }
+            assert!(planned > 0, "round {round} planned nothing");
+        }
+        // Some slot priced several picks against each other (Alg. 3's
+        // `v_q(S_t ∖ {s})`).
+        assert!(largest_plan >= 3, "largest plan {largest_plan}");
+    }
+
+    /// Mints query ids 1, 2, … like an engine's counter.
+    fn ids() -> impl FnMut() -> QueryId {
+        let mut next = 0u64;
+        move || {
+            next += 1;
+            QueryId(next)
+        }
     }
 
     #[test]

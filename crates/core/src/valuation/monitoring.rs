@@ -11,27 +11,49 @@
 //! over the phenomenon's historical trace.
 
 use ps_stats::regression::DiurnalBasis;
-use ps_stats::sampling::rss_of_training_times;
+use ps_stats::sampling::{g_ratio, HistoryDesign};
 use ps_stats::TimeSeries;
 use std::sync::Arc;
 
 /// Shared regression context: one per monitored phenomenon.
+///
+/// The history's design matrix is computed once, at construction, and
+/// every Eq. 17 residual sum of squares of every query sharing the
+/// context is read against it.
 #[derive(Debug, Clone)]
 pub struct MonitoringContext {
-    /// Feature basis of the linear model.
-    pub basis: DiurnalBasis,
-    /// Historical trace (the "past days" of the ozone series).
-    pub history: TimeSeries,
-    /// Optional day-folding `(period, anchor)`: simulation times are
-    /// mapped to `anchor + (t mod period)` before regressing, implementing
-    /// ref. \[19]'s assumption that "the data values for the current time
-    /// interval are almost the same as the data values in the same time
-    /// interval in the past". `None` uses times verbatim (history must
-    /// then cover the query window).
-    pub fold: Option<(f64, f64)>,
+    history: HistoryDesign<DiurnalBasis>,
+    fold: Option<(f64, f64)>,
 }
 
 impl MonitoringContext {
+    /// A context over the historical trace `history` (the "past days" of
+    /// the ozone series) under the linear model's feature `basis`.
+    ///
+    /// `fold` is an optional day-folding `(period, anchor)`: simulation
+    /// times are mapped to `anchor + (t mod period)` before regressing,
+    /// implementing ref. \[19]'s assumption that "the data values for the
+    /// current time interval are almost the same as the data values in
+    /// the same time interval in the past". `None` uses times verbatim
+    /// (history must then cover the query window).
+    pub fn new(basis: DiurnalBasis, history: TimeSeries, fold: Option<(f64, f64)>) -> Self {
+        Self {
+            history: HistoryDesign::new(basis, history),
+            fold,
+        }
+    }
+
+    /// The historical trace and the linear model's basis, with the
+    /// cached design matrix.
+    pub fn design(&self) -> &HistoryDesign<DiurnalBasis> {
+        &self.history
+    }
+
+    /// The day-folding `(period, anchor)`, if any.
+    pub fn fold(&self) -> Option<(f64, f64)> {
+        self.fold
+    }
+
     /// Maps a simulation time into history coordinates.
     pub fn map_time(&self, t: f64) -> f64 {
         match self.fold {
@@ -40,8 +62,11 @@ impl MonitoringContext {
         }
     }
 
-    fn map_times(&self, times: &[f64]) -> Vec<f64> {
-        times.iter().map(|&t| self.map_time(t)).collect()
+    /// `Σ r²ᵢ|X` of Eq. 17 for training times given in simulation
+    /// coordinates.
+    fn rss_of(&self, times: &[f64]) -> f64 {
+        let mapped: Vec<f64> = times.iter().map(|&t| self.map_time(t)).collect();
+        self.history.rss_of_training_times(&mapped)
     }
 }
 
@@ -55,16 +80,11 @@ pub struct MonitoringValuation {
     rss_desired: f64,
 }
 
-/// Cap applied to the residual ratio `G`, mirroring
-/// `ps_stats::sampling::g_factor`.
-const G_MAX: f64 = 4.0;
-
 impl MonitoringValuation {
     /// Builds the valuation; `desired_times` is the query's `T` in
     /// simulation coordinates.
     pub fn new(ctx: Arc<MonitoringContext>, budget: f64, desired_times: Vec<f64>) -> Self {
-        let mapped = ctx.map_times(&desired_times);
-        let rss_desired = rss_of_training_times(&ctx.basis, &ctx.history, &mapped);
+        let rss_desired = ctx.rss_of(&desired_times);
         Self {
             ctx,
             budget,
@@ -89,12 +109,7 @@ impl MonitoringValuation {
         if sampled_times.is_empty() || self.ctx.history.is_empty() {
             return 0.0;
         }
-        let mapped = self.ctx.map_times(sampled_times);
-        let rss_sampled = rss_of_training_times(&self.ctx.basis, &self.ctx.history, &mapped);
-        if rss_sampled <= 1e-12 {
-            return G_MAX;
-        }
-        (self.rss_desired / rss_sampled).min(G_MAX)
+        g_ratio(self.rss_desired, self.ctx.rss_of(sampled_times))
     }
 
     /// Eq. 16: the value of samples at `sampled_times` with reading
@@ -111,8 +126,18 @@ impl MonitoringValuation {
         if qualities.is_empty() {
             return 0.0;
         }
+        self.value_with_g(self.g(sampled_times), qualities)
+    }
+
+    /// Eq. 16 from an already evaluated `g = G(T')`: what
+    /// [`MonitoringValuation::value`] returns for samples whose `G` is
+    /// `g`, without regressing again.
+    pub fn value_with_g(&self, g: f64, qualities: &[f64]) -> f64 {
+        if qualities.is_empty() {
+            return 0.0;
+        }
         let avg_theta: f64 = qualities.iter().sum::<f64>() / qualities.len() as f64;
-        self.budget * self.g(sampled_times) * avg_theta
+        self.budget * g * avg_theta
     }
 
     /// The marginal value of adding a sample at `t` with expected quality
@@ -152,14 +177,14 @@ mod tests {
             .iter()
             .map(|&t| 30.0 + 8.0 * (std::f64::consts::TAU * t / 50.0).sin())
             .collect();
-        Arc::new(MonitoringContext {
-            basis: DiurnalBasis {
+        Arc::new(MonitoringContext::new(
+            DiurnalBasis {
                 period: 50.0,
                 harmonics: 1,
             },
-            history: TimeSeries::new(times, values),
-            fold: None,
-        })
+            TimeSeries::new(times, values),
+            None,
+        ))
     }
 
     #[test]

@@ -12,22 +12,56 @@ use crate::model::SensorSnapshot;
 use crate::valuation::SetValuation;
 use ps_geo::{Point, Rect};
 use ps_gp::kernel::Kernel;
-use ps_gp::posterior::PosteriorField;
+use ps_gp::posterior::{normalized_f, FieldOverlay, PosteriorField};
+
+/// The integer column and row ranges (inclusive) of the unit cells
+/// `Rect::cells` enumerates for a region.
+#[derive(Debug, Clone, Copy)]
+struct CellRanges {
+    col_lo: i64,
+    col_hi: i64,
+    row_lo: i64,
+    row_hi: i64,
+}
+
+impl CellRanges {
+    fn of(region: &Rect) -> Self {
+        Self {
+            col_lo: (region.min_x - 0.5).ceil().max(0.0) as i64,
+            col_hi: (region.max_x - 0.5).floor() as i64,
+            row_lo: (region.min_y - 0.5).ceil().max(0.0) as i64,
+            row_hi: (region.max_y - 0.5).floor() as i64,
+        }
+    }
+}
+
+/// The running sums Eq. 7 reads: the field's total variance reduction
+/// over the region's cells, `Σθ` and `|S|`.
+#[derive(Debug, Clone, Copy)]
+struct Sums {
+    reduction: f64,
+    sum_theta: f64,
+    count: usize,
+}
 
 /// Incremental Eq. 7 valuation over a queried region.
 ///
 /// Sensors observe the grid cell they stand in (the paper's Intel-Lab
 /// grid-assignment rule); `F` is evaluated over all unit cells of the
-/// queried region.
+/// queried region. The region's total prior variance is summed once and
+/// its total variance reduction once per commit, so a marginal costs one
+/// pass over the observed cell's covariance column.
 #[derive(Debug, Clone)]
 pub struct RegionValuation {
     budget: f64,
     region: Rect,
+    cells: CellRanges,
     field: PosteriorField,
     /// All field indices (the region's cells) — the `V` of Eq. 6.
     all_cells: Vec<usize>,
-    sum_theta: f64,
-    count: usize,
+    /// `Σ_{v∈V}` prior variance: the denominator of `F`.
+    prior_total: f64,
+    sums: Sums,
 }
 
 impl RegionValuation {
@@ -36,14 +70,20 @@ impl RegionValuation {
     /// variance.
     pub fn new<K: Kernel>(budget: f64, region: Rect, kernel: &K, noise_variance: f64) -> Self {
         let centers: Vec<Point> = region.cells().map(|c| c.center()).collect();
-        let n = centers.len();
+        let all_cells: Vec<usize> = (0..centers.len()).collect();
+        let field = PosteriorField::new(kernel, centers, noise_variance);
         Self {
             budget,
             region,
-            field: PosteriorField::new(kernel, centers, noise_variance),
-            all_cells: (0..n).collect(),
-            sum_theta: 0.0,
-            count: 0,
+            cells: CellRanges::of(&region),
+            prior_total: field.prior_variance(&all_cells),
+            sums: Sums {
+                reduction: field.total_reduction(&all_cells),
+                sum_theta: 0.0,
+                count: 0,
+            },
+            field,
+            all_cells,
         }
     }
 
@@ -54,12 +94,12 @@ impl RegionValuation {
 
     /// Current `F(S)` value.
     pub fn f_value(&self) -> f64 {
-        self.field.f_value(&self.all_cells)
+        normalized_f(self.sums.reduction, self.prior_total)
     }
 
     /// Number of committed sensors.
     pub fn committed_count(&self) -> usize {
-        self.count
+        self.sums.count
     }
 
     /// Field index of the cell a sensor at `p` would observe, when inside
@@ -76,11 +116,12 @@ impl RegionValuation {
         if !self.region.contains(p) {
             return None;
         }
-        // The same ranges `Rect::cells` enumerates.
-        let col_lo = (self.region.min_x - 0.5).ceil().max(0.0) as i64;
-        let col_hi = (self.region.max_x - 0.5).floor() as i64;
-        let row_lo = (self.region.min_y - 0.5).ceil().max(0.0) as i64;
-        let row_hi = (self.region.max_y - 0.5).floor() as i64;
+        let CellRanges {
+            col_lo,
+            col_hi,
+            row_lo,
+            row_hi,
+        } = self.cells;
         if col_hi < col_lo || row_hi < row_lo {
             return None;
         }
@@ -107,27 +148,92 @@ impl RegionValuation {
         best.filter(|&(_, d)| d <= 0.5000001).map(|(i, _)| i)
     }
 
-    fn value_parts(&self, f: f64, sum_theta: f64, count: usize) -> f64 {
-        if count == 0 {
+    /// Eq. 7 at the running sums `s`.
+    fn value_of(&self, s: &Sums) -> f64 {
+        if s.count == 0 {
             return 0.0;
         }
-        self.budget * f * (sum_theta / count as f64)
+        self.budget * normalized_f(s.reduction, self.prior_total) * (s.sum_theta / s.count as f64)
+    }
+
+    /// The Eq. 7 gain over the sums `s` of one more sensor of quality
+    /// `theta` whose observation removes `extra` variance.
+    fn gain_of(&self, s: &Sums, extra: f64, theta: f64) -> f64 {
+        let with = Sums {
+            reduction: s.reduction + extra,
+            sum_theta: s.sum_theta + theta,
+            count: s.count + 1,
+        };
+        self.value_of(&with) - self.value_of(s)
+    }
+
+    /// [`SetValuation::marginal`] of a sensor of quality `theta` that
+    /// observes `cell` (`None`: outside the region's cells).
+    pub(crate) fn marginal_at(&self, cell: Option<usize>, theta: f64) -> f64 {
+        let Some(cell) = cell else {
+            return 0.0;
+        };
+        let extra = self.field.reduction_if_observed(cell, &self.all_cells);
+        self.gain_of(&self.sums, extra, theta)
+    }
+
+    /// A what-if copy of this valuation that borrows it instead of
+    /// cloning its covariance.
+    pub(crate) fn what_if(&self) -> RegionWhatIf<'_> {
+        RegionWhatIf {
+            base: self,
+            field: self.field.overlay(),
+            sums: self.sums,
+        }
+    }
+}
+
+/// A [`RegionValuation`] after hypothetical commits, over a
+/// [`FieldOverlay`] of the valuation it borrows: planning's throwaway
+/// "what if these sensors were observed" values, bit-identical to
+/// committing them into a clone.
+#[derive(Debug)]
+pub(crate) struct RegionWhatIf<'a> {
+    base: &'a RegionValuation,
+    field: FieldOverlay<'a>,
+    sums: Sums,
+}
+
+impl RegionWhatIf<'_> {
+    /// [`RegionValuation::marginal_at`] after the hypothetical commits.
+    pub(crate) fn marginal_at(&self, cell: Option<usize>, theta: f64) -> f64 {
+        let Some(cell) = cell else {
+            return 0.0;
+        };
+        let extra = self.field.reduction_if_observed(cell, &self.base.all_cells);
+        self.base.gain_of(&self.sums, extra, theta)
+    }
+
+    /// Hypothetically commits a sensor of quality `theta` that observes
+    /// `cell` (a no-op for `None`, as [`SetValuation::commit`] is).
+    pub(crate) fn commit_at(&mut self, cell: Option<usize>, theta: f64) {
+        let Some(cell) = cell else {
+            return;
+        };
+        self.field.observe(cell);
+        self.sums.reduction = self.field.total_reduction(&self.base.all_cells);
+        self.sums.sum_theta += theta;
+        self.sums.count += 1;
+    }
+
+    /// Eq. 7 after the hypothetical commits.
+    pub(crate) fn current_value(&self) -> f64 {
+        self.base.value_of(&self.sums)
     }
 }
 
 impl SetValuation for RegionValuation {
     fn current_value(&self) -> f64 {
-        self.value_parts(self.f_value(), self.sum_theta, self.count)
+        self.value_of(&self.sums)
     }
 
     fn marginal(&self, sensor: &SensorSnapshot) -> f64 {
-        let Some(cell) = self.cell_index_of(sensor.loc) else {
-            return 0.0;
-        };
-        let f_new = self.field.f_value_if_observed(cell, &self.all_cells);
-        let theta = sensor.intrinsic_quality();
-        let new_value = self.value_parts(f_new, self.sum_theta + theta, self.count + 1);
-        new_value - self.current_value()
+        self.marginal_at(self.cell_index_of(sensor.loc), sensor.intrinsic_quality())
     }
 
     fn commit(&mut self, sensor: &SensorSnapshot) {
@@ -135,8 +241,9 @@ impl SetValuation for RegionValuation {
             return;
         };
         self.field.observe(cell);
-        self.sum_theta += sensor.intrinsic_quality();
-        self.count += 1;
+        self.sums.reduction = self.field.total_reduction(&self.all_cells);
+        self.sums.sum_theta += sensor.intrinsic_quality();
+        self.sums.count += 1;
     }
 
     fn is_relevant(&self, sensor: &SensorSnapshot) -> bool {
@@ -246,6 +353,92 @@ mod tests {
         let idx = v.cell_index_of(Point::new(2.3, 3.8));
         assert!(idx.is_some());
         assert!(v.cell_index_of(Point::new(-1.0, 0.0)).is_none());
+    }
+
+    /// Eq. 7 as it was computed before the sums were cached: `F`
+    /// re-summed over every cell of the field on each call.
+    fn reference_value(v: &RegionValuation, f: f64, sum_theta: f64, count: usize) -> f64 {
+        if count == 0 {
+            return 0.0;
+        }
+        v.budget * f * (sum_theta / count as f64)
+    }
+
+    fn reference_current(v: &RegionValuation) -> f64 {
+        let f = v.field.f_value(&v.all_cells);
+        reference_value(v, f, v.sums.sum_theta, v.sums.count)
+    }
+
+    fn reference_marginal(v: &RegionValuation, s: &SensorSnapshot) -> f64 {
+        let Some(cell) = v.cell_index_of(s.loc) else {
+            return 0.0;
+        };
+        let f_new = v.field.f_value_if_observed(cell, &v.all_cells);
+        let theta = s.intrinsic_quality();
+        reference_value(v, f_new, v.sums.sum_theta + theta, v.sums.count + 1) - reference_current(v)
+    }
+
+    #[test]
+    fn cached_sums_and_what_ifs_match_full_field_sums_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..12 {
+            let (x, y) = (rng.gen_range(0.0..5.0), rng.gen_range(0.0..5.0));
+            let region = Rect::new(
+                x,
+                y,
+                x + rng.gen_range(2.0..9.0),
+                y + rng.gen_range(2.0..9.0),
+            );
+            let kernel = SquaredExponential::new(rng.gen_range(0.5..3.0), rng.gen_range(1.0..3.0));
+            let mut v = RegionValuation::new(rng.gen_range(10.0..90.0), region, &kernel, 0.1);
+            let sensors: Vec<SensorSnapshot> = (0..16)
+                .map(|i| {
+                    let p = (
+                        rng.gen_range(x - 1.0..x + 10.0),
+                        rng.gen_range(y - 1.0..y + 10.0),
+                    );
+                    sensor(i, p.0, p.1, rng.gen_range(0.3..1.0))
+                })
+                .collect();
+            // Half the sensors go into the valuation for real, the other
+            // half into a what-if over it and into a clone of it.
+            for s in &sensors[..8] {
+                assert_eq!(v.current_value().to_bits(), reference_current(&v).to_bits());
+                for probe in &sensors {
+                    assert_eq!(
+                        v.marginal(probe).to_bits(),
+                        reference_marginal(&v, probe).to_bits()
+                    );
+                }
+                v.commit(s);
+            }
+            let mut what_if = v.what_if();
+            let mut clone = v.clone();
+            for s in &sensors[8..] {
+                let cell = v.cell_index_of(s.loc);
+                for probe in &sensors {
+                    let probe_cell = v.cell_index_of(probe.loc);
+                    assert_eq!(
+                        what_if
+                            .marginal_at(probe_cell, probe.intrinsic_quality())
+                            .to_bits(),
+                        clone.marginal(probe).to_bits()
+                    );
+                }
+                what_if.commit_at(cell, s.intrinsic_quality());
+                clone.commit(s);
+                assert_eq!(
+                    what_if.current_value().to_bits(),
+                    clone.current_value().to_bits()
+                );
+                assert_eq!(
+                    clone.current_value().to_bits(),
+                    reference_current(&clone).to_bits()
+                );
+            }
+        }
     }
 
     /// The historical nearest-centre linear scan `cell_index_of`

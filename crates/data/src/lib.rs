@@ -13,8 +13,13 @@
 //!   series with trend and AR(1) noise exhibiting the day-over-day
 //!   periodicity ref. \[19]'s sampling-time selection assumes.
 //!
-//! DESIGN.md §4 documents why each substitution preserves the behaviour
-//! the algorithms exercise. Both datasets are deterministic in their seed.
+//! Each substitution keeps what the algorithms read from the original.
+//! The region valuation reads only the field's spatial covariance, which a
+//! GP sample has by construction and which hyperparameters learned from the
+//! motes recover. Location monitoring reads only the residuals of a
+//! diurnal regression and the day-over-day similarity ref. \[19] assumes,
+//! which a periodic series with trend and AR(1) noise reproduces. Both
+//! datasets are deterministic in their seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -32,4 +32,4 @@ pub mod sample;
 
 pub use gp::GaussianProcess;
 pub use kernel::{Exponential, Kernel, Matern32, SquaredExponential};
-pub use posterior::{PosteriorField, F_NORMALIZATION};
+pub use posterior::{normalized_f, FieldOverlay, PosteriorField, F_NORMALIZATION};

@@ -13,6 +13,14 @@
 //! O(cells) *marginal* variance-reduction queries — which is what
 //! Algorithm 4 evaluates in its inner loop for every `(sensor, time)`
 //! pair.
+//!
+//! Planning asks many "what if these sensors were observed" questions
+//! that are thrown away afterwards. A [`FieldOverlay`] answers them
+//! without an O(cells²) covariance copy: it borrows the field, records
+//! each hypothetical observation's pre-update column and quotients, and
+//! replays [`PosteriorField::observe`]'s downdates entry by entry when a
+//! column is read, so its answers equal a cloned-and-observed field's
+//! bit for bit.
 
 use crate::kernel::Kernel;
 use ps_geo::Point;
@@ -25,8 +33,45 @@ use ps_linalg::Matrix;
 /// shows result qualities above 1 "most of the times", so `F` must exceed
 /// 1 for well-instrumented regions. Normalizing by half the prior
 /// variance (a region 50 %-explained scores F = 1) reproduces that
-/// behaviour at the paper's budget range; see DESIGN.md §3.
+/// behaviour at the paper's budget range: a fully observed region scores
+/// F = 2, so the Fig. 9(b) quality `v_q/B_q` can exceed 1, while a
+/// sparsely observed one stays below it.
 pub const F_NORMALIZATION: f64 = 0.5;
+
+/// The paper-facing `F` from a total variance `reduction` and the
+/// `prior_total` variance it is taken out of: `reduction` over
+/// [`F_NORMALIZATION`] of the prior, and 0 for a (numerically) empty
+/// prior.
+pub fn normalized_f(reduction: f64, prior_total: f64) -> f64 {
+    if prior_total <= 1e-12 {
+        return 0.0;
+    }
+    reduction / (F_NORMALIZATION * prior_total)
+}
+
+/// `Σ_{v∈subset} max(prior(v) − variance(v), 0)` with `variance(v)` the
+/// raw diagonal entry floored at 0.
+fn reduction_over(prior_var: &[f64], raw_diag: impl Fn(usize) -> f64, subset: &[usize]) -> f64 {
+    subset
+        .iter()
+        .map(|&i| (prior_var[i] - raw_diag(i).max(0.0)).max(0.0))
+        .sum()
+}
+
+/// `Σ_{v∈subset} column(v)² / denom`, or 0 when `denom ≤ 1e-12`.
+fn reduction_by_column(denom: f64, column: impl Fn(usize) -> f64, subset: &[usize]) -> f64 {
+    if denom <= 1e-12 {
+        return 0.0;
+    }
+    subset
+        .iter()
+        .map(|&v| {
+            let c = column(v);
+            c * c
+        })
+        .sum::<f64>()
+        / denom
+}
 
 /// Posterior covariance over a fixed set of locations (grid cells),
 /// updated incrementally as sensors are observed.
@@ -79,13 +124,15 @@ impl PosteriorField {
         subset.iter().map(|&i| self.variance(i)).sum()
     }
 
+    /// Total prior variance over a subset of location indices.
+    pub fn prior_variance(&self, subset: &[usize]) -> f64 {
+        subset.iter().map(|&i| self.prior_var[i]).sum()
+    }
+
     /// Total variance reduction achieved so far over `subset`:
     /// `Σ_v prior(v) − post(v)`.
     pub fn total_reduction(&self, subset: &[usize]) -> f64 {
-        subset
-            .iter()
-            .map(|&i| (self.prior_var[i] - self.variance(i)).max(0.0))
-            .sum()
+        reduction_over(&self.prior_var, |i| self.cov[(i, i)], subset)
     }
 
     /// Additional variance reduction over `subset` if a (noisy) sensor at
@@ -94,17 +141,7 @@ impl PosteriorField {
     /// `Σ_{v∈subset} Σ[v,obs]² / (Σ[obs,obs] + σ_n²)`.
     pub fn reduction_if_observed(&self, obs: usize, subset: &[usize]) -> f64 {
         let denom = self.cov[(obs, obs)] + self.noise_variance;
-        if denom <= 1e-12 {
-            return 0.0;
-        }
-        subset
-            .iter()
-            .map(|&v| {
-                let c = self.cov[(v, obs)];
-                c * c
-            })
-            .sum::<f64>()
-            / denom
+        reduction_by_column(denom, |v| self.cov[(v, obs)], subset)
     }
 
     /// Conditions the field on a noisy observation at location index
@@ -136,23 +173,110 @@ impl PosteriorField {
 
     /// Paper-facing `F` over `subset`: fraction of the subset's total
     /// prior variance removed so far, scaled by [`F_NORMALIZATION`] so a
-    /// 70 %-explained region scores 1.0. Empty subsets score 0.
+    /// 50 %-explained region scores 1.0. Empty subsets score 0.
     pub fn f_value(&self, subset: &[usize]) -> f64 {
-        let prior: f64 = subset.iter().map(|&i| self.prior_var[i]).sum();
-        if prior <= 1e-12 {
-            return 0.0;
-        }
-        self.total_reduction(subset) / (F_NORMALIZATION * prior)
+        normalized_f(self.total_reduction(subset), self.prior_variance(subset))
     }
 
     /// `F` after hypothetically also observing `obs`, without mutating.
     pub fn f_value_if_observed(&self, obs: usize, subset: &[usize]) -> f64 {
-        let prior: f64 = subset.iter().map(|&i| self.prior_var[i]).sum();
-        if prior <= 1e-12 {
-            return 0.0;
+        normalized_f(
+            self.total_reduction(subset) + self.reduction_if_observed(obs, subset),
+            self.prior_variance(subset),
+        )
+    }
+
+    /// A what-if view of this field that has observed nothing yet.
+    pub fn overlay(&self) -> FieldOverlay<'_> {
+        FieldOverlay {
+            base: self,
+            diag: (0..self.len()).map(|i| self.cov[(i, i)]).collect(),
+            commits: 0,
+            cols: Vec::new(),
+            quotients: Vec::new(),
         }
-        (self.total_reduction(subset) + self.reduction_if_observed(obs, subset))
-            / (F_NORMALIZATION * prior)
+    }
+}
+
+/// The field a [`PosteriorField`] would become after further
+/// observations, computed on demand from the field it borrows: a
+/// what-if that copies no covariance.
+///
+/// Each [`FieldOverlay::observe`] stores the observed column as it was
+/// before the downdate and its quotient vector `column / denominator`,
+/// and downdates a running diagonal. A covariance entry is rebuilt by
+/// replaying [`PosteriorField::observe`] on it, one stored observation
+/// after the other, with the same float operations: the quotient
+/// (computed once per observation), the skip of a zero quotient, and the
+/// clamp of a negative diagonal entry after every observation. Every
+/// answer therefore equals the one a cloned field conditioned on the same
+/// observations gives, bit for bit, at O(cells × observations) per
+/// column instead of an O(cells²) clone and O(cells²) per observation.
+#[derive(Debug)]
+pub struct FieldOverlay<'a> {
+    base: &'a PosteriorField,
+    /// Raw (unfloored) diagonal of the overlaid covariance.
+    diag: Vec<f64>,
+    /// Observations that downdated the field (a no-op `observe` stores
+    /// nothing).
+    commits: usize,
+    /// Pre-update observed column per observation, observation-major.
+    cols: Vec<f64>,
+    /// `cols / denominator` per observation, observation-major.
+    quotients: Vec<f64>,
+}
+
+impl FieldOverlay<'_> {
+    /// Covariance entry `(v, obs)` after every recorded observation.
+    fn entry(&self, v: usize, obs: usize) -> f64 {
+        let n = self.base.len();
+        let mut x = self.base.cov[(v, obs)];
+        for l in 0..self.commits {
+            let q = self.quotients[l * n + v];
+            if q != 0.0 {
+                x -= q * self.cols[l * n + obs];
+            }
+            if v == obs && x < 0.0 {
+                x = 0.0;
+            }
+        }
+        x
+    }
+
+    /// [`PosteriorField::total_reduction`] of the overlaid field.
+    pub fn total_reduction(&self, subset: &[usize]) -> f64 {
+        reduction_over(&self.base.prior_var, |i| self.diag[i], subset)
+    }
+
+    /// [`PosteriorField::reduction_if_observed`] of the overlaid field.
+    pub fn reduction_if_observed(&self, obs: usize, subset: &[usize]) -> f64 {
+        let denom = self.diag[obs] + self.base.noise_variance;
+        reduction_by_column(denom, |v| self.entry(v, obs), subset)
+    }
+
+    /// Records a noisy observation at location index `obs`, as
+    /// [`PosteriorField::observe`] would apply it.
+    pub fn observe(&mut self, obs: usize) {
+        let denom = self.diag[obs] + self.base.noise_variance;
+        if denom <= 1e-12 {
+            return; // already fully determined
+        }
+        let start = self.cols.len();
+        for v in 0..self.base.len() {
+            let c = self.entry(v, obs);
+            self.cols.push(c);
+            self.quotients.push(c / denom);
+        }
+        let (col, quotients) = (&self.cols[start..], &self.quotients[start..]);
+        for ((d, &q), &c) in self.diag.iter_mut().zip(quotients).zip(col) {
+            if q != 0.0 {
+                *d -= q * c;
+            }
+            if *d < 0.0 {
+                *d = 0.0;
+            }
+        }
+        self.commits += 1;
     }
 }
 
@@ -285,6 +409,145 @@ mod tests {
         let f2 = field.f_value(&subset);
         assert!(f2 >= f1);
         assert!(f2 - f1 < f1, "second observation must add less than first");
+    }
+
+    /// Asserts that `overlay` and `field` agree bit for bit: every
+    /// covariance entry, the raw diagonal, and `total_reduction`,
+    /// `reduction_if_observed` and `F` over the whole field and over
+    /// `subset`.
+    fn assert_overlay_matches(
+        overlay: &FieldOverlay<'_>,
+        field: &PosteriorField,
+        subset: &[usize],
+    ) {
+        let n = field.len();
+        let all: Vec<usize> = (0..n).collect();
+        for o in 0..n {
+            for v in 0..n {
+                assert_eq!(
+                    overlay.entry(v, o).to_bits(),
+                    field.cov[(v, o)].to_bits(),
+                    "covariance ({v}, {o})"
+                );
+            }
+            assert_eq!(
+                overlay.diag[o].to_bits(),
+                field.cov[(o, o)].to_bits(),
+                "diagonal {o}"
+            );
+            for s in [&all[..], subset] {
+                assert_eq!(
+                    overlay.reduction_if_observed(o, s).to_bits(),
+                    field.reduction_if_observed(o, s).to_bits(),
+                    "reduction if {o} were observed"
+                );
+            }
+        }
+        for s in [&all[..], subset] {
+            assert_eq!(
+                overlay.total_reduction(s).to_bits(),
+                field.total_reduction(s).to_bits()
+            );
+            let f = normalized_f(overlay.total_reduction(s), field.prior_variance(s));
+            assert_eq!(f.to_bits(), field.f_value(s).to_bits());
+        }
+    }
+
+    /// Observes `picks` into an overlay over `base` and into a clone of
+    /// `base`, comparing the two after every observation.
+    fn check_overlay_against_clone(base: &PosteriorField, picks: &[usize], subset: &[usize]) {
+        let mut overlay = base.overlay();
+        let mut field = base.clone();
+        assert_overlay_matches(&overlay, &field, subset);
+        for &o in picks {
+            overlay.observe(o);
+            field.observe(o);
+            assert_overlay_matches(&overlay, &field, subset);
+        }
+    }
+
+    #[test]
+    fn overlay_matches_cloned_field_bit_for_bit_on_seeded_fields() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2013);
+        for round in 0..24 {
+            let n = rng.gen_range(2..30usize);
+            let locs: Vec<Point> = (0..n)
+                .map(|_| Point::new(rng.gen_range(0.0..8.0), rng.gen_range(0.0..8.0)))
+                .collect();
+            let kernel = SquaredExponential::new(rng.gen_range(0.5..3.0), rng.gen_range(0.5..3.0));
+            let noise = [0.0, 1e-3, 0.1, 0.5][round % 4];
+            let mut base = PosteriorField::new(&kernel, locs, noise);
+            // Half the rounds overlay a field that has observed already,
+            // as what-ifs over a monitor's accumulated state do.
+            if round % 2 == 1 {
+                for _ in 0..3 {
+                    base.observe(rng.gen_range(0..n));
+                }
+            }
+            // Repeats included: a cell observed again downdates again.
+            let picks: Vec<usize> = (0..rng.gen_range(1..8))
+                .map(|_| rng.gen_range(0..n))
+                .collect();
+            let subset: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.5)).collect();
+            check_overlay_against_clone(&base, &picks, &subset);
+        }
+    }
+
+    /// A field over a hand-built covariance (not a kernel's), so the
+    /// edge cases of `observe` can be forced.
+    fn field_from_rows(rows: &[&[f64]], noise_variance: f64) -> PosteriorField {
+        let cov = Matrix::from_rows(rows);
+        let n = cov.rows();
+        PosteriorField {
+            locations: vec![Point::new(0.0, 0.0); n],
+            prior_var: (0..n).map(|i| cov[(i, i)]).collect(),
+            cov,
+            noise_variance,
+        }
+    }
+
+    #[test]
+    fn overlay_replays_the_zero_quotient_skip() {
+        // Row 1 has a zero in the observed column 0, so its quotient is
+        // +0 and `observe` skips the row. Without the skip its -0.0 entry
+        // (1, 2) would become -0.0 − (+0 × −1) = +0.0.
+        let field = field_from_rows(
+            &[&[1.0, 0.0, -1.0], &[0.0, 2.0, -0.0], &[-1.0, -0.0, 3.0]],
+            0.1,
+        );
+        let mut observed = field.clone();
+        observed.observe(0);
+        assert_eq!(observed.cov[(1, 2)].to_bits(), (-0.0f64).to_bits());
+        check_overlay_against_clone(&field, &[0, 2, 0], &[1, 2]);
+    }
+
+    #[test]
+    fn overlay_replays_the_negative_diagonal_clamp() {
+        // Not positive semi-definite: observing 0 drives Σ[1,1] to
+        // 1 − 2·2 = −3, which `observe` clamps to 0; every later read
+        // of that entry and of the denominator sees the clamped value.
+        let field = field_from_rows(
+            &[&[1.0, 2.0, 0.5], &[2.0, 1.0, 0.25], &[0.5, 0.25, 2.0]],
+            0.0,
+        );
+        let mut observed = field.clone();
+        observed.observe(0);
+        assert_eq!(observed.cov[(1, 1)], 0.0);
+        check_overlay_against_clone(&field, &[0, 2, 1, 2], &[1]);
+    }
+
+    #[test]
+    fn overlay_skips_a_fully_determined_observation() {
+        // Σ[1,1] + σ_n² = 0 ≤ 1e-12: observing 1 changes nothing, and
+        // the overlay records no downdate for it.
+        let field = field_from_rows(&[&[1.0, 0.0], &[0.0, 0.0]], 0.0);
+        let mut overlay = field.overlay();
+        overlay.observe(1);
+        assert_eq!(overlay.commits, 0);
+        assert_eq!(overlay.reduction_if_observed(1, &[0, 1]), 0.0);
+        check_overlay_against_clone(&field, &[1, 0, 1], &[0]);
     }
 
     proptest! {

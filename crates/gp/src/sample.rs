@@ -1,6 +1,6 @@
 //! Sampling from GP priors: synthesizing spatially correlated fields.
 //!
-//! The Intel-Lab substitute dataset (see DESIGN.md §4) needs ground-truth
+//! The Intel-Lab substitute dataset (`ps_data::intel`) needs ground-truth
 //! phenomenon values with realistic spatial correlation. Drawing a sample
 //! from a GP prior — `f = L z` with `K = L Lᵀ` and `z ~ N(0, I)` —
 //! produces exactly the statistical structure the region-monitoring

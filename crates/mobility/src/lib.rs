@@ -7,8 +7,9 @@
 //! paper and implemented verbatim in [`rwm`]; the campaign trace is not
 //! redistributable, so [`campaign`] synthesizes a behaviourally equivalent
 //! substitute (trip-based movement around home anchors with staggered
-//! presence sessions — see DESIGN.md §4). [`stationary`] models fixed
-//! deployments such as the Intel-Lab motes.
+//! presence sessions, reproducing the properties §4.2 reports that the
+//! algorithms depend on; see the [`campaign`] module docs). [`stationary`]
+//! models fixed deployments such as the Intel-Lab motes.
 //!
 //! All models are deterministic functions of their seed, producing a
 //! [`MobilityTrace`]: per-slot optional positions for every agent.

@@ -1,4 +1,5 @@
-//! Ablation studies of the design choices DESIGN.md calls out.
+//! Ablation studies of design choices the paper leaves open or this
+//! reproduction had to make: each isolates one mechanism or solver.
 //!
 //! * **Region-monitoring ablation** (`ablation_region`): Algorithm 3 with
 //!   the Eq. 18 cost weighting and the `A_{r,t}` sensor sharing toggled

@@ -40,14 +40,14 @@ pub fn ozone_context(scale: &Scale) -> Arc<MonitoringContext> {
         ..OzoneConfig::default()
     };
     let trace = OzoneTrace::generate(&cfg, scale.slots + 25);
-    Arc::new(MonitoringContext {
-        basis: DiurnalBasis {
+    Arc::new(MonitoringContext::new(
+        DiurnalBasis {
             period: 50.0,
             harmonics: 2,
         },
-        history: trace.history(),
-        fold: Some((50.0, -100.0)),
-    })
+        trace.history(),
+        Some((50.0, -100.0)),
+    ))
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

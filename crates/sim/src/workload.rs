@@ -17,7 +17,7 @@ use ps_core::valuation::monitoring::MonitoringValuation;
 use ps_core::valuation::region::RegionValuation;
 use ps_geo::{Point, Rect};
 use ps_gp::kernel::SquaredExponential;
-use ps_stats::sampling::select_sampling_times;
+use ps_stats::sampling::select_sampling_indices;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
@@ -149,30 +149,11 @@ pub fn select_desired_times(
     candidates_sim: &[f64],
     k: usize,
 ) -> Vec<f64> {
-    if ctx.fold.is_none() {
-        return select_sampling_times(&ctx.basis, &ctx.history, candidates_sim, k);
-    }
-    // Greedy selection over indices, scoring with mapped times.
     let mapped: Vec<f64> = candidates_sim.iter().map(|&t| ctx.map_time(t)).collect();
-    let k = k.min(candidates_sim.len());
-    let mut chosen_idx: Vec<usize> = Vec::with_capacity(k);
-    let mut remaining: Vec<usize> = (0..candidates_sim.len()).collect();
-    for _ in 0..k {
-        let mut best: Option<(usize, f64)> = None;
-        for (pos, &idx) in remaining.iter().enumerate() {
-            let mut training: Vec<f64> = chosen_idx.iter().map(|&i| mapped[i]).collect();
-            training.push(mapped[idx]);
-            let rss =
-                ps_stats::sampling::rss_of_training_times(&ctx.basis, &ctx.history, &training);
-            match best {
-                Some((_, b)) if b <= rss => {}
-                _ => best = Some((pos, rss)),
-            }
-        }
-        let (pos, _) = best.expect("remaining non-empty");
-        chosen_idx.push(remaining.remove(pos));
-    }
-    let mut out: Vec<f64> = chosen_idx.into_iter().map(|i| candidates_sim[i]).collect();
+    let mut out: Vec<f64> = select_sampling_indices(ctx.design(), &mapped, k)
+        .into_iter()
+        .map(|i| candidates_sim[i])
+        .collect();
     out.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     out
 }
@@ -574,14 +555,14 @@ pub fn test_monitoring_ctx() -> Arc<MonitoringContext> {
         .iter()
         .map(|&t| 20.0 + 5.0 * (std::f64::consts::TAU * t / 50.0).sin())
         .collect();
-    Arc::new(MonitoringContext {
-        basis: ps_stats::regression::DiurnalBasis {
+    Arc::new(MonitoringContext::new(
+        ps_stats::regression::DiurnalBasis {
             period: 50.0,
             harmonics: 1,
         },
-        history: ps_stats::TimeSeries::new(times, values),
-        fold: None,
-    })
+        ps_stats::TimeSeries::new(times, values),
+        None,
+    ))
 }
 
 #[cfg(test)]
@@ -599,14 +580,98 @@ mod tests {
     fn ctx() -> Arc<MonitoringContext> {
         let times: Vec<f64> = (0..100).map(|i| i as f64 - 100.0).collect();
         let values: Vec<f64> = times.iter().map(|&t| (t / 9.0).sin() + 20.0).collect();
-        Arc::new(MonitoringContext {
-            basis: DiurnalBasis {
+        Arc::new(MonitoringContext::new(
+            DiurnalBasis {
                 period: 50.0,
                 harmonics: 1,
             },
-            history: TimeSeries::new(times, values),
-            fold: None,
-        })
+            TimeSeries::new(times, values),
+            None,
+        ))
+    }
+
+    /// `select_desired_times` as it was before both paths shared
+    /// `select_sampling_indices`: a value-based greedy without folding,
+    /// an index-based one with mapped candidates when folding.
+    fn select_desired_times_reference(
+        ctx: &Arc<MonitoringContext>,
+        candidates_sim: &[f64],
+        k: usize,
+    ) -> Vec<f64> {
+        let rss = |training: &[f64]| ctx.design().rss_of_training_times(training);
+        if ctx.fold().is_none() {
+            let k = k.min(candidates_sim.len());
+            if k == 0 || ctx.design().is_empty() {
+                return Vec::new();
+            }
+            let mut chosen: Vec<f64> = Vec::with_capacity(k);
+            let mut remaining: Vec<f64> = candidates_sim.to_vec();
+            for _ in 0..k {
+                let mut best: Option<(usize, f64)> = None;
+                for (idx, &cand) in remaining.iter().enumerate() {
+                    chosen.push(cand);
+                    let r = rss(&chosen);
+                    chosen.pop();
+                    match best {
+                        Some((_, b)) if b <= r => {}
+                        _ => best = Some((idx, r)),
+                    }
+                }
+                let (idx, _) = best.expect("remaining non-empty");
+                chosen.push(remaining.remove(idx));
+            }
+            chosen.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            return chosen;
+        }
+        let mapped: Vec<f64> = candidates_sim.iter().map(|&t| ctx.map_time(t)).collect();
+        let k = k.min(candidates_sim.len());
+        let mut chosen_idx: Vec<usize> = Vec::with_capacity(k);
+        let mut remaining: Vec<usize> = (0..candidates_sim.len()).collect();
+        for _ in 0..k {
+            let mut best: Option<(usize, f64)> = None;
+            for (pos, &idx) in remaining.iter().enumerate() {
+                let mut training: Vec<f64> = chosen_idx.iter().map(|&i| mapped[i]).collect();
+                training.push(mapped[idx]);
+                let r = rss(&training);
+                match best {
+                    Some((_, b)) if b <= r => {}
+                    _ => best = Some((pos, r)),
+                }
+            }
+            let (pos, _) = best.expect("remaining non-empty");
+            chosen_idx.push(remaining.remove(pos));
+        }
+        let mut out: Vec<f64> = chosen_idx.into_iter().map(|i| candidates_sim[i]).collect();
+        out.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        out
+    }
+
+    #[test]
+    fn desired_times_match_the_two_path_selection() {
+        let folded = {
+            let times: Vec<f64> = (0..150).map(|i| i as f64 - 150.0).collect();
+            let values: Vec<f64> = times
+                .iter()
+                .map(|&t| (t / 8.0).cos() * 3.0 + 30.0)
+                .collect();
+            Arc::new(MonitoringContext::new(
+                DiurnalBasis {
+                    period: 50.0,
+                    harmonics: 2,
+                },
+                TimeSeries::new(times, values),
+                Some((50.0, -100.0)),
+            ))
+        };
+        let candidates: Vec<f64> = (0..40).map(|i| i as f64 * 1.5).collect();
+        for ctx in [ctx(), folded] {
+            for k in [0, 1, 4, 9] {
+                let got = select_desired_times(&ctx, &candidates, k);
+                assert_eq!(got.len(), k);
+                let want = select_desired_times_reference(&ctx, &candidates, k);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "k = {k}");
+            }
+        }
     }
 
     #[test]

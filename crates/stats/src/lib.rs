@@ -18,5 +18,5 @@ pub mod series;
 
 pub use descriptive::Summary;
 pub use regression::{Basis, DiurnalBasis, LinearModel, PolynomialBasis};
-pub use sampling::{g_factor, select_sampling_times};
+pub use sampling::{g_factor, select_sampling_times, HistoryDesign};
 pub use series::TimeSeries;

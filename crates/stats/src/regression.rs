@@ -97,10 +97,7 @@ impl LinearModel {
                 coeffs: vec![0.0; d],
             };
         }
-        let mut x = Matrix::zeros(times.len(), d);
-        for (i, &t) in times.iter().enumerate() {
-            basis.features_into(t, x.row_mut(i));
-        }
+        let x = design_matrix(basis, times);
         let mut gram = x.gram();
         gram.add_diagonal(ridge.max(1e-10));
         let rhs = x.matvec_transposed(values);
@@ -120,30 +117,70 @@ impl LinearModel {
         ps_linalg::dot(&feats, &self.coeffs)
     }
 
-    /// Residual sum of squares against `(times, values)` — the
-    /// `Σ r²ᵢ` of Eq. 17. One feature buffer is reused across the whole
-    /// series (this runs over the full history for every Eq. 17 `G`
-    /// evaluation, so a per-point allocation here dominated monitoring
-    /// slots).
-    pub fn rss<B: Basis>(&self, basis: &B, times: &[f64], values: &[f64]) -> f64 {
-        assert_eq!(times.len(), values.len());
-        let mut feats = vec![0.0; basis.dim()];
-        times
+    /// Residual sum of squares against `values` observed at the times
+    /// whose feature rows `design` holds (one row per value, as
+    /// [`design_matrix`] builds them) — the `Σ r²ᵢ` of Eq. 17. Eq. 17
+    /// re-scores the whole history on every `G`, while the history's
+    /// rows never change, so callers build `design` once and keep it.
+    ///
+    /// # Panics
+    /// Panics when `design` has not one row per value.
+    pub fn rss(&self, design: &Matrix, values: &[f64]) -> f64 {
+        assert_eq!(design.rows(), values.len(), "one design row per value");
+        values
             .iter()
-            .zip(values)
-            .map(|(&t, &y)| {
-                basis.features_into(t, &mut feats);
-                let r = y - ps_linalg::dot(&feats, &self.coeffs);
+            .enumerate()
+            .map(|(i, &y)| {
+                let r = y - ps_linalg::dot(design.row(i), &self.coeffs);
                 r * r
             })
             .sum()
     }
 }
 
+/// The design matrix of `times` under `basis`: row `i` holds
+/// `basis.features_into(times[i])`.
+pub fn design_matrix<B: Basis>(basis: &B, times: &[f64]) -> Matrix {
+    let mut x = Matrix::zeros(times.len(), basis.dim());
+    for (i, &t) in times.iter().enumerate() {
+        basis.features_into(t, x.row_mut(i));
+    }
+    x
+}
+
+/// The residual sum of squares as it was computed before the design
+/// matrix was cached: the basis evaluated afresh for every time, one
+/// feature buffer reused across the series. [`LinearModel::rss`] and
+/// [`crate::sampling::HistoryDesign::rss_of_training_times`] must agree
+/// with it bit for bit.
+#[cfg(test)]
+pub(crate) fn rss_per_call_features<B: Basis>(
+    model: &LinearModel,
+    basis: &B,
+    times: &[f64],
+    values: &[f64],
+) -> f64 {
+    assert_eq!(times.len(), values.len());
+    let mut feats = vec![0.0; basis.dim()];
+    times
+        .iter()
+        .zip(values)
+        .map(|(&t, &y)| {
+            basis.features_into(t, &mut feats);
+            let r = y - ps_linalg::dot(&feats, model.coeffs());
+            r * r
+        })
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn rss<B: Basis>(model: &LinearModel, basis: &B, times: &[f64], values: &[f64]) -> f64 {
+        model.rss(&design_matrix(basis, times), values)
+    }
 
     #[test]
     fn fits_exact_line() {
@@ -153,7 +190,7 @@ mod tests {
         let m = LinearModel::fit(&basis, &times, &values, 1e-10);
         assert!((m.coeffs()[0] - 3.0).abs() < 1e-4);
         assert!((m.coeffs()[1] - 2.0).abs() < 1e-5);
-        assert!(m.rss(&basis, &times, &values) < 1e-6);
+        assert!(rss(&m, &basis, &times, &values) < 1e-6);
     }
 
     #[test]
@@ -186,7 +223,7 @@ mod tests {
             .map(|&t| 10.0 + 4.0 * (std::f64::consts::TAU * t / 24.0).sin())
             .collect();
         let m = LinearModel::fit(&basis, &times, &values, 1e-8);
-        assert!(m.rss(&basis, &times, &values) < 1e-6);
+        assert!(rss(&m, &basis, &times, &values) < 1e-6);
         // Predictions at unseen points are accurate.
         let t = 3.21;
         let want = 10.0 + 4.0 * (std::f64::consts::TAU * t / 24.0).sin();
@@ -207,8 +244,8 @@ mod tests {
         // Train on 4 vs 24 points.
         let few = LinearModel::fit(&basis, &all_times[..4], &values[..4], 1e-8);
         let many = LinearModel::fit(&basis, &all_times[..24], &values[..24], 1e-8);
-        let rss_few = few.rss(&basis, &all_times, &values);
-        let rss_many = many.rss(&basis, &all_times, &values);
+        let rss_few = rss(&few, &basis, &all_times, &values);
+        let rss_many = rss(&many, &basis, &all_times, &values);
         assert!(rss_many <= rss_few + 1e-9);
     }
 
@@ -234,6 +271,34 @@ mod tests {
     }
 
     proptest! {
+        /// The cached-rows RSS equals the per-call-feature reference bit
+        /// for bit, for both bases and for fits on few or many points.
+        #[test]
+        fn cached_rows_rss_matches_per_call_features(
+            period in 5.0..60.0f64,
+            harmonics in 0usize..3,
+            degree in 0usize..4,
+            train in proptest::collection::vec(-100.0..100.0f64, 0..12),
+            phase in -3.0..3.0f64,
+        ) {
+            let times: Vec<f64> = (0..80).map(|i| i as f64 * 1.7 - 90.0).collect();
+            let signal = |t: f64| 20.0 + 5.0 * (t / 7.0 + phase).sin() + 0.01 * t;
+            let values: Vec<f64> = times.iter().map(|&t| signal(t)).collect();
+            let train_values: Vec<f64> = train.iter().map(|&t| signal(t)).collect();
+            let diurnal = DiurnalBasis { period, harmonics };
+            let m = LinearModel::fit(&diurnal, &train, &train_values, 1e-8);
+            prop_assert_eq!(
+                m.rss(&design_matrix(&diurnal, &times), &values).to_bits(),
+                rss_per_call_features(&m, &diurnal, &times, &values).to_bits()
+            );
+            let poly = PolynomialBasis { degree };
+            let m = LinearModel::fit(&poly, &train, &train_values, 1e-8);
+            prop_assert_eq!(
+                m.rss(&design_matrix(&poly, &times), &values).to_bits(),
+                rss_per_call_features(&m, &poly, &times, &values).to_bits()
+            );
+        }
+
         #[test]
         fn fitted_line_rss_below_mean_model(
             slope in -3.0..3.0f64,
@@ -250,7 +315,7 @@ mod tests {
             let m = LinearModel::fit(&basis, &times, &values, 1e-8);
             let mean = values.iter().sum::<f64>() / values.len() as f64;
             let rss_mean: f64 = values.iter().map(|v| (v - mean).powi(2)).sum();
-            prop_assert!(m.rss(&basis, &times, &values) <= rss_mean + 1e-6);
+            prop_assert!(rss(&m, &basis, &times, &values) <= rss_mean + 1e-6);
         }
     }
 }

@@ -47,14 +47,14 @@ fn main() {
         },
         SLOTS,
     );
-    let ctx = Arc::new(MonitoringContext {
-        basis: DiurnalBasis {
+    let ctx = Arc::new(MonitoringContext::new(
+        DiurnalBasis {
             period: 50.0,
             harmonics: 2,
         },
-        history: ozone.history(),
-        fold: Some((50.0, -100.0)),
-    });
+        ozone.history(),
+        Some((50.0, -100.0)),
+    ));
 
     // Two identical worlds so the comparison is apples to apples.
     let mut alg5_world = World::new(&ctx, MixStrategy::Alg5);

@@ -31,14 +31,14 @@ fn monitoring_ctx() -> Arc<MonitoringContext> {
         .iter()
         .map(|&t| 20.0 + 5.0 * (std::f64::consts::TAU * t / 50.0).sin())
         .collect();
-    Arc::new(MonitoringContext {
-        basis: DiurnalBasis {
+    Arc::new(MonitoringContext::new(
+        DiurnalBasis {
             period: 50.0,
             harmonics: 1,
         },
-        history: TimeSeries::new(times, values),
-        fold: None,
-    })
+        TimeSeries::new(times, values),
+        None,
+    ))
 }
 
 fn random_sensors(rng: &mut StdRng, count: usize) -> Vec<SensorSnapshot> {
