@@ -552,25 +552,37 @@ impl<'s> Aggregator<'s> {
         QueryId(self.next_query_id)
     }
 
+    /// Mints an id and builds the point query of `spec`: the one path
+    /// from a point spec to a query, submitted or streamed.
+    fn point_query(&mut self, spec: &PointSpec) -> PointQuery {
+        PointQuery::new(self.mint(), spec.loc, spec.budget, spec.theta_min)
+    }
+
+    /// Mints an id and builds the aggregate query of `spec`: the one
+    /// path from an aggregate spec to a query, submitted or streamed.
+    fn aggregate_query(&mut self, spec: &AggregateSpec) -> AggregateQuery {
+        AggregateQuery {
+            id: self.mint(),
+            region: spec.region,
+            budget: spec.budget,
+            kind: spec.kind,
+        }
+    }
+
     // ── Query intake ──────────────────────────────────────────────────
 
     /// Submits an end-user point query for the next slot.
     pub fn submit_point(&mut self, spec: PointSpec) -> QueryId {
-        let id = self.mint();
-        self.pending_points
-            .push(PointQuery::new(id, spec.loc, spec.budget, spec.theta_min));
-        id
+        let query = self.point_query(&spec);
+        self.pending_points.push(query);
+        query.id
     }
 
     /// Submits a spatial aggregate query for the next slot.
     pub fn submit_aggregate(&mut self, spec: AggregateSpec) -> QueryId {
-        let id = self.mint();
-        self.pending_aggregates.push(AggregateQuery {
-            id,
-            region: spec.region,
-            budget: spec.budget,
-            kind: spec.kind,
-        });
+        let query = self.aggregate_query(&spec);
+        let id = query.id;
+        self.pending_aggregates.push(query);
         id
     }
 
@@ -1215,19 +1227,8 @@ impl<'s> Aggregator<'s> {
         for ev in events {
             let tick = ev.tick.min(tps);
             let arrival = match &ev.payload {
-                ArrivalPayload::Point(spec) => {
-                    let id = self.mint();
-                    Arrival::Point(PointQuery::new(id, spec.loc, spec.budget, spec.theta_min))
-                }
-                ArrivalPayload::Aggregate(spec) => {
-                    let id = self.mint();
-                    Arrival::Aggregate(AggregateQuery {
-                        id,
-                        region: spec.region,
-                        budget: spec.budget,
-                        kind: spec.kind,
-                    })
-                }
+                ArrivalPayload::Point(spec) => Arrival::Point(self.point_query(spec)),
+                ArrivalPayload::Aggregate(spec) => Arrival::Aggregate(self.aggregate_query(spec)),
                 ArrivalPayload::LocationMonitor(spec) => {
                     self.submit_location_monitor((**spec).clone());
                     Arrival::Monitor

@@ -76,10 +76,7 @@ fn main() {
             }
             "--streaming" => streaming = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [--scale full|test|bench|smoke|city|metro] [--threads N] \
-                     [--shards g] [--streaming] [fig2 … fig10 trust | all]"
-                );
+                println!("{}", usage());
                 return;
             }
             "all" => wanted.extend(ExperimentId::ALL),
@@ -87,7 +84,7 @@ fn main() {
                 Some(id) => wanted.push(id),
                 None => {
                     eprintln!("unknown experiment '{name}'");
-                    eprintln!("available: fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 trust all");
+                    eprintln!("available: {} all", experiment_names());
                     std::process::exit(2);
                 }
             },
@@ -143,5 +140,35 @@ fn main() {
             }
         }
         eprintln!("{} done in {:.1?}", id.name(), elapsed);
+    }
+}
+
+/// Every experiment's CLI name, in [`ExperimentId::ALL`] order.
+fn experiment_names() -> String {
+    ExperimentId::ALL.map(|id| id.name()).join(" ")
+}
+
+/// The `--help` text.
+fn usage() -> String {
+    format!(
+        "usage: repro [--scale full|test|bench|smoke|city|metro] [--threads N] \
+         [--shards g] [--streaming] [{} | all]",
+        experiment_names()
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_every_experiment() {
+        let usage = usage();
+        let words: Vec<&str> = usage
+            .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+            .collect();
+        for id in ExperimentId::ALL {
+            assert!(words.contains(&id.name()), "usage omits {}", id.name());
+        }
     }
 }

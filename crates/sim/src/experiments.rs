@@ -13,6 +13,15 @@
 //! | [`fig9`] | Fig. 9(a,b) | region monitoring on the Intel substitute |
 //! | [`fig10`] | Fig. 10(a–d) | the query mix |
 //! | [`trust`] | §4.7 (text) | trust-distribution sweep |
+//! | [`ablation_region`], [`ablation_objective`], [`ablation_solver`] | — | design ablations |
+//!
+//! Every run is one campaign of §4's time-slotted loop: each slot the
+//! driver submits its queries, the sensors inside the working region
+//! announce their prices, the engine steps, and every sensor it used is
+//! charged one measurement (lifetime and privacy history, Eqs. 8, 14–15).
+//! One private function owns that loop; the drivers differ only in the
+//! engine they configure, the queries they submit and what they read
+//! from the engine afterwards.
 
 pub mod ablation;
 pub mod aggregate_queries;
@@ -27,8 +36,14 @@ pub use monitoring::{fig8, fig9};
 pub use point_queries::{fig2, fig3, fig4, fig5, fig6, trust};
 
 use crate::config::Scale;
+use crate::engine::engine_for;
 use crate::metrics::FigureTable;
+use crate::sensors::{SensorPool, SensorPoolConfig};
+use point_queries::PointSetting;
+use ps_cluster::SlotEngine;
+use ps_core::aggregator::AggregatorBuilder;
 use ps_core::exec::Threads;
+use ps_core::model::Slot;
 
 /// Identifier of a runnable experiment (CLI surface of the repro binary).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,24 +95,11 @@ impl ExperimentId {
         ExperimentId::AblationSolver,
     ];
 
-    /// Parses a CLI name such as `fig2` or `trust`.
+    /// Parses a CLI name such as `fig2` or `trust`, ignoring case and
+    /// accepting `_` for `-` (`ablation_region`).
     pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "fig2" => Some(Self::Fig2),
-            "fig3" => Some(Self::Fig3),
-            "fig4" => Some(Self::Fig4),
-            "fig5" => Some(Self::Fig5),
-            "fig6" => Some(Self::Fig6),
-            "fig7" => Some(Self::Fig7),
-            "fig8" => Some(Self::Fig8),
-            "fig9" => Some(Self::Fig9),
-            "fig10" => Some(Self::Fig10),
-            "trust" => Some(Self::Trust),
-            "ablation-region" | "ablation_region" => Some(Self::AblationRegion),
-            "ablation-objective" | "ablation_objective" => Some(Self::AblationObjective),
-            "ablation-solver" | "ablation_solver" => Some(Self::AblationSolver),
-            _ => None,
-        }
+        let name = s.to_ascii_lowercase().replace('_', "-");
+        Self::ALL.into_iter().find(|id| id.name() == name)
     }
 
     /// CLI name.
@@ -161,9 +163,138 @@ fn sweep<A: Sync, R: Send>(
         .collect()
 }
 
+/// Runs one campaign: `scale.slots` slots of the engine [`engine_for`]
+/// builds with `configure`, over a [`SensorPool`] drawn from `pool_cfg`
+/// whose agents follow `setting`'s trace. Each slot, `submit(slot,
+/// engine)` submits the slot's queries; then the agents inside the
+/// working region announce their prices, the engine steps, and the pool
+/// charges every sensor the step used one measurement. Returns the
+/// engine for the driver to read.
+fn run_campaign<'s>(
+    scale: &Scale,
+    setting: &PointSetting,
+    pool_cfg: &SensorPoolConfig,
+    configure: impl Fn(AggregatorBuilder<'s>) -> AggregatorBuilder<'s> + 's,
+    mut submit: impl FnMut(Slot, &mut dyn SlotEngine),
+) -> Box<dyn SlotEngine + 's> {
+    let mut engine = engine_for(scale, &setting.working_region, setting.quality, configure);
+    let mut pool = SensorPool::new(setting.num_agents, pool_cfg);
+    for slot in 0..scale.slots {
+        submit(slot, engine.as_mut());
+        let sensors = pool.snapshots(slot, &setting.trace, &setting.working_region);
+        let report = engine.step(slot, &sensors);
+        pool.record_measurements(slot, report.sensors_used.iter().map(|&si| sensors[si].id));
+    }
+    engine
+}
+
+/// `sum` averaged over `count` issued items, 0 when none were issued.
+/// Averaging over *issued* queries lets an unanswered one count as 0,
+/// which is what collapses the baselines' quality curves at small
+/// budgets (Figs. 7(b) and 10(b–d)).
+fn per_issued(sum: f64, count: usize) -> f64 {
+    if count == 0 {
+        0.0
+    } else {
+        sum / count as f64
+    }
+}
+
+/// Average quality of results over every monitor the engine ever ran
+/// (retired ones plus those still live at the end of the campaign).
+fn monitor_quality(engine: &dyn SlotEngine) -> f64 {
+    let retired = engine
+        .retired_monitors()
+        .into_iter()
+        .map(|m| m.quality_of_results());
+    let location = engine
+        .location_monitors()
+        .into_iter()
+        .map(|m| m.quality_of_results());
+    let region = engine
+        .region_monitors()
+        .into_iter()
+        .map(|m| m.quality_of_results());
+    let qualities: Vec<f64> = retired.chain(location).chain(region).collect();
+    per_issued(qualities.iter().sum(), qualities.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ps_core::aggregator::PointSpec;
+    use ps_core::valuation::quality::QualityModel;
+    use ps_geo::{Point, Rect};
+    use ps_mobility::MobilityTrace;
+
+    const SPOT: Point = Point { x: 5.0, y: 5.0 };
+
+    /// `slots` single-threaded slots.
+    fn slots(slots: usize) -> Scale {
+        Scale {
+            slots,
+            threads: 1,
+            ..Scale::smoke()
+        }
+    }
+
+    /// One agent standing at [`SPOT`], inside a 10×10 working region.
+    fn one_agent(slots: usize) -> PointSetting {
+        PointSetting {
+            trace: MobilityTrace::new(vec![vec![Some(SPOT)]; slots]),
+            working_region: Rect::new(0.0, 0.0, 10.0, 10.0),
+            quality: QualityModel::new(5.0),
+            num_agents: 1,
+        }
+    }
+
+    #[test]
+    fn campaign_submits_once_a_slot_in_order_before_its_step() {
+        let mut submitted = Vec::new();
+        let engine = run_campaign(
+            &slots(5),
+            &one_agent(5),
+            &SensorPoolConfig::paper_default(5, 1),
+            |b| b,
+            |slot, engine| submitted.push((slot, engine.totals().slots)),
+        );
+        // Slot t's submit sees exactly the t slots stepped before it.
+        assert_eq!(submitted, (0..5).map(|t| (t, t)).collect::<Vec<_>>());
+        assert_eq!(engine.totals().slots, 5);
+    }
+
+    /// The agent answers the query at its feet whenever it is listed, so
+    /// the answered count shows which slots listed it: under lifetime 1
+    /// the measurement slot 0 charges leaves it out of every later slot.
+    #[test]
+    fn campaign_charges_every_sensor_a_step_used() {
+        let answered = |lifetime| {
+            let engine = run_campaign(
+                &slots(4),
+                &one_agent(4),
+                &SensorPoolConfig::paper_default(lifetime, 1),
+                |b| b,
+                |_, engine| {
+                    engine.submit_point(PointSpec {
+                        loc: SPOT,
+                        budget: 100.0,
+                        theta_min: 0.2,
+                    });
+                },
+            );
+            let breakdown = &engine.totals().breakdown;
+            (breakdown.point_satisfied, breakdown.point_total)
+        };
+        assert_eq!(answered(4), (4, 4));
+        assert_eq!(answered(1), (1, 4));
+    }
+
+    #[test]
+    fn per_issued_averages_and_is_zero_when_nothing_was_issued() {
+        assert_eq!(per_issued(3.0, 4), 0.75);
+        assert_eq!(per_issued(3.0, 0), 0.0);
+        assert_eq!(per_issued(0.0, 0), 0.0);
+    }
 
     #[test]
     fn parse_roundtrips_names() {
@@ -172,6 +303,10 @@ mod tests {
         }
         assert_eq!(ExperimentId::parse("nope"), None);
         assert_eq!(ExperimentId::parse("FIG2"), Some(ExperimentId::Fig2));
+        assert_eq!(
+            ExperimentId::parse("Ablation_Region"),
+            Some(ExperimentId::AblationRegion)
+        );
     }
 
     #[test]

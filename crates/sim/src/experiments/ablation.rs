@@ -17,23 +17,19 @@
 //!   column instead of a heuristic-vs-heuristic comparison.
 
 use crate::config::Scale;
-use crate::engine::engine_for;
 use crate::metrics::FigureTable;
-use crate::sensors::{SensorPool, SensorPoolConfig};
-use crate::workload::{point_queries, spawn_region_monitor, BudgetScheme};
+use crate::sensors::SensorPoolConfig;
+use crate::workload::{spawn_region_monitor, BudgetScheme};
 use ps_core::alloc::egalitarian::EgalitarianScheduler;
 use ps_core::alloc::local_search::LocalSearchScheduler;
 use ps_core::alloc::optimal::{GreedyPointScheduler, OptimalScheduler, WithLpBound};
 use ps_core::alloc::PointScheduler;
-use ps_data::intel::{IntelConfig, IntelFieldDataset};
-use ps_geo::Rect;
-use ps_gp::hyper::{fit_rbf, HyperGrid};
-use ps_mobility::{MobilityModel, RandomWaypoint};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use super::point_queries::rnc_setting;
-use super::sweep;
+use super::monitoring::intel_setting;
+use super::point_queries::{rnc_setting, run_point_simulation, PointRunResult};
+use super::{run_campaign, sweep};
 
 const BUDGET_FACTORS: [f64; 3] = [10.0, 15.0, 20.0];
 
@@ -69,53 +65,28 @@ const REGION_VARIANTS: [RegionVariant; 4] = [
 ];
 
 fn run_region_variant(scale: &Scale, budget_factor: f64, variant: RegionVariant, seed: u64) -> f64 {
-    let dataset = IntelFieldDataset::generate(
-        &IntelConfig {
-            seed,
-            ..IntelConfig::default()
-        },
-        scale.slots.max(1),
-    );
-    let readings = dataset.mote_readings(0);
-    let half = (readings.len() / 2).max(3).min(readings.len());
-    let (locs, vals): (Vec<_>, Vec<_>) = readings[..half].iter().copied().unzip();
-    let fitted = fit_rbf(&locs, &vals, &HyperGrid::default());
-
-    let bounds = Rect::new(0.0, 0.0, 20.0, 15.0);
-    let num_agents = scale.sensor_count(30);
-    let trace = RandomWaypoint {
-        width: 20.0,
-        height: 15.0,
-        num_agents,
-        max_speed_choices: vec![2.0, 3.0],
-        seed: seed ^ 0x5151,
-    }
-    .generate(scale.slots);
-    let mut pool = SensorPool::new(
-        num_agents,
-        &SensorPoolConfig::paper_default(scale.slots, seed),
-    );
-    let quality = ps_core::valuation::quality::QualityModel::new(2.0);
-    let mut engine = engine_for(scale, &bounds, quality, move |b| {
-        b.scheduler(OptimalScheduler::new())
-            .cost_weighting(variant.weighting)
-            .sensor_sharing(variant.sharing)
-    });
-
+    let (setting, fitted) = intel_setting(scale, seed, seed ^ 0x5151);
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(3));
-    for slot in 0..scale.slots {
-        engine.submit_region_monitor(spawn_region_monitor(
-            &mut rng,
-            slot,
-            &bounds,
-            &fitted.kernel,
-            fitted.noise_variance,
-            budget_factor,
-        ));
-        let sensors = pool.snapshots(slot, &trace, &bounds);
-        let report = engine.step(slot, &sensors);
-        pool.record_measurements(slot, report.sensors_used.iter().map(|&si| sensors[si].id));
-    }
+    let engine = run_campaign(
+        scale,
+        &setting,
+        &SensorPoolConfig::paper_default(scale.slots, seed),
+        move |b| {
+            b.scheduler(OptimalScheduler::new())
+                .cost_weighting(variant.weighting)
+                .sensor_sharing(variant.sharing)
+        },
+        |slot, engine| {
+            engine.submit_region_monitor(spawn_region_monitor(
+                &mut rng,
+                slot,
+                &setting.working_region,
+                &fitted.kernel,
+                fitted.noise_variance,
+                budget_factor,
+            ));
+        },
+    );
     engine.totals().welfare / scale.slots as f64
 }
 
@@ -138,66 +109,46 @@ pub fn ablation_region(scale: &Scale) -> Vec<FigureTable> {
     vec![table]
 }
 
-/// Point-workload run metrics shared by the objective and solver
-/// ablations.
-struct PointAblationRun {
-    avg_utility: f64,
-    satisfaction: f64,
-    /// Mean certified LP bound per bound-carrying slot (0 when none).
-    avg_lp_bound: f64,
-    /// The run's accumulated `(Σ bound − Σ welfare) / Σ bound`, when the
-    /// scheduler certified bounds.
-    optimality_gap: Option<f64>,
-}
+/// One table of a point ablation: its id, title, y label and the run
+/// metric it plots.
+type Panel = (
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&PointRunResult) -> f64,
+);
 
-/// Runs one scheduler over the shared RNC point workload at budget `b`.
-/// Each scheduler sees an identical initial workload; trajectories then
-/// diverge through sensor-pool feedback, so the reported bound certifies
-/// the slots *this* run actually solved.
-fn run_point_ablation(
+/// Runs every scheduler over the shared RNC point workload at each budget
+/// of `budgets` (one [`run_point_simulation`] per cell, through `sweep`)
+/// and plots `panels` from the runs. Each scheduler sees an identical
+/// initial workload at a budget.
+fn point_ablation(
     scale: &Scale,
-    scheduler: &(dyn PointScheduler + Send + Sync),
-    b: f64,
-    xi: usize,
-) -> PointAblationRun {
-    let setting = rnc_setting(scale, scale.seed.wrapping_add(xi as u64));
-    let mut pool = SensorPool::new(
-        setting.num_agents,
-        &SensorPoolConfig::paper_default(scale.slots, scale.seed ^ 0x66),
-    );
-    let mut rng = StdRng::seed_from_u64(scale.seed.wrapping_add(500 + xi as u64));
-    let mut engine = engine_for(scale, &setting.working_region, setting.quality, |b| {
-        b.scheduler(scheduler)
-    });
-    for slot in 0..scale.slots {
-        let sensors = pool.snapshots(slot, &setting.trace, &setting.working_region);
-        for spec in point_queries(
-            &mut rng,
+    budgets: &[f64],
+    schedulers: &[(&str, Box<dyn PointScheduler + Send + Sync>)],
+    panels: [Panel; 3],
+) -> Vec<FigureTable> {
+    let grid = sweep(schedulers, budgets, |(_, scheduler), xi, b| {
+        run_point_simulation(
+            &rnc_setting(scale, scale.seed.wrapping_add(xi as u64)),
+            scale,
+            &SensorPoolConfig::paper_default(scale.slots, scale.seed ^ 0x66),
             scale.queries(300),
-            &setting.working_region,
             BudgetScheme::Fixed(b),
-        ) {
-            engine.submit_point(spec);
-        }
-        let report = engine.step(slot, &sensors);
-        pool.record_measurements(slot, report.sensors_used.iter().map(|&si| sensors[si].id));
-    }
-    let totals = engine.totals();
-    let breakdown = &totals.breakdown;
-    PointAblationRun {
-        avg_utility: totals.welfare / scale.slots as f64,
-        satisfaction: if breakdown.point_total == 0 {
-            0.0
-        } else {
-            breakdown.point_satisfied as f64 / breakdown.point_total as f64
-        },
-        avg_lp_bound: if breakdown.bound_known_slots == 0 {
-            0.0
-        } else {
-            breakdown.point_lp_bound / breakdown.bound_known_slots as f64
-        },
-        optimality_gap: breakdown.optimality_gap(),
-    }
+            scheduler.as_ref(),
+            scale.seed.wrapping_add(500 + xi as u64),
+        )
+    });
+    panels
+        .iter()
+        .map(|&(id, title, y_label, metric)| {
+            let mut table = FigureTable::new(id, title, "Query budget", y_label, budgets.to_vec());
+            for ((name, _), runs) in schedulers.iter().zip(&grid) {
+                table.push_series(name, runs.iter().map(metric).collect());
+            }
+            table
+        })
+        .collect()
 }
 
 /// Objective ablation: welfare vs satisfied-count for the exact welfare
@@ -206,29 +157,6 @@ fn run_point_ablation(
 /// is wrapped in [`WithLpBound`] so its gap is measured against the same
 /// LP relaxation the exact solver bounds with).
 pub fn ablation_objective(scale: &Scale) -> Vec<FigureTable> {
-    let budgets = [10.0, 15.0, 25.0];
-    let mut welfare_t = FigureTable::new(
-        "ablation_objective_welfare",
-        "Ablation: welfare vs egalitarian objective — average utility",
-        "Query budget",
-        "Average utility",
-        budgets.to_vec(),
-    );
-    let mut sat_t = FigureTable::new(
-        "ablation_objective_satisfaction",
-        "Ablation: welfare vs egalitarian objective — satisfaction ratio",
-        "Query budget",
-        "Query satisfaction ratio",
-        budgets.to_vec(),
-    );
-    let mut gap_t = FigureTable::new(
-        "ablation_objective_gap",
-        "Ablation: welfare vs egalitarian objective — optimality gap",
-        "Query budget",
-        "Point-schedule optimality gap",
-        budgets.to_vec(),
-    );
-
     let schedulers: Vec<(&str, Box<dyn PointScheduler + Send + Sync>)> = vec![
         ("Optimal", Box::new(OptimalScheduler::new())),
         (
@@ -236,21 +164,31 @@ pub fn ablation_objective(scale: &Scale) -> Vec<FigureTable> {
             Box::new(WithLpBound::new(EgalitarianScheduler::new())),
         ),
     ];
-    for (name, scheduler) in &schedulers {
-        let mut utilities = Vec::new();
-        let mut satisfactions = Vec::new();
-        let mut gaps = Vec::new();
-        for (xi, &b) in budgets.iter().enumerate() {
-            let run = run_point_ablation(scale, scheduler.as_ref(), b, xi);
-            utilities.push(run.avg_utility);
-            satisfactions.push(run.satisfaction);
-            gaps.push(run.optimality_gap.unwrap_or(0.0));
-        }
-        welfare_t.push_series(name, utilities);
-        sat_t.push_series(name, satisfactions);
-        gap_t.push_series(name, gaps);
-    }
-    vec![welfare_t, sat_t, gap_t]
+    point_ablation(
+        scale,
+        &[10.0, 15.0, 25.0],
+        &schedulers,
+        [
+            (
+                "ablation_objective_welfare",
+                "Ablation: welfare vs egalitarian objective — average utility",
+                "Average utility",
+                |r| r.avg_utility,
+            ),
+            (
+                "ablation_objective_satisfaction",
+                "Ablation: welfare vs egalitarian objective — satisfaction ratio",
+                "Query satisfaction ratio",
+                |r| r.satisfaction,
+            ),
+            (
+                "ablation_objective_gap",
+                "Ablation: welfare vs egalitarian objective — optimality gap",
+                "Point-schedule optimality gap",
+                |r| r.optimality_gap,
+            ),
+        ],
+    )
 }
 
 /// Solver ablation: exact branch-and-bound vs Local Search vs greedy on
@@ -259,29 +197,6 @@ pub fn ablation_objective(scale: &Scale) -> Vec<FigureTable> {
 /// `optimality_gap` — the heuristics get their bounds from
 /// [`WithLpBound`], the exact scheduler certifies its own.
 pub fn ablation_solver(scale: &Scale) -> Vec<FigureTable> {
-    let budgets = [10.0, 15.0, 25.0];
-    let mut welfare_t = FigureTable::new(
-        "ablation_solver_welfare",
-        "Solver ablation: exact vs local search vs greedy — average utility",
-        "Query budget",
-        "Average utility",
-        budgets.to_vec(),
-    );
-    let mut bound_t = FigureTable::new(
-        "ablation_solver_lp_bound",
-        "Solver ablation: certified LP bound per slot",
-        "Query budget",
-        "Mean LP-relaxation bound",
-        budgets.to_vec(),
-    );
-    let mut gap_t = FigureTable::new(
-        "ablation_solver_gap",
-        "Solver ablation: certified optimality gap",
-        "Query budget",
-        "Point-schedule optimality gap",
-        budgets.to_vec(),
-    );
-
     let schedulers: Vec<(&str, Box<dyn PointScheduler + Send + Sync>)> = vec![
         ("Optimal", Box::new(OptimalScheduler::new().max_nodes(4000))),
         (
@@ -293,16 +208,31 @@ pub fn ablation_solver(scale: &Scale) -> Vec<FigureTable> {
             Box::new(WithLpBound::new(GreedyPointScheduler::new())),
         ),
     ];
-    let grid = sweep(&schedulers, &budgets, |(_, scheduler), xi, b| {
-        run_point_ablation(scale, scheduler.as_ref(), b, xi)
-    });
-    for ((name, _), runs) in schedulers.iter().zip(&grid) {
-        welfare_t.push_series(name, runs.iter().map(|r| r.avg_utility).collect());
-        bound_t.push_series(name, runs.iter().map(|r| r.avg_lp_bound).collect());
-        let gaps = runs.iter().map(|r| r.optimality_gap.unwrap_or(0.0));
-        gap_t.push_series(name, gaps.collect());
-    }
-    vec![welfare_t, bound_t, gap_t]
+    point_ablation(
+        scale,
+        &[10.0, 15.0, 25.0],
+        &schedulers,
+        [
+            (
+                "ablation_solver_welfare",
+                "Solver ablation: exact vs local search vs greedy — average utility",
+                "Average utility",
+                |r| r.avg_utility,
+            ),
+            (
+                "ablation_solver_lp_bound",
+                "Solver ablation: certified LP bound per slot",
+                "Mean LP-relaxation bound",
+                |r| r.avg_lp_bound,
+            ),
+            (
+                "ablation_solver_gap",
+                "Solver ablation: certified optimality gap",
+                "Point-schedule optimality gap",
+                |r| r.optimality_gap,
+            ),
+        ],
+    )
 }
 
 #[cfg(test)]

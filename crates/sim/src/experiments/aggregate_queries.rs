@@ -2,27 +2,20 @@
 //! sequential baseline, on the RNC substitute.
 
 use crate::config::Scale;
-use crate::engine::engine_for;
 use crate::metrics::FigureTable;
-use crate::sensors::{SensorPool, SensorPoolConfig};
+use crate::sensors::SensorPoolConfig;
 use crate::workload::aggregate_queries;
 use ps_core::aggregator::MixStrategy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use super::point_queries::{rnc_setting, PointSetting};
-use super::sweep;
+use super::{per_issued, run_campaign, sweep};
 
 /// Sensing range of §4.4 ("the sensing range of sensors is set to 10
 /// units").
 const SENSING_RANGE: f64 = 10.0;
 const BUDGET_FACTORS: [f64; 7] = [7.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0];
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AggAlgo {
-    Greedy,
-    Baseline,
-}
 
 #[derive(Debug, Clone, Copy)]
 struct AggRunResult {
@@ -36,44 +29,31 @@ fn run_aggregate_simulation(
     pool_cfg: &SensorPoolConfig,
     mean_count: usize,
     budget_factor: f64,
-    algo: AggAlgo,
+    strategy: MixStrategy,
     workload_seed: u64,
 ) -> AggRunResult {
-    let mut engine = engine_for(scale, &setting.working_region, setting.quality, move |b| {
-        b.sensing_range(SENSING_RANGE).strategy(match algo {
-            AggAlgo::Greedy => MixStrategy::Alg5,
-            AggAlgo::Baseline => MixStrategy::SequentialBaseline,
-        })
-    });
-    let mut pool = SensorPool::new(setting.num_agents, pool_cfg);
     let mut rng = StdRng::seed_from_u64(workload_seed);
-
-    for slot in 0..scale.slots {
-        let sensors = pool.snapshots(slot, &setting.trace, &setting.working_region);
-        for spec in aggregate_queries(
-            &mut rng,
-            mean_count,
-            &setting.working_region,
-            SENSING_RANGE,
-            budget_factor,
-        ) {
-            engine.submit_aggregate(spec);
-        }
-        let report = engine.step(slot, &sensors);
-        pool.record_measurements(slot, report.sensors_used.iter().map(|&si| sensors[si].id));
-    }
-
-    // Quality averaged over *all* issued queries (unanswered count as
-    // zero), matching the baseline's collapse to ~0 at small budgets in
-    // Fig. 7(b).
+    let engine = run_campaign(
+        scale,
+        setting,
+        pool_cfg,
+        |b| b.sensing_range(SENSING_RANGE).strategy(strategy),
+        |_, engine| {
+            let region = &setting.working_region;
+            for spec in
+                aggregate_queries(&mut rng, mean_count, region, SENSING_RANGE, budget_factor)
+            {
+                engine.submit_aggregate(spec);
+            }
+        },
+    );
     let totals = engine.totals();
     AggRunResult {
         avg_utility: totals.welfare / scale.slots as f64,
-        avg_quality: if totals.breakdown.aggregate_total == 0 {
-            0.0
-        } else {
-            totals.breakdown.aggregate_quality_sum / totals.breakdown.aggregate_total as f64
-        },
+        avg_quality: per_issued(
+            totals.breakdown.aggregate_quality_sum,
+            totals.breakdown.aggregate_total,
+        ),
     }
 }
 
@@ -81,8 +61,8 @@ fn run_aggregate_simulation(
 /// versus the budget factor.
 pub fn fig7(scale: &Scale) -> Vec<FigureTable> {
     let mean_count = scale.queries(30);
-    let algos = [AggAlgo::Greedy, AggAlgo::Baseline];
-    let grid = sweep(&algos, &BUDGET_FACTORS, |algo, xi, b| {
+    let strategies = [MixStrategy::Alg5, MixStrategy::SequentialBaseline];
+    let grid = sweep(&strategies, &BUDGET_FACTORS, |strategy, xi, b| {
         let setting = rnc_setting(scale, scale.seed.wrapping_add(xi as u64));
         let cfg = SensorPoolConfig::paper_default(scale.slots, scale.seed ^ 0x77);
         run_aggregate_simulation(
@@ -91,7 +71,7 @@ pub fn fig7(scale: &Scale) -> Vec<FigureTable> {
             &cfg,
             mean_count,
             b,
-            *algo,
+            *strategy,
             scale.seed.wrapping_add(3000 + xi as u64),
         )
     });
@@ -133,8 +113,9 @@ mod tests {
         };
         let setting = rnc_setting(&scale, 2);
         let cfg = SensorPoolConfig::paper_default(scale.slots, 2);
-        let g = run_aggregate_simulation(&setting, &scale, &cfg, 6, 7.0, AggAlgo::Greedy, 9);
-        let b = run_aggregate_simulation(&setting, &scale, &cfg, 6, 7.0, AggAlgo::Baseline, 9);
+        let run = |strategy| run_aggregate_simulation(&setting, &scale, &cfg, 6, 7.0, strategy, 9);
+        let g = run(MixStrategy::Alg5);
+        let b = run(MixStrategy::SequentialBaseline);
         assert!(
             g.avg_utility >= b.avg_utility - 1e-9,
             "greedy {} below baseline {}",

@@ -4,9 +4,8 @@
 //! to the lack of complete measurement data in RNC").
 
 use crate::config::Scale;
-use crate::engine::engine_for;
 use crate::metrics::FigureTable;
-use crate::sensors::{SensorPool, SensorPoolConfig};
+use crate::sensors::SensorPoolConfig;
 use crate::workload::{aggregate_queries, point_queries, spawn_location_monitors, BudgetScheme};
 use ps_core::aggregator::MixStrategy;
 use rand::rngs::StdRng;
@@ -14,16 +13,10 @@ use rand::SeedableRng;
 
 use super::monitoring::ozone_context;
 use super::point_queries::rnc_setting;
-use super::sweep;
+use super::{monitor_quality, per_issued, run_campaign, sweep};
 
 const BUDGET_FACTORS: [f64; 5] = [7.0, 10.0, 15.0, 20.0, 25.0];
 const SENSING_RANGE: f64 = 10.0;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MixAlgo {
-    Alg5,
-    Baseline,
-}
 
 #[derive(Debug, Clone, Copy)]
 struct MixRunResult {
@@ -33,105 +26,68 @@ struct MixRunResult {
     monitor_quality: f64,
 }
 
-fn run_mix_simulation(scale: &Scale, budget_factor: f64, algo: MixAlgo, seed: u64) -> MixRunResult {
+fn run_mix_simulation(
+    scale: &Scale,
+    budget_factor: f64,
+    strategy: MixStrategy,
+    seed: u64,
+) -> MixRunResult {
     let setting = rnc_setting(scale, seed);
+    let region = &setting.working_region;
     let ctx = ozone_context(scale);
     // §4.7: lifetime 25, random PSL, linear energy with β ~ U[0, 4].
     let lifetime = (scale.slots / 2).max(1);
     let pool_cfg = SensorPoolConfig::privacy_energy(lifetime, seed ^ 0x4444);
-    let mut pool = SensorPool::new(setting.num_agents, &pool_cfg);
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(41));
-    let mut engine = engine_for(scale, &setting.working_region, setting.quality, move |b| {
-        b.sensing_range(SENSING_RANGE).strategy(match algo {
-            MixAlgo::Alg5 => MixStrategy::Alg5,
-            MixAlgo::Baseline => MixStrategy::SequentialBaseline,
-        })
-    });
-
     let points_per_slot = scale.queries(300);
     let agg_mean = scale.queries(30);
     let max_monitors = scale.queries(100);
     let monitor_spawn = scale.queries(5);
 
-    for slot in 0..scale.slots {
-        for spec in spawn_location_monitors(
-            &mut rng,
-            slot,
-            engine.location_monitor_count(),
-            max_monitors,
-            monitor_spawn,
-            &setting.working_region,
-            &ctx,
-            budget_factor,
-        ) {
-            engine.submit_location_monitor(spec);
-        }
+    let engine = run_campaign(
+        scale,
+        &setting,
+        &pool_cfg,
+        |b| b.sensing_range(SENSING_RANGE).strategy(strategy),
+        |slot, engine| {
+            for spec in spawn_location_monitors(
+                &mut rng,
+                slot,
+                engine.location_monitor_count(),
+                max_monitors,
+                monitor_spawn,
+                region,
+                &ctx,
+                budget_factor,
+            ) {
+                engine.submit_location_monitor(spec);
+            }
+            let budgets = BudgetScheme::Fixed(budget_factor);
+            for spec in point_queries(&mut rng, points_per_slot, region, budgets) {
+                engine.submit_point(spec);
+            }
+            for spec in aggregate_queries(&mut rng, agg_mean, region, SENSING_RANGE, budget_factor)
+            {
+                engine.submit_aggregate(spec);
+            }
+        },
+    );
 
-        let sensors = pool.snapshots(slot, &setting.trace, &setting.working_region);
-        for spec in point_queries(
-            &mut rng,
-            points_per_slot,
-            &setting.working_region,
-            BudgetScheme::Fixed(budget_factor),
-        ) {
-            engine.submit_point(spec);
-        }
-        for spec in aggregate_queries(
-            &mut rng,
-            agg_mean,
-            &setting.working_region,
-            SENSING_RANGE,
-            budget_factor,
-        ) {
-            engine.submit_aggregate(spec);
-        }
-
-        let report = engine.step(slot, &sensors);
-        pool.record_measurements(slot, report.sensors_used.iter().map(|&si| sensors[si].id));
-    }
-
-    // Qualities average over all *issued* queries: an unanswered query
-    // contributes 0, which is what collapses the baseline's curves at
-    // small budgets in Fig. 10(b–d).
-    let totals = engine.totals().clone();
-    let finished_quality: Vec<f64> = engine
-        .retired_monitors()
-        .into_iter()
-        .map(|m| m.quality_of_results())
-        .chain(
-            engine
-                .location_monitors()
-                .into_iter()
-                .map(|m| m.quality_of_results()),
-        )
-        .collect();
-
+    let breakdown = &engine.totals().breakdown;
     MixRunResult {
-        avg_utility: totals.welfare / scale.slots as f64,
-        point_quality: if totals.breakdown.point_total == 0 {
-            0.0
-        } else {
-            totals.breakdown.point_quality_sum / totals.breakdown.point_total as f64
-        },
-        aggregate_quality: if totals.breakdown.aggregate_total == 0 {
-            0.0
-        } else {
-            totals.breakdown.aggregate_quality_sum / totals.breakdown.aggregate_total as f64
-        },
-        monitor_quality: if finished_quality.is_empty() {
-            0.0
-        } else {
-            finished_quality.iter().sum::<f64>() / finished_quality.len() as f64
-        },
+        avg_utility: engine.totals().welfare / scale.slots as f64,
+        point_quality: per_issued(breakdown.point_quality_sum, breakdown.point_total),
+        aggregate_quality: per_issued(breakdown.aggregate_quality_sum, breakdown.aggregate_total),
+        monitor_quality: monitor_quality(engine.as_ref()),
     }
 }
 
 /// Fig. 10: mix utility (a) and per-type quality of results (b: point,
 /// c: aggregate, d: location monitoring) versus the budget factor.
 pub fn fig10(scale: &Scale) -> Vec<FigureTable> {
-    let algos = [MixAlgo::Alg5, MixAlgo::Baseline];
-    let results = sweep(&algos, &BUDGET_FACTORS, |algo, xi, b| {
-        run_mix_simulation(scale, b, *algo, scale.seed.wrapping_add(xi as u64))
+    let strategies = [MixStrategy::Alg5, MixStrategy::SequentialBaseline];
+    let results = sweep(&strategies, &BUDGET_FACTORS, |strategy, xi, b| {
+        run_mix_simulation(scale, b, *strategy, scale.seed.wrapping_add(xi as u64))
     });
 
     type Extract = fn(&MixRunResult) -> f64;
@@ -192,8 +148,8 @@ mod tests {
             threads: 0,
             shards: 1,
         };
-        let alg5 = run_mix_simulation(&scale, 15.0, MixAlgo::Alg5, 5);
-        let base = run_mix_simulation(&scale, 15.0, MixAlgo::Baseline, 5);
+        let alg5 = run_mix_simulation(&scale, 15.0, MixStrategy::Alg5, 5);
+        let base = run_mix_simulation(&scale, 15.0, MixStrategy::SequentialBaseline, 5);
         assert!(alg5.avg_utility.is_finite());
         assert!(base.avg_utility.is_finite());
         // Algorithm 1 is a heuristic and monitors evolve across slots, so

@@ -2,11 +2,9 @@
 //! substitute, region monitoring on the Intel-Lab substitute.
 
 use crate::config::Scale;
-use crate::engine::engine_for;
 use crate::metrics::FigureTable;
-use crate::sensors::{SensorPool, SensorPoolConfig};
+use crate::sensors::SensorPoolConfig;
 use crate::workload::{spawn_location_monitors, spawn_region_monitor};
-use ps_cluster::SlotEngine;
 use ps_core::aggregator::MixStrategy;
 use ps_core::alloc::baseline::BaselinePointScheduler;
 use ps_core::alloc::local_search::LocalSearchScheduler;
@@ -17,15 +15,15 @@ use ps_core::valuation::quality::QualityModel;
 use ps_data::intel::{IntelConfig, IntelFieldDataset};
 use ps_data::ozone::{OzoneConfig, OzoneTrace};
 use ps_geo::Rect;
-use ps_gp::hyper::{fit_rbf, HyperGrid};
+use ps_gp::hyper::{fit_rbf, FittedHyperparams, HyperGrid};
 use ps_mobility::{MobilityModel, RandomWaypoint};
 use ps_stats::regression::DiurnalBasis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-use super::point_queries::rnc_setting;
-use super::sweep;
+use super::point_queries::{rnc_setting, PointSetting};
+use super::{monitor_quality, run_campaign, sweep};
 
 const MONITOR_BUDGET_FACTORS: [f64; 5] = [7.0, 10.0, 15.0, 20.0, 25.0];
 
@@ -48,6 +46,45 @@ pub fn ozone_context(scale: &Scale) -> Arc<MonitoringContext> {
         trace.history(),
         Some((50.0, -100.0)),
     ))
+}
+
+/// The Intel-Lab substitute (§4.6): a 20×15 grid field generated from
+/// `seed`, RBF hyperparameters fitted to half of the stationary motes'
+/// readings at slot 0, and `scale.sensor_count(30)` imaginary mobile
+/// sensors on a random-waypoint trace drawn from `trace_seed`, reading
+/// with `d_max = r_s = 2`.
+pub(super) fn intel_setting(
+    scale: &Scale,
+    seed: u64,
+    trace_seed: u64,
+) -> (PointSetting, FittedHyperparams) {
+    let dataset = IntelFieldDataset::generate(
+        &IntelConfig {
+            seed,
+            ..IntelConfig::default()
+        },
+        scale.slots.max(1),
+    );
+    let readings = dataset.mote_readings(0);
+    let half = (readings.len() / 2).max(3).min(readings.len());
+    let (locs, vals): (Vec<_>, Vec<_>) = readings[..half].iter().copied().unzip();
+    let fitted = fit_rbf(&locs, &vals, &HyperGrid::default());
+    let num_agents = scale.sensor_count(30);
+    let trace = RandomWaypoint {
+        width: 20.0,
+        height: 15.0,
+        num_agents,
+        max_speed_choices: vec![2.0, 3.0],
+        seed: trace_seed,
+    }
+    .generate(scale.slots);
+    let setting = PointSetting {
+        trace,
+        working_region: Rect::new(0.0, 0.0, 20.0, 15.0),
+        quality: QualityModel::new(2.0),
+        num_agents,
+    };
+    (setting, fitted)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,8 +111,11 @@ impl LocAlgo {
         }
     }
 
-    fn baseline_mode(&self) -> bool {
-        matches!(self, LocAlgo::Baseline)
+    fn strategy(&self) -> MixStrategy {
+        match self {
+            LocAlgo::Baseline => MixStrategy::SequentialBaseline,
+            _ => MixStrategy::Alg5,
+        }
     }
 }
 
@@ -83,33 +123,6 @@ impl LocAlgo {
 struct MonitorRunResult {
     avg_utility: f64,
     avg_quality: f64,
-}
-
-/// Average quality-of-results over every monitor the engine ever ran
-/// (retired ones plus those still live at the end of the horizon).
-fn monitor_quality(engine: &dyn SlotEngine) -> f64 {
-    let qualities: Vec<f64> = engine
-        .retired_monitors()
-        .into_iter()
-        .map(|m| m.quality_of_results())
-        .chain(
-            engine
-                .location_monitors()
-                .into_iter()
-                .map(|m| m.quality_of_results()),
-        )
-        .chain(
-            engine
-                .region_monitors()
-                .into_iter()
-                .map(|m| m.quality_of_results()),
-        )
-        .collect();
-    if qualities.is_empty() {
-        0.0
-    } else {
-        qualities.iter().sum::<f64>() / qualities.len() as f64
-    }
 }
 
 fn run_location_simulation(
@@ -121,39 +134,30 @@ fn run_location_simulation(
     let setting = rnc_setting(scale, seed);
     let ctx = ozone_context(scale);
     let pool_cfg = SensorPoolConfig::paper_default(scale.slots, seed ^ 0x1111);
-    let mut pool = SensorPool::new(setting.num_agents, &pool_cfg);
-    let mut engine = engine_for(scale, &setting.working_region, setting.quality, move |b| {
-        b.scheduler(algo.scheduler())
-            .strategy(if algo.baseline_mode() {
-                MixStrategy::SequentialBaseline
-            } else {
-                MixStrategy::Alg5
-            })
-    });
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(17));
     let max_concurrent = scale.queries(100);
     let spawn_mean = scale.queries(5);
-
-    for slot in 0..scale.slots {
-        // The engine retires expired monitors itself; spawn under the cap.
-        for spec in spawn_location_monitors(
-            &mut rng,
-            slot,
-            engine.location_monitor_count(),
-            max_concurrent,
-            spawn_mean,
-            &setting.working_region,
-            &ctx,
-            budget_factor,
-        ) {
-            engine.submit_location_monitor(spec);
-        }
-
-        let sensors = pool.snapshots(slot, &setting.trace, &setting.working_region);
-        let report = engine.step(slot, &sensors);
-        pool.record_measurements(slot, report.sensors_used.iter().map(|&si| sensors[si].id));
-    }
-
+    let engine = run_campaign(
+        scale,
+        &setting,
+        &pool_cfg,
+        move |b| b.scheduler(algo.scheduler()).strategy(algo.strategy()),
+        |slot, engine| {
+            // The engine retires expired monitors itself; spawn under the cap.
+            for spec in spawn_location_monitors(
+                &mut rng,
+                slot,
+                engine.location_monitor_count(),
+                max_concurrent,
+                spawn_mean,
+                &setting.working_region,
+                &ctx,
+                budget_factor,
+            ) {
+                engine.submit_location_monitor(spec);
+            }
+        },
+    );
     MonitorRunResult {
         avg_utility: engine.totals().welfare / scale.slots as f64,
         avg_quality: monitor_quality(engine.as_ref()),
@@ -206,68 +210,39 @@ fn run_region_simulation(
     algo: RegionAlgo,
     seed: u64,
 ) -> MonitorRunResult {
-    // Intel-Lab substitute: 20×15 grid field; hyperparameters learned from
-    // a fraction (half) of the stationary motes' readings at slot 0.
-    let dataset = IntelFieldDataset::generate(
-        &IntelConfig {
-            seed,
-            ..IntelConfig::default()
-        },
-        scale.slots.max(1),
-    );
-    let readings = dataset.mote_readings(0);
-    let half = (readings.len() / 2).max(3).min(readings.len());
-    let (locs, vals): (Vec<_>, Vec<_>) = readings[..half].iter().copied().unzip();
-    let fitted = fit_rbf(&locs, &vals, &HyperGrid::default());
-
-    // 30 imaginary mobile sensors under a random waypoint model (§4.2).
-    let bounds = Rect::new(0.0, 0.0, 20.0, 15.0);
-    let num_agents = scale.sensor_count(30);
-    let trace = RandomWaypoint {
-        width: 20.0,
-        height: 15.0,
-        num_agents,
-        max_speed_choices: vec![2.0, 3.0],
-        seed: seed ^ 0x2222,
-    }
-    .generate(scale.slots);
+    let (setting, fitted) = intel_setting(scale, seed, seed ^ 0x2222);
     let pool_cfg = SensorPoolConfig::paper_default(scale.slots, seed ^ 0x3333);
-    let mut pool = SensorPool::new(num_agents, &pool_cfg);
-    let quality = QualityModel::new(2.0); // r_s = 2 (§4.6)
-
     let (weighting, sharing) = match algo {
         RegionAlgo::Alg3 => (true, true),
         RegionAlgo::Baseline => (false, false),
     };
-    let mut engine = engine_for(scale, &bounds, quality, move |b| {
-        let scheduler: Box<dyn PointScheduler> = match algo {
-            RegionAlgo::Alg3 => Box::new(OptimalScheduler::new()),
-            RegionAlgo::Baseline => Box::new(BaselinePointScheduler::new()),
-        };
-        b.scheduler(scheduler)
-            .cost_weighting(weighting)
-            .sensor_sharing(sharing)
-    });
-
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(29));
-
-    for slot in 0..scale.slots {
-        // One new region query per slot (§4.6); the engine retires
-        // expired ones at the end of each step.
-        engine.submit_region_monitor(spawn_region_monitor(
-            &mut rng,
-            slot,
-            &bounds,
-            &fitted.kernel,
-            fitted.noise_variance,
-            budget_factor,
-        ));
-
-        let sensors = pool.snapshots(slot, &trace, &bounds);
-        let report = engine.step(slot, &sensors);
-        pool.record_measurements(slot, report.sensors_used.iter().map(|&si| sensors[si].id));
-    }
-
+    let engine = run_campaign(
+        scale,
+        &setting,
+        &pool_cfg,
+        move |b| {
+            let scheduler: Box<dyn PointScheduler> = match algo {
+                RegionAlgo::Alg3 => Box::new(OptimalScheduler::new()),
+                RegionAlgo::Baseline => Box::new(BaselinePointScheduler::new()),
+            };
+            b.scheduler(scheduler)
+                .cost_weighting(weighting)
+                .sensor_sharing(sharing)
+        },
+        |slot, engine| {
+            // One new region query per slot (§4.6); the engine retires
+            // expired ones at the end of each step.
+            engine.submit_region_monitor(spawn_region_monitor(
+                &mut rng,
+                slot,
+                &setting.working_region,
+                &fitted.kernel,
+                fitted.noise_variance,
+                budget_factor,
+            ));
+        },
+    );
     MonitorRunResult {
         avg_utility: engine.totals().welfare / scale.slots as f64,
         avg_quality: monitor_quality(engine.as_ref()),
@@ -334,6 +309,25 @@ mod tests {
         let alg3 = run_region_simulation(&scale, 15.0, RegionAlgo::Alg3, 11);
         assert!(alg3.avg_utility.is_finite());
         assert!(alg3.avg_quality >= 0.0);
+    }
+
+    #[test]
+    fn intel_setting_is_the_lab_and_its_trace_follows_trace_seed() {
+        let scale = tiny_scale();
+        let (setting, _) = intel_setting(&scale, 11, 77);
+        assert_eq!(setting.working_region, Rect::new(0.0, 0.0, 20.0, 15.0));
+        assert_eq!(setting.quality.d_max, 2.0);
+        assert_eq!(setting.num_agents, scale.sensor_count(30));
+        assert_eq!(setting.trace.num_agents(), setting.num_agents);
+        let positions = |trace: &ps_mobility::MobilityTrace| -> Vec<_> {
+            (0..scale.slots)
+                .flat_map(|t| (0..setting.num_agents).map(move |a| trace.position(t, a)))
+                .collect()
+        };
+        let trace = positions(&setting.trace);
+        // The field seed leaves the trace alone; the trace seed moves it.
+        assert_eq!(positions(&intel_setting(&scale, 12, 77).0.trace), trace);
+        assert_ne!(positions(&intel_setting(&scale, 11, 78).0.trace), trace);
     }
 
     #[test]

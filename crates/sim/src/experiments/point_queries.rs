@@ -1,11 +1,10 @@
 //! Single-sensor point-query experiments: Figs. 2–6 and the §4.7 trust
 //! sweep.
 
-use super::sweep;
+use super::{per_issued, run_campaign, sweep};
 use crate::config::Scale;
-use crate::engine::engine_for;
 use crate::metrics::FigureTable;
-use crate::sensors::{SensorPool, SensorPoolConfig, TrustAssignment};
+use crate::sensors::{SensorPoolConfig, TrustAssignment};
 use crate::workload::{point_queries, BudgetScheme};
 use ps_core::alloc::baseline::BaselinePointScheduler;
 use ps_core::alloc::local_search::LocalSearchScheduler;
@@ -57,7 +56,9 @@ impl PointAlgo {
     ];
 }
 
-/// One mobility environment for the point-query experiments.
+/// One mobility environment: the agents' trace, the working region
+/// their sensors report in, Eq. 4's quality model and the population
+/// size. Every campaign of §4 runs in one.
 pub struct PointSetting {
     /// Generated trace.
     pub trace: MobilityTrace,
@@ -102,51 +103,56 @@ pub fn rnc_setting(scale: &Scale, seed: u64) -> PointSetting {
     }
 }
 
-/// Result of one (algorithm, x-value) run.
+/// Result of one point-query campaign.
 #[derive(Debug, Clone, Copy)]
 pub struct PointRunResult {
     /// Mean welfare per slot — the paper's "average utility".
     pub avg_utility: f64,
     /// Fraction of queries answered — the "query satisfaction ratio".
     pub satisfaction: f64,
+    /// Mean certified LP bound per bound-carrying slot (0 when none).
+    pub avg_lp_bound: f64,
+    /// The run's accumulated `(Σ bound − Σ welfare) / Σ bound` over the
+    /// slots whose scheduler certified a bound (0 when none did).
+    pub optimality_gap: f64,
 }
 
-/// Runs one point-query simulation: an [`engine_for`]-selected engine
-/// (single or sharded, per `scale.shards`) serves `scale.slots` slots,
-/// consuming freshly generated query specs each slot and updating sensor
-/// lifetimes/privacy histories with the chosen sensors.
+/// Runs one point-query campaign: an [`engine_for`](crate::engine::engine_for)-selected
+/// engine (single or sharded, per `scale.shards`) scheduling with
+/// `scheduler` serves `scale.slots` slots, consuming freshly generated
+/// query specs each slot and updating sensor lifetimes/privacy histories
+/// with the chosen sensors. Trajectories diverge between schedulers
+/// through that feedback, so a reported bound certifies the slots *this*
+/// run solved.
 pub fn run_point_simulation(
     setting: &PointSetting,
     scale: &Scale,
     pool_cfg: &SensorPoolConfig,
     queries_per_slot: usize,
     budgets: BudgetScheme,
-    algo: PointAlgo,
+    scheduler: &(dyn PointScheduler + Send + Sync),
     workload_seed: u64,
 ) -> PointRunResult {
-    let mut engine = engine_for(scale, &setting.working_region, setting.quality, move |b| {
-        b.scheduler(algo.scheduler())
-    });
-    let mut pool = SensorPool::new(setting.num_agents, pool_cfg);
     let mut rng = StdRng::seed_from_u64(workload_seed);
-
-    for slot in 0..scale.slots {
-        let sensors = pool.snapshots(slot, &setting.trace, &setting.working_region);
-        for spec in point_queries(&mut rng, queries_per_slot, &setting.working_region, budgets) {
-            engine.submit_point(spec);
-        }
-        let report = engine.step(slot, &sensors);
-        pool.record_measurements(slot, report.sensors_used.iter().map(|&si| sensors[si].id));
-    }
-
+    let engine = run_campaign(
+        scale,
+        setting,
+        pool_cfg,
+        |b| b.scheduler(scheduler),
+        |_, engine| {
+            let region = &setting.working_region;
+            for spec in point_queries(&mut rng, queries_per_slot, region, budgets) {
+                engine.submit_point(spec);
+            }
+        },
+    );
     let totals = engine.totals();
+    let breakdown = &totals.breakdown;
     PointRunResult {
         avg_utility: totals.welfare / scale.slots as f64,
-        satisfaction: if totals.breakdown.point_total == 0 {
-            0.0
-        } else {
-            totals.breakdown.point_satisfied as f64 / totals.breakdown.point_total as f64
-        },
+        satisfaction: per_issued(breakdown.point_satisfied as f64, breakdown.point_total),
+        avg_lp_bound: per_issued(breakdown.point_lp_bound, breakdown.bound_known_slots),
+        optimality_gap: breakdown.optimality_gap().unwrap_or(0.0),
     }
 }
 
@@ -160,8 +166,8 @@ fn run_point_sweep(
     make_pool_cfg: impl Fn() -> SensorPoolConfig + Sync,
     queries_for_x: impl Fn(f64) -> usize + Sync,
     budgets_for_x: impl Fn(f64) -> BudgetScheme + Sync,
-) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let grid = sweep(&PointAlgo::ALL, xs, |algo, xi, x| {
+) -> Vec<Vec<PointRunResult>> {
+    sweep(&PointAlgo::ALL, xs, |algo, xi, x| {
         // Same trace/workload seed across algorithms.
         let setting = make_setting(scale.seed.wrapping_add(xi as u64));
         run_point_simulation(
@@ -170,16 +176,10 @@ fn run_point_sweep(
             &make_pool_cfg(),
             queries_for_x(x),
             budgets_for_x(x),
-            *algo,
+            algo.scheduler().as_ref(),
             scale.seed.wrapping_add(1000 + xi as u64),
         )
-    });
-    let series = |metric: fn(&PointRunResult) -> f64| -> Vec<Vec<f64>> {
-        grid.iter()
-            .map(|row| row.iter().map(metric).collect())
-            .collect()
-    };
-    (series(|r| r.avg_utility), series(|r| r.satisfaction))
+    })
 }
 
 fn tables_from_grids(
@@ -187,8 +187,7 @@ fn tables_from_grids(
     title: &str,
     x_label: &str,
     xs: Vec<f64>,
-    utilities: Vec<Vec<f64>>,
-    satisfactions: Vec<Vec<f64>>,
+    grid: Vec<Vec<PointRunResult>>,
 ) -> Vec<FigureTable> {
     let mut ta = FigureTable::new(
         &format!("{id_prefix}a"),
@@ -204,9 +203,9 @@ fn tables_from_grids(
         "Query satisfaction ratio",
         xs,
     );
-    for (ai, algo) in PointAlgo::ALL.iter().enumerate() {
-        ta.push_series(algo.label(), utilities[ai].clone());
-        tb.push_series(algo.label(), satisfactions[ai].clone());
+    for (algo, row) in PointAlgo::ALL.iter().zip(&grid) {
+        ta.push_series(algo.label(), row.iter().map(|r| r.avg_utility).collect());
+        tb.push_series(algo.label(), row.iter().map(|r| r.satisfaction).collect());
     }
     vec![ta, tb]
 }
@@ -216,7 +215,7 @@ const BUDGETS: [f64; 7] = [7.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0];
 /// Fig. 2: point queries on RWM, budget sweep.
 pub fn fig2(scale: &Scale) -> Vec<FigureTable> {
     let queries = scale.queries(300);
-    let (u, s) = run_point_sweep(
+    let grid = run_point_sweep(
         &BUDGETS,
         scale,
         |seed| rwm_setting(scale, seed),
@@ -229,15 +228,14 @@ pub fn fig2(scale: &Scale) -> Vec<FigureTable> {
         "Single-sensor point queries, RWM dataset",
         "Query budget",
         BUDGETS.to_vec(),
-        u,
-        s,
+        grid,
     )
 }
 
 /// Fig. 3: point queries on the RNC substitute, budget sweep.
 pub fn fig3(scale: &Scale) -> Vec<FigureTable> {
     let queries = scale.queries(300);
-    let (u, s) = run_point_sweep(
+    let grid = run_point_sweep(
         &BUDGETS,
         scale,
         |seed| rnc_setting(scale, seed),
@@ -250,15 +248,14 @@ pub fn fig3(scale: &Scale) -> Vec<FigureTable> {
         "Single-sensor point queries, RNC dataset",
         "Query budget",
         BUDGETS.to_vec(),
-        u,
-        s,
+        grid,
     )
 }
 
 /// Fig. 4: uniformly distributed budgets (mean ± 10) on RNC.
 pub fn fig4(scale: &Scale) -> Vec<FigureTable> {
     let queries = scale.queries(300);
-    let (u, s) = run_point_sweep(
+    let grid = run_point_sweep(
         &BUDGETS,
         scale,
         |seed| rnc_setting(scale, seed),
@@ -271,15 +268,14 @@ pub fn fig4(scale: &Scale) -> Vec<FigureTable> {
         "Uniformly distributed budget, RNC dataset",
         "Mean query budget",
         BUDGETS.to_vec(),
-        u,
-        s,
+        grid,
     )
 }
 
 /// Fig. 5: query-count sweep at fixed budget 15 on RNC.
 pub fn fig5(scale: &Scale) -> Vec<FigureTable> {
     let counts: Vec<f64> = [250.0, 500.0, 750.0, 1000.0].to_vec();
-    let (u, s) = run_point_sweep(
+    let grid = run_point_sweep(
         &counts,
         scale,
         |seed| rnc_setting(scale, seed),
@@ -292,8 +288,7 @@ pub fn fig5(scale: &Scale) -> Vec<FigureTable> {
         "Varying the number of queries (budget 15), RNC dataset",
         "Number of queries",
         counts,
-        u,
-        s,
+        grid,
     )
 }
 
@@ -304,7 +299,7 @@ pub fn fig6(scale: &Scale) -> Vec<FigureTable> {
     let mut out = Vec::new();
     for (panel, lifetime_frac) in [("fig6ab", 1.0f64), ("fig6cd", 0.5)] {
         let lifetime = ((scale.slots as f64 * lifetime_frac).round() as usize).max(1);
-        let (u, s) = run_point_sweep(
+        let grid = run_point_sweep(
             &BUDGETS,
             scale,
             |seed| rnc_setting(scale, seed),
@@ -317,8 +312,7 @@ pub fn fig6(scale: &Scale) -> Vec<FigureTable> {
             &format!("Random PSL + linear energy cost, lifetime {lifetime}, RNC"),
             "Query budget",
             BUDGETS.to_vec(),
-            u,
-            s,
+            grid,
         );
         out.append(&mut tables);
     }
@@ -334,32 +328,33 @@ pub fn trust(scale: &Scale) -> Vec<FigureTable> {
         (0.75, TrustAssignment::Uniform { lo: 0.5, hi: 1.0 }),
         (0.5, TrustAssignment::Uniform { lo: 0.0, hi: 1.0 }),
     ];
+    let means: Vec<f64> = distributions.iter().map(|&(m, _)| m).collect();
     let mut table = FigureTable::new(
         "trust",
         "Trust distributions (LocalSearch, budget 20), RNC dataset",
         "Mean sensor trust",
         "Average utility",
-        distributions.iter().map(|&(m, _)| m).collect(),
+        means.clone(),
     );
-    let mut values = Vec::new();
-    for (i, &(_, assignment)) in distributions.iter().enumerate() {
+    let scheduler = PointAlgo::LocalSearch.scheduler();
+    let grid = sweep(&[()], &means, |_, i, _| {
         let setting = rnc_setting(scale, scale.seed.wrapping_add(i as u64));
         let cfg = SensorPoolConfig {
-            trust: assignment,
+            trust: distributions[i].1,
             ..SensorPoolConfig::paper_default(scale.slots, scale.seed ^ 0xF1)
         };
-        let r = run_point_simulation(
+        run_point_simulation(
             &setting,
             scale,
             &cfg,
             queries,
             BudgetScheme::Fixed(20.0),
-            PointAlgo::LocalSearch,
+            scheduler.as_ref(),
             scale.seed.wrapping_add(2000 + i as u64),
-        );
-        values.push(r.avg_utility);
-    }
-    table.push_series("LocalSearch", values);
+        )
+        .avg_utility
+    });
+    table.push_series("LocalSearch", grid.concat());
     vec![table]
 }
 
@@ -390,18 +385,14 @@ mod tests {
         };
         let setting = rwm_setting(&scale, 3);
         let cfg = SensorPoolConfig::paper_default(scale.slots, 3);
-        for algo in [
-            PointAlgo::Optimal,
-            PointAlgo::LocalSearch,
-            PointAlgo::Baseline,
-        ] {
+        for algo in PointAlgo::ALL {
             let r = run_point_simulation(
                 &setting,
                 &scale,
                 &cfg,
                 scale.queries(300),
                 BudgetScheme::Fixed(20.0),
-                algo,
+                algo.scheduler().as_ref(),
                 11,
             );
             assert!(r.avg_utility.is_finite());
@@ -427,7 +418,7 @@ mod tests {
             &cfg,
             30,
             BudgetScheme::Fixed(15.0),
-            PointAlgo::Optimal,
+            PointAlgo::Optimal.scheduler().as_ref(),
             13,
         );
         let base = run_point_simulation(
@@ -436,7 +427,7 @@ mod tests {
             &cfg,
             30,
             BudgetScheme::Fixed(15.0),
-            PointAlgo::Baseline,
+            PointAlgo::Baseline.scheduler().as_ref(),
             13,
         );
         assert!(
