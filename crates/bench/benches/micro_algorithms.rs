@@ -6,19 +6,25 @@
 //! * the LP-relaxation bound in isolation (the certificate the ablation
 //!   drivers attach to heuristic schedules);
 //! * GP posterior-field updates (Algorithm 4's inner loop);
-//! * Algorithm 1 on overlapping aggregate queries.
+//! * Algorithm 1 on overlapping aggregate queries;
+//! * admission of one metro slot (`ps_intake`): `submit` of every
+//!   arrival, then `admit_slot`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ps_core::aggregator::DEFAULT_TICKS_PER_SLOT;
 use ps_core::alloc::greedy::greedy_select;
 use ps_core::exec::Threads;
 use ps_core::model::SensorSnapshot;
 use ps_core::query::{AggregateKind, AggregateQuery};
+use ps_core::streaming::ArrivalEvent;
 use ps_core::valuation::aggregate::AggregateValuation;
 use ps_core::valuation::SetValuation;
 use ps_core::QueryId;
 use ps_geo::{Point, Rect, SensorIndex};
 use ps_gp::kernel::SquaredExponential;
 use ps_gp::posterior::PosteriorField;
+use ps_intake::{AdmissionController, AdmissionPolicy};
+use ps_sim::workload::{test_monitoring_ctx, StandingMixProfile};
 use ps_solver::ufl::{self, WelfareProblem};
 use ps_solver::SolveOptions;
 use rand::rngs::StdRng;
@@ -155,10 +161,71 @@ fn bench_algorithm_1(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `StandingMixProfile::metro()` slot through admission: ~101 600
+/// sensor announcements and ~4 300 queries submitted, then the slot
+/// closed under a quota of the profile's ~5 200 standing queries. The
+/// warm-up slots end in a burst, whose ~1 200 deferred queries lead the
+/// timed slot; generation and the warm-up stay outside the timed region.
+fn bench_intake(c: &mut Criterion) {
+    const WARMUP_SLOTS: usize = 4;
+    let profile = StandingMixProfile::metro();
+    let policy = AdmissionPolicy {
+        max_queries_per_slot: profile.standing_queries(),
+        max_budget_per_slot: f64::INFINITY,
+        max_defer_slots: 2,
+    };
+    let ctx = test_monitoring_ctx();
+    let kernel = SquaredExponential::new(2.0, 2.0);
+    let mut rng = StdRng::seed_from_u64(2013);
+    // Monitors register in slot 0 and stay alive after it.
+    let slots: Vec<Vec<ArrivalEvent>> = (0..=WARMUP_SLOTS)
+        .map(|t| {
+            let (location, region) = match t {
+                0 => (0, 0),
+                _ => (profile.location_monitors, profile.region_monitors),
+            };
+            profile.slot_events(
+                &mut rng,
+                t,
+                DEFAULT_TICKS_PER_SLOT,
+                location,
+                region,
+                &ctx,
+                &kernel,
+            )
+        })
+        .collect();
+    let (warmup, measured) = slots.split_at(WARMUP_SLOTS);
+
+    let mut group = c.benchmark_group("intake");
+    group.sample_size(10);
+    group.bench_function("metro_slot", |b| {
+        let mut intake = AdmissionController::new(policy);
+        for (t, events) in warmup.iter().enumerate() {
+            for ev in events.clone() {
+                intake.submit(ev);
+            }
+            intake.admit_slot(t);
+        }
+        assert!(intake.pending() > 0, "the warm-up carries queries over");
+        let mut events = measured[0].clone();
+        let mut batch = None;
+        b.iter(|| {
+            for ev in std::mem::take(&mut events) {
+                intake.submit(ev);
+            }
+            // Kept, so that dropping the batch stays out of the sample.
+            batch = Some(intake.admit_slot(WARMUP_SLOTS));
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_schedulers,
     bench_posterior_field,
-    bench_algorithm_1
+    bench_algorithm_1,
+    bench_intake
 );
 criterion_main!(benches);

@@ -1037,6 +1037,11 @@ impl<'s> Aggregator<'s> {
     ) {
         let (rm_satisfied, rm_plans) = rm;
         let (per_query_payments, ids) = refund_src;
+        let share = self.share_sensors && !candidates.is_empty();
+        // Built at the first active monitor: its region queries return
+        // candidate positions ascending, so in candidate order.
+        let mut index: Option<SensorIndex> = None;
+        let mut in_region = Vec::new();
         let mut welfare = 0.0;
         let mut refunds: Vec<(QueryId, f64)> = Vec::new();
         for (mi, m) in self.region_monitors.iter_mut().enumerate() {
@@ -1044,12 +1049,16 @@ impl<'s> Aggregator<'s> {
                 continue;
             }
             let before = m.value();
-            let shared: Vec<SensorSnapshot> = if self.share_sensors {
-                let served: HashSet<usize> = rm_satisfied[mi].iter().map(|(s, _)| s.id).collect();
-                candidates
+            let shared: Vec<SensorSnapshot> = if share {
+                let index = index.get_or_insert_with(|| {
+                    SensorIndex::build(&candidates.iter().map(|s| s.loc).collect::<Vec<_>>())
+                });
+                index.query_rect_into(&m.region, &mut in_region);
+                let served = &rm_satisfied[mi];
+                in_region
                     .iter()
-                    .filter(|s| m.region.contains(s.loc) && !served.contains(&s.id))
-                    .copied()
+                    .map(|&ci| candidates[ci])
+                    .filter(|s| !served.iter().any(|(r, _)| r.id == s.id))
                     .collect()
             } else {
                 Vec::new()

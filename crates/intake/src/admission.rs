@@ -1,5 +1,7 @@
 //! Per-slot admission control with explicit outcomes.
 
+use std::ops::Range;
+
 use ps_core::model::Slot;
 use ps_core::streaming::{ArrivalEvent, ArrivalPayload};
 use ps_core::valuation::SetValuation;
@@ -66,6 +68,9 @@ pub enum RejectReason {
     /// The query's own budget exceeds `max_budget_per_slot`, so no
     /// amount of deferral can ever admit it.
     BudgetExceedsSlotQuota,
+    /// The query's budget is NaN, infinite or negative: no quota can
+    /// weigh it, and a negative one would make room for other queries.
+    InvalidBudget,
 }
 
 impl std::fmt::Display for RejectReason {
@@ -74,6 +79,9 @@ impl std::fmt::Display for RejectReason {
             RejectReason::DeferralsExhausted => write!(f, "deferrals exhausted"),
             RejectReason::BudgetExceedsSlotQuota => {
                 write!(f, "budget exceeds per-slot quota")
+            }
+            RejectReason::InvalidBudget => {
+                write!(f, "budget is not a finite non-negative number")
             }
         }
     }
@@ -90,7 +98,11 @@ pub struct AdmissionBatch {
     /// re-entrants first (in the order they were deferred, effective
     /// tick 0), then fresh arrivals sorted by `(tick, ticket)`.
     pub admitted: Vec<ArrivalEvent>,
-    /// Every pending ticket's outcome, in ascending ticket order (tickets
+    /// The tickets of the slot's fresh submissions. One with no entry
+    /// in `outcomes` is a sensor announcement, and sensors are always
+    /// admitted.
+    fresh: Range<u64>,
+    /// Every pending query's outcome, in ascending ticket order (tickets
     /// are unique, so a binary search finds one).
     outcomes: Vec<(Ticket, Admission)>,
 }
@@ -98,28 +110,45 @@ pub struct AdmissionBatch {
 impl AdmissionBatch {
     /// The outcome for `ticket` in this slot, if it was pending here.
     pub fn outcome(&self, ticket: Ticket) -> Option<&Admission> {
-        self.outcomes
-            .binary_search_by_key(&ticket, |(t, _)| *t)
-            .ok()
-            .map(|i| &self.outcomes[i].1)
+        match self.outcomes.binary_search_by_key(&ticket, |(t, _)| *t) {
+            Ok(i) => Some(&self.outcomes[i].1),
+            Err(_) if self.fresh.contains(&ticket.0) => Some(&Admission::Admitted),
+            Err(_) => None,
+        }
     }
 
     /// Iterates every `(ticket, outcome)` pair in this slot, in ascending
     /// ticket order, so the sequence depends only on the submissions.
     pub fn outcomes(&self) -> impl Iterator<Item = (Ticket, &Admission)> {
-        self.outcomes.iter().map(|(t, a)| (*t, a))
+        // Carried re-entrants were submitted in earlier slots, so their
+        // tickets sit below the fresh range.
+        let split = self
+            .outcomes
+            .partition_point(|(t, _)| t.0 < self.fresh.start);
+        let (carried, fresh) = self.outcomes.split_at(split);
+        let mut queries = fresh.iter().peekable();
+        let sensor_or_query = move |n| match queries.next_if(|(t, _)| t.0 == n) {
+            Some((t, a)) => (*t, a),
+            None => (Ticket(n), &Admission::Admitted),
+        };
+        carried
+            .iter()
+            .map(|(t, a)| (*t, a))
+            .chain(self.fresh.clone().map(sensor_or_query))
     }
 
     /// Number of queries deferred to a later slot.
     pub fn deferred(&self) -> usize {
-        self.outcomes()
+        self.outcomes
+            .iter()
             .filter(|(_, a)| matches!(a, Admission::Deferred { .. }))
             .count()
     }
 
     /// Number of queries rejected outright.
     pub fn rejected(&self) -> usize {
-        self.outcomes()
+        self.outcomes
+            .iter()
             .filter(|(_, a)| matches!(a, Admission::Rejected { .. }))
             .count()
     }
@@ -135,10 +164,22 @@ impl AdmissionBatch {
 #[derive(Debug)]
 pub struct AdmissionController {
     policy: AdmissionPolicy,
-    /// Every submission waiting for the next slot, with the number of
-    /// times it was deferred: deferred queries (restamped to tick 0)
-    /// first, then fresh submissions in ticket order.
-    pending: Vec<(Ticket, ArrivalEvent, usize)>,
+    /// Every event waiting for the next slot: deferred queries
+    /// (restamped to tick 0) first, then fresh submissions in ticket
+    /// order — the stream order itself while `ascending` holds.
+    pending: Vec<ArrivalEvent>,
+    /// How many of `pending` lead it as deferred re-entrants. Fresh
+    /// tickets are implicit: the last `pending.len() - carried` issued,
+    /// in order.
+    carried: usize,
+    /// `(position in pending, ticket, times deferred)` of every query,
+    /// positions ascending.
+    queries: Vec<(usize, Ticket, usize)>,
+    /// Tick of the last submission (0, the carried re-entrants' tick,
+    /// before the slot's first).
+    last_tick: u64,
+    /// Whether the slot's submissions came in tick order so far.
+    ascending: bool,
     next_ticket: u64,
 }
 
@@ -149,6 +190,10 @@ impl AdmissionController {
         AdmissionController {
             policy,
             pending: Vec::new(),
+            carried: 0,
+            queries: Vec::new(),
+            last_tick: 0,
+            ascending: true,
             next_ticket: 0,
         }
     }
@@ -160,7 +205,12 @@ impl AdmissionController {
     pub fn submit(&mut self, event: ArrivalEvent) -> Ticket {
         let ticket = Ticket(self.next_ticket);
         self.next_ticket += 1;
-        self.pending.push((ticket, event, 0));
+        self.ascending &= event.tick >= self.last_tick;
+        self.last_tick = event.tick;
+        if query_budget(&event.payload).is_some() {
+            self.queries.push((self.pending.len(), ticket, 0));
+        }
+        self.pending.push(event);
         ticket
     }
 
@@ -178,68 +228,107 @@ impl AdmissionController {
     /// re-entrants first, then fresh arrivals by `(tick, ticket)`)
     /// and admits each query that keeps both the count and the budget
     /// totals within the policy. Sensor announcements are always
-    /// admitted and skip the accounting entirely.
+    /// admitted and skip the accounting entirely: the walk visits the
+    /// queries alone, then one pass over the pending list moves each
+    /// admitted event once, into an admitted stream of exactly their
+    /// number, and sets the few deferred ones aside for the next slot.
+    /// The pending list keeps its buffer for the next slot.
     pub fn admit_slot(&mut self, slot: Slot) -> AdmissionBatch {
-        // A stable sort by tick is the whole stream order: re-entrants
-        // sit at tick 0 ahead of every later submission, and the list
-        // holds fresh submissions in ticket order.
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.sort_by_key(|(_, event, _)| event.tick);
-        let mut admitted = Vec::new();
-        let mut outcomes = Vec::new();
-        let mut queries = 0usize;
-        let mut budget = 0.0f64;
+        let fresh_len = self.pending.len() - self.carried;
+        let fresh = self.next_ticket - fresh_len as u64..self.next_ticket;
+        if !self.ascending {
+            self.sort_fresh(fresh.start);
+        }
 
-        for (ticket, mut event, defers) in pending {
-            let Some(cost) = query_budget(&event.payload) else {
-                // Sensors are capacity, not load.
-                admitted.push(event);
-                outcomes.push((ticket, Admission::Admitted));
-                continue;
-            };
-            if cost > self.policy.max_budget_per_slot {
-                outcomes.push((
-                    ticket,
-                    Admission::Rejected {
-                        reason: RejectReason::BudgetExceedsSlotQuota,
-                    },
-                ));
-                continue;
-            }
-            let fits = queries < self.policy.max_queries_per_slot
-                && budget + cost <= self.policy.max_budget_per_slot;
-            if fits {
+        let mut outcomes = Vec::with_capacity(self.queries.len());
+        // Positions the walk takes out, ascending, with the next slot's
+        // `(ticket, times deferred)` for a deferred query.
+        let mut taken: Vec<(usize, Option<(Ticket, usize)>)> = Vec::new();
+        let (mut queries, mut budget) = (0usize, 0.0f64);
+        for &(at, ticket, defers) in &self.queries {
+            let cost = query_budget(&self.pending[at].payload).expect("a query position");
+            let outcome = if !(cost.is_finite() && cost >= 0.0) {
+                Admission::Rejected {
+                    reason: RejectReason::InvalidBudget,
+                }
+            } else if cost > self.policy.max_budget_per_slot {
+                Admission::Rejected {
+                    reason: RejectReason::BudgetExceedsSlotQuota,
+                }
+            } else if queries < self.policy.max_queries_per_slot
+                && budget + cost <= self.policy.max_budget_per_slot
+            {
                 queries += 1;
                 budget += cost;
-                admitted.push(event);
-                outcomes.push((ticket, Admission::Admitted));
+                Admission::Admitted
             } else if defers < self.policy.max_defer_slots {
-                outcomes.push((
-                    ticket,
-                    Admission::Deferred {
-                        until_slot: slot + 1,
-                    },
-                ));
-                // Re-enters the next slot at effective tick 0.
-                event.tick = 0;
-                self.pending.push((ticket, event, defers + 1));
+                Admission::Deferred {
+                    until_slot: slot + 1,
+                }
             } else {
-                outcomes.push((
-                    ticket,
-                    Admission::Rejected {
-                        reason: RejectReason::DeferralsExhausted,
-                    },
-                ));
+                Admission::Rejected {
+                    reason: RejectReason::DeferralsExhausted,
+                }
+            };
+            match outcome {
+                Admission::Admitted => {}
+                Admission::Deferred { .. } => taken.push((at, Some((ticket, defers + 1)))),
+                Admission::Rejected { .. } => taken.push((at, None)),
+            }
+            outcomes.push((ticket, outcome));
+        }
+        // Walk order is ticket order for fresh submissions that came in
+        // tick order; the carried re-entrants may lead out of it.
+        outcomes.sort_unstable_by_key(|(ticket, _)| *ticket);
+
+        self.queries.clear();
+        let mut admitted = Vec::with_capacity(self.pending.len() - taken.len());
+        let mut deferred = Vec::new();
+        let mut rest = self.pending.drain(..);
+        let mut next = 0;
+        // The kept events between two taken ones move as one run.
+        for (at, carry) in taken {
+            admitted.extend(rest.by_ref().take(at - next));
+            let mut event = rest.next().expect("a taken position");
+            next = at + 1;
+            // Re-enters the next slot first, at effective tick 0, in
+            // stream order.
+            if let Some((ticket, defers)) = carry {
+                event.tick = 0;
+                self.queries.push((deferred.len(), ticket, defers));
+                deferred.push(event);
             }
         }
-        // Stream order is ticket order whenever submissions came in tick
-        // order; the sort then finds one run in a single linear pass.
-        outcomes.sort_unstable_by_key(|(ticket, _)| *ticket);
+        admitted.extend(rest);
+        self.carried = deferred.len();
+        self.pending.append(&mut deferred);
+        self.last_tick = 0;
+        self.ascending = true;
 
         AdmissionBatch {
             slot,
             admitted,
+            fresh,
             outcomes,
+        }
+    }
+
+    /// Stable-sorts the fresh submissions (`pending[carried..]`, whose
+    /// tickets start at `first`) by tick, and lists their queries again
+    /// with the tickets they keep.
+    fn sort_fresh(&mut self, first: u64) {
+        let mut fresh: Vec<(Ticket, ArrivalEvent)> = (first..)
+            .map(Ticket)
+            .zip(self.pending.drain(self.carried..))
+            .collect();
+        fresh.sort_by_key(|(_, event)| event.tick);
+        // Carried re-entrants are all queries, at positions `0..carried`.
+        self.queries.truncate(self.carried);
+        for (ticket, event) in fresh {
+            if query_budget(&event.payload).is_some() {
+                self.queries.push((self.pending.len(), ticket, 0));
+            }
+            self.pending.push(event);
         }
     }
 }
@@ -487,5 +576,77 @@ mod tests {
             assert_eq!(batch.outcome(t), Some(&Admission::Admitted));
         }
         assert_eq!(batch.rejected(), 0);
+    }
+
+    /// Sensors keep no stored outcome, so only the slot that admitted
+    /// one answers for its ticket.
+    #[test]
+    fn an_earlier_slots_sensor_ticket_answers_none() {
+        let mut ctl = AdmissionController::new(policy(1, f64::INFINITY, 1));
+        let s = ctl.submit(sensor(3));
+        let first = ctl.admit_slot(0);
+        assert_eq!(first.outcome(s), Some(&Admission::Admitted));
+        let q = ctl.submit(point(1, 1.0));
+        let later = ctl.admit_slot(1);
+        assert_eq!(later.outcome(s), None);
+        assert_eq!(later.outcome(q), Some(&Admission::Admitted));
+        let tickets: Vec<Ticket> = later.outcomes().map(|(t, _)| t).collect();
+        assert_eq!(tickets, [q]);
+    }
+
+    /// A batch the caller keeps never sees its events change while the
+    /// controller admits later slots.
+    #[test]
+    fn a_held_batch_keeps_its_events() {
+        let key = |events: &[ArrivalEvent]| -> Vec<String> {
+            events
+                .iter()
+                .map(|e| format!("{} {:?}", e.tick, e.payload))
+                .collect()
+        };
+        let mut ctl = AdmissionController::new(policy(2, f64::INFINITY, 1));
+        for tick in 0..4 {
+            ctl.submit(point(tick, 1.0 + tick as f64));
+            ctl.submit(sensor(tick));
+        }
+        let held = ctl.admit_slot(0);
+        let before = key(&held.admitted);
+        assert_eq!(before.len(), 6, "two queries deferred");
+        for slot in 1..3 {
+            for tick in 0..5 {
+                ctl.submit(point(tick, 7.0));
+                ctl.submit(sensor(tick + 10));
+            }
+            let batch = ctl.admit_slot(slot);
+            assert_eq!(batch.admitted.len(), 7);
+        }
+        assert_eq!(key(&held.admitted), before);
+    }
+
+    /// With nothing fresh submitted, a slot still re-admits its carried
+    /// queries, first and at tick 0, in the order they were deferred.
+    #[test]
+    fn carried_queries_lead_a_slot_without_fresh_submissions() {
+        let mut ctl = AdmissionController::new(policy(1, f64::INFINITY, 2));
+        ctl.submit(point(0, 1.0));
+        let b = ctl.submit(point(5, 2.0));
+        let c = ctl.submit(point(8, 3.0));
+        ctl.admit_slot(0);
+        assert_eq!(ctl.pending(), 2);
+        let batch = ctl.admit_slot(1);
+        assert_eq!(batch.outcome(b), Some(&Admission::Admitted));
+        assert_eq!(
+            batch.outcome(c),
+            Some(&Admission::Deferred { until_slot: 2 })
+        );
+        let order: Vec<(u64, Option<f64>)> = batch
+            .admitted
+            .iter()
+            .map(|e| (e.tick, query_budget(&e.payload)))
+            .collect();
+        assert_eq!(order, [(0, Some(2.0))]);
+        let tickets: Vec<Ticket> = batch.outcomes().map(|(t, _)| t).collect();
+        assert_eq!(tickets, [b, c]);
+        assert_eq!(ctl.pending(), 1);
     }
 }

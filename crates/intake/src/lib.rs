@@ -10,16 +10,23 @@
 //! [`Aggregator::step_streaming`](ps_core::aggregator::Aggregator::step_streaming):
 //!
 //! * **Deterministic order.** Every submission gets a [`Ticket`] and
-//!   waits in one pending list. Closing a slot sorts it by tick, ties in
-//!   submission order, so replaying the same (seeded) arrival process
-//!   always produces the same stream, and lists the slot's outcomes in
-//!   ticket order.
+//!   waits in one pending list. The slot's stream runs by tick, ties in
+//!   submission order (submissions that already came in tick order are
+//!   not sorted), so replaying the same (seeded) arrival process always
+//!   produces the same stream, and the slot's outcomes list in ticket
+//!   order.
 //! * **Quotas with explicit outcomes.** Per-slot caps on query count and
 //!   submitted budget, each ticket getting an [`Admission`]. Over-quota
 //!   work is **deferred** to the next slot (bounded retries) or
 //!   **rejected**, never silently delayed: backpressure is visible to
 //!   the submitter, and deferred or rejected queries pay nothing
-//!   because they never reach the engine at all.
+//!   because they never reach the engine at all. A query whose budget
+//!   is NaN, infinite or negative is rejected at once
+//!   ([`RejectReason::InvalidBudget`]).
+//! * **Work per query.** Only queries are walked and given a stored
+//!   outcome; a sensor announcement is admitted as it stands. The quota
+//!   walk costs in proportion to the slot's queries, not its events,
+//!   and each admitted event moves once, into the admitted stream.
 //!
 //! ```rust
 //! use ps_core::aggregator::PointSpec;

@@ -24,14 +24,17 @@
 use proptest::prelude::*;
 use ps_cluster::{ClusterBuilder, Settlement, ShardedAggregator, SlotEngine, SHARD_ID_BLOCK};
 use ps_core::aggregator::{
-    Aggregator, AggregatorBuilder, MixStrategy, PointSpec, SlotReport, DEFAULT_TICKS_PER_SLOT,
+    AggregateSpec, Aggregator, AggregatorBuilder, LocationMonitorSpec, MixStrategy, PointSpec,
+    RegionMonitorSpec, SlotReport, DEFAULT_TICKS_PER_SLOT,
 };
 use ps_core::alloc::local_search::LocalSearchScheduler;
 use ps_core::model::{QueryId, SensorSnapshot};
-use ps_core::query::PointQuery;
+use ps_core::query::{AggregateKind, PointQuery};
 use ps_core::streaming::{ArrivalEvent, ArrivalPayload};
+use ps_core::valuation::monitoring::MonitoringValuation;
 use ps_core::valuation::quality::QualityModel;
-use ps_core::valuation::SpatialSupport;
+use ps_core::valuation::region::RegionValuation;
+use ps_core::valuation::{SetValuation, SpatialSupport};
 use ps_geo::{Point, Rect};
 use ps_gp::kernel::SquaredExponential;
 use ps_intake::{Admission, AdmissionController, AdmissionPolicy, RejectReason, Ticket};
@@ -549,7 +552,8 @@ fn online_arrival_rule_matches_brute_force_reference() {
 /// The admission rule kept apart from the controller: carried
 /// (deferred) queries re-enter first, in the order they were deferred,
 /// at tick 0; fresh submissions follow sorted by `(tick, ticket)`. The
-/// quotas are walked in that order.
+/// quotas are walked in that order, every query kind weighing in with
+/// its budget (a region monitor's is its valuation's maximum).
 #[derive(Default)]
 struct ReferenceIntake {
     carried: Vec<(Ticket, ArrivalEvent, usize)>,
@@ -580,14 +584,20 @@ impl ReferenceIntake {
         for (ticket, event, defers) in stream {
             let cost = match &event.payload {
                 ArrivalPayload::Point(spec) => spec.budget,
+                ArrivalPayload::Aggregate(spec) => spec.budget,
+                ArrivalPayload::LocationMonitor(spec) => spec.valuation.budget(),
+                ArrivalPayload::RegionMonitor(spec) => spec.valuation.max_value(),
                 ArrivalPayload::Sensor(_) => {
                     admitted.push(event);
                     outcomes.push((ticket, Admission::Admitted));
                     continue;
                 }
-                other => unreachable!("the sequences hold points and sensors, not {other:?}"),
             };
-            let outcome = if cost > policy.max_budget_per_slot {
+            let outcome = if cost.is_nan() || cost.is_infinite() || cost < 0.0 {
+                Admission::Rejected {
+                    reason: RejectReason::InvalidBudget,
+                }
+            } else if cost > policy.max_budget_per_slot {
                 Admission::Rejected {
                     reason: RejectReason::BudgetExceedsSlotQuota,
                 }
@@ -614,14 +624,24 @@ impl ReferenceIntake {
     }
 }
 
+/// The tick and the whole payload of an event, as text (NaN budgets
+/// compare equal this way).
+fn event_text(e: &ArrivalEvent) -> String {
+    format!("{} {:?}", e.tick, e.payload)
+}
+
 /// 200 seeded multi-slot submission sequences with ticks from a small
-/// range (ties are common), sensors mixed in, and quotas small enough
-/// to defer and reject: per slot, the controller's admitted stream
-/// (tick and payload), every ticket's outcome and its pending count
-/// match [`ReferenceIntake`], and tickets number the submissions.
+/// range (ties are common), every query kind and sensors mixed in, a
+/// few malformed budgets, and quotas small enough to defer and reject:
+/// per slot, the controller's admitted stream (tick and payload), the
+/// whole ticket-ordered outcome sequence, sensors included, and its
+/// pending count match [`ReferenceIntake`], and tickets number the
+/// submissions.
 #[test]
 fn admission_order_matches_reference() {
-    let (mut deferred, mut rejected, mut re_admitted) = (0usize, 0usize, 0usize);
+    let ctx = test_monitoring_ctx();
+    let kernel = SquaredExponential::new(2.0, 2.0);
+    let (mut deferred, mut rejected, mut re_admitted, mut malformed) = (0usize, 0, 0, 0);
     for seed in 0..200u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let policy = AdmissionPolicy {
@@ -640,29 +660,55 @@ fn admission_order_matches_reference() {
             let carried = reference.carried.len();
             for _ in 0..rng.gen_range(0..50usize) {
                 let tick = rng.gen_range(0..5u64);
-                // A distinct location or id per submission, so payloads
+                // A distinct coordinate or id per submission, so payloads
                 // tell the events apart.
-                let event = if rng.gen_bool(0.25) {
-                    ArrivalEvent::sensor(
-                        tick,
-                        SensorSnapshot {
-                            id: submitted as usize,
-                            loc: Point::new(0.0, 0.0),
-                            cost: 1.0,
-                            trust: 1.0,
-                            inaccuracy: 0.1,
-                        },
-                    )
-                } else {
-                    ArrivalEvent::point(
-                        tick,
-                        PointSpec {
-                            loc: Point::new(submitted as f64, 0.0),
-                            budget: rng.gen_range(1.0..12.0),
-                            theta_min: 0.2,
-                        },
-                    )
+                let n = submitted as f64;
+                let budget = match rng.gen_range(0..40u32) {
+                    0 => f64::NAN,
+                    1 => -1.0,
+                    2 => f64::INFINITY,
+                    _ => rng.gen_range(1.0..12.0),
                 };
+                let payload = match rng.gen_range(0..20u32) {
+                    0..=4 => ArrivalPayload::Sensor(SensorSnapshot {
+                        id: submitted as usize,
+                        loc: Point::new(0.0, 0.0),
+                        cost: 1.0,
+                        trust: 1.0,
+                        inaccuracy: 0.1,
+                    }),
+                    5..=14 => ArrivalPayload::Point(PointSpec {
+                        loc: Point::new(n, 0.0),
+                        budget,
+                        theta_min: 0.2,
+                    }),
+                    15..=16 => ArrivalPayload::Aggregate(AggregateSpec {
+                        region: Rect::new(n, 0.0, n + 1.0, 1.0),
+                        budget,
+                        kind: AggregateKind::Average,
+                    }),
+                    17..=18 => ArrivalPayload::LocationMonitor(Box::new(LocationMonitorSpec {
+                        loc: Point::new(n, 0.0),
+                        t1: slot,
+                        t2: slot + 3,
+                        alpha: 0.5,
+                        theta_min: 0.2,
+                        valuation: MonitoringValuation::new(ctx.clone(), budget, vec![slot as f64]),
+                    })),
+                    _ => ArrivalPayload::RegionMonitor(Box::new(RegionMonitorSpec {
+                        t1: slot,
+                        t2: slot + 3,
+                        alpha: 0.5,
+                        theta_min: 0.2,
+                        valuation: RegionValuation::new(
+                            budget,
+                            Rect::new(n, 0.0, n + 2.0, 2.0),
+                            &kernel,
+                            0.1,
+                        ),
+                    })),
+                };
+                let event = ArrivalEvent { tick, payload };
                 let ticket = intake.submit(event.clone());
                 assert_eq!(ticket, Ticket(submitted), "seed {seed}: ticket numbering");
                 submitted += 1;
@@ -671,13 +717,21 @@ fn admission_order_matches_reference() {
             let batch = intake.admit_slot(slot);
             let (admitted, outcomes) = reference.admit_slot(&policy, slot);
             let label = format!("seed {seed} slot {slot}");
-            let key = |e: &ArrivalEvent| format!("{} {:?}", e.tick, e.payload);
             assert_eq!(
-                batch.admitted.iter().map(key).collect::<Vec<_>>(),
-                admitted.iter().map(key).collect::<Vec<_>>(),
+                batch.admitted.iter().map(event_text).collect::<Vec<_>>(),
+                admitted.iter().map(event_text).collect::<Vec<_>>(),
                 "{label}: admitted stream"
             );
-            assert_eq!(batch.outcomes().count(), outcomes.len(), "{label}");
+            let mut by_ticket = outcomes.clone();
+            by_ticket.sort_by_key(|(ticket, _)| *ticket);
+            assert_eq!(
+                batch
+                    .outcomes()
+                    .map(|(t, a)| (t, a.clone()))
+                    .collect::<Vec<_>>(),
+                by_ticket,
+                "{label}: outcomes"
+            );
             for (ticket, outcome) in &outcomes {
                 assert_eq!(batch.outcome(*ticket), Some(outcome), "{label}: {ticket:?}");
             }
@@ -692,10 +746,77 @@ fn admission_order_matches_reference() {
                 .iter()
                 .filter(|(_, o)| *o == Admission::Admitted)
                 .count();
+            malformed += outcomes
+                .iter()
+                .filter(|(_, o)| {
+                    *o == Admission::Rejected {
+                        reason: RejectReason::InvalidBudget,
+                    }
+                })
+                .count();
         }
     }
-    // The sequences defer, re-admit and reject.
-    assert!(deferred > 0 && rejected > 0 && re_admitted > 0);
+    // The sequences defer, re-admit and reject, malformed budgets too.
+    assert!(deferred > 0 && rejected > 0 && re_admitted > 0 && malformed > 0);
+}
+
+/// A query whose budget is NaN, negative or infinite is rejected at
+/// once, under a finite quota and under none: it never reaches the
+/// admitted stream, never carries over, and counts as rejected.
+#[test]
+fn malformed_budgets_are_rejected_at_intake() {
+    let point = |budget| {
+        ArrivalEvent::point(
+            3,
+            PointSpec {
+                loc: Point::new(1.0, 1.0),
+                budget,
+                theta_min: 0.2,
+            },
+        )
+    };
+    let monitor = ArrivalEvent {
+        tick: 0,
+        payload: ArrivalPayload::LocationMonitor(Box::new(LocationMonitorSpec {
+            loc: Point::new(2.0, 2.0),
+            t1: 0,
+            t2: 5,
+            alpha: 0.5,
+            theta_min: 0.2,
+            valuation: MonitoringValuation::new(test_monitoring_ctx(), f64::NAN, vec![0.0, 3.0]),
+        })),
+    };
+    let malformed = [point(f64::NAN), point(-1.0), point(f64::INFINITY), monitor];
+    let finite = AdmissionPolicy {
+        max_queries_per_slot: 10,
+        max_budget_per_slot: 100.0,
+        max_defer_slots: 2,
+    };
+    for policy in [finite, AdmissionPolicy::unlimited()] {
+        let mut intake = AdmissionController::new(policy);
+        for (slot, bad) in malformed.iter().enumerate() {
+            let good = intake.submit(point(5.0));
+            let ticket = intake.submit(bad.clone());
+            let batch = intake.admit_slot(slot);
+            let label = format!("{policy:?} slot {slot}");
+            assert_eq!(
+                batch.outcome(ticket),
+                Some(&Admission::Rejected {
+                    reason: RejectReason::InvalidBudget
+                }),
+                "{label}"
+            );
+            assert_eq!(batch.outcome(good), Some(&Admission::Admitted), "{label}");
+            let admitted: Vec<String> = batch.admitted.iter().map(|e| format!("{e:?}")).collect();
+            assert_eq!(admitted, [format!("{:?}", point(5.0))], "{label}");
+            assert_eq!((batch.deferred(), batch.rejected()), (0, 1), "{label}");
+            assert_eq!(intake.pending(), 0, "{label}: nothing carries over");
+        }
+    }
+    assert_eq!(
+        RejectReason::InvalidBudget.to_string(),
+        "budget is not a finite non-negative number"
+    );
 }
 
 /// The shards an event reaches under the cluster's routing rule: a
